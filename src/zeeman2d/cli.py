@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -38,7 +37,6 @@ from .perturb import (
 SECOND_ORDER_REL_TOL = 1e-6
 ODD_POWER_TOL = 1e-10
 DUAL_ROUTE_MAX_N = 12
-WORKERS_ENV = "ZEEMAN2D_MAX_WORKERS"
 
 
 def _render_markdown(headers: list[str], rows: list[list[str]]) -> str:
@@ -156,30 +154,18 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _fit_state(task: tuple[QuantumState, int, Fraction]) -> "object":
+def _run_fits(states: list[QuantumState], basis_size: int, grid_scale: Fraction):
     from . import oracle
 
-    state, basis_size, grid_scale = task
-    return oracle.fit_field_series(state, basis_size=basis_size, grid_scale=grid_scale)
-
-
-def _run_fits(states: list[QuantumState], basis_size: int, grid_scale: Fraction):
     # The library default window b_max ~ (2n-1)^-4 is sized so the quartic term
     # stays resolvable, which for n > 1 leaves the quadratic term close to the
     # eigensolver noise floor.  For quadratic-coefficient validation we widen
     # the window to b_max ~ (2n-1)^-2 (the scale at which eps2*b^2/|eps0| is
     # n-independent); the caller's grid_scale multiplies this.
-    tasks = [(s, basis_size, grid_scale * (2 * s.n - 1) ** 2) for s in states]
-    limit = os.environ.get(WORKERS_ENV)
-    workers = min(len(tasks), os.cpu_count() or 1)
-    if limit is not None:
-        workers = max(1, min(workers, int(limit)))
-    if workers <= 1 or len(tasks) <= 1:
-        return [_fit_state(t) for t in tasks]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_fit_state, tasks))
+    return [
+        oracle.fit_field_series(s, basis_size=basis_size, grid_scale=grid_scale * (2 * s.n - 1) ** 2)
+        for s in states
+    ]
 
 
 def cmd_validate(args) -> int:

@@ -137,6 +137,12 @@ def render_decimal(x: Fraction, digits: int = 12) -> str:
     return str(d)
 
 
+def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(d, [c * d for c in coeffs]) with d the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 @dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
@@ -189,13 +195,17 @@ class RationalPolynomial:
         if isinstance(other, RationalPolynomial):
             if not self.coeffs or not other.coeffs:
                 return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            # integer convolution over the product of the common denominators
+            a_den, a_int = _over_common_denominator(self.coeffs)
+            b_den, b_int = _over_common_denominator(other.coeffs)
+            out = [0] * (len(a_int) + len(b_int) - 1)
+            for i, a in enumerate(a_int):
                 if a == 0:
                     continue
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(b_int):
                     out[i + j] += a * b
-            return RationalPolynomial(tuple(out))
+            den = a_den * b_den
+            return RationalPolynomial(tuple(Fraction(c, den) for c in out))
         s = Fraction(other)
         return RationalPolynomial(tuple(c * s for c in self.coeffs))
 

@@ -95,10 +95,10 @@ def moment3_diag(spec: Laguerre) -> Fraction:
     (k+alpha)!/k!; validated against brute_force_integral in the tests.
     """
     k, alpha = spec.k, spec.alpha
-    return (
-        Fraction(2 * k + alpha + 1)
+    return Fraction(
+        (2 * k + alpha + 1)
         * (10 * k * k + 10 * k + 10 * alpha * k + alpha * alpha + 5 * alpha + 6)
-        * Fraction(math.factorial(k + alpha), math.factorial(k))
+        * math.perm(k + alpha, alpha)
     )
 
 
@@ -122,13 +122,13 @@ def moment3_band(k: int, kp: int, alpha: int) -> Fraction:
     a = alpha
     if d == 0:
         return moment3_diag(Laguerre(lo, a))
-    fact = Fraction(1, math.factorial(lo))
+    # (lo + a + d)!/lo! as the integer perm(lo + a + d, a + d)
     if d == 1:
         body = 5 * lo * lo + 10 * lo + 5 * a * lo + a * a + 5 * a + 6
-        return Fraction(-3) * body * math.factorial(lo + a + 1) * fact
+        return Fraction(-3 * body * math.perm(lo + a + 1, a + 1))
     if d == 2:
-        return Fraction(3) * (2 * lo + a + 3) * math.factorial(lo + a + 2) * fact
-    return Fraction(-math.factorial(lo + a + 3)) * fact
+        return Fraction(3 * (2 * lo + a + 3) * math.perm(lo + a + 2, a + 2))
+    return Fraction(-math.perm(lo + a + 3, a + 3))
 
 
 def brute_force_integral(gamma: int, a: Laguerre, b: Laguerre) -> Fraction:

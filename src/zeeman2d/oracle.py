@@ -11,20 +11,26 @@ matrix element becomes an exact rational:
 
 in the unnormalized basis, where W_j is the (diagonal, rational) weighted
 norm, O is the tridiagonal plain overlap and R the seven-banded r^2 moment.
-Floating point enters exactly once, when the assembled rationals are rounded
-into the numpy matrices handed to the dense generalized eigensolver (a
-symmetric diagonal normalization is applied at that same step to keep the
-overlap well conditioned; generalized eigenvalues are unchanged by it).
+`_exact_pieces` assembles these bands in closed form, O(m) entries in all.
+Floating point enters once per fit, when `_round_bands` divides basis
+function j by sqrt(W_j) and rounds the bands; that diagonal congruence keeps
+the overlap well conditioned and leaves the generalized eigenvalues
+unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at each field.
 
-`fit_field_series` then walks a small field grid, follows one eigenvalue by
-continuity, and fits an even polynomial in b to recover the quadratic and
-quartic coefficients with conditioning diagnostics.
+Each field is solved by banded shift-invert inverse iteration (Golub & Van
+Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
+previous field.  Sylvester's law of inertia certifies the level index of
+every result: H - sigma O has exactly as many negative eigenvalues as the
+pencil has levels below sigma, and a radial channel has no crossings.
+
+`fit_field_series` walks a small field grid this way and fits an even
+polynomial in b to recover the quadratic and quartic coefficients with
+conditioning diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,20 +40,17 @@ import scipy.linalg
 
 from .coulomb import QuantumState, energy0
 from .exactmath import rational_sqrt
-from .laguerre import Laguerre, cross_integral, moment3_band
+from .laguerre import moment3_band
 from .perturb import assemble_energy
 
 __all__ = [
     "GalerkinConfig",
     "GalerkinResult",
     "FieldFitResult",
-    "FactorizationError",
+    "ConvergenceError",
     "LevelCrossingError",
     "IllConditionedFitError",
     "DEFAULT_BASIS_SIZE",
-    "build_matrices",
-    "build_matrices_exact",
-    "solve_generalized",
     "galerkin_levels",
     "fit_field_series",
     "default_field_grid",
@@ -55,25 +58,42 @@ __all__ = [
 
 DEFAULT_BASIS_SIZE = 120
 CONDITION_LIMIT = 1e10
+HALF_BANDWIDTH = 3  # R couples |i - j| <= 3; O only |i - j| <= 1
+MAX_ITERATIONS = 20
+MAX_HALVINGS = 12  # of a field step that fails to converge or certify
+# Converged when |H x - lambda O x| <= RESIDUAL_TOL (||H| |x|| + |lambda| ||O| |x||),
+# a multiple of the rounding error of the residual itself.
+RESIDUAL_TOL = 1e-13
+# The inertia certificate counts levels below lambda -+ CERTIFICATE_WIDTH |lambda|:
+# far inside the level spacing, yet wide enough that rounding in H - sigma O
+# cannot flip a count.
+CERTIFICATE_WIDTH = 1e-6
 
 
-class FactorizationError(RuntimeError):
-    """Overlap factorization failed; carries the offending pivot index."""
+class ConvergenceError(RuntimeError):
+    """Inverse iteration gave no finite, converged eigenpair at field b."""
 
-    def __init__(self, pivot: int | None, message: str):
-        self.pivot = pivot
-        super().__init__(message)
+    def __init__(self, b: float, iterations: int, residual: float, reason: str):
+        self.b = b
+        self.iterations = iterations
+        self.residual = residual
+        super().__init__(
+            f"inverse iteration at b = {b} {reason} after {iterations} solves "
+            f"(residual {residual:.3g})"
+        )
 
 
 class LevelCrossingError(RuntimeError):
-    """Continuity tracking became ambiguous between two eigenvalue branches."""
+    """The converged eigenvalue is not the tracked level (inertia count mismatch)."""
 
-    def __init__(self, first: int, second: int, b: float):
-        self.pair = (first, second)
+    def __init__(self, expected: int, below: int, above: int, b: float):
+        self.expected = expected
+        self.counts = (below, above)
         self.b = b
         super().__init__(
-            f"eigenvalue tracking is ambiguous between branches {first} and {second} "
-            f"at b = {b}; refine the field grid"
+            f"eigenvalue tracking lost level {expected} at b = {b}: the pencil has "
+            f"{below} levels just below the converged value and {above} just above it, "
+            f"not {expected} and {expected + 1}; refine the field grid"
         )
 
 
@@ -119,11 +139,16 @@ class GalerkinConfig:
                 raise ValueError("reference energy must be negative")
 
     @property
+    def unperturbed_energy(self) -> Fraction:
+        """Exact b = 0 energy of the tracked level; it seeds the tracking."""
+        n = self.target_n_r + self.l + 1
+        return energy0(QuantumState(n, self.l, self.l), self.Z)
+
+    @property
     def resolved_reference(self) -> Fraction:
         if self.reference_energy is not None:
             return self.reference_energy
-        n = self.target_n_r + self.l + 1
-        return energy0(QuantumState(n, self.l, self.l), self.Z)
+        return self.unperturbed_energy
 
     @property
     def scale(self) -> Fraction:
@@ -136,158 +161,230 @@ class GalerkinConfig:
         return root
 
 
-@lru_cache(maxsize=32)
-def _exact_pieces(
-    l: int, Z: Fraction, basis_size: int, reference: Fraction
-) -> tuple[tuple[Fraction, ...], dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction], tuple[Fraction, ...]]:
-    """Field-independent exact pieces: Coulomb diagonal, O band, R band, W."""
-    k = rational_sqrt(-2 * reference)
-    assert k is not None
-    two_l = 2 * l
-    weighted_norm = []
-    for j in range(basis_size):
-        w = Fraction(Z)
-        for t in range(1, two_l + 1):
-            w *= j + t
-        weighted_norm.append(w)
-    diag = []
-    for j in range(basis_size):
-        mu_j = Fraction(2 * (j + l) + 1, 2) * k / Z
-        diag.append((mu_j - 1) * weighted_norm[j])
-    overlap: dict[tuple[int, int], Fraction] = {}
-    inv_2k = 1 / (2 * k)
-    for i in range(basis_size):
-        for j in (i, i + 1):
-            if j >= basis_size:
-                continue
-            val = inv_2k * cross_integral(two_l + 1, Laguerre(i, two_l), Laguerre(j, two_l))
-            overlap[(i, j)] = val
-            overlap[(j, i)] = val
-    r2: dict[tuple[int, int], Fraction] = {}
-    inv_2k3 = inv_2k**3
-    for i in range(basis_size):
-        for j in range(i, min(i + 4, basis_size)):
-            val = inv_2k3 * moment3_band(i, j, two_l)
-            r2[(i, j)] = val
-            r2[(j, i)] = val
-    return tuple(diag), overlap, r2, tuple(weighted_norm)
+@dataclass(frozen=True)
+class ExactBands:
+    """Exact bands of the unnormalized Galerkin problem.
 
-
-def build_matrices_exact(
-    cfg: GalerkinConfig,
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Dense exact rational (H, O) in the unnormalized Sturmian basis."""
-    m = cfg.basis_size
-    diag, overlap, r2, _ = _exact_pieces(cfg.l, cfg.Z, m, cfg.resolved_reference)
-    e_star = cfg.resolved_reference
-    b2_over_8 = cfg.b * cfg.b / 8
-    H = [[Fraction(0)] * m for _ in range(m)]
-    O = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), val in overlap.items():
-        O[i][j] = val
-        H[i][j] += e_star * val
-    if b2_over_8:
-        for (i, j), val in r2.items():
-            H[i][j] += b2_over_8 * val
-    for j in range(m):
-        H[j][j] += diag[j]
-    return H, O
-
-
-def build_matrices(cfg: GalerkinConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Floating (H, O), each exact entry rounded once, symmetrically normalized.
-
-    The normalization divides basis function j by the square root of its
-    weighted norm W_j; this diagonal congruence leaves the generalized
-    eigenvalues untouched while keeping the overlap condition number flat in
-    the basis size.
+    ``overlap[d][i]`` is O_{i,i+d} (d = 0, 1) and ``r2[d][i]`` is R_{i,i+d}
+    (d = 0..3); H0 = D + E* O has the diagonal ``h0_diag`` and the
+    off-diagonal E* ``overlap[1]``.
     """
+
+    weighted_norm: tuple[Fraction, ...]
+    h0_diag: tuple[Fraction, ...]
+    overlap: tuple[tuple[Fraction, ...], ...]
+    r2: tuple[tuple[Fraction, ...], ...]
+
+
+@lru_cache(maxsize=32)
+def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> ExactBands:
+    """Field-independent exact bands in closed form.
+
+    With alpha = 2l and the running ratio q_i = (i+alpha)!/i! (q_0 = alpha!):
+    W_i = Z q_i, O_ii = (2i+alpha+1) q_i/(2k), O_i,i+1 = -(i+alpha+1) q_i/(2k),
+    H0_ii = (mu_i - 1) W_i + E* O_ii with mu_i = (i+l+1/2) k/Z, and
+    R_i,i+d = moment3_band(i, i+d, alpha)/(2k)^3, where k = sqrt(-2 E*).
+    """
+    k = rational_sqrt(-2 * reference)
+    if k is None:
+        raise ValueError("exact assembly needs a rational Sturmian scale sqrt(-2 E*)")
+    alpha = 2 * l
+    inv_2k = 1 / (2 * k)
+    q = math.factorial(alpha)
+    weighted_norm, h0_diag, o_diag, o_off = [], [], [], []
+    for i in range(basis_size):
+        w = Z * q
+        o = (2 * i + alpha + 1) * q * inv_2k
+        mu = Fraction(2 * (i + l) + 1, 2) * k / Z
+        weighted_norm.append(w)
+        h0_diag.append((mu - 1) * w + reference * o)
+        o_diag.append(o)
+        o_off.append(-(i + alpha + 1) * q * inv_2k)
+        q = q * (i + alpha + 1) // (i + 1)
+    inv_2k3 = inv_2k**3
+    r2 = tuple(
+        tuple(inv_2k3 * moment3_band(i, i + d, alpha) for i in range(basis_size - d))
+        for d in range(HALF_BANDWIDTH + 1)
+    )
+    return ExactBands(tuple(weighted_norm), tuple(h0_diag), (tuple(o_diag), tuple(o_off[:-1])), r2)
+
+
+@dataclass(frozen=True)
+class FloatBands:
+    """Normalized float H0, R and O in LAPACK upper band storage.
+
+    Row HALF_BANDWIDTH - d holds diagonal d: ``band[3 - d, j] = A[j - d, j]``.
+    Columns 0..m'-1 hold the leading m' x m' block, so slicing them is the
+    same problem in the first m' basis functions.
+    """
+
+    h0: np.ndarray
+    r2: np.ndarray
+    overlap: np.ndarray
+
+    def hamiltonian(self, b: Fraction) -> np.ndarray:
+        return self.h0 + float(b * b / 8) * self.r2
+
+    def leading(self, m: int) -> "FloatBands":
+        return FloatBands(self.h0[:, :m], self.r2[:, :m], self.overlap[:, :m])
+
+
+def _round_bands(cfg: GalerkinConfig) -> FloatBands:
+    """Round the exact bands once, dividing basis function j by sqrt(W_j)."""
+    exact = _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
     m = cfg.basis_size
-    diag, overlap, r2, weighted_norm = _exact_pieces(cfg.l, cfg.Z, m, cfg.resolved_reference)
+    scale = 1 / np.sqrt(np.array(exact.weighted_norm, dtype=float))
+
+    def upper(diagonals) -> np.ndarray:
+        band = np.zeros((HALF_BANDWIDTH + 1, m))
+        for d, values in enumerate(diagonals):
+            band[HALF_BANDWIDTH - d, d:] = np.array(values, dtype=float) * scale[: m - d] * scale[d:]
+        return band
+
     e_star = cfg.resolved_reference
-    b2_over_8 = cfg.b * cfg.b / 8
-    scale = np.array([1.0 / math.sqrt(float(w)) for w in weighted_norm])
-    H = np.zeros((m, m))
-    O = np.zeros((m, m))
-    for (i, j), val in overlap.items():
-        O[i, j] = float(val)
-        H[i, j] += float(e_star * val)
-    if b2_over_8:
-        for (i, j), val in r2.items():
-            H[i, j] += float(b2_over_8 * val)
-    for j in range(m):
-        H[j, j] += float(diag[j])
-    H *= scale[:, None] * scale[None, :]
-    O *= scale[:, None] * scale[None, :]
-    return H, O
+    return FloatBands(
+        h0=upper((exact.h0_diag, [e_star * o for o in exact.overlap[1]])),
+        r2=upper(exact.r2),
+        overlap=upper(exact.overlap),
+    )
 
 
-def solve_generalized(H: np.ndarray, O: np.ndarray, return_vectors: bool = False):
-    """Ascending eigenvalues of H c = lambda O c (O positive definite)."""
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the symmetric A held in upper band storage."""
+    u = band.shape[0] - 1
+    y = band[u] * x
+    for d in range(1, u + 1):
+        y[:-d] += band[u - d, d:] * x[d:]
+        y[d:] += band[u - d, d:] * x[:-d]
+    return y
+
+
+def _general_storage(band: np.ndarray) -> np.ndarray:
+    """The (l, u) = (3, 3) storage `scipy.linalg.solve_banded` takes, from upper storage."""
+    u, m = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((2 * u + 1, m))
+    full[: u + 1] = band
+    for d in range(1, u + 1):
+        full[u + d, : max(m - d, 0)] = band[u - d, d:]
+    return full
+
+
+def _inverse_iteration(
+    h: np.ndarray, overlap: np.ndarray, sigma: float, x: np.ndarray, b: float
+) -> tuple[float, np.ndarray, float]:
+    """(lambda, unit x, residual) of H x = lambda O x nearest sigma, iterating from x.
+
+    Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
+    """
+    shifted = _general_storage(h - sigma * overlap)
+    abs_h, abs_o = abs(h), abs(overlap)
+    x = x / np.linalg.norm(x)
+    for solves in range(MAX_ITERATIONS + 1):
+        hx, ox = _band_matvec(h, x), _band_matvec(overlap, x)
+        value = float(x @ hx / (x @ ox))
+        residual = float(np.linalg.norm(hx - value * ox))
+        if not (math.isfinite(value) and math.isfinite(residual)):
+            raise ConvergenceError(b, solves, residual, "produced a non-finite value or vector")
+        size = np.linalg.norm(_band_matvec(abs_h, abs(x))) + abs(value) * np.linalg.norm(
+            _band_matvec(abs_o, abs(x))
+        )
+        if residual <= RESIDUAL_TOL * size:
+            return value, x, residual
+        if solves == MAX_ITERATIONS:
+            break
+        try:
+            y = scipy.linalg.solve_banded((HALF_BANDWIDTH, HALF_BANDWIDTH), shifted, ox, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
+        x = y / np.linalg.norm(y)
+    raise ConvergenceError(b, MAX_ITERATIONS, residual, "did not converge")
+
+
+def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float) -> int:
+    """Eigenvalues of the pencil below sigma: by Sylvester, the negative ones of H - sigma O."""
+    negative = scipy.linalg.eigvals_banded(
+        h - sigma * overlap, select="v", select_range=(-np.inf, 0.0), check_finite=False
+    )
+    return len(negative)
+
+
+def _certify(h: np.ndarray, overlap: np.ndarray, value: float, target: int, b: float) -> None:
+    """Raise LevelCrossingError unless ``value`` is the level with index ``target``."""
+    width = CERTIFICATE_WIDTH * abs(value)
+    below = _levels_below(h, overlap, value - width)
+    above = _levels_below(h, overlap, value + width)
+    if (below, above) != (target, target + 1):
+        raise LevelCrossingError(target, below, above, b)
+
+
+def _continue(bands: FloatBands, start: Fraction, stop: Fraction, pair: tuple, target: int, depth: int = 0) -> tuple:
+    """Certified (energy, vector, residual) of level ``target`` at field ``stop``.
+
+    The iteration is seeded with ``pair``, the certified eigenpair at
+    ``start``.  A step that fails to converge or to certify is halved, up to
+    MAX_HALVINGS times; the failure of the shortest step is raised.
+    """
+    h = bands.hamiltonian(stop)
     try:
-        w, v = scipy.linalg.eigh(H, O)
-    except scipy.linalg.LinAlgError as exc:
-        match = re.search(r"leading minor of order (\d+)", str(exc))
-        pivot = int(match.group(1)) if match else None
-        raise FactorizationError(pivot, str(exc)) from exc
-    return (w, v) if return_vectors else w
+        value, x, residual = _inverse_iteration(h, bands.overlap, pair[0], pair[1], float(stop))
+        _certify(h, bands.overlap, value, target, float(stop))
+        return value, x, residual
+    except (ConvergenceError, LevelCrossingError):
+        if depth == MAX_HALVINGS or start == stop:
+            raise
+    mid = (start + stop) / 2
+    pair = _continue(bands, start, mid, pair, target, depth + 1)
+    return _continue(bands, mid, stop, pair, target, depth + 1)
+
+
+def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) -> list[tuple[float, float]]:
+    """Certified (energy, residual) of level ``target`` at each field, in order.
+
+    ``fields`` starts at b = 0, where the iteration starts from the Sturmian
+    e_target (the exact eigenvector at the default anchor) with the shift
+    ``seed``; every later field starts from the eigenpair of the one before.
+    """
+    x = np.zeros(bands.overlap.shape[1])
+    x[target] = 1.0
+    pair, previous = (seed, x, 0.0), fields[0]
+    tracked = []
+    for b in fields:
+        pair, previous = _continue(bands, previous, b, pair, target), b
+        tracked.append((pair[0], pair[2]))
+    return tracked
 
 
 @dataclass(frozen=True)
 class GalerkinResult:
-    """Spectrum of one diagonalization plus the tracked level and diagnostics."""
+    """The tracked level of one finite-field problem plus diagnostics."""
 
     config: GalerkinConfig
-    eigenvalues: np.ndarray
     tracked_energy: float
     diagnostics: dict
 
 
 def galerkin_levels(cfg: GalerkinConfig, convergence_check: bool = False) -> GalerkinResult:
-    """Diagonalize once and report the (target_n_r+1)-th lowest eigenvalue.
+    """The certified (target_n_r+1)-th lowest eigenvalue at field cfg.b.
 
-    At b = 0 with the default anchor the tracked eigenvalue is an exact
-    eigenpair of the truncated problem, so it reproduces the unperturbed
-    level to rounding error regardless of basis size.
+    The level is tracked from b = 0 to cfg.b in one step, halved as often as
+    convergence and the inertia certificate need.  At b = 0 with the
+    default anchor the tracked eigenvalue is an exact eigenpair of the
+    truncated problem, so it reproduces the unperturbed level to rounding
+    error regardless of basis size.
     """
-    H, O = build_matrices(cfg)
-    w, v = solve_generalized(H, O, return_vectors=True)
-    idx = cfg.target_n_r
-    vec = v[:, idx]
-    residual = float(
-        np.linalg.norm(H @ vec - w[idx] * (O @ vec)) / np.linalg.norm(vec)
-    )
+    bands = _round_bands(cfg)
+    fields = [Fraction(0), abs(cfg.b)] if cfg.b else [Fraction(0)]
+    seed = float(cfg.unperturbed_energy)
+    energy, residual = _track(bands, fields, cfg.target_n_r, seed)[-1]
+    overlap_eigenvalues = scipy.linalg.eigvals_banded(bands.overlap[HALF_BANDWIDTH - 1 :])
     diagnostics = {
-        "overlap_condition": float(np.linalg.cond(O)),
+        "overlap_condition": float(overlap_eigenvalues[-1] / overlap_eigenvalues[0]),
         "tracked_residual": residual,
     }
     if convergence_check:
-        smaller = GalerkinConfig(
-            l=cfg.l,
-            Z=cfg.Z,
-            b=cfg.b,
-            basis_size=max(cfg.target_n_r + 20, cfg.basis_size - 20),
-            reference_energy=cfg.reference_energy,
-            target_n_r=cfg.target_n_r,
-        )
-        w_small = solve_generalized(*build_matrices(smaller))
-        diagnostics["convergence_delta"] = abs(float(w[idx]) - float(w_small[idx]))
-    return GalerkinResult(
-        config=cfg,
-        eigenvalues=w,
-        tracked_energy=float(w[idx]),
-        diagnostics=diagnostics,
-    )
-
-
-def _track_nearest(eigenvalues: np.ndarray, previous: float, b: float) -> int:
-    """Continuity tracking with a guard against ambiguous (crossing) matches."""
-    gaps = np.abs(eigenvalues - previous)
-    order = np.argsort(gaps)
-    best = int(order[0])
-    if len(order) > 1 and gaps[int(order[1])] < 2.0 * gaps[best]:
-        raise LevelCrossingError(best, int(order[1]), b)
-    return best
+        smaller = bands.leading(max(cfg.target_n_r + 20, cfg.basis_size - 20))
+        diagnostics["convergence_delta"] = abs(energy - _track(smaller, fields, cfg.target_n_r, seed)[-1][0])
+    return GalerkinResult(config=cfg, tracked_energy=energy, diagnostics=diagnostics)
 
 
 def default_field_grid(state: QuantumState, num_points: int = 9, grid_scale: Fraction = Fraction(1)) -> list[Fraction]:
@@ -374,26 +471,14 @@ def fit_field_series(
     for b in grid:
         if b and assemble_energy(state, Z, abs(b)).regime_warning:
             raise ValueError(f"grid point b = {b} lies outside the perturbative window")
-    # Energies are computed per distinct |b| (the matrices depend on b^2
-    # alone) walking outward from zero with continuity tracking.
+    # The matrices depend on b^2 alone, so each distinct |b| is solved once,
+    # walking outward from zero.
     magnitudes = sorted({abs(b) for b in grid})
-    energy_of: dict[Fraction, float] = {}
-    previous: float | None = None
-    for mag in magnitudes:
-        cfg = GalerkinConfig(
-            l=state.l,
-            Z=Z,
-            b=mag,
-            basis_size=basis_size,
-            reference_energy=reference_energy,
-            target_n_r=state.n_r,
-        )
-        w = solve_generalized(*build_matrices(cfg))
-        if previous is None:
-            idx = state.n_r
-        else:
-            idx = _track_nearest(w, previous, float(mag))
-        energy_of[mag] = previous = float(w[idx])
+    cfg = GalerkinConfig(
+        l=state.l, Z=Z, basis_size=basis_size, reference_energy=reference_energy, target_n_r=state.n_r
+    )
+    tracked = _track(_round_bands(cfg), magnitudes, state.n_r, float(cfg.unperturbed_energy))
+    energy_of = {mag: energy for mag, (energy, _) in zip(magnitudes, tracked)}
     fields = tuple(grid)
     energies = tuple(energy_of[abs(b)] for b in grid)
     powers = tuple(sorted({0, 2, 4, 6} | ({1, 3} if odd_powers else set())))

@@ -5,25 +5,50 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from zeeman2d import oracle
 from zeeman2d.coulomb import QuantumState, energy0
-from zeeman2d.laguerre import Laguerre, brute_force_integral
+from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
 from zeeman2d.oracle import (
-    FactorizationError,
+    ConvergenceError,
     GalerkinConfig,
     IllConditionedFitError,
     LevelCrossingError,
-    _track_nearest,
-    build_matrices,
-    build_matrices_exact,
+    _certify,
+    _exact_pieces,
+    _inverse_iteration,
+    _round_bands,
+    _track,
     default_field_grid,
     fit_field_series,
     galerkin_levels,
-    solve_generalized,
 )
 from zeeman2d.perturb import eps2_closed, eps4_closed
 
 BASIS_SMALL = 40
+
+
+def exact_pieces(cfg):
+    return _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
+
+
+def dense(band):
+    """Symmetric dense matrix from upper band storage (row 3 - d holds diagonal d)."""
+    u = band.shape[0] - 1
+    out = np.diag(band[u])
+    for d in range(1, u + 1):
+        out = out + np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+    return out
+
+
+def exact_entry(bands, e_star, b, i, j):
+    """(H_ij, O_ij) rebuilt exactly from the band arrays; zero outside the band."""
+    lo, d = min(i, j), abs(i - j)
+    o_ij = bands.overlap[d][lo] if d < 2 else Fraction(0)
+    h_ij = b * b / 8 * bands.r2[d][lo] if d < 4 else Fraction(0)
+    h_ij += bands.h0_diag[i] if d == 0 else e_star * o_ij
+    return h_ij, o_ij
 
 
 class TestGalerkinConfig:
@@ -48,23 +73,32 @@ class TestGalerkinConfig:
 
 class TestExactMatrices:
     def test_band_structure(self):
+        # O is stored as two diagonals and R as four; brute force confirms
+        # that every entry outside those bands vanishes
         cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
-        H, O = build_matrices_exact(cfg)
+        bands = exact_pieces(cfg)
         m = cfg.basis_size
-        for i in range(m):
-            for j in range(m):
-                if abs(i - j) > 1:
-                    assert O[i][j] == 0
-                if abs(i - j) > 3:
-                    assert H[i][j] == 0
+        assert [len(d) for d in bands.overlap] == [m, m - 1]
+        assert [len(d) for d in bands.r2] == [m, m - 1, m - 2, m - 3]
+        assert len(bands.h0_diag) == len(bands.weighted_norm) == m
+        for i in range(12):
+            for j in range(i + 2, 12):
+                assert brute_force_integral(1, Laguerre(i, 0), Laguerre(j, 0)) == 0
+            for j in range(i + 4, 12):
+                assert brute_force_integral(3, Laguerre(i, 0), Laguerre(j, 0)) == 0
 
     def test_symmetry_exact(self):
+        # the bands hold one triangle; the omitted one, computed with the
+        # Laguerre indices swapped, is identical
         cfg = GalerkinConfig(l=1, b=Fraction(1, 50), basis_size=BASIS_SMALL)
-        H, O = build_matrices_exact(cfg)
-        for i in range(cfg.basis_size):
-            for j in range(cfg.basis_size):
-                assert H[i][j] == H[j][i]
-                assert O[i][j] == O[j][i]
+        bands = exact_pieces(cfg)
+        inv_2k = 1 / (2 * cfg.scale)
+        for i in range(cfg.basis_size - 1):
+            swapped = cross_integral(3, Laguerre(i + 1, 2), Laguerre(i, 2))
+            assert bands.overlap[1][i] == inv_2k * swapped
+        for d in range(4):
+            for i in range(cfg.basis_size - d):
+                assert bands.r2[d][i] == inv_2k**3 * moment3_band(i + d, i, 2)
 
     def test_entries_against_brute_force(self):
         # every entry rebuilt from scratch: in the unnormalized basis
@@ -74,16 +108,19 @@ class TestExactMatrices:
         #   H_ij = (mu_i - 1) W_i delta_ij + E* O_ij + (b^2/8)(1/2k)^3 M3_ij
         l, Z, b = 1, Fraction(2), Fraction(1, 10)
         cfg = GalerkinConfig(l=l, Z=Z, b=b, target_n_r=0, basis_size=25)
-        H, O = build_matrices_exact(cfg)
+        bands = exact_pieces(cfg)
         k = cfg.scale
         e_star = cfg.resolved_reference
         two_l = 2 * l
         for i in range(12):
+            w_i = Z * Fraction(math.factorial(i + two_l), math.factorial(i))
+            assert bands.weighted_norm[i] == w_i
             for j in range(12):
+                H_ij, O_ij = exact_entry(bands, e_star, b, i, j)
                 o_ij = Fraction(1, 2 * k) * brute_force_integral(
                     two_l + 1, Laguerre(i, two_l), Laguerre(j, two_l)
                 )
-                assert O[i][j] == o_ij
+                assert O_ij == o_ij
                 h_ij = e_star * o_ij
                 h_ij += (
                     b * b / 8 * Fraction(1, (2 * k) ** 3)
@@ -91,13 +128,23 @@ class TestExactMatrices:
                 )
                 if i == j:
                     mu_i = Fraction(2 * (i + l) + 1, 2) * k / Z
-                    w_i = Z * Fraction(math.factorial(i + two_l), math.factorial(i))
                     h_ij += (mu_i - 1) * w_i
-                assert H[i][j] == h_ij
+                assert H_ij == h_ij
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_overlap_closed_form_matches_cross_integral(self, l):
+        # alpha = 2l <= 8, i < 40; E* = -1/2 makes 1/(2k) = 1/2
+        alpha = 2 * l
+        bands = _exact_pieces(l, Fraction(1), 41, Fraction(-1, 2))
+        for i in range(40):
+            spec = Laguerre(i, alpha)
+            assert 2 * bands.overlap[0][i] == cross_integral(alpha + 1, spec, spec)
+            assert 2 * bands.overlap[1][i] == cross_integral(alpha + 1, spec, Laguerre(i + 1, alpha))
 
     def test_float_matrices_are_symmetric_and_normalized(self):
         cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
-        H, O = build_matrices(cfg)
+        bands = _round_bands(cfg)
+        H, O = dense(bands.hamiltonian(cfg.b)), dense(bands.overlap)
         assert np.array_equal(H, H.T)
         assert np.array_equal(O, O.T)
         # normalization is by the weighted norm W_j, under which the plain
@@ -111,26 +158,62 @@ class TestExactMatrices:
 
 class TestSolveGeneralized:
     def test_one_by_one(self):
-        w = solve_generalized(np.array([[3.5]]), np.array([[1.0]]))
-        assert w.shape == (1,) and w[0] == pytest.approx(3.5, abs=0)
+        h = np.array([[0.0], [0.0], [0.0], [3.5]])
+        o = np.array([[0.0], [0.0], [0.0], [1.0]])
+        value, x, residual = _inverse_iteration(h, o, 3.0, np.array([1.0]), 0.0)
+        assert value == pytest.approx(3.5, abs=0)
+        assert residual == 0
 
     def test_spectrum_head(self):
-        cfg = GalerkinConfig(l=0, basis_size=120)
-        w = solve_generalized(*build_matrices(cfg))
-        for i, n in enumerate(range(1, 4)):
-            assert w[i] == pytest.approx(float(energy0(QuantumState(n, 0, 0))), abs=1e-10)
+        for n_r, n in enumerate(range(1, 4)):
+            cfg = GalerkinConfig(l=0, basis_size=120, target_n_r=n_r)
+            energy = galerkin_levels(cfg).tracked_energy
+            assert energy == pytest.approx(float(energy0(QuantumState(n, 0, 0))), abs=1e-10)
 
     def test_eigenvalues_rise_with_field(self):
-        cfg0 = GalerkinConfig(l=0, b=0, basis_size=60)
-        cfgb = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60)
-        w0 = solve_generalized(*build_matrices(cfg0))
-        wb = solve_generalized(*build_matrices(cfgb))
-        assert np.all(wb[:5] > w0[:5])
+        for n_r in range(5):
+            cfg0 = GalerkinConfig(l=0, b=0, basis_size=60, target_n_r=n_r)
+            cfgb = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60, target_n_r=n_r)
+            assert galerkin_levels(cfgb).tracked_energy > galerkin_levels(cfg0).tracked_energy
 
-    def test_factorization_error_carries_pivot(self):
-        with pytest.raises(FactorizationError) as err:
-            solve_generalized(np.array([[1.0]]), np.array([[-1.0]]))
-        assert err.value.pivot == 1
+    def test_singular_shift_is_typed_error(self):
+        # sigma is exactly an eigenvalue and x is not its eigenvector
+        h = np.zeros((4, 2))
+        h[3] = [1.0, 2.0]
+        o = np.zeros((4, 2))
+        o[3] = 1.0
+        with pytest.raises(ConvergenceError, match="singular"):
+            _inverse_iteration(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
+
+
+def _dense_reference_cases():
+    for Z in (Fraction(1), Fraction(2)):
+        for n in range(1, 6):
+            for l in range(n):
+                yield Z, QuantumState(n, l, l)
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("Z,state", list(_dense_reference_cases()))
+    def test_tracked_level_matches_dense_eigh(self, Z, state):
+        # the float bands expanded to dense matrices and handed to dense
+        # eigh; default and widened grids, default and off-anchor bases
+        off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
+        for reference in (None, off_anchor):
+            cfg = GalerkinConfig(
+                l=state.l, Z=Z, basis_size=120, reference_energy=reference, target_n_r=state.n_r
+            )
+            bands = _round_bands(cfg)
+            O = dense(bands.overlap)
+            for grid_scale in (1, (2 * state.n - 1) ** 2):
+                grid = default_field_grid(state, grid_scale=grid_scale)
+                tracked = _track(bands, grid, state.n_r, float(cfg.unperturbed_energy))
+                for b, (energy, _) in zip(grid, tracked):
+                    w = scipy.linalg.eigh(
+                        dense(bands.hamiltonian(b)), O, eigvals_only=True,
+                        subset_by_index=[state.n_r, state.n_r],
+                    )[0]
+                    assert abs(energy - w) <= 1e-11 * abs(w), (reference, grid_scale, b)
 
 
 class TestGalerkinLevels:
@@ -176,14 +259,49 @@ class TestGalerkinLevels:
 
 class TestTracking:
     def test_nearest_tracking_unambiguous(self):
-        assert _track_nearest(np.array([-2.0, -0.2, -0.08]), -0.21, 0.01) == 1
+        # every field of the walk passes the inertia certificate for its own
+        # level and fails it for the neighbours
+        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=1)
+        bands = _round_bands(cfg)
+        grid = default_field_grid(QuantumState(2, 0, 0))
+        for b, (energy, _) in zip(grid, _track(bands, grid, 1, float(cfg.unperturbed_energy))):
+            h = bands.hamiltonian(b)
+            _certify(h, bands.overlap, energy, 1, float(b))
+            for wrong in (0, 2):
+                with pytest.raises(LevelCrossingError):
+                    _certify(h, bands.overlap, energy, wrong, float(b))
 
     def test_crossing_guard(self):
+        # asked for level 0 but seeded at level 1: the iteration converges to
+        # level 1 and the inertia count catches it
+        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=2)
+        bands = _round_bands(cfg)
+        seed = float(energy0(QuantumState(2, 0, 0)))
         with pytest.raises(LevelCrossingError) as err:
-            _track_nearest(np.array([1.0, 1.05]), 1.02, 0.5)
-        assert err.value.pair == (0, 1)
-        assert err.value.b == 0.5
-        assert "ambiguous" in str(err.value)
+            _track(bands, [Fraction(0), Fraction(1, 50)], 0, seed)
+        assert err.value.expected == 0
+        assert err.value.counts == (1, 2)
+        assert err.value.b == 0.0
+        assert "lost level 0" in str(err.value)
+
+    def test_long_field_step_is_halved(self):
+        # b = 1/100 lies far outside the window of level 4; the step from
+        # b = 0 is halved until each piece converges and certifies
+        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60, target_n_r=4)
+        bands = _round_bands(cfg)
+        w = scipy.linalg.eigh(dense(bands.hamiltonian(cfg.b)), dense(bands.overlap), eigvals_only=True)
+        assert abs(galerkin_levels(cfg).tracked_energy - w[4]) <= 1e-11 * abs(w[4])
+
+    def test_iteration_cap_is_typed_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            fit_field_series(QuantumState(1, 0, 0))
+        assert err.value.iterations == 0
+        assert err.value.b > 0
+
+    def test_non_finite_is_typed_error(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+            galerkin_levels(GalerkinConfig(l=0, b=Fraction(10**150), basis_size=BASIS_SMALL))
 
 
 class TestDefaultFieldGrid:
