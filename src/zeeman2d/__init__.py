@@ -8,7 +8,7 @@ floating-point variational eigensolver.
 """
 
 from .coulomb import QuantumState, bound_radial, energy0, sturmian, sturmian_mu
-from .exactmath import Rational, RationalPolynomial
+from .exactmath import RationalPolynomial
 from .perturb import (
     CoefficientSet,
     EnergyResult,
@@ -26,7 +26,6 @@ from .perturb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "RationalPolynomial",
     "QuantumState",
     "energy0",

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import reference
 from .coulomb import QuantumState
-from .exactmath import format_factorized, format_rational, parse_rational, render_decimal
+from .exactmath import format_factorized, parse_rational, render_decimal
 from .perturb import (
     assemble_energy,
     coefficient_set,
@@ -72,9 +72,9 @@ def _coeff_row(n: int, l: int, digits: int) -> tuple[list[str], dict]:
     row: list[str] = [str(n), str(l)]
     payload = {"n": n, "l": l}
     for name, value in (("eps0", cs.eps0), ("eps2", cs.eps2), ("eps4", cs.eps4)):
-        row += [format_rational(value), format_factorized(value), render_decimal(value, digits)]
+        row += [str(value), format_factorized(value), render_decimal(value, digits)]
         payload[name] = {
-            "exact": format_rational(value),
+            "exact": str(value),
             "factorized": format_factorized(value),
             "decimal": render_decimal(value, digits),
         }
@@ -106,19 +106,19 @@ def cmd_energy(args) -> int:
     result = assemble_energy(state, Z=args.Z, b=args.B_over_B0, order=args.order, spin=args.spin)
     headers = ["order", "term (Hartree)", "decimal"]
     rows = [
-        [str(k), format_rational(v), render_decimal(v, args.digits)]
+        [str(k), str(v), render_decimal(v, args.digits)]
         for k, v in sorted(result.terms.items())
     ]
-    rows.append(["total", format_rational(result.total), render_decimal(result.total, args.digits)])
+    rows.append(["total", str(result.total), render_decimal(result.total, args.digits)])
     payload = {
         "state": {"n": state.n, "l": state.l, "m_l": state.m_l,
-                  "m_s": format_rational(state.m_s) if state.m_s is not None else None},
-        "Z": format_rational(result.Z),
-        "B_over_B0": format_rational(result.b),
+                  "m_s": str(state.m_s) if state.m_s is not None else None},
+        "Z": str(result.Z),
+        "B_over_B0": str(result.b),
         "order": result.order,
         "spin": result.spin_included,
-        "terms": {str(k): format_rational(v) for k, v in sorted(result.terms.items())},
-        "total": {"exact": format_rational(result.total),
+        "terms": {str(k): str(v) for k, v in sorted(result.terms.items())},
+        "total": {"exact": str(result.total),
                   "decimal": render_decimal(result.total, args.digits)},
         "regime_warning": result.regime_warning,
         "truncation_note": result.truncation_note,
@@ -142,13 +142,13 @@ def cmd_table(args) -> int:
         cs = coefficient_set(n, l)
         rows.append([
             str(n), str(l),
-            format_rational(cs.eps2), format_factorized(cs.eps2),
-            format_rational(cs.eps4), format_factorized(cs.eps4),
+            str(cs.eps2), format_factorized(cs.eps2),
+            str(cs.eps4), format_factorized(cs.eps4),
         ])
         payload.append({
             "n": n, "l": l,
-            "eps2": {"exact": format_rational(cs.eps2), "factorized": format_factorized(cs.eps2)},
-            "eps4": {"exact": format_rational(cs.eps4), "factorized": format_factorized(cs.eps4)},
+            "eps2": {"exact": str(cs.eps2), "factorized": format_factorized(cs.eps2)},
+            "eps4": {"exact": str(cs.eps4), "factorized": format_factorized(cs.eps4)},
         })
     _emit_table(args, headers, rows, payload)
     return 0

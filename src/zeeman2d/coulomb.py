@@ -31,7 +31,6 @@ __all__ = [
     "sturmian",
     "sturmian_mu",
     "sturmian_mu_squared",
-    "r2_element",
     "r2_element_squared",
 ]
 
@@ -90,7 +89,6 @@ class RadialFunction:
     scale_squared: Fraction
     norm_squared: Fraction
     poly: RationalPolynomial
-    kind: str
 
     def __post_init__(self) -> None:
         if self.scale_squared <= 0:
@@ -138,7 +136,6 @@ def bound_radial(state: QuantumState, Z: Fraction = Fraction(1)) -> RadialFuncti
         scale_squared=scale * scale,
         norm_squared=norm_sq,
         poly=laguerre_coeffs(Laguerre(n_r, 2 * l)),
-        kind="bound",
     )
 
 
@@ -165,7 +162,6 @@ def sturmian(n_r: int, l: int, E: Fraction, Z: Fraction = Fraction(1)) -> Radial
         scale_squared=-2 * E,
         norm_squared=norm_sq,
         poly=laguerre_coeffs(Laguerre(n_r, 2 * l)),
-        kind="sturmian",
     )
 
 
@@ -188,10 +184,29 @@ def sturmian_mu(n_r: int, l: int, E: Fraction, Z: Fraction = Fraction(1)) -> flo
     return math.sqrt(float(sturmian_mu_squared(n_r, l, E, Z)))
 
 
-def _norm_product(state: QuantumState, n_r_prime: int, Z: Fraction) -> Fraction:
-    bound_sq = bound_radial(state, Z).norm_squared
-    stu_sq = sturmian(n_r_prime, state.l, energy0(state, Z), Z).norm_squared
-    return bound_sq * stu_sq
+def _reduced_r2_term(n_r: int, j: int, alpha: int) -> Fraction:
+    """B_j^2 / (perm(n_r+alpha, alpha) perm(j+alpha, alpha)) in lowest terms.
+
+    B_j = moment3_band(n_r, j, alpha) is an exact multiple s_j P of
+    P = perm(n_r+alpha, alpha), and P / perm(j+alpha, alpha) is a ratio of
+    at most three consecutive integers on each side, so the term is
+    s_j^2 times that short ratio and never forms the factorials themselves.
+    """
+    band = moment3_band(n_r, j, alpha)
+    if band == 0:
+        return Fraction(0)
+    s, rest = divmod(band.numerator, math.perm(n_r + alpha, alpha))
+    if rest:
+        raise ArithmeticError(
+            f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"
+        )
+    if j >= n_r:
+        num = math.prod(range(n_r + 1, j + 1))
+        den = math.prod(range(n_r + alpha + 1, j + alpha + 1))
+    else:
+        num = math.prod(range(j + alpha + 1, n_r + alpha + 1))
+        den = math.prod(range(j + 1, n_r + 1))
+    return Fraction(s * s * num, den)
 
 
 def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:
@@ -199,36 +214,10 @@ def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fracti
 
     This squared form is the only one the fourth-order window sum needs, and
     it is always rational (the normalization roots cancel against each
-    other).  Zero whenever |n_r' - n_r| > 3.
+    other): N^4 B^2 / (64 Z^6 perm(n_r+2l, 2l) perm(n_r'+2l, 2l)).  Zero
+    whenever |n_r' - n_r| > 3.
     """
     if n_r_prime < 0:
         raise ValueError("n_r_prime must be non-negative")
-    Z = Fraction(Z)
-    band = moment3_band(state.n_r, n_r_prime, 2 * state.l)
-    if band == 0:
-        return Fraction(0)
     n_eff = state.effective_n
-    jacobian = (n_eff / (2 * Z)) ** 6
-    return _norm_product(state, n_r_prime, Z) * jacobian * band * band
-
-
-def r2_element(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:
-    """Exact signed value of integral r^2 P0_{nl} S_{n_r' l} dr where rational.
-
-    The normalization product is a perfect rational square for l = 0 and on
-    the diagonal n_r' = n_r; elsewhere the value is an exact square root of
-    `r2_element_squared`, which is what callers should consume instead.
-    """
-    if n_r_prime < 0:
-        raise ValueError("n_r_prime must be non-negative")
-    Z = Fraction(Z)
-    band = moment3_band(state.n_r, n_r_prime, 2 * state.l)
-    if band == 0:
-        return Fraction(0)
-    root = rational_sqrt(_norm_product(state, n_r_prime, Z))
-    if root is None:
-        raise ValueError(
-            "normalization product is irrational here; use r2_element_squared"
-        )
-    n_eff = state.effective_n
-    return root * (n_eff / (2 * Z)) ** 3 * band
+    return n_eff**4 / (64 * Fraction(Z) ** 6) * _reduced_r2_term(state.n_r, n_r_prime, 2 * state.l)

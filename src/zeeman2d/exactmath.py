@@ -9,23 +9,17 @@ zero denominator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-Rational = Fraction
-
-factorial = math.factorial
-
 __all__ = [
-    "Rational",
-    "factorial",
     "gen_binomial",
     "rational_sqrt",
     "factorize_integer",
     "format_factorized",
-    "format_rational",
     "parse_rational",
     "render_decimal",
     "RationalPolynomial",
@@ -62,26 +56,61 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+# Every prime up to a sieved limit, grown on demand by `factorize_integer` and
+# never built at import.  It is replaced whole, so a reader never sees a limit
+# that its list of primes does not cover.
+_prime_table: tuple[int, list[int]] = (1, [])
+
+
+def _primes_through(limit: int) -> tuple[int, list[int]]:
+    """The prime table, first sieved up to ``limit`` if it stops short of it."""
+    global _prime_table
+    table = _prime_table
+    if table[0] < limit:
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        table = (limit, list(itertools.compress(range(limit + 1), sieve)))
+        _prime_table = table
+    return table
+
+
 def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> list[tuple[int, int]]:
     """Factor a positive integer by trial division, primes ascending.
 
     Division stops at ``trial_limit``; whatever remains past the cap is
     appended as a single unfactored residual (possibly composite), so the
-    product of p**e over the result always reconstructs ``value``.
+    product of p**e over the result always reconstructs ``value``.  Only
+    primes are tried: a composite divisor can never divide once its prime
+    factors are gone, so the result is that of dividing by every integer.
     """
     if value < 1:
         raise ValueError("only positive integers are factored")
     factors: list[tuple[int, int]] = []
     rem = value
-    p = 2
-    while p <= trial_limit and p * p <= rem:
+    covered, primes = _prime_table
+    i = 0
+    while True:
+        if i == len(primes):
+            need = min(trial_limit, math.isqrt(rem))
+            if covered >= need:
+                break
+            # at least double the table, so a sweep of growing values sieves
+            # O(log) times, but never past the cap of this call
+            covered, primes = _primes_through(min(trial_limit, max(need, 2 * covered)))
+            continue
+        p = primes[i]
+        if p > trial_limit or p * p > rem:
+            break
         if rem % p == 0:
             e = 0
             while rem % p == 0:
                 rem //= p
                 e += 1
             factors.append((p, e))
-        p += 1 if p == 2 else 2
+        i += 1
     if rem > 1:
         factors.append((rem, 1))
     return factors
@@ -108,11 +137,6 @@ def format_factorized(x: Fraction) -> str:
     if den == 1:
         return sign + num_s
     return f"{sign}{num_s}/{_format_factored_int(den)}"
-
-
-def format_rational(x: Fraction) -> str:
-    """Serialize as ``p/q``; the ``/q`` part is omitted when q == 1."""
-    return str(x)
 
 
 def parse_rational(text: str) -> Fraction:

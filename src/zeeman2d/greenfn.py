@@ -34,6 +34,7 @@ from .laguerre import Laguerre, laguerre_coeffs
 __all__ = [
     "GreenEvalConfig",
     "PoleError",
+    "QuadratureError",
     "green_eval",
     "green_reduced_eval",
     "gauss_laguerre",
@@ -53,6 +54,23 @@ class PoleError(ValueError):
         super().__init__(
             f"energy is an eigenvalue of the channel (resonant n_r = {n_r}); "
             "use the reduced kernel for level-anchored work"
+        )
+
+
+class QuadratureError(ValueError):
+    """Raised when the Gauss-Laguerre rule of a weight has non-finite nodes or weights.
+
+    `scipy.special.roots_genlaguerre` overflows at large node counts (from
+    somewhere between 360 and 380 nodes for alpha <= 25) and returns inf or
+    NaN instead of failing, which would otherwise surface as a NaN integral.
+    """
+
+    def __init__(self, alpha: int, nodes: int):
+        self.alpha = alpha
+        self.nodes = nodes
+        super().__init__(
+            f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes "
+            "has non-finite nodes or weights; use fewer quadrature nodes"
         )
 
 
@@ -144,8 +162,14 @@ class GreenEvalConfig:
 
 @lru_cache(maxsize=None)
 def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the weight x^alpha e^{-x} on (0, inf)."""
+    """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
+
+    Raises `QuadratureError` when the rule is not finite; being cached, the
+    check runs once per (alpha, nodes).
+    """
     x, w = roots_genlaguerre(nodes, alpha)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise QuadratureError(alpha, nodes)
     return x, w
 
 

@@ -18,18 +18,27 @@ routes that the validation suite requires to agree digit for digit:
   r^2 operator admits (fourth order).
 
 Unit reduction used by the integral routes (canonical units, N = n - 1/2,
-k = Z/N, x = 2kr; every step is exact in the rationals):
+k = Z/N, x = 2kr, alpha = 2l, P_j = perm(j+alpha, alpha) = (j+alpha)!/j!;
+every step is exact in the rationals):
 
     eps2 = Z^2/8 * integral r^2 P^2 dr
-         = N * n_r! * M3(n_r, 2l) / (64 (n_r+2l)!)
+         = N * M3(n_r, alpha) / (64 P_{n_r})
 
     eps4 = -(Z^6/64) * [ N * sum_{j != n_r} R_j^2/(j - n_r) - 5/2 R_{n_r}^2 ]
-    R_j^2 = N^4 n_r! j! B(n_r, j; 2l)^2 / (64 Z^6 (n_r+2l)! (j+2l)!)
+    R_j^2 = N^4 B(n_r, j; alpha)^2 / (64 Z^6 P_{n_r} P_j)
 
 where M3 is the diagonal and B the banded third-moment integral from
 `laguerre`, and the sum runs only over the seven-wide band |j - n_r| <= 3.
 The Z powers cancel identically, so the coefficients are Z-independent and
-are computed once per (n, l).
+are computed once per (n, l).  The window sum is taken in reduced form: each
+B_j is an exact integer multiple s_j P_{n_r}, so
+
+    eps4 = -(N^4/4096) * [ N * sum_{j != n_r} T_j/(j - n_r) - 5/2 T_{n_r} ]
+    T_j  = B_j^2 / (P_{n_r} P_j) = s_j^2 P_{n_r}/P_j,
+
+where P_{n_r}/P_j is a ratio of at most three consecutive integers on each
+side.  Both routes therefore run on small integers; the terms come from
+`coulomb._reduced_r2_term`, the one home of the R_j^2 formula.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import reference
-from .coulomb import QuantumState, bound_radial, r2_element_squared
+from .coulomb import QuantumState, _reduced_r2_term
 from .exactmath import render_decimal
 from .laguerre import Laguerre, moment3_diag
 
@@ -105,15 +114,8 @@ def eps2_closed(n: int, l: int) -> Fraction:
 def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
     _check_nl(n, l)
-    state = QuantumState(n, l, m_l=l)
-    radial = bound_radial(state)
-    # integral r^2 P^2 dr = norm_sq * (2k)^-3 * M3 under x = 2kr
-    r2_moment = (
-        radial.norm_squared
-        * (HALF / radial.scale) ** 3
-        * moment3_diag(Laguerre(state.n_r, 2 * l))
-    )
-    return r2_moment / 8
+    n_r, alpha = n - l - 1, 2 * l
+    return _n_eff(n) * moment3_diag(Laguerre(n_r, alpha)) / (64 * math.perm(n_r + alpha, alpha))
 
 
 def eps2_circular(n: int) -> Fraction:
@@ -151,18 +153,18 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
     the derivative terms of the reduced kernel.
     """
     _check_nl(n, l)
-    state = QuantumState(n, l, m_l=l)
-    n_r = state.n_r
-    n_eff = state.effective_n
-    window = {
-        j: r2_element_squared(state, j)
-        for j in range(max(0, n_r - 3), n_r + 4)
-    }
+    n_r, alpha = n - l - 1, 2 * l
+    n_eff = _n_eff(n)
     shifted = sum(
-        (sq / (j - n_r) for j, sq in window.items() if j != n_r),
+        (
+            _reduced_r2_term(n_r, j, alpha) / (j - n_r)
+            for j in range(max(0, n_r - 3), n_r + 4)
+            if j != n_r
+        ),
         Fraction(0),
     )
-    return Fraction(-1, 64) * (n_eff * shifted - Fraction(5, 2) * window[n_r])
+    resonant = _reduced_r2_term(n_r, n_r, alpha)
+    return -n_eff**4 / 4096 * (n_eff * shifted - Fraction(5, 2) * resonant)
 
 
 def eps4_circular(n: int) -> Fraction:

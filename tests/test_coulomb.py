@@ -5,19 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from zeeman2d import coulomb
 from zeeman2d.coulomb import (
     QuantumState,
     RadialFunction,
     bound_radial,
     energy0,
-    r2_element,
     r2_element_squared,
     sturmian,
     sturmian_mu,
     sturmian_mu_squared,
 )
 from zeeman2d.exactmath import rational_sqrt
-from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral
+from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
 
 
 class TestQuantumState:
@@ -68,7 +68,6 @@ class TestBoundRadial:
         assert f.scale == 2
         assert f.norm_squared == 4
         assert f.poly.degree == 0 and f.poly(Fraction(0)) == 1
-        assert f.kind == "bound"
 
     def test_normalization_exact(self):
         # int P^2 dr = normSq * (1/2k) * int x^(2l+1) e^-x L^2 dx = 1
@@ -174,9 +173,21 @@ class TestSturmian:
                     assert integral2 == 0
 
 
+def _r2_squared_reference(state: QuantumState, n_r_prime: int, Z: Fraction) -> Fraction:
+    """The squared element built from the normalized radial functions.
+
+    Both factors share the scale k = Z/N at the eigen-energy, so the element
+    is sqrt(normSq_P normSq_S) (1/2k)^3 times the banded third moment.
+    """
+    bound_sq = bound_radial(state, Z).norm_squared
+    stu_sq = sturmian(n_r_prime, state.l, energy0(state, Z), Z).norm_squared
+    band = moment3_band(state.n_r, n_r_prime, 2 * state.l)
+    return bound_sq * stu_sq * (state.effective_n / (2 * Z)) ** 6 * band * band
+
+
 class TestR2Element:
     def test_selection_rule_zero(self):
-        assert r2_element(QuantumState(1, 0, 0), 4) == 0
+        assert r2_element_squared(QuantumState(1, 0, 0), 4) == 0
         assert r2_element_squared(QuantumState(2, 1, 1), 5) == 0
 
     def test_brute_force_value(self):
@@ -192,37 +203,49 @@ class TestR2Element:
         bf = brute_force_integral(3, Laguerre(st.n_r, 0), Laguerre(2, 0))
         expected = pref * Fraction(1, (2 * P.scale) ** 3) * bf
         assert expected == Fraction(-567, 16)
-        assert r2_element(st, 2, 1) == expected
+        assert r2_element_squared(st, 2, 1) == expected**2 == Fraction(-567, 16) ** 2
 
     def test_diagonal_reproduces_quadratic_coefficient(self):
         # S = (N/Z) P at the eigen-energy, so <r^2> = (Z/N) * element and
         # the quadratic coefficient is <r^2>/8: the ground-state chain
-        # 3/16 -> 3/8 -> 3/64 ties this module to the perturbation route
+        # 3/16 -> 3/8 -> 3/64 ties this module to the perturbation route.
+        # The diagonal element is a positive norm, so its root is the element.
         st = QuantumState(1, 0, 0)
-        el = r2_element(st, 0, 1)
+        sq = r2_element_squared(st, 0, 1)
+        assert sq == Fraction(3, 16) ** 2
+        el = rational_sqrt(sq)
         assert el == Fraction(3, 16)
         r2_moment = el / st.effective_n
         assert r2_moment == Fraction(3, 8)
         assert r2_moment / 8 == Fraction(3, 64)
 
     def test_squared_route_everywhere(self):
-        for n in range(1, 5):
-            for l in range(n):
-                st = QuantumState(n, l, l)
-                for npr in range(0, st.n_r + 5):
-                    sq = r2_element_squared(st, npr, 1)
-                    assert sq >= 0
-                    try:
-                        el = r2_element(st, npr, 1)
-                    except ValueError as exc:
-                        assert "irrational" in str(exc)
-                    else:
-                        assert el * el == sq
+        # the reduced integer route equals the element built from the
+        # normalized radial functions, across and beyond the window
+        for Z in (Fraction(1), Fraction(2), Fraction(3, 2)):
+            for n in range(1, 9):
+                for l in range(n):
+                    st = QuantumState(n, l, l)
+                    for npr in range(0, st.n_r + 5):
+                        sq = r2_element_squared(st, npr, Z)
+                        assert sq >= 0
+                        assert sq == _r2_squared_reference(st, npr, Z), (Z, n, l, npr)
 
     def test_irrational_product_raises(self):
-        with pytest.raises(ValueError, match="r2_element_squared"):
-            r2_element(QuantumState(2, 1, 1), 1)
-        assert r2_element_squared(QuantumState(2, 1, 1), 1) == Fraction(54675, 64)
+        # off the diagonal with l > 0 the normalization product is no
+        # rational square, so the signed element is irrational and only
+        # its square is an exact rational
+        sq = r2_element_squared(QuantumState(2, 1, 1), 1)
+        assert sq == Fraction(54675, 64)
+        assert rational_sqrt(sq) is None
+
+    def test_band_not_multiple_of_perm_raises(self, monkeypatch):
+        # the reduced term divides B_j by perm(n_r+2l, 2l) and checks the
+        # remainder instead of assuming it vanishes
+        true_band = coulomb.moment3_band
+        monkeypatch.setattr(coulomb, "moment3_band", lambda k, kp, a: true_band(k, kp, a) + 1)
+        with pytest.raises(ArithmeticError, match="multiple"):
+            r2_element_squared(QuantumState(3, 1, 1), 1)
 
     def test_z_dependence(self):
         # each element scales as 1/Z^3... squared as 1/Z^6

@@ -1,16 +1,18 @@
 """Tests for the exact arithmetic primitives."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zeeman2d.exactmath import (
     RationalPolynomial,
     factorize_integer,
     format_factorized,
-    format_rational,
     gen_binomial,
     parse_rational,
     rational_sqrt,
@@ -103,6 +105,45 @@ class TestFactorizeInteger:
         out = factorize_integer(2 * 1009 * 1013, trial_limit=100)
         assert out == [(2, 1), (1009 * 1013, 1)]
 
+    def test_prime_residual_above_cap_is_kept(self):
+        # a prime cofactor whose square root lies past the cap survives whole
+        p = 10_007
+        assert factorize_integer(3**4 * p, trial_limit=50) == [(3, 4), (p, 1)]
+        assert factorize_integer(p, trial_limit=50) == [(p, 1)]
+
+    @given(st.integers(1, 10**12), st.sampled_from([1, 2, 3, 10, 97, 100, 1000, 10**4]))
+    @example(2 * 97**3, 97)  # the cap itself is a prime factor
+    @example(97 * 101, 97)  # the cap is a factor, the residual a prime
+    @example(10**12, 10**4)
+    def test_matches_plain_trial_division(self, v, cap):
+        assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap)
+
+    def test_prime_table_not_built_at_import(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import zeeman2d.cli, zeeman2d.exactmath as em; "
+            "assert em._prime_table == (1, []), em._prime_table[0]"
+        )
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+
+def _odd_trial_division(value: int, trial_limit: int) -> list[tuple[int, int]]:
+    """Reference: divide by 2 and then every odd number up to the cap."""
+    factors = []
+    rem, p = value, 2
+    while p <= trial_limit and p * p <= rem:
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if rem > 1:
+        factors.append((rem, 1))
+    return factors
+
 
 class TestFormatting:
     def test_factorized_examples(self):
@@ -116,11 +157,11 @@ class TestFormatting:
 
     def test_rational_round_trip(self):
         for q in (Fraction(3, 64), Fraction(-159, 65536), Fraction(7), Fraction(0)):
-            assert parse_rational(format_rational(q)) == q
+            assert parse_rational(str(q)) == q
 
     @given(rationals)
     def test_round_trip_property(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
     def test_parse_accepts_decimal_strings(self):
         assert parse_rational("0.05") == Fraction(1, 20)

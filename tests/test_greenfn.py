@@ -9,6 +9,7 @@ from zeeman2d.coulomb import QuantumState, energy0, sturmian, sturmian_mu_square
 from zeeman2d.greenfn import (
     GreenEvalConfig,
     PoleError,
+    QuadratureError,
     gauss_laguerre,
     green_eval,
     green_reduced_eval,
@@ -164,6 +165,18 @@ class TestReducedKernel:
 
 
 class TestQuadrature:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_rule_is_typed_error(self):
+        # roots_genlaguerre overflows at 400 nodes: the double integral must
+        # raise instead of returning NaN, while 350 nodes are still finite
+        with pytest.raises(QuadratureError) as info:
+            reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=400))
+        assert isinstance(info.value, ValueError)
+        assert (info.value.alpha, info.value.nodes) == (3, 400)
+        assert "x^3" in str(info.value) and "400 nodes" in str(info.value)
+        eps4 = -reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=350)) / 64
+        assert eps4 == pytest.approx(float(eps4_closed(1, 0)), rel=1e-8)
+
     def test_gauss_laguerre_moments(self):
         # the rule integrates x^alpha e^-x x^m exactly up to high degree
         for alpha in (0, 2, 5):

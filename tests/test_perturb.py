@@ -57,9 +57,10 @@ class TestSecondOrder:
         assert eps2_integral(5, 2) == eps2_closed(5, 2)
 
     def test_dual_route_exact_agreement(self):
-        for n in range(1, 9):
-            for l in range(n):
-                assert eps2_integral(n, l) == eps2_closed(n, l)
+        states = [(n, l) for n in range(1, 41) for l in range(n)]
+        assert len(states) == 820
+        for n, l in states:
+            assert eps2_integral(n, l) == eps2_closed(n, l), (n, l)
 
     def test_circular_specialization(self):
         assert eps2_circular(1) == Fraction(3, 64)
@@ -87,9 +88,10 @@ class TestFourthOrder:
         assert eps4_sturmian(3, 0) == Fraction(-124078125, 65536)
 
     def test_dual_route_exact_agreement(self):
-        for n in range(1, 9):
-            for l in range(n):
-                assert eps4_sturmian(n, l) == eps4_closed(n, l)
+        states = [(n, l) for n in range(1, 41) for l in range(n)]
+        assert len(states) == 820
+        for n, l in states:
+            assert eps4_sturmian(n, l) == eps4_closed(n, l), (n, l)
 
     def test_circular_specialization(self):
         assert eps4_circular(1) == Fraction(-159, 65536)
