@@ -15,6 +15,16 @@ product of scales is exact up to degree 2*nodes - 1.  The "stripped"
 internal evaluators return the smooth factor with the envelope
 x^(l+1/2) e^{-x/2} removed, which is what keeps large-node quadrature free
 of overflow.
+
+Every polynomial value comes from one place, the three-term Laguerre
+recurrence of `_laguerre_table`: the Sturmian rows, the bound factor (the
+resonant row) and its r d/dr image (a combination of two adjacent rows).
+Expanding the alternating monomial coefficients instead cancels
+catastrophically at large n_r (eps4 lost 1e-9 relative at n = 18 and 2e-5
+at n = 30).  Both kernels are separable, so each integral contracts the
+factors against its weight vector first, at O(truncation x nodes) cost;
+no nodes-by-nodes kernel is formed.  With the default truncation and 200
+nodes the eps4 double integral is tested to 1e-11 relative for n <= 60.
 """
 
 from __future__ import annotations
@@ -22,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_genlaguerre
 
-from .coulomb import QuantumState, bound_radial, energy0, sturmian_mu_squared
-from .exactmath import RationalPolynomial, rational_sqrt
-from .laguerre import Laguerre, laguerre_coeffs
+from .coulomb import QuantumState, energy0, sturmian_mu_squared
+from .exactmath import rational_sqrt
 
 __all__ = [
     "GreenEvalConfig",
@@ -154,7 +163,7 @@ class GreenEvalConfig:
     def scale_squared(self) -> Fraction:
         return -2 * self.anchor_energy
 
-    @property
+    @cached_property
     def scale_float(self) -> float:
         root = rational_sqrt(self.scale_squared)
         return float(root) if root is not None else math.sqrt(float(self.scale_squared))
@@ -165,9 +174,11 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
 
     Raises `QuadratureError` when the rule is not finite; being cached, the
-    check runs once per (alpha, nodes).
+    check runs once per (alpha, nodes).  The overflow that makes a rule
+    non-finite is silenced here, so the typed error is all a caller sees.
     """
-    x, w = roots_genlaguerre(nodes, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, w = roots_genlaguerre(nodes, alpha)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise QuadratureError(alpha, nodes)
     return x, w
@@ -228,42 +239,42 @@ def green_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
     return env * envp * float(np.sum(terms))
 
 
-@lru_cache(maxsize=None)
-def _resonant_derivative_poly(n_r: int, l: int) -> RationalPolynomial:
-    """Polynomial factor of r dS/dr: (l+1/2) q - (x/2) q + x q' for q = L_{n_r}."""
-    q = laguerre_coeffs(Laguerre(n_r, 2 * l))
-    x = RationalPolynomial.identity()
-    return Fraction(2 * l + 1, 2) * q - Fraction(1, 2) * (x * q) + x * q.derivative()
+def _reduced_factors(cfg: GreenEvalConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separable factors of the stripped reduced kernel on a grid.
 
-
-def _reduced_smooth(cfg: GreenEvalConfig, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Stripped reduced kernel: G~(r,r') / (env(x) env(x')), on a grid.
-
-    Returns a len(x) by len(xp) matrix.  Assembled as
-    N sum' c_j^2 L_j(x) L_j(x') / (j - n_r) + (1/2) s(x) s(x')
-    + d(x) s(x') + s(x) d(x'), with s the resonant stripped Sturmian and d
-    its stripped r d/dr image.
+    Returns (rows, s, d): rows[j] = c_j L_j(x) for j below the truncation,
+    the resonant stripped Sturmian s = rows[n_r], and its stripped r d/dr
+    image d = c_{n_r} ((l + 1/2) q - (x/2) q + x q') with q = L_{n_r}.
+    By x L_k' = k L_k - (k + alpha) L_{k-1} that image is
+    c_{n_r} ((l + 1/2 + n_r - x/2) L_{n_r} - (n_r + 2l) L_{n_r - 1}), so every
+    factor is a row of one recurrence table.
     """
     n_r = cfg.resonant_n_r
-    n_eff = Fraction(2 * cfg.level - 1, 2)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
+    table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
     c = _norm_consts(cfg)
-    ta = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
-    tb = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, xp)
+    rows = c[:, None] * table
+    d = (cfg.l + 0.5 + n_r - 0.5 * x) * table[n_r]
+    if n_r:
+        d -= (n_r + 2 * cfg.l) * table[n_r - 1]
+    return rows, rows[n_r], c[n_r] * d
+
+
+def _reduced_form(cfg: GreenEvalConfig, a: tuple, b: tuple) -> float:
+    """The stripped reduced kernel contracted between two projected factors.
+
+    ``a`` and ``b`` are (v, s, d) triples: the factors of `_reduced_factors`
+    contracted against one vector each, or taken at one grid point.  The
+    kernel N sum' c_j^2 L_j(x) L_j(x') / (j - n_r) + (1/2) s(x) s(x')
+    + d(x) s(x') + s(x) d(x'), with N = n - 1/2, is separable, so no
+    grid-by-grid matrix is formed.
+    """
+    n_r = cfg.resonant_n_r
     j = np.arange(cfg.truncation)
-    weight = np.zeros(cfg.truncation)
-    mask = j != n_r
-    weight[mask] = float(n_eff) / (j[mask] - n_r)
-    kernel = np.einsum("j,ja,jb->ab", weight * c * c, ta, tb)
-    c_res = c[n_r]
-    s_a, s_b = c_res * ta[n_r], c_res * tb[n_r]
-    dpoly = _resonant_derivative_poly(n_r, cfg.l)
-    dvals = np.array([float(dpoly(float(v))) for v in x])
-    dvals_b = np.array([float(dpoly(float(v))) for v in xp])
-    d_a, d_b = c_res * dvals, c_res * dvals_b
-    kernel += 0.5 * np.outer(s_a, s_b) + np.outer(d_a, s_b) + np.outer(s_a, d_b)
-    return kernel
+    coupling = np.zeros(cfg.truncation)
+    off = j != n_r
+    coupling[off] = (cfg.level - 0.5) / (j[off] - n_r)
+    (va, sa, da), (vb, sb, db) = a, b
+    return float(coupling @ (va * vb) + 0.5 * sa * sb + da * sb + sa * db)
 
 
 def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
@@ -274,26 +285,28 @@ def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
         raise ValueError("radii must be positive")
     x, env = _envelope(cfg, r)
     xp, envp = _envelope(cfg, rp)
-    return env * envp * float(_reduced_smooth(cfg, np.array([x]), np.array([xp]))[0, 0])
+    rows, s, d = _reduced_factors(cfg, np.array([x, xp]))
+    return env * envp * _reduced_form(cfg, (rows[:, 0], s[0], d[0]), (rows[:, 1], s[1], d[1]))
 
 
 def reduced_double_integral(cfg: GreenEvalConfig) -> float:
     """Double integral of r^2 P0 (reduced kernel) r'^2 P0 over both radii.
 
-    Under x = 2kr both bound factors share the basis envelope, so the
-    integrand smooth part is polynomial and the tensor Gauss-Laguerre rule
-    with weight x^(2l+3) e^{-x} on each axis is exact.  Multiplying by
-    -(Z^6/64) reproduces the exact quartic coefficient; tests pin that.
+    Under x = 2kr the bound factor is P0 = k s(x) x^(l+1/2) e^(-x/2), with
+    s the resonant stripped Sturmian, so the integrand's smooth part is
+    polynomial and the tensor Gauss-Laguerre rule with weight
+    x^(2l+3) e^{-x} on each axis is exact.  Both axes project onto the
+    same vector w s.  Multiplying by -(Z^6/64) reproduces the exact quartic
+    coefficient; tests pin that.
     """
     if cfg.level is None:
         raise ValueError("reduced_double_integral needs a level-anchored configuration")
-    state = QuantumState(cfg.level, cfg.l, cfg.l)
-    radial = bound_radial(state, cfg.Z)
     x, w = gauss_laguerre(2 * cfg.l + 3, cfg.quad_nodes)
-    qvals = np.array([float(radial.poly(float(v))) for v in x])
-    kernel = _reduced_smooth(cfg, x, x)
-    pref = float(radial.norm_squared) * (2.0 * cfg.scale_float) ** -6
-    return pref * float((w * qvals) @ kernel @ (w * qvals))
+    rows, s, d = _reduced_factors(cfg, x)
+    u = w * s
+    proj = (rows @ u, s @ u, d @ u)
+    k = cfg.scale_float
+    return k * k * (2.0 * k) ** -6 * _reduced_form(cfg, proj, proj)
 
 
 def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
@@ -307,14 +320,14 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
         raise ValueError("reduced_orthogonality_defect needs a level-anchored configuration")
     if rp <= 0:
         raise ValueError("r' must be positive")
-    state = QuantumState(cfg.level, cfg.l, cfg.l)
-    radial = bound_radial(state, cfg.Z)
     x, w = gauss_laguerre(2 * cfg.l + 1, cfg.quad_nodes)
-    qvals = np.array([float(radial.poly(float(v))) for v in x])
     xp, envp = _envelope(cfg, rp)
-    kernel = _reduced_smooth(cfg, x, np.array([xp]))[:, 0]
-    pref = math.sqrt(float(radial.norm_squared)) / (2.0 * cfg.scale_float)
-    return pref * envp * float(np.sum(w * qvals * kernel))
+    # one table for the nodes and r', which sits in the last column
+    rows, s, d = _reduced_factors(cfg, np.append(x, xp))
+    u = w * s[:-1]
+    proj = (rows[:, :-1] @ u, s[:-1] @ u, d[:-1] @ u)
+    # P0 = k s env and dr = dx / (2k): the prefactor is 1/2
+    return 0.5 * envp * _reduced_form(cfg, proj, (rows[:, -1], s[-1], d[-1]))
 
 
 def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
@@ -338,5 +351,5 @@ def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
     xr, env = _envelope(cfg, r)
     basis_r = c * _laguerre_table(cfg.truncation - 1, 2 * cfg.l, np.array([xr]))[:, 0] * env
     projected = float(np.sum(weighted / (mu - 1.0) * basis_r))
-    expected = basis_r[m] / (mu[m] - 1.0)
+    expected = float(basis_r[m] / (mu[m] - 1.0))
     return projected - expected

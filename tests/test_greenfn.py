@@ -1,15 +1,20 @@
 """Tests for the Sturmian expansions of the radial Coulomb Green functions."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from zeeman2d.coulomb import QuantumState, energy0, sturmian, sturmian_mu_squared
+from zeeman2d.coulomb import QuantumState, bound_radial, energy0, sturmian, sturmian_mu_squared
+from zeeman2d.exactmath import RationalPolynomial
 from zeeman2d.greenfn import (
     GreenEvalConfig,
     PoleError,
     QuadratureError,
+    _laguerre_table,
+    _reduced_factors,
     gauss_laguerre,
     green_eval,
     green_reduced_eval,
@@ -17,6 +22,7 @@ from zeeman2d.greenfn import (
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
+from zeeman2d.laguerre import Laguerre, laguerre_coeffs
 from zeeman2d.perturb import eps4_closed
 
 POINT_PAIRS = [(0.3, 1.7), (0.9, 2.4), (2.2, 0.5), (1.1, 1.1)]
@@ -164,13 +170,93 @@ class TestReducedKernel:
         assert max(abs(v) for v in vals) < 1e-8
 
 
+def _exact_factor_polys(n_r: int, l: int) -> tuple[RationalPolynomial, RationalPolynomial]:
+    """q = L_{n_r}^{(2l)} and its stripped r d/dr image (l+1/2) q - (x/2) q + x q'."""
+    q = laguerre_coeffs(Laguerre(n_r, 2 * l))
+    x = RationalPolynomial.identity()
+    return q, Fraction(2 * l + 1, 2) * q - Fraction(1, 2) * (x * q) + x * q.derivative()
+
+
+def _norm_const(n_r: int, l: int, Z: Fraction) -> float:
+    """c_{n_r} = sqrt(n_r! / (Z (n_r+2l)!)), the Sturmian normalization."""
+    return math.sqrt(float(Fraction(math.factorial(n_r), math.factorial(n_r + 2 * l)) / Z))
+
+
+class TestSeparableFactors:
+    GRID = (0.1, 1.0, 7.5, 30.0)
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_resonant_factors_match_exact_polynomials(self, l):
+        # s and d come from the recurrence table; the reference evaluates the
+        # exact polynomials at the same (binary) points in rational arithmetic
+        for n_r in range(11):
+            cfg = GreenEvalConfig.for_level(n_r + l + 1, l)
+            _, s, d = _reduced_factors(cfg, np.array(self.GRID))
+            q, dq = _exact_factor_polys(n_r, l)
+            c = _norm_const(n_r, l, cfg.Z)
+            for i, x in enumerate(self.GRID):
+                point = Fraction(x)
+                assert s[i] == pytest.approx(c * float(q(point)), rel=1e-12)
+                assert d[i] == pytest.approx(c * float(dq(point)), rel=1e-12)
+
+    @pytest.mark.parametrize("n, l", LOW_STATES)
+    def test_contraction_equals_dense_kernel(self, n, l):
+        # (w q)^T K (w q) with K the nodes-by-nodes stripped kernel, built
+        # from the table rows and the exact derivative polynomial
+        cfg = GreenEvalConfig.for_level(n, l)
+        n_r = n - l - 1
+        x, w = gauss_laguerre(2 * l + 3, cfg.quad_nodes)
+        table = _laguerre_table(cfg.truncation - 1, 2 * l, x)
+        c = np.array([_norm_const(j, l, cfg.Z) for j in range(cfg.truncation)])
+        coupling = np.array(
+            [0.0 if j == n_r else (n - 0.5) / (j - n_r) for j in range(cfg.truncation)]
+        )
+        _, dq = _exact_factor_polys(n_r, l)
+        s = c[n_r] * table[n_r]
+        d = c[n_r] * np.array([float(dq(float(v))) for v in x])
+        kernel = np.einsum("j,ja,jb->ab", coupling * c * c, table, table)
+        kernel += 0.5 * np.outer(s, s) + np.outer(d, s) + np.outer(s, d)
+        radial = bound_radial(QuantumState(n, l, l), cfg.Z)
+        wq = w * table[n_r]
+        dense = float(radial.norm_squared) * (2.0 * cfg.scale_float) ** -6 * float(wq @ kernel @ wq)
+        assert reduced_double_integral(cfg) == pytest.approx(dense, rel=1e-13)
+
+    def test_public_values_are_python_floats(self):
+        level = GreenEvalConfig.for_level(2, 1)
+        energy = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
+        values = [
+            green_eval(energy, 0.5, 1.5),
+            projection_defect(energy, 3, 1.5),
+            green_reduced_eval(level, 0.5, 1.5),
+            reduced_double_integral(level),
+            reduced_orthogonality_defect(level, 1.1),
+        ]
+        assert all(type(v) is float for v in values)
+
+
+class TestSupportedRange:
+    @pytest.mark.parametrize("n", [18, 24, 30, 40, 60])
+    def test_high_n_double_integral(self, n):
+        # the recurrence keeps eps4 at ~1e-13 relative up to n = 60 at the
+        # default truncation and nodes; float Horner on the monomial
+        # coefficients lost 1e-9 at (18, 0) and 2e-5 at (30, 0)
+        for l in sorted({0, 1, n // 2, n - 1}):
+            exact = float(eps4_closed(n, l))
+            for Z in (Fraction(1), Fraction(3, 2)):
+                cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+                val = -reduced_double_integral(cfg) * float(Z) ** 6 / 64
+                assert val == pytest.approx(exact, rel=1e-11)
+
+
 class TestQuadrature:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_rule_is_typed_error(self):
         # roots_genlaguerre overflows at 400 nodes: the double integral must
-        # raise instead of returning NaN, while 350 nodes are still finite
-        with pytest.raises(QuadratureError) as info:
-            reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=400))
+        # raise instead of returning NaN, with no warning printed first,
+        # while 350 nodes are still finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as info:
+                reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=400))
         assert isinstance(info.value, ValueError)
         assert (info.value.alpha, info.value.nodes) == (3, 400)
         assert "x^3" in str(info.value) and "400 nodes" in str(info.value)
@@ -192,8 +278,6 @@ class TestQuadrature:
         # different n (different exponential scales), out of exact scope:
         # under t = (k1+k2) r the smooth part is polynomial, so the rule
         # with weight t^(2l+1) e^-t is exact up to rounding
-        from zeeman2d.coulomb import bound_radial
-
         (na, la), (nb, lb) = pair
         assert la == lb
         p1 = bound_radial(QuantumState(na, la, la), 1)
