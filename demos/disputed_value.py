@@ -49,6 +49,6 @@ print(f"The estimate sits {ratio:,.0f} times closer to -159/65536 than to")
 print("-153/65536; the numeric experiment rejects the literature value.")
 print()
 
-report = disputed_value_report(run_oracle=False, oracle_estimate=c4, oracle_uncertainty=sigma)
+report = disputed_value_report(oracle_estimate=c4, oracle_uncertainty=sigma)
 print("Summary line:")
 print(" ", report.summary_line())

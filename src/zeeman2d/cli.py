@@ -7,6 +7,11 @@ Subcommands:
 * ``table``    the published n <= 4 coefficient table, byte-stable markdown;
 * ``validate`` the full cross-validation suite with a process exit code.
 
+``validate`` fits every state up to ``--max-n`` on the oracle's own default
+field grid, so the CLI and the library check the same numbers.  The oracle
+(and with it numpy and scipy) is imported only when a fit runs: ``coeff``,
+``energy``, ``table`` and ``validate --max-n 0`` stay on the exact layers.
+
 Exit codes: 0 success, 1 validation failure, 2 usage error.  All rationals
 are printed as ``p/q`` strings that re-parse exactly; decimals are rendered
 from the exact rationals at print time.
@@ -154,20 +159,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _run_fits(states: list[QuantumState], basis_size: int, grid_scale: Fraction):
-    from . import oracle
-
-    # The library default window b_max ~ (2n-1)^-4 is sized so the quartic term
-    # stays resolvable, which for n > 1 leaves the quadratic term close to the
-    # eigensolver noise floor.  For quadratic-coefficient validation we widen
-    # the window to b_max ~ (2n-1)^-2 (the scale at which eps2*b^2/|eps0| is
-    # n-independent); the caller's grid_scale multiplies this.
-    return [
-        oracle.fit_field_series(s, basis_size=basis_size, grid_scale=grid_scale * (2 * s.n - 1) ** 2)
-        for s in states
-    ]
-
-
 def cmd_validate(args) -> int:
     checks: list[dict] = []
 
@@ -206,11 +197,10 @@ def cmd_validate(args) -> int:
     oracle_payload: list[dict] = []
     ground_fit = None
     if args.max_n >= 1:
-        from . import oracle as oracle_mod
+        from . import oracle
 
-        states = [QuantumState(n, l, l) for n in range(1, args.max_n + 1) for l in range(n)]
-        fits = _run_fits(states, args.basis_size, args.grid_scale)
-        for state, fit in zip(states, fits):
+        for state in (QuantumState(n, l, l) for n in range(1, args.max_n + 1) for l in range(n)):
+            fit = oracle.fit_field_series(state, basis_size=args.basis_size)
             exact = float(eps2_closed(state.n, state.l))
             rel = abs(fit.coefficients[2] - exact) / abs(exact)
             ok = rel <= SECOND_ORDER_REL_TOL
@@ -236,7 +226,7 @@ def cmd_validate(args) -> int:
                 err_exact < gap < err_lit,
                 f"fitted {c4:.9g}; |err vs exact| {err_exact:.2e} < half-gap {gap:.2e} < |err vs literature| {err_lit:.2e}",
             )
-            parity = oracle_mod.fit_field_series(
+            parity = oracle.fit_field_series(
                 QuantumState(1, 0, 0), basis_size=args.basis_size, odd_powers=True
             )
             c1, c3 = abs(parity.coefficients[1]), abs(parity.coefficients[3])
@@ -247,7 +237,6 @@ def cmd_validate(args) -> int:
             )
 
     report = disputed_value_report(
-        run_oracle=False,
         oracle_estimate=None if ground_fit is None else ground_fit.coefficients[4],
         oracle_uncertainty=None if ground_fit is None else ground_fit.coefficient_uncertainty(4),
     )
@@ -311,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the cross-validation suite")
     p_val.add_argument("--max-n", type=int, default=3, help="run oracle fits for states up to this n (0 skips them)")
     p_val.add_argument("--basis-size", type=int, default=120)
-    p_val.add_argument("--grid-scale", type=parse_rational, default=Fraction(1),
-                       help="rational multiplier on the per-state validation field-grid extent")
     p_val.add_argument("--json", metavar="PATH", help="also write a machine-readable report")
     p_val.set_defaults(func=cmd_validate)
 

@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 200
+# (2l)! must be a finite double for the normalization constants: 170! is the
+# last factorial below the float maximum.
+MAX_L = 85
 
 
 class PoleError(ValueError):
@@ -104,6 +107,8 @@ class GreenEvalConfig:
         object.__setattr__(self, "Z", Fraction(self.Z))
         if self.l < 0:
             raise ValueError("l must be non-negative")
+        if self.l > MAX_L:
+            raise ValueError(f"l = {self.l} exceeds MAX_L = {MAX_L}: (2l)! overflows a float")
         if self.Z <= 0:
             raise ValueError("Z must be positive")
         if self.truncation < 1:

@@ -387,18 +387,17 @@ def galerkin_levels(cfg: GalerkinConfig, convergence_check: bool = False) -> Gal
     return GalerkinResult(config=cfg, tracked_energy=energy, diagnostics=diagnostics)
 
 
-def default_field_grid(state: QuantumState, num_points: int = 9, grid_scale: Fraction = Fraction(1)) -> list[Fraction]:
-    """Evenly spaced grid 0 .. b_max with b_max = (1/20) (N_1/N_n)^4 scaled.
+def default_field_grid(state: QuantumState) -> list[Fraction]:
+    """Nine evenly spaced fields 0 .. b_max with b_max = 1 / (20 (2n-1)^2).
 
-    The quartic shrinkage keeps every grid point inside the perturbative
-    window of the level: the useful field range collapses like the inverse
-    fourth power of the effective principal number.
+    At this extent eps2 b^2 / |eps0| does not depend on n, so the quadratic
+    signal stands equally far above the eigensolver noise for every level,
+    and the quartic term is resolved too.  The grid stays well inside the
+    perturbative window |eps4 b^4| < |eps2 b^2|: at b_max the ratio is
+    1.3e-4 for n = 1 and grows like n^2, to below 1e-2 at n = 12.
     """
-    if num_points < 5:
-        raise ValueError("field grid needs at least five points")
-    n_eff = state.effective_n
-    b_max = Fraction(1, 20) * Fraction(grid_scale) * (Fraction(1, 2) / n_eff) ** 4
-    return [b_max * i / (num_points - 1) for i in range(num_points)]
+    b_max = Fraction(1, 20 * (2 * state.n - 1) ** 2)
+    return [b_max * i / 8 for i in range(9)]
 
 
 @dataclass(frozen=True)
@@ -443,9 +442,6 @@ def fit_field_series(
     Z: Fraction = Fraction(1),
     field_grid: list[Fraction] | None = None,
     basis_size: int = DEFAULT_BASIS_SIZE,
-    reference_energy: Fraction | None = None,
-    num_points: int = 9,
-    grid_scale: Fraction = Fraction(1),
     odd_powers: bool = False,
 ) -> FieldFitResult:
     """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on a small-field grid.
@@ -460,7 +456,7 @@ def fit_field_series(
     the window choice does not bias c4.
     """
     Z = Fraction(Z)
-    grid = field_grid if field_grid is not None else default_field_grid(state, num_points, grid_scale)
+    grid = field_grid if field_grid is not None else default_field_grid(state)
     grid = [Fraction(b) for b in grid]
     if odd_powers:
         grid = sorted(set(grid) | {-b for b in grid})
@@ -474,9 +470,7 @@ def fit_field_series(
     # The matrices depend on b^2 alone, so each distinct |b| is solved once,
     # walking outward from zero.
     magnitudes = sorted({abs(b) for b in grid})
-    cfg = GalerkinConfig(
-        l=state.l, Z=Z, basis_size=basis_size, reference_energy=reference_energy, target_n_r=state.n_r
-    )
+    cfg = GalerkinConfig(l=state.l, Z=Z, basis_size=basis_size, target_n_r=state.n_r)
     tracked = _track(_round_bands(cfg), magnitudes, state.n_r, float(cfg.unperturbed_energy))
     energy_of = {mag: energy for mag, (energy, _) in zip(magnitudes, tracked)}
     fields = tuple(grid)

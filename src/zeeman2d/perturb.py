@@ -313,32 +313,21 @@ class DisputedValueReport:
 
 
 def disputed_value_report(
-    run_oracle: bool = True,
     oracle_estimate: float | None = None,
     oracle_uncertainty: float | None = None,
-    basis_size: int | None = None,
 ) -> DisputedValueReport:
     """Adjudicate the ground-state eps4 discrepancy across all three routes.
 
-    An externally computed oracle estimate may be injected (e.g. to reuse a
-    fit); otherwise one is produced here when ``run_oracle`` is set.  The
-    literature value is rejected only if the numeric estimate lands within
-    half the gap of the exact value, i.e. strictly closer to it than to the
+    The numeric estimate comes from the caller (the oracle's ground-state
+    fit); without one the literature value stays unresolved.  The
+    literature value is rejected only if the estimate lands within half
+    the gap of the exact value, i.e. strictly closer to it than to the
     literature one.
     """
     closed = eps4_closed(1, 0)
     stur = eps4_sturmian(1, 0)
     lit = reference.GROUND_EPS4_LITERATURE
     half_gap = reference.GROUND_EPS4_HALF_GAP
-    if oracle_estimate is None and run_oracle:
-        from . import oracle
-
-        fit = oracle.fit_field_series(
-            QuantumState(1, 0, 0),
-            basis_size=basis_size if basis_size is not None else oracle.DEFAULT_BASIS_SIZE,
-        )
-        oracle_estimate = fit.coefficients[4]
-        oracle_uncertainty = fit.coefficient_uncertainty(4)
     rejected: bool | None
     if oracle_estimate is None:
         rejected = None

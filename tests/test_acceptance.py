@@ -95,17 +95,11 @@ def test_criterion_3_dispute_adjudication():
 
 
 def test_criterion_4_oracle_quadratic_accuracy():
-    """Fitted quadratic coefficient within 1e-6 relative for all n <= 3.
-
-    The fit window is widened per state to b_max ~ (2n-1)^-2 (the scale at
-    which the quadratic signal is n-independent) so the tiny default
-    quartic-resolving window does not drown the n = 3 fits in eigensolver
-    rounding noise; the fits themselves are untouched.
-    """
+    """Fitted quadratic coefficient within 1e-6 relative for all n <= 3."""
     worst = 0.0
     for n in range(1, 4):
         for l in range(n):
-            fit = fit_field_series(QuantumState(n, l, l), grid_scale=(2 * n - 1) ** 2)
+            fit = fit_field_series(QuantumState(n, l, l))
             exact = float(eps2_closed(n, l))
             rel = abs(fit.coefficients[2] - exact) / abs(exact)
             worst = max(worst, rel)

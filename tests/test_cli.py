@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,26 @@ class TestValidate:
         assert code == 1
         assert "[FAIL] published coefficient table" in out
         assert "FAILURES detected" in out
+
+
+class TestLayering:
+    def test_exact_commands_never_load_numpy(self):
+        # coeff and the exact part of validate run on rationals alone; the
+        # oracle, and with it numpy and scipy, is imported only for fits
+        script = (
+            "import contextlib, io, sys\n"
+            "from zeeman2d import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['coeff', '3', '1']) == 0\n"
+            "    assert cli.main(['validate', '--max-n', '0']) == 0\n"
+            "print(sorted({'numpy', 'scipy', 'zeeman2d.oracle'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
 
 class TestParserHygiene:

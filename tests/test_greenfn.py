@@ -50,6 +50,20 @@ class TestConfig:
             GreenEvalConfig.for_level(5, 0, truncation=7)
         assert GreenEvalConfig.for_level(5, 0, truncation=8).truncation == 8
 
+    def test_largest_l(self):
+        # (2l)! is a finite float up to l = 85; beyond it the configuration
+        # is refused with a typed error instead of overflowing later
+        for Z in (1, 3):
+            cfg = GreenEvalConfig.for_level(86, 85, Z=Z)
+            scale = 85.5**2 / Z
+            radii = [f * scale for f in (0.01, 0.1, 0.5, 1, 2, 4)]
+            assert all(math.isfinite(green_reduced_eval(cfg, r, rp)) for r in radii for rp in radii)
+        for n, l in [(87, 86), (120, 100)]:
+            with pytest.raises(ValueError, match="MAX_L = 85"):
+                GreenEvalConfig.for_level(n, l)
+        with pytest.raises(ValueError, match="MAX_L = 85"):
+            GreenEvalConfig.at_energy(Fraction(-1, 3), l=86)
+
     def test_anchor_energy(self):
         cfg = GreenEvalConfig.for_level(2, 1)
         assert cfg.anchor_energy == Fraction(-2, 9)
@@ -132,11 +146,18 @@ class TestReducedKernel:
                 assert diff <= 1e-12
 
     def test_orthogonality_to_bound_state(self):
-        # int dr P0(r) Gtilde(r, r') = 0 for any fixed r'
-        for n, l in LOW_STATES:
-            cfg = GreenEvalConfig.for_level(n, l)
-            for rp in (0.4, 1.1, 2.6):
-                assert abs(reduced_orthogonality_defect(cfg, rp)) < 1e-8
+        # int dr P0(r) Gtilde(r, r') = 0 for any fixed r'.  Deep inside the
+        # centrifugal barrier the envelope scales the defect to nothing at
+        # large l, so r' also runs over (N^2/Z) {1/2, 1, 2}, where the bound
+        # factor is of order one and a 1e-3 error in the 1/2 s s' term reads
+        # at least 7.9e-3 for every state below
+        cases = [(n, l, 1) for n, l in LOW_STATES]
+        cases += [(12, 11, 1), (30, 15, 1), (60, 30, 1), (60, 59, 1), (24, 0, 2)]
+        for n, l, Z in cases:
+            cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+            scale = (n - 0.5) ** 2 / Z
+            for rp in (0.4, 1.1, 2.6, scale / 2, scale, 2 * scale):
+                assert abs(reduced_orthogonality_defect(cfg, rp)) < 1e-8, (n, l, Z, rp)
 
     def test_double_integral_reproduces_quartic_coefficient(self):
         # -(Z^6/64) * iint r^2 P0 Gtilde r'^2 P0 = eps4, floating route

@@ -197,23 +197,22 @@ class TestDenseReference:
     @pytest.mark.parametrize("Z,state", list(_dense_reference_cases()))
     def test_tracked_level_matches_dense_eigh(self, Z, state):
         # the float bands expanded to dense matrices and handed to dense
-        # eigh; default and widened grids, default and off-anchor bases
+        # eigh on the default grid; default and off-anchor bases
         off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
+        grid = default_field_grid(state)
         for reference in (None, off_anchor):
             cfg = GalerkinConfig(
                 l=state.l, Z=Z, basis_size=120, reference_energy=reference, target_n_r=state.n_r
             )
             bands = _round_bands(cfg)
             O = dense(bands.overlap)
-            for grid_scale in (1, (2 * state.n - 1) ** 2):
-                grid = default_field_grid(state, grid_scale=grid_scale)
-                tracked = _track(bands, grid, state.n_r, float(cfg.unperturbed_energy))
-                for b, (energy, _) in zip(grid, tracked):
-                    w = scipy.linalg.eigh(
-                        dense(bands.hamiltonian(b)), O, eigvals_only=True,
-                        subset_by_index=[state.n_r, state.n_r],
-                    )[0]
-                    assert abs(energy - w) <= 1e-11 * abs(w), (reference, grid_scale, b)
+            tracked = _track(bands, grid, state.n_r, float(cfg.unperturbed_energy))
+            for b, (energy, _) in zip(grid, tracked):
+                w = scipy.linalg.eigh(
+                    dense(bands.hamiltonian(b)), O, eigvals_only=True,
+                    subset_by_index=[state.n_r, state.n_r],
+                )[0]
+                assert abs(energy - w) <= 1e-11 * abs(w), (reference, b)
 
 
 class TestGalerkinLevels:
@@ -310,13 +309,10 @@ class TestDefaultFieldGrid:
         assert grid[0] == 0
         assert grid[-1] == Fraction(1, 20)
         assert len(grid) == 9
-        # quartic shrinkage in the effective principal number
+        # quadratic shrinkage in 2n - 1, the same rule for every level
         grid3 = default_field_grid(QuantumState(3, 0, 0))
-        assert grid3[-1] == Fraction(1, 20) * Fraction(1, 5) ** 4
-
-    def test_minimum_points(self):
-        with pytest.raises(ValueError):
-            default_field_grid(QuantumState(1, 0, 0), num_points=4)
+        assert grid3[-1] == Fraction(1, 500)
+        assert len(grid3) == 9
 
 
 class TestFieldFit:
@@ -338,9 +334,13 @@ class TestFieldFit:
         assert abs(c4 - float(Fraction(-159, 65536))) < abs(c4 - float(Fraction(-153, 65536)))
         assert fit.coefficients[4] == pytest.approx(float(eps4_closed(1, 0)), rel=1e-2)
 
-    def test_scaled_down_grid_second_state(self):
-        fit = fit_field_series(QuantumState(2, 1, 1), grid_scale=9)
-        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(2, 1)), rel=1e-6)
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
+    def test_default_grid_resolves_table_state(self, n, l):
+        # the one grid rule resolves both coefficients of every table state
+        fit = fit_field_series(QuantumState(n, l, l))
+        c2, c4 = float(eps2_closed(n, l)), float(eps4_closed(n, l))
+        assert abs(fit.coefficients[2] - c2) <= 1e-6 * abs(c2)
+        assert abs(fit.coefficients[4] - c4) <= 1e-4 * abs(c4)
 
     def test_odd_powers_vanish(self):
         fit = fit_field_series(QuantumState(1, 0, 0), odd_powers=True)

@@ -212,7 +212,7 @@ class TestAssembleEnergy:
 
 class TestDisputedValueReport:
     def test_exact_routes_without_oracle(self):
-        rep = disputed_value_report(run_oracle=False)
+        rep = disputed_value_report()
         assert rep.closed_form == Fraction(-159, 65536)
         assert rep.sturmian_sum == Fraction(-159, 65536)
         assert rep.literature == Fraction(-153, 65536)
@@ -223,7 +223,6 @@ class TestDisputedValueReport:
 
     def test_injected_estimate_rejects_literature(self):
         rep = disputed_value_report(
-            run_oracle=False,
             oracle_estimate=float(Fraction(-159, 65536)) + 1e-8,
             oracle_uncertainty=1e-8,
         )
@@ -232,9 +231,7 @@ class TestDisputedValueReport:
         assert rep.as_dict()["literature_rejected"] is True
 
     def test_injected_estimate_near_literature_does_not_reject(self):
-        rep = disputed_value_report(
-            run_oracle=False, oracle_estimate=float(Fraction(-153, 65536))
-        )
+        rep = disputed_value_report(oracle_estimate=float(Fraction(-153, 65536)))
         assert rep.literature_rejected is False
         assert "NOT REJECTED" in rep.summary_line()
 
