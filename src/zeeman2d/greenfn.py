@@ -223,9 +223,15 @@ def _mu_floats(cfg: GreenEvalConfig) -> np.ndarray:
 
 
 def _envelope(cfg: GreenEvalConfig, r: float) -> tuple[float, float]:
-    """Return (x, x^(l+1/2) e^{-x/2}) at radius r."""
+    """Return (x, x^(l+1/2) e^{-x/2}) at radius r.
+
+    Formed in log space: at large l and far radii x^(l+1/2) alone overflows
+    a float although the envelope underflows to 0.
+    """
     x = 2.0 * cfg.scale_float * r
-    return x, x ** (cfg.l + 0.5) * math.exp(-0.5 * x)
+    if x == 0:
+        return x, 0.0
+    return x, math.exp((cfg.l + 0.5) * math.log(x) - 0.5 * x)
 
 
 def green_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
@@ -346,6 +352,8 @@ def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
         raise ValueError("projection_defect needs an energy-anchored configuration")
     if not 0 <= m < cfg.truncation:
         raise ValueError("projected index must sit inside the truncated basis")
+    if r < 0:
+        raise ValueError("radius must be non-negative")
     _pole_scan(cfg)
     x, w = gauss_laguerre(2 * cfg.l, cfg.quad_nodes)
     c = _norm_consts(cfg)

@@ -21,7 +21,14 @@ Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
 previous field.  Sylvester's law of inertia certifies the level index of
 every result: H - sigma O has exactly as many negative eigenvalues as the
-pencil has levels below sigma, and a radial channel has no crossings.
+pencil has levels below sigma, and a radial channel has no crossings.  The
+count costs O(m) (spectrum slicing, Parlett, The Symmetric Eigenvalue
+Problem, ch. 3): a banded Cholesky factorization shows a trailing block
+positive definite, and by Haynsworth's inertia additivity the count is then
+that of a small dense Schur complement on the leading block.  The inverse
+of that complement is the leading block of (H - sigma O)^-1, so its
+eigenvalues lie no closer to zero than the spectrum of H - sigma O: the
+certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 
 `fit_field_series` walks a small field grid this way and fits an even
 polynomial in b to recover the quadratic and quartic coefficients with
@@ -300,19 +307,54 @@ def _inverse_iteration(
     raise ConvergenceError(b, MAX_ITERATIONS, residual, "did not converge")
 
 
-def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float) -> int:
-    """Eigenvalues of the pencil below sigma: by Sylvester, the negative ones of H - sigma O."""
-    negative = scipy.linalg.eigvals_banded(
-        h - sigma * overlap, select="v", select_range=(-np.inf, 0.0), check_finite=False
-    )
-    return len(negative)
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric dense matrix held in upper band storage."""
+    u, m = band.shape[0] - 1, band.shape[1]
+    out = np.diag(band[u])
+    for d in range(1, min(u, m - 1) + 1):
+        out += np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+    return out
+
+
+def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -> int:
+    """Eigenvalues of the pencil below sigma: by Sylvester, the negative ones of A = H - sigma O.
+
+    Haynsworth's additivity In(A) = In(A22) + In(S), with the Schur complement
+    S = A11 - A12 A22^-1 A21 of the trailing block A22 = A[head:, head:], gives
+    the count in O(m): a banded Cholesky factorization that succeeds shows A22
+    positive definite, so the count is that of the head x head matrix S, which
+    differs from A11 only in its last HALF_BANDWIDTH rows and columns.  The head
+    is doubled while A22 is not positive definite; at full size A is counted
+    directly.  Since S^-1 is the leading block of A^-1, |eig(S)| >= min |eig(A)|:
+    the Schur count keeps the distance of sigma from the spectrum.
+    """
+    a = h - sigma * overlap
+    u, m = HALF_BANDWIDTH, a.shape[1]
+    while head < m:
+        try:
+            tail = scipy.linalg.cholesky_banded(a[:, head:], check_finite=False)
+        except np.linalg.LinAlgError:
+            head *= 2
+            continue
+        # A21 is zero outside its first u rows and last u columns
+        lead = _dense(a[:, : head + u])
+        edge = np.zeros((m - head, min(u, head)))
+        edge[: lead.shape[0] - head] = lead[head:, :head][:, -u:]
+        schur = lead[:head, :head]
+        schur[-u:, -u:] -= edge.T @ scipy.linalg.cho_solve_banded((tail, False), edge, check_finite=False)
+        return int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0))
+    return int(np.count_nonzero(np.linalg.eigvalsh(_dense(a)) < 0))
 
 
 def _certify(h: np.ndarray, overlap: np.ndarray, value: float, target: int, b: float) -> None:
-    """Raise LevelCrossingError unless ``value`` is the level with index ``target``."""
+    """Raise LevelCrossingError unless ``value`` is the level with index ``target``.
+
+    The levels below the target live mostly in the first basis functions, so
+    the inertia counts start from a head of target + 1 functions.
+    """
     width = CERTIFICATE_WIDTH * abs(value)
-    below = _levels_below(h, overlap, value - width)
-    above = _levels_below(h, overlap, value + width)
+    below = _levels_below(h, overlap, value - width, target + 1)
+    above = _levels_below(h, overlap, value + width, target + 1)
     if (below, above) != (target, target + 1):
         raise LevelCrossingError(target, below, above, b)
 
@@ -416,7 +458,13 @@ class FieldFitResult:
     noise_floor: float
 
     def coefficient_uncertainty(self, power: int) -> float:
-        """Crude one-sigma noise propagation through the least squares."""
+        """Crude one-sigma noise propagation through the least squares.
+
+        Only the rms residual is propagated, not the bias that the truncated
+        b^8 tail leaves in the fitted coefficients.  For n >= 2 on the
+        default grid this understates the c4 error about 10x: at (4, 0) the
+        c4 error is 2.3e-5 of |c4| and the reported uncertainty 2.2e-6.
+        """
         return self.amplification[power] * self.noise_floor
 
     def as_dict(self, tolerances: dict | None = None, verdicts: dict | None = None) -> dict:

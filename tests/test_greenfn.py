@@ -13,6 +13,7 @@ from zeeman2d.greenfn import (
     GreenEvalConfig,
     PoleError,
     QuadratureError,
+    _envelope,
     _laguerre_table,
     _reduced_factors,
     gauss_laguerre,
@@ -102,6 +103,9 @@ class TestResolventKernel:
         cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
         with pytest.raises(ValueError):
             projection_defect(cfg, 20, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            projection_defect(cfg, 3, -1.0)
+        assert projection_defect(cfg, 3, 0.0) == 0.0
 
     def test_residue_limit_two_sided(self):
         # (E - E0_n) G -> 2 E0_n S(r) S(r') as E -> E0_n from either side
@@ -267,6 +271,28 @@ class TestSupportedRange:
                 cfg = GreenEvalConfig.for_level(n, l, Z=Z)
                 val = -reduced_double_integral(cfg) * float(Z) ** 6 / 64
                 assert val == pytest.approx(exact, rel=1e-11)
+
+    def test_far_radius_underflows_to_zero(self):
+        # x^(l+1/2) alone overflows a float at l = 85 and r = 50 N^2; the
+        # envelope underflows to 0 instead of raising OverflowError
+        cfg = GreenEvalConfig.for_level(86, 85)
+        assert green_reduced_eval(cfg, 50 * 85.5**2, 85.5**2) == 0.0
+
+    @pytest.mark.parametrize("l", [0, 1, 10, 42, 70, 85])
+    def test_envelope_matches_power_form(self, l):
+        # the log-space envelope agrees with x^(l+1/2) e^(-x/2) wherever that
+        # form is finite, over r in [0.01, 4] N^2/Z; x = 0 gives 0
+        for n in (l + 1, l + 3):
+            for Z in (1, 3):
+                cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+                for f in (0.01, 0.1, 0.5, 1, 2, 4):
+                    x, env = _envelope(cfg, f * (n - 0.5) ** 2 / Z)
+                    try:
+                        power = x ** (l + 0.5) * math.exp(-0.5 * x)
+                    except OverflowError:
+                        continue
+                    assert env == pytest.approx(power, rel=1e-13, abs=0)
+        assert _envelope(GreenEvalConfig.for_level(l + 1, l), 0.0) == (0.0, 0.0)
 
 
 class TestQuadrature:

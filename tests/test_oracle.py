@@ -303,6 +303,46 @@ class TestTracking:
             galerkin_levels(GalerkinConfig(l=0, b=Fraction(10**150), basis_size=BASIS_SMALL))
 
 
+def _inertia_cases():
+    for m in (60, 240):
+        for Z in (Fraction(1), Fraction(2)):
+            for l in (0, 2):
+                for reference in (None, energy0(QuantumState(l + 3, l, l), Z)):
+                    yield m, Z, l, reference
+
+
+class TestInertiaCount:
+    @pytest.mark.parametrize("m,Z,l,reference", list(_inertia_cases()))
+    def test_count_matches_banded_eigenvalues(self, m, Z, l, reference):
+        # the Schur-complement count against the O(m^2) tridiagonal reduction
+        # of eigvals_banded, on shifts through and beyond the lowest levels;
+        # a head of 1 makes the off-anchor bases double it, and the shift
+        # above every level doubles it to the whole matrix
+        cfg = GalerkinConfig(l=l, Z=Z, basis_size=m, reference_energy=reference)
+        bands = _round_bands(cfg)
+        O = dense(bands.overlap)
+        for b in (Fraction(0), default_field_grid(QuantumState(l + 1, l, l))[-1], Fraction(1, 100)):
+            h = bands.hamiltonian(b)
+            w = scipy.linalg.eigh(dense(h), O, eigvals_only=True)
+            shifts = [*np.linspace(w[0] - 0.1, (w[12] + w[13]) / 2, 25), *(w[:12] + w[1:13]) / 2, w[-1] + 1.0]
+            for sigma in shifts:
+                expected = len(
+                    scipy.linalg.eigvals_banded(h - sigma * bands.overlap, select="v", select_range=(-np.inf, 0.0))
+                )
+                for head in (1, 4):
+                    assert oracle._levels_below(h, bands.overlap, sigma, head) == expected, (b, sigma, head)
+            assert oracle._levels_below(h, bands.overlap, w[-1] + 1.0, 1) == m
+
+    def test_fit_path_avoids_tridiagonal_reduction(self, monkeypatch):
+        # the certificates of a fit never fall back on the O(m^2) reduction
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvals_banded called on the fit path")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", forbidden)
+        fit = fit_field_series(QuantumState(1, 0, 0))
+        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-8)
+
+
 class TestDefaultFieldGrid:
     def test_shape_and_scaling(self):
         grid = default_field_grid(QuantumState(1, 0, 0))
