@@ -12,7 +12,8 @@ field grid, so the CLI and the library check the same numbers.  The oracle
 (and with it numpy and scipy) is imported only when a fit runs: ``coeff``,
 ``energy``, ``table`` and ``validate --max-n 0`` stay on the exact layers.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  All rationals
+Exit codes: 0 success, 1 validation failure or a reader that closed stdout
+early (as ``| head`` does), 2 usage error.  All rationals
 are printed as ``p/q`` strings that re-parse exactly; decimals are rendered
 from the exact rationals at print time.
 """
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -315,7 +317,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.all_up_to is not None and args.all_up_to < 1:
             parser.error("--all-up-to must be at least 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)

@@ -184,18 +184,19 @@ def sturmian_mu(n_r: int, l: int, E: Fraction, Z: Fraction = Fraction(1)) -> flo
     return math.sqrt(float(sturmian_mu_squared(n_r, l, E, Z)))
 
 
-def _reduced_r2_term(n_r: int, j: int, alpha: int) -> Fraction:
-    """B_j^2 / (perm(n_r+alpha, alpha) perm(j+alpha, alpha)) in lowest terms.
+def _r2_term_ratio(n_r: int, j: int, alpha: int, perm_nr: int) -> tuple[int, int]:
+    """B_j^2 / (perm(n_r+alpha, alpha) perm(j+alpha, alpha)) as integers (num, den).
 
-    B_j = moment3_band(n_r, j, alpha) is an exact multiple s_j P of
-    P = perm(n_r+alpha, alpha), and P / perm(j+alpha, alpha) is a ratio of
-    at most three consecutive integers on each side, so the term is
-    s_j^2 times that short ratio and never forms the factorials themselves.
+    ``perm_nr`` is perm(n_r+alpha, alpha), passed in so a window sum forms it
+    once.  B_j = moment3_band(n_r, j, alpha) is an exact multiple s_j P of
+    P = perm_nr, and P / perm(j+alpha, alpha) is a ratio of at most three
+    consecutive integers on each side, so the term is s_j^2 times that short
+    ratio and never forms the factorials themselves.  The pair is not reduced.
     """
     band = moment3_band(n_r, j, alpha)
     if band == 0:
-        return Fraction(0)
-    s, rest = divmod(band.numerator, math.perm(n_r + alpha, alpha))
+        return 0, 1
+    s, rest = divmod(band.numerator, perm_nr)
     if rest:
         raise ArithmeticError(
             f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"
@@ -206,7 +207,12 @@ def _reduced_r2_term(n_r: int, j: int, alpha: int) -> Fraction:
     else:
         num = math.prod(range(j + alpha + 1, n_r + alpha + 1))
         den = math.prod(range(j + 1, n_r + 1))
-    return Fraction(s * s * num, den)
+    return s * s * num, den
+
+
+def _reduced_r2_term(n_r: int, j: int, alpha: int) -> Fraction:
+    """`_r2_term_ratio` in lowest terms."""
+    return Fraction(*_r2_term_ratio(n_r, j, alpha, math.perm(n_r + alpha, alpha)))
 
 
 def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:

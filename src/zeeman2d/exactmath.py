@@ -77,6 +77,59 @@ def _primes_through(limit: int) -> tuple[int, list[int]]:
     return table
 
 
+# psi_k, the least odd composite that passes the strong-probable-prime test to
+# each of the first k prime bases, for k = 1..13: psi_1..psi_4 from Pomerance,
+# Selfridge & Wagstaff, Math. Comp. 35 (1980) 1003; psi_5..psi_8 from Jaeschke,
+# Math. Comp. 61 (1993) 915; psi_9..psi_11 from Jiang & Deng, Math. Comp. 83
+# (2014) 2915; psi_12 and psi_13 from Sorenson & Webster, Math. Comp. 86 (2017)
+# 985.  An odd n > 41 below psi_k that passes the first k bases is prime.
+_SPSP_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_SPSP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# trial division tries every prime up to this one before it asks for a proof
+_PROOF_AFTER = 97
+
+
+def _is_proven_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd n > 41.
+
+    True only when n is prime.  False when n is composite, and also for every
+    n at or past the last bound of `_SPSP_BOUNDS`, where no base set is proven.
+    """
+    for k, bound in enumerate(_SPSP_BOUNDS, 1):
+        if n < bound:
+            break
+    else:
+        return False
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SPSP_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> list[tuple[int, int]]:
     """Factor a positive integer by trial division, primes ascending.
 
@@ -85,21 +138,32 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
     product of p**e over the result always reconstructs ``value``.  Only
     primes are tried: a composite divisor can never divide once its prime
     factors are gone, so the result is that of dividing by every integer.
+
+    Trial division proves a prime cofactor only by reaching its square root.
+    So once every prime up to `_PROOF_AFTER` has been tried, and again after
+    each larger factor is divided out, the cofactor is put to a deterministic
+    Miller-Rabin test, and division stops if it is proven prime.  It is then
+    appended whole, as trial division would append it after finding no
+    factor of it below any cap, so the result is the same for every
+    ``trial_limit``.  Cofactors of 3.3e24 and up are never proven this way
+    and are trial-divided as before.
     """
     if value < 1:
         raise ValueError("only positive integers are factored")
     factors: list[tuple[int, int]] = []
     rem = value
     covered, primes = _prime_table
+    count = len(primes)
     i = 0
     while True:
-        if i == len(primes):
+        if i == count:
             need = min(trial_limit, math.isqrt(rem))
             if covered >= need:
                 break
             # at least double the table, so a sweep of growing values sieves
             # O(log) times, but never past the cap of this call
             covered, primes = _primes_through(min(trial_limit, max(need, 2 * covered)))
+            count = len(primes)
             continue
         p = primes[i]
         if p > trial_limit or p * p > rem:
@@ -110,6 +174,10 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
                 rem //= p
                 e += 1
             factors.append((p, e))
+            if p >= _PROOF_AFTER and rem > 1 and _is_proven_prime(rem):
+                break
+        elif p == _PROOF_AFTER and _is_proven_prime(rem):
+            break
         i += 1
     if rem > 1:
         factors.append((rem, 1))

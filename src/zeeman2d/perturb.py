@@ -37,8 +37,16 @@ B_j is an exact integer multiple s_j P_{n_r}, so
     T_j  = B_j^2 / (P_{n_r} P_j) = s_j^2 P_{n_r}/P_j,
 
 where P_{n_r}/P_j is a ratio of at most three consecutive integers on each
-side.  Both routes therefore run on small integers; the terms come from
-`coulomb._reduced_r2_term`, the one home of the R_j^2 formula.
+side.  With q = 2n - 1 = 2N this is
+
+    eps4 = -(q^4 / 2^17) * [ q * sum_{j != n_r} T_j/(j - n_r) - 5 T_{n_r} ],
+
+which `eps4_sturmian` sums as one integer numerator over one integer
+denominator, forming P_{n_r} once and a single `Fraction` at the end.  The
+integer pairs (num, den) of the terms come from `coulomb._r2_term_ratio`, the
+one home of the R_j^2 formula.  Every coefficient, closed forms included, is
+one `Fraction` built from integers, with no rational arithmetic on N: the
+closed forms are powers of q times a polynomial body over a power of 2.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import reference
-from .coulomb import QuantumState, _reduced_r2_term
+from .coulomb import QuantumState, _r2_term_ratio
 from .exactmath import render_decimal
 from .laguerre import Laguerre, moment3_diag
 
@@ -82,16 +90,12 @@ def _check_nl(n: int, l: int) -> None:
         raise ValueError("l must satisfy 0 <= l <= n-1")
 
 
-def _n_eff(n: int) -> Fraction:
-    return Fraction(2 * n - 1, 2)
-
-
 def eps0(n: int) -> Fraction:
     """Zeroth order: -1/(2 N^2) with N = n - 1/2."""
     if n < 1:
         raise ValueError("n must satisfy n >= 1")
-    n_eff = _n_eff(n)
-    return Fraction(-1, 2) / (n_eff * n_eff)
+    q = 2 * n - 1
+    return Fraction(-2, q * q)
 
 
 def eps1(m_l: int, m_s: Fraction | None = None) -> Fraction:
@@ -107,29 +111,29 @@ def eps1(m_l: int, m_s: Fraction | None = None) -> Fraction:
 def eps2_closed(n: int, l: int) -> Fraction:
     """Second order, closed form: N^2 (5n^2 - 5n - 3l^2 + 3) / 16."""
     _check_nl(n, l)
-    n_eff = _n_eff(n)
-    return Fraction(1, 16) * n_eff * n_eff * (5 * n * n - 5 * n - 3 * l * l + 3)
+    q = 2 * n - 1
+    return Fraction(q * q * (5 * n * n - 5 * n - 3 * l * l + 3), 64)
 
 
 def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
     _check_nl(n, l)
     n_r, alpha = n - l - 1, 2 * l
-    return _n_eff(n) * moment3_diag(Laguerre(n_r, alpha)) / (64 * math.perm(n_r + alpha, alpha))
+    m3 = moment3_diag(Laguerre(n_r, alpha)).numerator
+    return Fraction((2 * n - 1) * m3, 128 * math.perm(n_r + alpha, alpha))
 
 
 def eps2_circular(n: int) -> Fraction:
     """Second order for the node-free state l = n-1: n (n + 1/2) N^2 / 8."""
     if n < 1:
         raise ValueError("n must satisfy n >= 1")
-    n_eff = _n_eff(n)
-    return Fraction(1, 8) * n * (n + HALF) * n_eff * n_eff
+    q = 2 * n - 1
+    return Fraction(n * (2 * n + 1) * q * q, 64)
 
 
 def eps4_closed(n: int, l: int) -> Fraction:
     """Fourth order, closed form (negative for every bound state)."""
     _check_nl(n, l)
-    n_eff = _n_eff(n)
     body = (
         143 * n**4
         - 286 * n**3
@@ -141,7 +145,7 @@ def eps4_closed(n: int, l: int) -> Fraction:
         - 138 * l**2
         + 159
     )
-    return Fraction(-1, 1024) * n_eff**6 * body
+    return Fraction(-((2 * n - 1) ** 6) * body, 65536)
 
 
 def eps4_sturmian(n: int, l: int) -> Fraction:
@@ -150,29 +154,28 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
     The r^2 operator couples the level only to Sturmians with
     |n_r' - n_r| <= 3, so the formally infinite reduced sum is exact after
     seven terms; the -5/2 diagonal piece carries the pole subtraction and
-    the derivative terms of the reduced kernel.
+    the derivative terms of the reduced kernel.  The shifted terms are summed
+    as one integer fraction num/den.
     """
     _check_nl(n, l)
     n_r, alpha = n - l - 1, 2 * l
-    n_eff = _n_eff(n)
-    shifted = sum(
-        (
-            _reduced_r2_term(n_r, j, alpha) / (j - n_r)
-            for j in range(max(0, n_r - 3), n_r + 4)
-            if j != n_r
-        ),
-        Fraction(0),
-    )
-    resonant = _reduced_r2_term(n_r, n_r, alpha)
-    return -n_eff**4 / 4096 * (n_eff * shifted - Fraction(5, 2) * resonant)
+    perm_nr = math.perm(n_r + alpha, alpha)
+    num, den = 0, 1
+    for j in range(max(0, n_r - 3), n_r + 4):
+        if j != n_r:
+            t_num, t_den = _r2_term_ratio(n_r, j, alpha, perm_nr)
+            t_den *= j - n_r
+            num, den = num * t_den + t_num * den, den * t_den
+    r_num, r_den = _r2_term_ratio(n_r, n_r, alpha, perm_nr)
+    q = 2 * n - 1
+    return Fraction(-(q**4) * (q * num * r_den - 5 * r_num * den), 2**17 * den * r_den)
 
 
 def eps4_circular(n: int) -> Fraction:
     """Fourth order for l = n-1: -n (n + 1/2) N^6 (16n^2 + 26n + 11) / 512."""
     if n < 1:
         raise ValueError("n must satisfy n >= 1")
-    n_eff = _n_eff(n)
-    return Fraction(-1, 512) * n * (n + HALF) * n_eff**6 * (16 * n * n + 26 * n + 11)
+    return Fraction(-n * (2 * n + 1) * (2 * n - 1) ** 6 * (16 * n * n + 26 * n + 11), 65536)
 
 
 @dataclass(frozen=True)

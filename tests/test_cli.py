@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -40,6 +41,34 @@ class TestCoeff:
         assert [(r[n_i], r[l_i]) for r in rows[1:]] == [
             (str(n), str(l)) for n in range(1, 5) for l in range(n)
         ]
+
+    def test_sweep_output_is_pinned(self, capsys):
+        # sha256 of the stdout bytes of `zeeman2d coeff --all-up-to 40 --format csv`
+        code, out, _ = run_cli(capsys, ["coeff", "--all-up-to", "40", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8176943044468983d102c16717a8bfbb3650bbba76444f1a47ef9cb8e037fdba"
+        )
+
+    def test_closed_pipe_exits_quietly(self):
+        # a reader that stops early (`| head -3`) ends the command with exit
+        # code 1 and no traceback; the sweep is far larger than a pipe buffer
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONIOENCODING="utf-8",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zeeman2d.cli", "coeff", "--all-up-to", "40", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head[0].startswith(b"n,l,eps0,")
+        assert err == b"", err.decode(errors="replace")
 
     def test_invalid_l_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

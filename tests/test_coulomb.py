@@ -18,6 +18,7 @@ from zeeman2d.coulomb import (
 )
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
+from zeeman2d.perturb import eps4_sturmian
 
 
 class TestQuantumState:
@@ -240,12 +241,15 @@ class TestR2Element:
         assert rational_sqrt(sq) is None
 
     def test_band_not_multiple_of_perm_raises(self, monkeypatch):
-        # the reduced term divides B_j by perm(n_r+2l, 2l) and checks the
-        # remainder instead of assuming it vanishes
+        # the window term divides B_j by perm(n_r+2l, 2l) and checks the
+        # remainder instead of assuming it vanishes, on both of its paths:
+        # the single element and the integer window sum of eps4
         true_band = coulomb.moment3_band
         monkeypatch.setattr(coulomb, "moment3_band", lambda k, kp, a: true_band(k, kp, a) + 1)
         with pytest.raises(ArithmeticError, match="multiple"):
             r2_element_squared(QuantumState(3, 1, 1), 1)
+        with pytest.raises(ArithmeticError, match="multiple"):
+            eps4_sturmian(3, 1)
 
     def test_z_dependence(self):
         # each element scales as 1/Z^3... squared as 1/Z^6

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from zeeman2d import exactmath
 from zeeman2d.exactmath import (
     RationalPolynomial,
     factorize_integer,
@@ -115,8 +116,34 @@ class TestFactorizeInteger:
     @example(2 * 97**3, 97)  # the cap itself is a prime factor
     @example(97 * 101, 97)  # the cap is a factor, the residual a prime
     @example(10**12, 10**4)
+    # strong pseudoprimes at each base-set bound of the primality shortcut
+    @example(3_215_031_751, 10**6)
+    @example(3_474_749_660_383, 10**6)
+    @example(341_550_071_728_321, 10**6)
+    @example(3_825_123_056_546_413_051, 10**6)
+    @example(3_317_044_064_679_887_385_961_981, 10**6)
+    @example(561, 10**6)  # Carmichael numbers
+    @example(41041, 10**6)
+    @example(1_000_003**2, 10**6)
+    @example(999_983 * 1_000_003, 10**6)
+    @example(2**89 - 1, 10**6)  # a prime above the last bound
     def test_matches_plain_trial_division(self, v, cap):
         assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap)
+
+    def test_primality_proof_rejects_every_bound(self):
+        # each bound is a strong pseudoprime to every base of its own set, so
+        # only the next, larger set may decide it (the last one: none may)
+        for k, bound in enumerate(exactmath._SPSP_BOUNDS, 1):
+            assert all(_strong_probable_prime(bound, a) for a in exactmath._SPSP_BASES[:k])
+            assert not exactmath._is_proven_prime(bound), bound
+        for n in (561, 41041, 1_000_003**2, 999_983 * 1_000_003):
+            assert not exactmath._is_proven_prime(n), n
+
+    def test_primality_proof_accepts_primes_below_the_last_bound(self):
+        for p in (101, 1_000_003, 2**31 - 1, 2**61 - 1, 318_665_857_834_031_151_167_441,
+                  3_317_044_064_679_887_385_961_813):
+            assert exactmath._is_proven_prime(p), p
+        assert not exactmath._is_proven_prime(2**89 - 1)  # prime, but past the last bound
 
     def test_prime_table_not_built_at_import(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -126,6 +153,15 @@ class TestFactorizeInteger:
             "assert em._prime_table == (1, []), em._prime_table[0]"
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n passes the strong-probable-prime test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
 
 
 def _odd_trial_division(value: int, trial_limit: int) -> list[tuple[int, int]]:
