@@ -316,6 +316,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("coeff needs n and l (or --all-up-to N)")
         if args.all_up_to is not None and args.all_up_to < 1:
             parser.error("--all-up-to must be at least 1")
+    if args.command == "validate":
+        if args.max_n < 0:
+            parser.error("--max-n must be non-negative")
+        # the fit of (max_n, 0) tracks n_r = max_n - 1 and needs n_r + 20 functions
+        if args.max_n >= 1 and args.basis_size < args.max_n + 19:
+            parser.error(f"--basis-size must be at least {args.max_n + 19} for --max-n {args.max_n}")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -196,7 +196,7 @@ def _r2_term_ratio(n_r: int, j: int, alpha: int, perm_nr: int) -> tuple[int, int
     band = moment3_band(n_r, j, alpha)
     if band == 0:
         return 0, 1
-    s, rest = divmod(band.numerator, perm_nr)
+    s, rest = divmod(band, perm_nr)
     if rest:
         raise ArithmeticError(
             f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"

@@ -88,22 +88,23 @@ def cross_integral(gamma: int, a: Laguerre, b: Laguerre) -> Fraction:
     return -total if (a.k + b.k) % 2 else total
 
 
-def moment3_diag(spec: Laguerre) -> Fraction:
+def moment3_diag(spec: Laguerre) -> int:
     """Exact diagonal third moment: integral x^{alpha+3} e^{-x} [L_k^{(alpha)}]^2.
 
     Closed form (2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6)
-    (k+alpha)!/k!; validated against brute_force_integral in the tests.
+    (k+alpha)!/k!, an integer; validated against brute_force_integral in the
+    tests.
     """
     k, alpha = spec.k, spec.alpha
-    return Fraction(
+    return (
         (2 * k + alpha + 1)
         * (10 * k * k + 10 * k + 10 * alpha * k + alpha * alpha + 5 * alpha + 6)
         * math.perm(k + alpha, alpha)
     )
 
 
-def moment3_band(k: int, kp: int, alpha: int) -> Fraction:
-    """Exact banded third moment: integral x^{alpha+3} e^{-x} L_k L_{k'}.
+def moment3_band(k: int, kp: int, alpha: int) -> int:
+    """Exact banded third moment: integral x^{alpha+3} e^{-x} L_k L_{k'}, an integer.
 
     Couples only |k - k'| <= 3 (the selection rule behind every finite
     window downstream).  The closed form is stated for k' >= k; symmetry of
@@ -118,17 +119,17 @@ def moment3_band(k: int, kp: int, alpha: int) -> Fraction:
     lo, hi = (k, kp) if k <= kp else (kp, k)
     d = hi - lo
     if d > 3:
-        return Fraction(0)
+        return 0
     a = alpha
     if d == 0:
         return moment3_diag(Laguerre(lo, a))
     # (lo + a + d)!/lo! as the integer perm(lo + a + d, a + d)
     if d == 1:
         body = 5 * lo * lo + 10 * lo + 5 * a * lo + a * a + 5 * a + 6
-        return Fraction(-3 * body * math.perm(lo + a + 1, a + 1))
+        return -3 * body * math.perm(lo + a + 1, a + 1)
     if d == 2:
-        return Fraction(3 * (2 * lo + a + 3) * math.perm(lo + a + 2, a + 2))
-    return Fraction(-math.perm(lo + a + 3, a + 3))
+        return 3 * (2 * lo + a + 3) * math.perm(lo + a + 2, a + 2)
+    return -math.perm(lo + a + 3, a + 3)
 
 
 def brute_force_integral(gamma: int, a: Laguerre, b: Laguerre) -> Fraction:

@@ -11,11 +11,13 @@ matrix element becomes an exact rational:
 
 in the unnormalized basis, where W_j is the (diagonal, rational) weighted
 norm, O is the tridiagonal plain overlap and R the seven-banded r^2 moment.
-`_exact_pieces` assembles these bands in closed form, O(m) entries in all.
-Floating point enters once per fit, when `_round_bands` divides basis
-function j by sqrt(W_j) and rounds the bands; that diagonal congruence keeps
-the overlap well conditioned and leaves the generalized eigenvalues
-unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at each field.
+`_exact_pieces` assembles these bands in closed form, O(m) entries in all,
+as integer numerators over one denominator per band.  Floating point enters
+once per fit, when `_round_bands` rounds each entry by one correctly rounded
+integer division and divides basis function j by sqrt(W_j); that diagonal
+congruence keeps the overlap well conditioned and leaves the generalized
+eigenvalues unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at
+each field.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
@@ -169,51 +171,75 @@ class GalerkinConfig:
 
 
 @dataclass(frozen=True)
+class ExactBand:
+    """The diagonals of one exact band as integer numerators over one denominator.
+
+    ``diagonals[d][i]`` is the entry (i, i+d) times ``denominator`` (> 0).
+    """
+
+    diagonals: tuple[tuple[int, ...], ...]
+    denominator: int
+
+    def rounded(self) -> list[np.ndarray]:
+        """Each diagonal correctly rounded to doubles: one integer division per entry."""
+        return [np.array([num / self.denominator for num in diagonal]) for diagonal in self.diagonals]
+
+
+@dataclass(frozen=True)
 class ExactBands:
     """Exact bands of the unnormalized Galerkin problem.
 
-    ``overlap[d][i]`` is O_{i,i+d} (d = 0, 1) and ``r2[d][i]`` is R_{i,i+d}
-    (d = 0..3); H0 = D + E* O has the diagonal ``h0_diag`` and the
-    off-diagonal E* ``overlap[1]``.
+    ``weighted_norm`` holds the diagonal W, ``h0`` the diagonal and first
+    off-diagonal of H0 = D + E* O, ``overlap`` the two diagonals of O and
+    ``r2`` the four diagonals of R.
     """
 
-    weighted_norm: tuple[Fraction, ...]
-    h0_diag: tuple[Fraction, ...]
-    overlap: tuple[tuple[Fraction, ...], ...]
-    r2: tuple[tuple[Fraction, ...], ...]
+    weighted_norm: ExactBand
+    h0: ExactBand
+    overlap: ExactBand
+    r2: ExactBand
 
 
 @lru_cache(maxsize=32)
 def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> ExactBands:
-    """Field-independent exact bands in closed form.
+    """Field-independent exact bands in closed form, on integers.
 
-    With alpha = 2l and the running ratio q_i = (i+alpha)!/i! (q_0 = alpha!):
-    W_i = Z q_i, O_ii = (2i+alpha+1) q_i/(2k), O_i,i+1 = -(i+alpha+1) q_i/(2k),
-    H0_ii = (mu_i - 1) W_i + E* O_ii with mu_i = (i+l+1/2) k/Z, and
-    R_i,i+d = moment3_band(i, i+d, alpha)/(2k)^3, where k = sqrt(-2 E*).
+    With alpha = 2l, the running ratio q_i = (i+alpha)!/i! (q_0 = alpha!),
+    a_i = 2i+alpha+1, k = sqrt(-2 E*) = p/s and Z = z/zeta in lowest terms:
+    W_i = z q_i/zeta, O_ii = a_i q_i s/(2p), O_i,i+1 = -(i+alpha+1) q_i s/(2p),
+    H0_ii = (mu_i - 1) W_i + E* O_ii = q_i (a_i p zeta - 4 s z)/(4 s zeta) with
+    mu_i = a_i k/(2Z), H0_i,i+1 = E* O_i,i+1 = p (i+alpha+1) q_i/(4s), and
+    R_i,i+d = s^3 moment3_band(i, i+d, alpha)/(8 p^3).
     """
     k = rational_sqrt(-2 * reference)
     if k is None:
         raise ValueError("exact assembly needs a rational Sturmian scale sqrt(-2 E*)")
+    p, s = k.numerator, k.denominator
+    z, zeta = Z.numerator, Z.denominator
     alpha = 2 * l
-    inv_2k = 1 / (2 * k)
+    p_zeta, four_s_z = p * zeta, 4 * s * z
     q = math.factorial(alpha)
-    weighted_norm, h0_diag, o_diag, o_off = [], [], [], []
+    weighted_norm, h0_diag, h0_off, o_diag, o_off = [], [], [], [], []
     for i in range(basis_size):
-        w = Z * q
-        o = (2 * i + alpha + 1) * q * inv_2k
-        mu = Fraction(2 * (i + l) + 1, 2) * k / Z
-        weighted_norm.append(w)
-        h0_diag.append((mu - 1) * w + reference * o)
-        o_diag.append(o)
-        o_off.append(-(i + alpha + 1) * q * inv_2k)
-        q = q * (i + alpha + 1) // (i + 1)
-    inv_2k3 = inv_2k**3
+        a = 2 * i + alpha + 1
+        up = (i + alpha + 1) * q
+        weighted_norm.append(z * q)
+        h0_diag.append(q * (a * p_zeta - four_s_z))
+        h0_off.append(p_zeta * up)
+        o_diag.append(a * q * s)
+        o_off.append(-up * s)
+        q = up // (i + 1)
+    s3 = s**3
     r2 = tuple(
-        tuple(inv_2k3 * moment3_band(i, i + d, alpha) for i in range(basis_size - d))
+        tuple(s3 * moment3_band(i, i + d, alpha) for i in range(basis_size - d))
         for d in range(HALF_BANDWIDTH + 1)
     )
-    return ExactBands(tuple(weighted_norm), tuple(h0_diag), (tuple(o_diag), tuple(o_off[:-1])), r2)
+    return ExactBands(
+        weighted_norm=ExactBand((tuple(weighted_norm),), zeta),
+        h0=ExactBand((tuple(h0_diag), tuple(h0_off[:-1])), 4 * s * zeta),
+        overlap=ExactBand((tuple(o_diag), tuple(o_off[:-1])), 2 * p),
+        r2=ExactBand(r2, 8 * p**3),
+    )
 
 
 @dataclass(frozen=True)
@@ -237,23 +263,30 @@ class FloatBands:
 
 
 def _round_bands(cfg: GalerkinConfig) -> FloatBands:
-    """Round the exact bands once, dividing basis function j by sqrt(W_j)."""
+    """Round the exact bands once, dividing basis function j by sqrt(W_j).
+
+    Raises ValueError when an entry or W_j is too large for a double.
+    """
     exact = _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
     m = cfg.basis_size
-    scale = 1 / np.sqrt(np.array(exact.weighted_norm, dtype=float))
+    try:
+        weighted_norm, h0, r2, overlap = [
+            band.rounded() for band in (exact.weighted_norm, exact.h0, exact.r2, exact.overlap)
+        ]
+    except OverflowError:
+        raise ValueError(
+            f"the Galerkin bands at l = {cfg.l}, Z = {cfg.Z}, basis_size = {m} "
+            "have entries too large for a double"
+        ) from None
+    scale = 1 / np.sqrt(weighted_norm[0])
 
-    def upper(diagonals) -> np.ndarray:
+    def upper(diagonals: list[np.ndarray]) -> np.ndarray:
         band = np.zeros((HALF_BANDWIDTH + 1, m))
         for d, values in enumerate(diagonals):
-            band[HALF_BANDWIDTH - d, d:] = np.array(values, dtype=float) * scale[: m - d] * scale[d:]
+            band[HALF_BANDWIDTH - d, d:] = values * scale[: m - d] * scale[d:]
         return band
 
-    e_star = cfg.resolved_reference
-    return FloatBands(
-        h0=upper((exact.h0_diag, [e_star * o for o in exact.overlap[1]])),
-        r2=upper(exact.r2),
-        overlap=upper(exact.overlap),
-    )
+    return FloatBands(h0=upper(h0), r2=upper(r2), overlap=upper(overlap))
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -119,7 +119,7 @@ def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
     _check_nl(n, l)
     n_r, alpha = n - l - 1, 2 * l
-    m3 = moment3_diag(Laguerre(n_r, alpha)).numerator
+    m3 = moment3_diag(Laguerre(n_r, alpha))
     return Fraction((2 * n - 1) * m3, 128 * math.perm(n_r + alpha, alpha))
 
 

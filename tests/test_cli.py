@@ -197,6 +197,28 @@ class TestValidate:
         assert "[PASS] odd-power suppression (1,0)" in out
         assert "REJECTED" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-n", "-2"],
+            ["--max-n", "1", "--basis-size", "10"],
+            ["--max-n", "1", "--basis-size", "19"],
+            ["--max-n", "4", "--basis-size", "22"],
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_check(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert "--max-n" in out.err or "--basis-size" in out.err
+
+    def test_smallest_basis_size_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, ["validate", "--max-n", "1", "--basis-size", "20"])
+        assert code == 0
+        assert "[PASS] oracle quadratic coefficient (1,0)" in out
+
     def test_mutated_table_fails(self, capsys, monkeypatch):
         # perturbing a single published entry must flip the exit code
         mutated = dict(reference.TABLE_EPS2)

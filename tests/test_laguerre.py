@@ -110,6 +110,10 @@ class TestThirdMomentDiagonal:
         assert moment3_diag(Laguerre(0, 1)) == 24         # int x^4 e^-x dx
         assert moment3_diag(Laguerre(1, 0)) == 78
 
+    def test_returns_int(self):
+        # the closed form is an integer times (k+alpha)!/k!, returned as int
+        assert all(type(moment3_diag(Laguerre(k, alpha))) is int for k in range(6) for alpha in range(6))
+
     def test_three_routes_agree(self):
         for alpha in range(0, 9):
             for k in range(0, 11):
@@ -139,6 +143,12 @@ class TestThirdMomentBand:
         # first-neighbour branch at (k=2, k'=1, alpha=2):
         # -3(5k^2+5alpha k+alpha^2+1) Gamma(k+alpha+1)/(k-1)! = -3*45*24/1
         assert moment3_band(2, 1, 2) == -3240
+
+    def test_returns_int(self):
+        # every branch, the zero outside the band included
+        for d in range(6):
+            assert type(moment3_band(4, 4 + d, 3)) is int
+            assert type(moment3_band(4 + d, 4, 3)) is int
 
     def test_symmetry(self):
         for alpha in range(0, 9):

@@ -33,6 +33,11 @@ def exact_pieces(cfg):
     return _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
 
 
+def entry(band, d, i):
+    """Entry (i, i+d) of an exact band as a Fraction."""
+    return Fraction(band.diagonals[d][i], band.denominator)
+
+
 def dense(band):
     """Symmetric dense matrix from upper band storage (row 3 - d holds diagonal d)."""
     u = band.shape[0] - 1
@@ -42,13 +47,45 @@ def dense(band):
     return out
 
 
-def exact_entry(bands, e_star, b, i, j):
+def exact_entry(bands, b, i, j):
     """(H_ij, O_ij) rebuilt exactly from the band arrays; zero outside the band."""
     lo, d = min(i, j), abs(i - j)
-    o_ij = bands.overlap[d][lo] if d < 2 else Fraction(0)
-    h_ij = b * b / 8 * bands.r2[d][lo] if d < 4 else Fraction(0)
-    h_ij += bands.h0_diag[i] if d == 0 else e_star * o_ij
+    o_ij = entry(bands.overlap, d, lo) if d < 2 else Fraction(0)
+    h_ij = b * b / 8 * entry(bands.r2, d, lo) if d < 4 else Fraction(0)
+    h_ij += entry(bands.h0, d, lo) if d < 2 else Fraction(0)
     return h_ij, o_ij
+
+
+def fraction_bands(cfg):
+    """(H0, R, O) in upper band storage, assembled entry by entry as Fractions and rounded.
+
+    An independent transcription of the closed forms: each entry is built as
+    its own Fraction, converted with float(), and scaled by 1/sqrt(W_j).
+    """
+    l, Z, m = cfg.l, cfg.Z, cfg.basis_size
+    k, e_star, alpha = cfg.scale, cfg.resolved_reference, 2 * cfg.l
+    inv_2k = 1 / (2 * k)
+    q = math.factorial(alpha)
+    w, h0_diag, o_diag, o_off = [], [], [], []
+    for i in range(m):
+        o = (2 * i + alpha + 1) * q * inv_2k
+        mu = Fraction(2 * (i + l) + 1, 2) * k / Z
+        w.append(Z * q)
+        h0_diag.append((mu - 1) * Z * q + e_star * o)
+        o_diag.append(o)
+        o_off.append(-(i + alpha + 1) * q * inv_2k)
+        q = q * (i + alpha + 1) // (i + 1)
+    o_off.pop()
+    r2 = [[inv_2k**3 * moment3_band(i, i + d, alpha) for i in range(m - d)] for d in range(4)]
+    scale = 1 / np.sqrt(np.array([float(x) for x in w]))
+
+    def upper(diagonals):
+        band = np.zeros((4, m))
+        for d, values in enumerate(diagonals):
+            band[3 - d, d:] = np.array([float(x) for x in values]) * scale[: m - d] * scale[d:]
+        return band
+
+    return upper([h0_diag, [e_star * o for o in o_off]]), upper(r2), upper([o_diag, o_off])
 
 
 class TestGalerkinConfig:
@@ -78,9 +115,10 @@ class TestExactMatrices:
         cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
         bands = exact_pieces(cfg)
         m = cfg.basis_size
-        assert [len(d) for d in bands.overlap] == [m, m - 1]
-        assert [len(d) for d in bands.r2] == [m, m - 1, m - 2, m - 3]
-        assert len(bands.h0_diag) == len(bands.weighted_norm) == m
+        assert [len(d) for d in bands.overlap.diagonals] == [m, m - 1]
+        assert [len(d) for d in bands.h0.diagonals] == [m, m - 1]
+        assert [len(d) for d in bands.r2.diagonals] == [m, m - 1, m - 2, m - 3]
+        assert [len(d) for d in bands.weighted_norm.diagonals] == [m]
         for i in range(12):
             for j in range(i + 2, 12):
                 assert brute_force_integral(1, Laguerre(i, 0), Laguerre(j, 0)) == 0
@@ -95,10 +133,10 @@ class TestExactMatrices:
         inv_2k = 1 / (2 * cfg.scale)
         for i in range(cfg.basis_size - 1):
             swapped = cross_integral(3, Laguerre(i + 1, 2), Laguerre(i, 2))
-            assert bands.overlap[1][i] == inv_2k * swapped
+            assert entry(bands.overlap, 1, i) == inv_2k * swapped
         for d in range(4):
             for i in range(cfg.basis_size - d):
-                assert bands.r2[d][i] == inv_2k**3 * moment3_band(i + d, i, 2)
+                assert entry(bands.r2, d, i) == inv_2k**3 * moment3_band(i + d, i, 2)
 
     def test_entries_against_brute_force(self):
         # every entry rebuilt from scratch: in the unnormalized basis
@@ -114,9 +152,9 @@ class TestExactMatrices:
         two_l = 2 * l
         for i in range(12):
             w_i = Z * Fraction(math.factorial(i + two_l), math.factorial(i))
-            assert bands.weighted_norm[i] == w_i
+            assert entry(bands.weighted_norm, 0, i) == w_i
             for j in range(12):
-                H_ij, O_ij = exact_entry(bands, e_star, b, i, j)
+                H_ij, O_ij = exact_entry(bands, b, i, j)
                 o_ij = Fraction(1, 2 * k) * brute_force_integral(
                     two_l + 1, Laguerre(i, two_l), Laguerre(j, two_l)
                 )
@@ -138,8 +176,39 @@ class TestExactMatrices:
         bands = _exact_pieces(l, Fraction(1), 41, Fraction(-1, 2))
         for i in range(40):
             spec = Laguerre(i, alpha)
-            assert 2 * bands.overlap[0][i] == cross_integral(alpha + 1, spec, spec)
-            assert 2 * bands.overlap[1][i] == cross_integral(alpha + 1, spec, Laguerre(i + 1, alpha))
+            assert 2 * entry(bands.overlap, 0, i) == cross_integral(alpha + 1, spec, spec)
+            assert 2 * entry(bands.overlap, 1, i) == cross_integral(alpha + 1, spec, Laguerre(i + 1, alpha))
+
+    @pytest.mark.parametrize("m", [40, 240])
+    @pytest.mark.parametrize("reference", [None, Fraction(-9, 32)])
+    @pytest.mark.parametrize("Z", [Fraction(1), Fraction(2), Fraction(3, 2)])
+    @pytest.mark.parametrize("l", [0, 1, 3, 10])
+    def test_rounding_matches_per_entry_fractions(self, l, Z, reference, m):
+        # one correctly rounded integer division per entry gives the same
+        # double as float() of the entry's own Fraction, bit for bit
+        cfg = GalerkinConfig(l=l, Z=Z, basis_size=m, reference_energy=reference)
+        bands = _round_bands(cfg)
+        h0, r2, overlap = fraction_bands(cfg)
+        assert np.array_equal(bands.h0, h0)
+        assert np.array_equal(bands.r2, r2)
+        assert np.array_equal(bands.overlap, overlap)
+
+    def test_denominators_positive(self):
+        cfg = GalerkinConfig(l=2, Z=Fraction(3, 2), basis_size=BASIS_SMALL, reference_energy=Fraction(-9, 32))
+        bands = exact_pieces(cfg)
+        for band in (bands.weighted_norm, bands.h0, bands.overlap, bands.r2):
+            assert type(band.denominator) is int and band.denominator > 0
+            assert all(type(x) is int for diagonal in band.diagonals for x in diagonal)
+
+    def test_double_range_edge(self):
+        # W_j and the band entries grow like (j+2l)!/j!; at basis size 120
+        # l = 65 still rounds to finite doubles and l = 66 does not
+        finite = _round_bands(GalerkinConfig(l=65))
+        assert all(np.isfinite(a).all() for a in (finite.h0, finite.r2, finite.overlap))
+        with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
+            _round_bands(GalerkinConfig(l=66))
+        with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
+            fit_field_series(QuantumState(67, 66, 66))
 
     def test_float_matrices_are_symmetric_and_normalized(self):
         cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
