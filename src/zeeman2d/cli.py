@@ -7,10 +7,11 @@ Subcommands:
 * ``table``    the published n <= 4 coefficient table, byte-stable markdown;
 * ``validate`` the full cross-validation suite with a process exit code.
 
-``validate`` fits every state up to ``--max-n`` on the oracle's own default
-field grid, so the CLI and the library check the same numbers.  The oracle
-(and with it numpy and scipy) is imported only when a fit runs: ``coeff``,
-``energy``, ``table`` and ``validate --max-n 0`` stay on the exact layers.
+``validate`` fits every state up to ``--max-n`` through the oracle's one
+entry point, ``fit_field_series``, on its one field grid, so the CLI and the
+library check the same numbers.  The oracle (and with it numpy and scipy) is
+imported only when a fit runs: ``coeff``, ``energy``, ``table`` and
+``validate --max-n 0`` stay on the exact layers.
 
 Exit codes: 0 success, 1 validation failure or a reader that closed stdout
 early (as ``| head`` does), 2 usage error.  All rationals
@@ -42,7 +43,7 @@ from .perturb import (
 )
 
 SECOND_ORDER_REL_TOL = 1e-6
-ODD_POWER_TOL = 1e-10
+QUARTIC_SIGMAS = 3  # the ground-state c4 error may reach this many reported uncertainties
 DUAL_ROUTE_MAX_N = 12
 
 
@@ -228,14 +229,12 @@ def cmd_validate(args) -> int:
                 err_exact < gap < err_lit,
                 f"fitted {c4:.9g}; |err vs exact| {err_exact:.2e} < half-gap {gap:.2e} < |err vs literature| {err_lit:.2e}",
             )
-            parity = oracle.fit_field_series(
-                QuantumState(1, 0, 0), basis_size=args.basis_size, odd_powers=True
-            )
-            c1, c3 = abs(parity.coefficients[1]), abs(parity.coefficients[3])
+            sigma = ground_fit.coefficient_uncertainty(4)
             record(
-                "odd-power suppression (1,0)",
-                c1 < ODD_POWER_TOL and c3 < ODD_POWER_TOL,
-                f"|c1| = {c1:.2e}, |c3| = {c3:.2e} (tol {ODD_POWER_TOL:.0e})",
+                "oracle quartic uncertainty (1,0)",
+                err_exact <= QUARTIC_SIGMAS * sigma,
+                f"|err vs exact| {err_exact:.2e} = {err_exact / sigma:.2f} x uncertainty {sigma:.2e} "
+                f"(limit {QUARTIC_SIGMAS})",
             )
 
     report = disputed_value_report(
@@ -262,9 +261,10 @@ def cmd_validate(args) -> int:
     return 0 if all_passed else 1
 
 
-def _add_format_args(parser: argparse.ArgumentParser) -> None:
+def _add_format_args(parser: argparse.ArgumentParser, decimals: bool = True) -> None:
     parser.add_argument("--format", choices=["markdown", "csv", "json"], default="markdown")
-    parser.add_argument("--digits", type=int, default=12, help="significant digits for decimals")
+    if decimals:
+        parser.add_argument("--digits", type=int, default=12, help="significant digits for decimals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.set_defaults(func=cmd_energy)
 
     p_table = sub.add_parser("table", help="published n <= 4 coefficient table")
-    _add_format_args(p_table)
+    _add_format_args(p_table, decimals=False)
     p_table.set_defaults(func=cmd_table)
 
     p_val = sub.add_parser("validate", help="run the cross-validation suite")

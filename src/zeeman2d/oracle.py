@@ -32,9 +32,10 @@ of that complement is the leading block of (H - sigma O)^-1, so its
 eigenvalues lie no closer to zero than the spectrum of H - sigma O: the
 certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 
-`fit_field_series` walks a small field grid this way and fits an even
-polynomial in b to recover the quadratic and quartic coefficients with
-conditioning diagnostics.
+`fit_field_series` is the one way in: it walks the one field grid,
+`default_field_grid` (nine fields from 0 to b_max = Z^2 / (20 (2n-1)^2)),
+this way and fits an even polynomial in b to recover the quadratic and
+quartic coefficients with conditioning and noise diagnostics.
 """
 
 from __future__ import annotations
@@ -54,19 +55,15 @@ from .perturb import assemble_energy
 
 __all__ = [
     "GalerkinConfig",
-    "GalerkinResult",
     "FieldFitResult",
     "ConvergenceError",
     "LevelCrossingError",
-    "IllConditionedFitError",
     "DEFAULT_BASIS_SIZE",
-    "galerkin_levels",
     "fit_field_series",
     "default_field_grid",
 ]
 
 DEFAULT_BASIS_SIZE = 120
-CONDITION_LIMIT = 1e10
 HALF_BANDWIDTH = 3  # R couples |i - j| <= 3; O only |i - j| <= 1
 MAX_ITERATIONS = 20
 MAX_HALVINGS = 12  # of a field step that fails to converge or certify
@@ -106,34 +103,26 @@ class LevelCrossingError(RuntimeError):
         )
 
 
-class IllConditionedFitError(RuntimeError):
-    """Field-series fit rejected; carries the condition estimate."""
-
-    def __init__(self, condition: float):
-        self.condition = condition
-        super().__init__(f"field-series design matrix condition {condition:.3g} exceeds {CONDITION_LIMIT:.0e}")
-
-
 @dataclass(frozen=True)
 class GalerkinConfig:
-    """One variational diagonalization: channel, field, basis anchor.
+    """The Galerkin problem of one radial channel: charge, basis, anchor, level.
 
-    ``reference_energy`` defaults to the unperturbed energy of the tracked
-    level (n = target_n_r + l + 1), the one anchor at which the tracked
-    eigenvalue is exact at b = 0.  It must have a rational Sturmian scale
-    sqrt(-2 E*), otherwise exact matrix assembly is impossible.
+    It holds no field: the fit forms H(b) = H0 + (b^2/8) R from the rounded
+    bands at each field of its grid.  ``reference_energy`` defaults to the
+    unperturbed energy of the tracked level (n = target_n_r + l + 1), the
+    one anchor at which the tracked eigenvalue is exact at b = 0.  It must
+    have a rational Sturmian scale sqrt(-2 E*), otherwise exact matrix
+    assembly is impossible.
     """
 
     l: int
     Z: Fraction = Fraction(1)
-    b: Fraction = Fraction(0)
     basis_size: int = DEFAULT_BASIS_SIZE
     reference_energy: Fraction | None = None
     target_n_r: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Z", Fraction(self.Z))
-        object.__setattr__(self, "b", Fraction(self.b))
         if self.l < 0:
             raise ValueError("l must be non-negative")
         if self.Z <= 0:
@@ -257,9 +246,6 @@ class FloatBands:
 
     def hamiltonian(self, b: Fraction) -> np.ndarray:
         return self.h0 + float(b * b / 8) * self.r2
-
-    def leading(self, m: int) -> "FloatBands":
-        return FloatBands(self.h0[:, :m], self.r2[:, :m], self.overlap[:, :m])
 
 
 def _round_bands(cfg: GalerkinConfig) -> FloatBands:
@@ -429,49 +415,18 @@ def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) 
     return tracked
 
 
-@dataclass(frozen=True)
-class GalerkinResult:
-    """The tracked level of one finite-field problem plus diagnostics."""
+def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[Fraction]:
+    """Nine evenly spaced fields 0 .. b_max with b_max = Z^2 / (20 (2n-1)^2).
 
-    config: GalerkinConfig
-    tracked_energy: float
-    diagnostics: dict
-
-
-def galerkin_levels(cfg: GalerkinConfig, convergence_check: bool = False) -> GalerkinResult:
-    """The certified (target_n_r+1)-th lowest eigenvalue at field cfg.b.
-
-    The level is tracked from b = 0 to cfg.b in one step, halved as often as
-    convergence and the inertia certificate need.  At b = 0 with the
-    default anchor the tracked eigenvalue is an exact eigenpair of the
-    truncated problem, so it reproduces the unperturbed level to rounding
-    error regardless of basis size.
+    E(Z, b) = Z^2 E(1, b / Z^2), so scaling b_max by Z^2 puts every charge
+    on the same grid in reduced units.  At this extent eps2 b^2 / |eps0 Z^4|
+    does not depend on n, so the quadratic signal stands equally far above
+    the eigensolver noise for every level, and the quartic term is resolved
+    too.  The grid stays well inside the perturbative window
+    |eps4 b^4| < |eps2 b^2|: at b_max the ratio is 1.3e-4 for n = 1 and
+    grows like n^2, to below 1e-2 at n = 12.
     """
-    bands = _round_bands(cfg)
-    fields = [Fraction(0), abs(cfg.b)] if cfg.b else [Fraction(0)]
-    seed = float(cfg.unperturbed_energy)
-    energy, residual = _track(bands, fields, cfg.target_n_r, seed)[-1]
-    overlap_eigenvalues = scipy.linalg.eigvals_banded(bands.overlap[HALF_BANDWIDTH - 1 :])
-    diagnostics = {
-        "overlap_condition": float(overlap_eigenvalues[-1] / overlap_eigenvalues[0]),
-        "tracked_residual": residual,
-    }
-    if convergence_check:
-        smaller = bands.leading(max(cfg.target_n_r + 20, cfg.basis_size - 20))
-        diagnostics["convergence_delta"] = abs(energy - _track(smaller, fields, cfg.target_n_r, seed)[-1][0])
-    return GalerkinResult(config=cfg, tracked_energy=energy, diagnostics=diagnostics)
-
-
-def default_field_grid(state: QuantumState) -> list[Fraction]:
-    """Nine evenly spaced fields 0 .. b_max with b_max = 1 / (20 (2n-1)^2).
-
-    At this extent eps2 b^2 / |eps0| does not depend on n, so the quadratic
-    signal stands equally far above the eigensolver noise for every level,
-    and the quartic term is resolved too.  The grid stays well inside the
-    perturbative window |eps4 b^4| < |eps2 b^2|: at b_max the ratio is
-    1.3e-4 for n = 1 and grows like n^2, to below 1e-2 at n = 12.
-    """
-    b_max = Fraction(1, 20 * (2 * state.n - 1) ** 2)
+    b_max = Fraction(Z) ** 2 / (20 * (2 * state.n - 1) ** 2)
     return [b_max * i / 8 for i in range(9)]
 
 
@@ -521,51 +476,35 @@ class FieldFitResult:
 def fit_field_series(
     state: QuantumState,
     Z: Fraction = Fraction(1),
-    field_grid: list[Fraction] | None = None,
     basis_size: int = DEFAULT_BASIS_SIZE,
-    odd_powers: bool = False,
 ) -> FieldFitResult:
-    """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on a small-field grid.
+    """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on ``default_field_grid(state, Z)``.
 
-    The grid must contain b = 0 and stay inside the perturbative window;
-    the default grid obeys both.  ``odd_powers`` adds b and b^3 columns and
-    mirrors the grid to negative fields, a structural parity diagnostic:
-    the Hamiltonian depends on b only through b^2, so the observable curve
-    is even and the odd coefficients must vanish to rounding error.
-
-    c6 is always included as an absorber for the first neglected order, so
-    the window choice does not bias c4.
+    The level is tracked outward from b = 0, where it is exact.  c6 is
+    always included as an absorber for the first neglected order, so the
+    window choice does not bias c4.  On this grid the column-scaled design
+    is (i/8)^p for every state and charge, so ``conditioning`` is the same
+    for every fit.  Raises ValueError, before any assembly, when b_max lies
+    outside the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows
+    with b, so the other fields then lie inside it too.
     """
     Z = Fraction(Z)
-    grid = field_grid if field_grid is not None else default_field_grid(state)
-    grid = [Fraction(b) for b in grid]
-    if odd_powers:
-        grid = sorted(set(grid) | {-b for b in grid})
-    if len(grid) < 5:
-        raise ValueError("field grid needs at least five points")
-    if Fraction(0) not in grid:
-        raise ValueError("field grid must contain b = 0")
-    for b in grid:
-        if b and assemble_energy(state, Z, abs(b)).regime_warning:
-            raise ValueError(f"grid point b = {b} lies outside the perturbative window")
-    # The matrices depend on b^2 alone, so each distinct |b| is solved once,
-    # walking outward from zero.
-    magnitudes = sorted({abs(b) for b in grid})
+    grid = default_field_grid(state, Z)
+    if assemble_energy(state, Z, grid[-1]).regime_warning:
+        raise ValueError(
+            f"b_max = {grid[-1]} of the n = {state.n} field grid lies outside the perturbative window"
+        )
     cfg = GalerkinConfig(l=state.l, Z=Z, basis_size=basis_size, target_n_r=state.n_r)
-    tracked = _track(_round_bands(cfg), magnitudes, state.n_r, float(cfg.unperturbed_energy))
-    energy_of = {mag: energy for mag, (energy, _) in zip(magnitudes, tracked)}
-    fields = tuple(grid)
-    energies = tuple(energy_of[abs(b)] for b in grid)
-    powers = tuple(sorted({0, 2, 4, 6} | ({1, 3} if odd_powers else set())))
+    tracked = _track(_round_bands(cfg), grid, state.n_r, float(cfg.unperturbed_energy))
+    energies = tuple(energy for energy, _ in tracked)
+    powers = (0, 2, 4, 6)
     bf = np.array([float(b) for b in grid])
     target = np.array(energies)
-    offset = energy_of[Fraction(0)]
+    offset = energies[0]
     design = np.column_stack([bf**p for p in powers])
-    scales = np.array([max(np.max(np.abs(col)), np.finfo(float).tiny) for col in design.T])
-    coef_scaled, res_sum, rank, sv = np.linalg.lstsq(design / scales, target - offset, rcond=None)
-    conditioning = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if rank < len(powers) or conditioning > CONDITION_LIMIT:
-        raise IllConditionedFitError(conditioning)
+    scales = design[-1]  # the largest field holds each column's largest entry
+    coef_scaled, res_sum, _, sv = np.linalg.lstsq(design / scales, target - offset, rcond=None)
+    conditioning = float(sv[0] / sv[-1])
     coef = coef_scaled / scales
     coefficients = {p: float(c) for p, c in zip(powers, coef)}
     coefficients[0] += offset
@@ -573,17 +512,13 @@ def fit_field_series(
     amplification = {
         p: float(np.linalg.norm(pinv[i]) / scales[i]) for i, p in enumerate(powers)
     }
-    rms = (
-        math.sqrt(float(res_sum[0]) / len(grid))
-        if getattr(res_sum, "size", 0) > 0
-        else 0.0
-    )
+    rms = math.sqrt(float(res_sum[0]) / len(grid))
     noise_floor = max(1e-15 * float(np.max(np.abs(target))), rms)
     return FieldFitResult(
         state=state,
         Z=Z,
         basis_size=basis_size,
-        fields=fields,
+        fields=tuple(grid),
         energies=energies,
         powers=powers,
         coefficients=coefficients,

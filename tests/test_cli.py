@@ -165,6 +165,13 @@ class TestTable:
         assert "-3061109331/65536 | -3^2×7^8×59/2^16" in out
         assert "| 2 | 0 | 117/64 | 3^2×13/2^6 |" in out
 
+    def test_no_digits_option(self, capsys):
+        # the table prints exact rationals only, so it takes no --digits
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--digits", "5"])
+        assert err.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
     def test_every_rational_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, ["table", "--format", "csv"])
         rows = list(csv.reader(io.StringIO(out)))
@@ -194,7 +201,7 @@ class TestValidate:
         assert code == 0
         assert "[PASS] oracle quadratic coefficient (1,0)" in out
         assert "[PASS] oracle quartic coefficient (1,0)" in out
-        assert "[PASS] odd-power suppression (1,0)" in out
+        assert "[PASS] oracle quartic uncertainty (1,0)" in out
         assert "REJECTED" in out
 
     @pytest.mark.parametrize(

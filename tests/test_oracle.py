@@ -1,19 +1,21 @@
 """Tests for the variational Galerkin oracle and the field-series fit."""
 
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import zeeman2d
 from zeeman2d import oracle
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
 from zeeman2d.oracle import (
     ConvergenceError,
     GalerkinConfig,
-    IllConditionedFitError,
     LevelCrossingError,
     _certify,
     _exact_pieces,
@@ -22,11 +24,16 @@ from zeeman2d.oracle import (
     _track,
     default_field_grid,
     fit_field_series,
-    galerkin_levels,
 )
-from zeeman2d.perturb import eps2_closed, eps4_closed
+from zeeman2d.perturb import assemble_energy, eps2_closed, eps4_closed
 
 BASIS_SMALL = 40
+
+
+def tracked(cfg, b=Fraction(0)):
+    """(energy, residual) of cfg's level at field b, tracked from b = 0 in one step."""
+    fields = [Fraction(0), Fraction(b)]
+    return _track(_round_bands(cfg), fields, cfg.target_n_r, float(cfg.unperturbed_energy))[-1]
 
 
 def exact_pieces(cfg):
@@ -112,7 +119,7 @@ class TestExactMatrices:
     def test_band_structure(self):
         # O is stored as two diagonals and R as four; brute force confirms
         # that every entry outside those bands vanishes
-        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
+        cfg = GalerkinConfig(l=0, basis_size=BASIS_SMALL)
         bands = exact_pieces(cfg)
         m = cfg.basis_size
         assert [len(d) for d in bands.overlap.diagonals] == [m, m - 1]
@@ -128,7 +135,7 @@ class TestExactMatrices:
     def test_symmetry_exact(self):
         # the bands hold one triangle; the omitted one, computed with the
         # Laguerre indices swapped, is identical
-        cfg = GalerkinConfig(l=1, b=Fraction(1, 50), basis_size=BASIS_SMALL)
+        cfg = GalerkinConfig(l=1, basis_size=BASIS_SMALL)
         bands = exact_pieces(cfg)
         inv_2k = 1 / (2 * cfg.scale)
         for i in range(cfg.basis_size - 1):
@@ -145,7 +152,7 @@ class TestExactMatrices:
         #   W_j  = Z (j+2l)!/j!          (weighted norm, the mu-term metric)
         #   H_ij = (mu_i - 1) W_i delta_ij + E* O_ij + (b^2/8)(1/2k)^3 M3_ij
         l, Z, b = 1, Fraction(2), Fraction(1, 10)
-        cfg = GalerkinConfig(l=l, Z=Z, b=b, target_n_r=0, basis_size=25)
+        cfg = GalerkinConfig(l=l, Z=Z, target_n_r=0, basis_size=25)
         bands = exact_pieces(cfg)
         k = cfg.scale
         e_star = cfg.resolved_reference
@@ -211,9 +218,9 @@ class TestExactMatrices:
             fit_field_series(QuantumState(67, 66, 66))
 
     def test_float_matrices_are_symmetric_and_normalized(self):
-        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=BASIS_SMALL)
+        cfg = GalerkinConfig(l=0, basis_size=BASIS_SMALL)
         bands = _round_bands(cfg)
-        H, O = dense(bands.hamiltonian(cfg.b)), dense(bands.overlap)
+        H, O = dense(bands.hamiltonian(Fraction(1, 100))), dense(bands.overlap)
         assert np.array_equal(H, H.T)
         assert np.array_equal(O, O.T)
         # normalization is by the weighted norm W_j, under which the plain
@@ -236,14 +243,13 @@ class TestSolveGeneralized:
     def test_spectrum_head(self):
         for n_r, n in enumerate(range(1, 4)):
             cfg = GalerkinConfig(l=0, basis_size=120, target_n_r=n_r)
-            energy = galerkin_levels(cfg).tracked_energy
+            energy, _ = tracked(cfg)
             assert energy == pytest.approx(float(energy0(QuantumState(n, 0, 0))), abs=1e-10)
 
     def test_eigenvalues_rise_with_field(self):
         for n_r in range(5):
-            cfg0 = GalerkinConfig(l=0, b=0, basis_size=60, target_n_r=n_r)
-            cfgb = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60, target_n_r=n_r)
-            assert galerkin_levels(cfgb).tracked_energy > galerkin_levels(cfg0).tracked_energy
+            cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=n_r)
+            assert tracked(cfg, Fraction(1, 100))[0] > tracked(cfg)[0]
 
     def test_singular_shift_is_typed_error(self):
         # sigma is exactly an eigenvalue and x is not its eigenvector
@@ -268,7 +274,7 @@ class TestDenseReference:
         # the float bands expanded to dense matrices and handed to dense
         # eigh on the default grid; default and off-anchor bases
         off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
-        grid = default_field_grid(state)
+        grid = default_field_grid(state, Z)
         for reference in (None, off_anchor):
             cfg = GalerkinConfig(
                 l=state.l, Z=Z, basis_size=120, reference_energy=reference, target_n_r=state.n_r
@@ -290,28 +296,27 @@ class TestGalerkinLevels:
         for n in range(1, 5):
             for l in range(n):
                 cfg = GalerkinConfig(l=l, Z=Z, target_n_r=n - l - 1, basis_size=120)
-                res = galerkin_levels(cfg)
+                energy, _ = tracked(cfg)
                 exact = float(energy0(QuantumState(n, l, l), Z))
-                assert abs(res.tracked_energy - exact) <= 1e-12
+                assert abs(energy - exact) <= 1e-12
 
     def test_residual_diagnostic(self):
-        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60)
-        res = galerkin_levels(cfg)
-        assert res.diagnostics["tracked_residual"] <= 1e-10
-        assert res.diagnostics["overlap_condition"] < 1e4
+        _, residual = tracked(GalerkinConfig(l=0, basis_size=60), Fraction(1, 100))
+        assert residual <= 1e-10
 
     def test_convergence_delta(self):
-        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60)
-        res = galerkin_levels(cfg, convergence_check=True)
-        assert res.diagnostics["convergence_delta"] < 1e-11
+        # the leading 40 basis functions already hold the level to 1e-11
+        b = Fraction(1, 100)
+        full, leading = (tracked(GalerkinConfig(l=0, basis_size=m), b)[0] for m in (60, 40))
+        assert abs(full - leading) < 1e-11
 
     def test_doubling_the_basis_is_converged(self):
         for n, l in [(1, 0), (3, 0), (3, 2)]:
             b = default_field_grid(QuantumState(n, l, l))[4]
             vals = []
             for m in (120, 240):
-                cfg = GalerkinConfig(l=l, b=b, basis_size=m, target_n_r=n - l - 1)
-                vals.append(galerkin_levels(cfg).tracked_energy)
+                cfg = GalerkinConfig(l=l, basis_size=m, target_n_r=n - l - 1)
+                vals.append(tracked(cfg, b)[0])
             assert abs(vals[1] - vals[0]) < 1e-11
 
     def test_variational_monotonicity(self):
@@ -319,8 +324,8 @@ class TestGalerkinLevels:
         # (allowing one rounding ulp of slack at this magnitude)
         prev = math.inf
         for m in (60, 80, 100, 120):
-            cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=m, target_n_r=0)
-            val = galerkin_levels(cfg).tracked_energy
+            cfg = GalerkinConfig(l=0, basis_size=m, target_n_r=0)
+            val, _ = tracked(cfg, Fraction(1, 100))
             assert val <= prev + 5e-15
             prev = val
 
@@ -355,10 +360,11 @@ class TestTracking:
     def test_long_field_step_is_halved(self):
         # b = 1/100 lies far outside the window of level 4; the step from
         # b = 0 is halved until each piece converges and certifies
-        cfg = GalerkinConfig(l=0, b=Fraction(1, 100), basis_size=60, target_n_r=4)
+        b = Fraction(1, 100)
+        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=4)
         bands = _round_bands(cfg)
-        w = scipy.linalg.eigh(dense(bands.hamiltonian(cfg.b)), dense(bands.overlap), eigvals_only=True)
-        assert abs(galerkin_levels(cfg).tracked_energy - w[4]) <= 1e-11 * abs(w[4])
+        w = scipy.linalg.eigh(dense(bands.hamiltonian(b)), dense(bands.overlap), eigvals_only=True)
+        assert abs(tracked(cfg, b)[0] - w[4]) <= 1e-11 * abs(w[4])
 
     def test_iteration_cap_is_typed_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
@@ -369,7 +375,7 @@ class TestTracking:
 
     def test_non_finite_is_typed_error(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
-            galerkin_levels(GalerkinConfig(l=0, b=Fraction(10**150), basis_size=BASIS_SMALL))
+            tracked(GalerkinConfig(l=0, basis_size=BASIS_SMALL), Fraction(10**150))
 
 
 def _inertia_cases():
@@ -422,6 +428,9 @@ class TestDefaultFieldGrid:
         grid3 = default_field_grid(QuantumState(3, 0, 0))
         assert grid3[-1] == Fraction(1, 500)
         assert len(grid3) == 9
+        # scaled by Z^2, so every charge sees the same reduced fields b / Z^2
+        assert default_field_grid(QuantumState(3, 0, 0), Fraction(3)) == [9 * b for b in grid3]
+        assert default_field_grid(QuantumState(3, 0, 0), Fraction(1, 2)) == [b / 4 for b in grid3]
 
 
 class TestFieldFit:
@@ -433,16 +442,6 @@ class TestFieldFit:
         assert fit.coefficients[0] == pytest.approx(-2.0, abs=1e-12)
         assert fit.conditioning < 1e4
 
-    def test_explicit_grid_example(self):
-        grid = [Fraction(j, 100) for j in range(6)]
-        fit = fit_field_series(QuantumState(1, 0, 0), field_grid=grid)
-        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-8)
-        # decisively closer to the corrected quartic value than to the
-        # disputed literature one
-        c4 = fit.coefficients[4]
-        assert abs(c4 - float(Fraction(-159, 65536))) < abs(c4 - float(Fraction(-153, 65536)))
-        assert fit.coefficients[4] == pytest.approx(float(eps4_closed(1, 0)), rel=1e-2)
-
     @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
     def test_default_grid_resolves_table_state(self, n, l):
         # the one grid rule resolves both coefficients of every table state
@@ -451,36 +450,39 @@ class TestFieldFit:
         assert abs(fit.coefficients[2] - c2) <= 1e-6 * abs(c2)
         assert abs(fit.coefficients[4] - c4) <= 1e-4 * abs(c4)
 
-    def test_odd_powers_vanish(self):
-        fit = fit_field_series(QuantumState(1, 0, 0), odd_powers=True)
-        assert abs(fit.coefficients[1]) < 1e-10
-        assert abs(fit.coefficients[3]) < 1e-10
-        assert set(fit.powers) == {0, 1, 2, 3, 4, 6}
-        # the mirrored grid holds negated partners
-        assert min(fit.fields) == -max(fit.fields)
+    @pytest.mark.parametrize("Z", [Fraction(2), Fraction(3), Fraction(1, 2)])
+    @pytest.mark.parametrize("n,l", [(1, 0), (3, 1)])
+    def test_grid_scales_with_charge(self, n, l, Z):
+        # E(Z, b) = Z^2 E(1, b/Z^2): with b_max scaled by Z^2 every charge
+        # resolves c2 Z^2 = eps2 and c4 Z^6 = eps4 as Z = 1 does
+        fit = fit_field_series(QuantumState(n, l, l), Z)
+        c2, c4 = float(eps2_closed(n, l)), float(eps4_closed(n, l))
+        assert abs(fit.coefficients[2] * Z**2 - c2) <= 1e-6 * abs(c2)
+        assert abs(fit.coefficients[4] * Z**6 - c4) <= 1e-4 * abs(c4)
 
-    def test_grid_must_contain_zero(self):
-        grid = [Fraction(j, 100) for j in range(1, 7)]
-        with pytest.raises(ValueError, match="b = 0"):
-            fit_field_series(QuantumState(1, 0, 0), field_grid=grid)
+    def test_out_of_regime_grid_rejected(self, monkeypatch):
+        # the window check runs once, at b_max: n = 120 is the last level
+        # inside it, and n = 121 is refused before any assembly
+        edge = QuantumState(120, 0, 0)
+        assert not assemble_energy(edge, b=default_field_grid(edge)[-1]).regime_warning
 
-    def test_grid_needs_five_points(self):
-        with pytest.raises(ValueError):
-            fit_field_series(QuantumState(1, 0, 0), field_grid=[Fraction(0), Fraction(1, 100)])
+        def forbidden(cfg):
+            raise AssertionError("bands assembled for an out-of-window grid")
 
-    def test_out_of_regime_grid_rejected(self):
+        monkeypatch.setattr(oracle, "_round_bands", forbidden)
         with pytest.raises(ValueError, match="perturbative window"):
-            fit_field_series(
-                QuantumState(1, 0, 0),
-                field_grid=[Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(5)],
-            )
+            fit_field_series(QuantumState(121, 0, 0), basis_size=140)
 
-    def test_ill_conditioned_grid_rejected(self):
-        base, eps = Fraction(1, 100), Fraction(1, 10**13)
-        grid = [Fraction(0), base, base + eps, base + 2 * eps, base + 3 * eps]
-        with pytest.raises(IllConditionedFitError) as err:
-            fit_field_series(QuantumState(1, 0, 0), field_grid=grid)
-        assert err.value.condition > 1e10
+    def test_conditioning_is_fixed_by_the_grid(self):
+        # the column-scaled design is (i/8)^p for every state and charge
+        values = [
+            fit_field_series(QuantumState(n, l, l), Z).conditioning
+            for Z in (Fraction(1), Fraction(2))
+            for n in range(1, 5)
+            for l in range(n)
+        ]
+        assert values[0] == pytest.approx(90.004, abs=1e-3)
+        assert all(abs(v - values[0]) <= 1e-12 * values[0] for v in values)
 
     def test_uncertainty_and_serialization(self):
         fit = fit_field_series(QuantumState(1, 0, 0))
@@ -492,3 +494,14 @@ class TestFieldFit:
         assert payload["coefficients"]["2"] == fit.coefficients[2]
         assert payload["tolerances"] == {"c2_rel": 1e-8}
         assert len(payload["grid"]) == len(payload["energies"]) == 9
+
+
+MODULES = ["zeeman2d", *sorted(f"zeeman2d.{m.name}" for m in pkgutil.iter_modules(zeeman2d.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_resolve(name):
+    # every name a module exports exists, so a deletion cannot leave one behind
+    module = importlib.import_module(name)
+    for public in getattr(module, "__all__", ()):
+        assert hasattr(module, public), f"{name}.__all__ names the missing {public}"
