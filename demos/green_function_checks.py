@@ -10,9 +10,10 @@ it independently reproduces the exact rational coefficients.
 Run:  python demos/green_function_checks.py
 """
 
+import math
 from fractions import Fraction
 
-from zeeman2d.coulomb import QuantumState, energy0, sturmian
+from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.greenfn import (
     GreenEvalConfig,
     green_eval,
@@ -41,13 +42,14 @@ print()
 
 print("3. Residue law: (E - E_1) G -> 2 E_1 S(r) S(r') as E -> E_1.")
 E1 = energy0(QuantumState(1, 0, 0))
-S = sturmian(0, 0, E1)
 r, rp = 0.7, 1.3
+# the level-1 Sturmian at Z = 1 is x^(1/2) e^(-x/2) with x = 4r, at unit weighted norm
+S_r, S_rp = (x**0.5 * math.exp(-x / 2) for x in (4 * r, 4 * rp))
 target = 2 * float(E1)
 for eps_denom in (10**3, 10**4, 10**5, 10**6):
     E = E1 * (1 + Fraction(1, eps_denom))
     near = GreenEvalConfig.at_energy(E, l=0, truncation=40)
-    factor = (float(E) - float(E1)) * green_eval(near, r, rp) / (S(r) * S(rp))
+    factor = (float(E) - float(E1)) * green_eval(near, r, rp) / (S_r * S_rp)
     print(
         f"   E offset 1/{eps_denom:>7}:  prefactor = {factor:+.9f}"
         f"   (limit {target:+.9f}, rel err {abs(factor / target - 1):.1e})"

@@ -7,8 +7,7 @@ order, entirely in exact rational arithmetic, along two independent routes
 floating-point variational eigensolver.
 """
 
-from .coulomb import QuantumState, bound_radial, energy0, sturmian, sturmian_mu
-from .exactmath import RationalPolynomial
+from .coulomb import QuantumState, energy0
 from .perturb import (
     CoefficientSet,
     EnergyResult,
@@ -26,12 +25,8 @@ from .perturb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "RationalPolynomial",
     "QuantumState",
     "energy0",
-    "bound_radial",
-    "sturmian",
-    "sturmian_mu",
     "CoefficientSet",
     "EnergyResult",
     "coefficient_set",

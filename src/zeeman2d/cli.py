@@ -219,28 +219,27 @@ def cmd_validate(args) -> int:
                 fit.as_dict(tolerances={"c2_rel": SECOND_ORDER_REL_TOL}, verdicts=verdicts)
             )
 
-        if ground_fit is not None:
-            gap = float(reference.GROUND_EPS4_HALF_GAP)
-            c4 = ground_fit.coefficients[4]
-            err_exact = abs(c4 - float(eps4_closed(1, 0)))
-            err_lit = abs(c4 - float(reference.GROUND_EPS4_LITERATURE))
-            record(
-                "oracle quartic coefficient (1,0)",
-                err_exact < gap < err_lit,
-                f"fitted {c4:.9g}; |err vs exact| {err_exact:.2e} < half-gap {gap:.2e} < |err vs literature| {err_lit:.2e}",
-            )
-            sigma = ground_fit.coefficient_uncertainty(4)
-            record(
-                "oracle quartic uncertainty (1,0)",
-                err_exact <= QUARTIC_SIGMAS * sigma,
-                f"|err vs exact| {err_exact:.2e} = {err_exact / sigma:.2f} x uncertainty {sigma:.2e} "
-                f"(limit {QUARTIC_SIGMAS})",
-            )
-
     report = disputed_value_report(
         oracle_estimate=None if ground_fit is None else ground_fit.coefficients[4],
         oracle_uncertainty=None if ground_fit is None else ground_fit.coefficient_uncertainty(4),
     )
+    if ground_fit is not None:
+        c4, gap = report.oracle_estimate, float(report.half_gap)
+        err_exact = abs(c4 - float(report.closed_form))
+        err_lit = abs(c4 - float(report.literature))
+        record(
+            "oracle quartic coefficient (1,0)",
+            report.literature_rejected,
+            f"fitted {c4:.9g}; |err vs exact| {err_exact:.2e} < half-gap {gap:.2e} < |err vs literature| {err_lit:.2e}",
+        )
+        sigma = report.oracle_uncertainty
+        record(
+            "oracle quartic uncertainty (1,0)",
+            err_exact <= QUARTIC_SIGMAS * sigma,
+            f"|err vs exact| {err_exact:.2e} = {err_exact / sigma:.2f} x uncertainty {sigma:.2e} "
+            f"(limit {QUARTIC_SIGMAS})",
+        )
+
     record(
         "disputed ground-state quartic value",
         report.routes_agree and (report.literature_rejected in (True, None)),

@@ -1,48 +1,29 @@
-"""Exact arithmetic primitives: rationals, combinatorics, dense polynomials.
+"""Exact arithmetic primitives: square roots, factorization, parsing, rendering.
 
 Everything in this module is pure and deterministic, and no floating point
 enters any computation.  Rational numbers are stdlib ``fractions.Fraction``
 objects, which guarantee canonical form (gcd-reduced, positive denominator,
 ``Fraction(0, 5) == Fraction(0, 1)``) and raise ``ZeroDivisionError`` on a
-zero denominator.
+zero denominator.  Decimals are rendered from the exact rationals at print
+time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 __all__ = [
-    "gen_binomial",
     "rational_sqrt",
     "factorize_integer",
     "format_factorized",
     "parse_rational",
     "render_decimal",
-    "RationalPolynomial",
 ]
 
 TRIAL_DIVISION_LIMIT = 1_000_000
-
-
-def gen_binomial(top: int, j: int) -> Fraction:
-    """Generalized binomial coefficient C(top, j) for any integer top.
-
-    Defined through the falling factorial top (top-1) ... (top-j+1) / j!,
-    so it vanishes for 0 <= top < j but is generally nonzero for negative
-    top, e.g. C(-2, 3) = -4.
-    """
-    if j < 0:
-        raise ValueError("lower index must be non-negative")
-    num = 1
-    for t in range(j):
-        num *= top - t
-        if num == 0:
-            return Fraction(0)
-    return Fraction(num, math.factorial(j))
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -227,91 +208,3 @@ def render_decimal(x: Fraction, digits: int = 12) -> str:
         ctx.prec = digits
         d = Decimal(x.numerator) / Decimal(x.denominator)
     return str(d)
-
-
-def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """(d, [c * d for c in coeffs]) with d the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    ``coeffs[i]`` multiplies x**i.  The stored tuple is canonical: it never
-    ends in a zero, and the zero polynomial is the empty tuple (degree -1).
-    Instances are immutable and safe to share across threads.
-    """
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def identity(cls) -> "RationalPolynomial":
-        """The polynomial x."""
-        return cls((Fraction(0), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(tuple(out))
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return RationalPolynomial()
-            # integer convolution over the product of the common denominators
-            a_den, a_int = _over_common_denominator(self.coeffs)
-            b_den, b_int = _over_common_denominator(other.coeffs)
-            out = [0] * (len(a_int) + len(b_int) - 1)
-            for i, a in enumerate(a_int):
-                if a == 0:
-                    continue
-                for j, b in enumerate(b_int):
-                    out[i + j] += a * b
-            den = a_den * b_den
-            return RationalPolynomial(tuple(Fraction(c, den) for c in out))
-        s = Fraction(other)
-        return RationalPolynomial(tuple(c * s for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction x, float for float x."""
-        acc = Fraction(0) if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if not isinstance(x, float) else float(c))
-        return acc
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)

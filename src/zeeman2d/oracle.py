@@ -112,7 +112,7 @@ class GalerkinConfig:
     unperturbed energy of the tracked level (n = target_n_r + l + 1), the
     one anchor at which the tracked eigenvalue is exact at b = 0.  It must
     have a rational Sturmian scale sqrt(-2 E*), otherwise exact matrix
-    assembly is impossible.
+    assembly is impossible and `_exact_pieces` raises ValueError.
     """
 
     l: int
@@ -147,16 +147,6 @@ class GalerkinConfig:
         if self.reference_energy is not None:
             return self.reference_energy
         return self.unperturbed_energy
-
-    @property
-    def scale(self) -> Fraction:
-        root = rational_sqrt(-2 * self.resolved_reference)
-        if root is None:
-            raise ValueError(
-                "reference energy has an irrational Sturmian scale; "
-                "exact matrix assembly needs sqrt(-2 E*) rational"
-            )
-        return root
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ every step is exact in the rationals):
     eps4 = -(Z^6/64) * [ N * sum_{j != n_r} R_j^2/(j - n_r) - 5/2 R_{n_r}^2 ]
     R_j^2 = N^4 B(n_r, j; alpha)^2 / (64 Z^6 P_{n_r} P_j)
 
-where M3 is the diagonal and B the banded third-moment integral from
-`laguerre`, and the sum runs only over the seven-wide band |j - n_r| <= 3.
+where B is the banded third-moment integral `laguerre.moment3_band` and
+M3(n_r, alpha) = B(n_r, n_r; alpha) its diagonal, and the sum runs only
+over the seven-wide band |j - n_r| <= 3.
 The Z powers cancel identically, so the coefficients are Z-independent and
 are computed once per (n, l).  The window sum is taken in reduced form: each
 B_j is an exact integer multiple s_j P_{n_r}, so
@@ -59,7 +60,7 @@ from functools import lru_cache
 from . import reference
 from .coulomb import QuantumState, _r2_term_ratio
 from .exactmath import render_decimal
-from .laguerre import Laguerre, moment3_diag
+from .laguerre import moment3_band
 
 __all__ = [
     "CoefficientSet",
@@ -119,7 +120,7 @@ def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
     _check_nl(n, l)
     n_r, alpha = n - l - 1, 2 * l
-    m3 = moment3_diag(Laguerre(n_r, alpha))
+    m3 = moment3_band(n_r, n_r, alpha)
     return Fraction((2 * n - 1) * m3, 128 * math.perm(n_r + alpha, alpha))
 
 

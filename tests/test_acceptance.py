@@ -19,13 +19,7 @@ from zeeman2d.greenfn import (
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
-from zeeman2d.laguerre import (
-    Laguerre,
-    brute_force_integral,
-    cross_integral,
-    moment3_band,
-    moment3_diag,
-)
+from zeeman2d.laguerre import moment3_band
 from zeeman2d.oracle import fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
@@ -35,6 +29,8 @@ from zeeman2d.perturb import (
     eps4_closed,
     eps4_sturmian,
 )
+
+from radial_reference import Laguerre, brute_force_integral, cross_integral
 
 GROUND_EXACT = Fraction(-159, 65536)
 GROUND_LITERATURE = Fraction(-153, 65536)
@@ -128,7 +124,7 @@ def test_criterion_6_integral_lemma_sweep():
     for alpha in range(0, 9):
         specs = [Laguerre(k, alpha) for k in range(0, 11)]
         for k in range(0, 11):
-            diag = moment3_diag(specs[k])
+            diag = moment3_band(k, k, alpha)
             assert diag == brute_force_integral(alpha + 3, specs[k], specs[k])
             for kp in range(0, 11):
                 band = moment3_band(k, kp, alpha)

@@ -17,6 +17,14 @@ from zeeman2d.cli import main
 from zeeman2d.exactmath import parse_rational
 
 
+# the package exports the coefficient API and nothing else
+COEFFICIENT_API = [
+    "QuantumState", "energy0", "CoefficientSet", "EnergyResult", "coefficient_set",
+    "assemble_energy", "disputed_value_report", "eps0", "eps1", "eps2_closed",
+    "eps2_integral", "eps4_closed", "eps4_sturmian", "__version__",
+]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -255,6 +263,24 @@ class TestLayering:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
+
+    def test_library_imports_without_the_tests(self):
+        # an isolated interpreter sees src but not tests/, so every module
+        # imports only if none of them reaches for the test-side references
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import zeeman2d\n"
+            "for module in pkgutil.iter_modules(zeeman2d.__path__):\n"
+            "    importlib.import_module('zeeman2d.' + module.name)\n"
+            "print(' '.join(zeeman2d.__all__))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script, str(src)], cwd=src, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == COEFFICIENT_API
 
 
 class TestParserHygiene:

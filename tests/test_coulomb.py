@@ -6,19 +6,12 @@ from fractions import Fraction
 import pytest
 
 from zeeman2d import coulomb
-from zeeman2d.coulomb import (
-    QuantumState,
-    RadialFunction,
-    bound_radial,
-    energy0,
-    r2_element_squared,
-    sturmian,
-    sturmian_mu,
-    sturmian_mu_squared,
-)
+from zeeman2d.coulomb import QuantumState, energy0, r2_element_squared, sturmian_mu_squared
 from zeeman2d.exactmath import rational_sqrt
-from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
+from zeeman2d.laguerre import moment3_band
 from zeeman2d.perturb import eps4_sturmian
+
+from radial_reference import Laguerre, bound_radial, brute_force_integral, cross_integral, sturmian
 
 
 class TestQuantumState:
@@ -127,7 +120,7 @@ class TestSturmian:
         assert sturmian_mu_squared(1, 0, E1) == 9  # mu = 3
         E2 = energy0(QuantumState(2, 0, 0))
         assert sturmian_mu_squared(2, 1, E2) == Fraction(49, 9)  # mu = 7/3
-        assert sturmian_mu(1, 0, E1) == pytest.approx(3.0, rel=1e-15)
+        assert math.sqrt(sturmian_mu_squared(1, 0, E1)) == pytest.approx(3.0, rel=1e-15)
 
     def test_mu_formula(self):
         # mu = (n_r + l + 1/2) k / Z with k = sqrt(-2E)

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zeeman2d.coulomb import QuantumState, bound_radial, energy0, sturmian, sturmian_mu_squared
-from zeeman2d.exactmath import RationalPolynomial
+from zeeman2d.coulomb import QuantumState, energy0, sturmian_mu_squared
 from zeeman2d.greenfn import (
     GreenEvalConfig,
     PoleError,
@@ -23,8 +22,9 @@ from zeeman2d.greenfn import (
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
-from zeeman2d.laguerre import Laguerre, laguerre_coeffs
 from zeeman2d.perturb import eps4_closed
+
+from radial_reference import Laguerre, RationalPolynomial, bound_radial, laguerre_coeffs, sturmian
 
 POINT_PAIRS = [(0.3, 1.7), (0.9, 2.4), (2.2, 0.5), (1.1, 1.1)]
 LOW_STATES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]

@@ -1,8 +1,9 @@
 """Tests for the exact generalized-Laguerre integral formulas.
 
 ``brute_force_integral`` (term-by-term expansion, using only
-``int x^m e^-x dx = m!``) is the in-module oracle; every closed formula is
-checked against it, and the formulas' own fixed values are pinned here.
+``int x^m e^-x dx = m!``) from the test-side reference module is the
+oracle; every closed formula is checked against it, and the formulas' own
+fixed values are pinned here.
 """
 
 import math
@@ -12,14 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeeman2d.exactmath import RationalPolynomial
-from zeeman2d.laguerre import (
+from zeeman2d.laguerre import moment3_band
+
+from radial_reference import (
     Laguerre,
+    RationalPolynomial,
     brute_force_integral,
     cross_integral,
     laguerre_coeffs,
-    moment3_band,
-    moment3_diag,
 )
 
 
@@ -106,27 +107,27 @@ class TestBruteForce:
 
 class TestThirdMomentDiagonal:
     def test_fixed_values(self):
-        assert moment3_diag(Laguerre(0, 0)) == 6          # int x^3 e^-x dx
-        assert moment3_diag(Laguerre(0, 1)) == 24         # int x^4 e^-x dx
-        assert moment3_diag(Laguerre(1, 0)) == 78
+        assert moment3_band(0, 0, 0) == 6          # int x^3 e^-x dx
+        assert moment3_band(0, 0, 1) == 24         # int x^4 e^-x dx
+        assert moment3_band(1, 1, 0) == 78
 
     def test_returns_int(self):
         # the closed form is an integer times (k+alpha)!/k!, returned as int
-        assert all(type(moment3_diag(Laguerre(k, alpha))) is int for k in range(6) for alpha in range(6))
+        assert all(type(moment3_band(k, k, alpha)) is int for k in range(6) for alpha in range(6))
 
     def test_three_routes_agree(self):
         for alpha in range(0, 9):
             for k in range(0, 11):
                 spec = Laguerre(k, alpha)
-                direct = moment3_diag(spec)
+                direct = moment3_band(k, k, alpha)
                 assert direct == cross_integral(alpha + 3, spec, spec)
-                assert direct == moment3_band(k, k, alpha)
+                assert direct == brute_force_integral(alpha + 3, spec, spec)
 
     def test_positive(self):
         # the integrand weight is positive and the diagonal is a square
         for alpha in range(0, 9):
             for k in range(0, 11):
-                assert moment3_diag(Laguerre(k, alpha)) > 0
+                assert moment3_band(k, k, alpha) > 0
 
 
 class TestThirdMomentBand:

@@ -12,7 +12,8 @@ import scipy.linalg
 import zeeman2d
 from zeeman2d import oracle
 from zeeman2d.coulomb import QuantumState, energy0
-from zeeman2d.laguerre import Laguerre, brute_force_integral, cross_integral, moment3_band
+from zeeman2d.exactmath import rational_sqrt
+from zeeman2d.laguerre import moment3_band
 from zeeman2d.oracle import (
     ConvergenceError,
     GalerkinConfig,
@@ -26,6 +27,8 @@ from zeeman2d.oracle import (
     fit_field_series,
 )
 from zeeman2d.perturb import assemble_energy, eps2_closed, eps4_closed
+
+from radial_reference import Laguerre, brute_force_integral, cross_integral
 
 BASIS_SMALL = 40
 
@@ -69,8 +72,8 @@ def fraction_bands(cfg):
     An independent transcription of the closed forms: each entry is built as
     its own Fraction, converted with float(), and scaled by 1/sqrt(W_j).
     """
-    l, Z, m = cfg.l, cfg.Z, cfg.basis_size
-    k, e_star, alpha = cfg.scale, cfg.resolved_reference, 2 * cfg.l
+    l, Z, m, e_star = cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference
+    k, alpha = rational_sqrt(-2 * e_star), 2 * l
     inv_2k = 1 / (2 * k)
     q = math.factorial(alpha)
     w, h0_diag, o_diag, o_off = [], [], [], []
@@ -99,7 +102,7 @@ class TestGalerkinConfig:
     def test_defaults_resolve_to_tracked_level(self):
         cfg = GalerkinConfig(l=1, target_n_r=1, basis_size=BASIS_SMALL)
         assert cfg.resolved_reference == energy0(QuantumState(3, 1, 1))
-        assert cfg.scale == Fraction(2, 5)
+        assert rational_sqrt(-2 * cfg.resolved_reference) == Fraction(2, 5)
 
     def test_margin_enforced(self):
         with pytest.raises(ValueError, match="target_n_r \\+ 20"):
@@ -107,8 +110,8 @@ class TestGalerkinConfig:
 
     def test_irrational_scale_rejected_lazily(self):
         cfg = GalerkinConfig(l=0, reference_energy=Fraction(-1, 3), basis_size=BASIS_SMALL)
-        with pytest.raises(ValueError, match="irrational"):
-            _ = cfg.scale
+        with pytest.raises(ValueError, match="rational Sturmian scale"):
+            _round_bands(cfg)
 
     def test_nonnegative_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +140,7 @@ class TestExactMatrices:
         # Laguerre indices swapped, is identical
         cfg = GalerkinConfig(l=1, basis_size=BASIS_SMALL)
         bands = exact_pieces(cfg)
-        inv_2k = 1 / (2 * cfg.scale)
+        inv_2k = 1 / (2 * rational_sqrt(-2 * cfg.resolved_reference))
         for i in range(cfg.basis_size - 1):
             swapped = cross_integral(3, Laguerre(i + 1, 2), Laguerre(i, 2))
             assert entry(bands.overlap, 1, i) == inv_2k * swapped
@@ -154,8 +157,8 @@ class TestExactMatrices:
         l, Z, b = 1, Fraction(2), Fraction(1, 10)
         cfg = GalerkinConfig(l=l, Z=Z, target_n_r=0, basis_size=25)
         bands = exact_pieces(cfg)
-        k = cfg.scale
         e_star = cfg.resolved_reference
+        k = rational_sqrt(-2 * e_star)
         two_l = 2 * l
         for i in range(12):
             w_i = Z * Fraction(math.factorial(i + two_l), math.factorial(i))
@@ -226,7 +229,7 @@ class TestExactMatrices:
         # normalization is by the weighted norm W_j, under which the plain
         # overlap diagonal becomes (2(j+l)+1)/(2kZ) -- linear growth, which
         # keeps the overlap condition number O(basis_size)
-        k = float(cfg.scale)
+        k = float(rational_sqrt(-2 * cfg.resolved_reference))
         j = np.arange(cfg.basis_size)
         expected = (2 * (j + cfg.l) + 1) / (2 * k * float(cfg.Z))
         assert np.allclose(np.diag(O), expected, rtol=1e-14)
