@@ -25,6 +25,15 @@ at n = 30).  Both kernels are separable, so each integral contracts the
 factors against its weight vector first, at O(truncation x nodes) cost;
 no nodes-by-nodes kernel is formed.  With the default truncation and 200
 nodes the eps4 double integral is tested to 1e-11 relative for n <= 60.
+
+A single radius runs the same recurrence on plain Python floats, so point
+values equal the matching column of a grid table bit for bit at a fraction
+of the cost.  What depends on the config alone (the Sturmian norms, the
+coupling vector and the node side of the orthogonality check) is computed
+once per `GreenEvalConfig` and kept on it read-only.  A non-finite radius
+raises `ValueError`; a radius whose envelope underflows to 0 gives 0.0
+without running the recurrence; a point value that is not finite (rows
+overflowing under a truncation far above the default) raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -173,6 +182,47 @@ class GreenEvalConfig:
         root = rational_sqrt(self.scale_squared)
         return float(root) if root is not None else math.sqrt(float(self.scale_squared))
 
+    # Per-config constants, computed on first use and kept read-only on the
+    # config; no module-level cache holds them.
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        """sqrt(j! / (Z (j+2l)!)) for j below the truncation, built recursively."""
+        two_l = 2 * self.l
+        c = np.empty(self.truncation)
+        c[0] = math.sqrt(1.0 / (float(self.Z) * math.factorial(two_l)))
+        for j in range(self.truncation - 1):
+            c[j + 1] = c[j] * math.sqrt((j + 1) / (j + 1 + two_l))
+        return _read_only(c)
+
+    @cached_property
+    def _coupling(self) -> np.ndarray:
+        """(n - 1/2) / (j - n_r) off the resonant index, 0 on it."""
+        n_r = self.resonant_n_r
+        j = np.arange(self.truncation)
+        coupling = np.zeros(self.truncation)
+        off = j != n_r
+        coupling[off] = (self.level - 0.5) / (j[off] - n_r)
+        return _read_only(coupling)
+
+    @cached_property
+    def _orthogonality_projection(self) -> tuple[np.ndarray, float, float]:
+        """The node side of `reduced_orthogonality_defect`: (rows, s, d) against w s.
+
+        The weight is x^(2l+1) e^{-x}, so the projection depends on the
+        config alone and is contracted once, whatever r'.
+        """
+        x, w = gauss_laguerre(2 * self.l + 1, self.quad_nodes)
+        rows, s, d = _reduced_factors(self, x)
+        u = w * s
+        return _read_only(rows @ u), s @ u, d @ u
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can change it for the next."""
+    a.flags.writeable = False
+    return a
+
 
 @lru_cache(maxsize=None)
 def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,34 +231,32 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Raises `QuadratureError` when the rule is not finite; being cached, the
     check runs once per (alpha, nodes).  The overflow that makes a rule
     non-finite is silenced here, so the typed error is all a caller sees.
+    The cached arrays are read-only: an in-place write raises `ValueError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, w = roots_genlaguerre(nodes, alpha)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise QuadratureError(alpha, nodes)
-    return x, w
+    return _read_only(x), _read_only(w)
 
 
-def _laguerre_table(j_max: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """L_j^{(alpha)}(x) for j = 0..j_max by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((j_max + 1,) + x.shape)
-    out[0] = 1.0
-    if j_max >= 1:
-        out[1] = alpha + 1.0 - x
+def _laguerre_table(j_max: int, alpha: int, x: float | np.ndarray) -> np.ndarray:
+    """L_j^{(alpha)}(x) for j = 0..j_max by the three-term recurrence.
+
+    ``x`` is a float (shape (j_max+1,)) or a grid (shape (j_max+1,) + x.shape).
+    Both build their rows with the same expression in the same order, so a
+    float's values equal the matching grid column bit for bit, and a single
+    radius runs on Python floats with no numpy call per row.
+    """
+    point = isinstance(x, float)
+    if not point:
+        x = np.asarray(x, dtype=float)
+    rows = [1.0, alpha + 1.0 - x][: j_max + 1]
     for j in range(1, j_max):
-        out[j + 1] = ((2 * j + alpha + 1 - x) * out[j] - (j + alpha) * out[j - 1]) / (j + 1)
-    return out
-
-
-def _norm_consts(cfg: GreenEvalConfig) -> np.ndarray:
-    """sqrt(j! / (Z (j+2l)!)) for j below the truncation, built recursively."""
-    two_l = 2 * cfg.l
-    c = np.empty(cfg.truncation)
-    c[0] = math.sqrt(1.0 / (float(cfg.Z) * math.factorial(two_l)))
-    for j in range(cfg.truncation - 1):
-        c[j + 1] = c[j] * math.sqrt((j + 1) / (j + 1 + two_l))
-    return c
+        rows.append(((2 * j + alpha + 1 - x) * rows[j] - (j + alpha) * rows[j - 1]) / (j + 1))
+    if not point:
+        rows[0] = np.ones_like(x)
+    return np.array(rows)
 
 
 def _pole_scan(cfg: GreenEvalConfig) -> None:
@@ -223,15 +271,34 @@ def _mu_floats(cfg: GreenEvalConfig) -> np.ndarray:
 
 
 def _envelope(cfg: GreenEvalConfig, r: float) -> tuple[float, float]:
-    """Return (x, x^(l+1/2) e^{-x/2}) at radius r.
+    """Return (x, x^(l+1/2) e^{-x/2}) at radius r, with x a Python float.
 
     Formed in log space: at large l and far radii x^(l+1/2) alone overflows
-    a float although the envelope underflows to 0.
+    a float although the envelope underflows to 0.  A non-finite radius
+    raises `ValueError`; a finite one so far out that x overflows has
+    envelope 0.
     """
-    x = 2.0 * cfg.scale_float * r
-    if x == 0:
+    if not math.isfinite(r):
+        raise ValueError("radius must be finite")
+    x = 2.0 * cfg.scale_float * float(r)
+    if x == 0 or x == math.inf:
         return x, 0.0
     return x, math.exp((cfg.l + 0.5) * math.log(x) - 0.5 * x)
+
+
+def _finite(value: float) -> float:
+    """A point value, passed through unless the recurrence overflowed.
+
+    Python float arithmetic overflows without a warning, so a kernel value
+    at a radius whose envelope is tiny but not 0 could otherwise come back
+    as NaN; that happens only with a truncation far above the default.
+    """
+    if not math.isfinite(value):
+        raise ValueError(
+            "kernel value is not finite: the Laguerre rows overflow at this radius; "
+            "use a smaller truncation"
+        )
+    return value
 
 
 def green_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
@@ -240,30 +307,35 @@ def green_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
         raise ValueError("green_eval needs an energy-anchored configuration")
     if r <= 0 or rp <= 0:
         raise ValueError("radii must be positive")
-    _pole_scan(cfg)
     x, env = _envelope(cfg, r)
     xp, envp = _envelope(cfg, rp)
-    table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, np.array([x, xp]))
-    c = _norm_consts(cfg)
-    mu = _mu_floats(cfg)
-    terms = c * c * table[:, 0] * table[:, 1] / (mu - 1.0)
-    return env * envp * float(np.sum(terms))
+    _pole_scan(cfg)
+    scale = env * envp
+    if scale == 0:
+        return 0.0
+    j_max, alpha = cfg.truncation - 1, 2 * cfg.l
+    c = cfg._norms
+    terms = c * c * _laguerre_table(j_max, alpha, x) * _laguerre_table(j_max, alpha, xp)
+    return _finite(scale * float(np.sum(terms / (_mu_floats(cfg) - 1.0))))
 
 
-def _reduced_factors(cfg: GreenEvalConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Separable factors of the stripped reduced kernel on a grid.
+def _reduced_factors(
+    cfg: GreenEvalConfig, x: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separable factors of the stripped reduced kernel at a point or on a grid.
 
     Returns (rows, s, d): rows[j] = c_j L_j(x) for j below the truncation,
     the resonant stripped Sturmian s = rows[n_r], and its stripped r d/dr
     image d = c_{n_r} ((l + 1/2) q - (x/2) q + x q') with q = L_{n_r}.
     By x L_k' = k L_k - (k + alpha) L_{k-1} that image is
     c_{n_r} ((l + 1/2 + n_r - x/2) L_{n_r} - (n_r + 2l) L_{n_r - 1}), so every
-    factor is a row of one recurrence table.
+    factor is a row of one recurrence table.  For a float x, rows is a
+    vector and s, d are scalars.
     """
     n_r = cfg.resonant_n_r
     table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
-    c = _norm_consts(cfg)
-    rows = c[:, None] * table
+    c = cfg._norms
+    rows = c.reshape((-1,) + (1,) * (table.ndim - 1)) * table
     d = (cfg.l + 0.5 + n_r - 0.5 * x) * table[n_r]
     if n_r:
         d -= (n_r + 2 * cfg.l) * table[n_r - 1]
@@ -274,18 +346,13 @@ def _reduced_form(cfg: GreenEvalConfig, a: tuple, b: tuple) -> float:
     """The stripped reduced kernel contracted between two projected factors.
 
     ``a`` and ``b`` are (v, s, d) triples: the factors of `_reduced_factors`
-    contracted against one vector each, or taken at one grid point.  The
+    contracted against one vector each, or taken at one point.  The
     kernel N sum' c_j^2 L_j(x) L_j(x') / (j - n_r) + (1/2) s(x) s(x')
     + d(x) s(x') + s(x) d(x'), with N = n - 1/2, is separable, so no
     grid-by-grid matrix is formed.
     """
-    n_r = cfg.resonant_n_r
-    j = np.arange(cfg.truncation)
-    coupling = np.zeros(cfg.truncation)
-    off = j != n_r
-    coupling[off] = (cfg.level - 0.5) / (j[off] - n_r)
     (va, sa, da), (vb, sb, db) = a, b
-    return float(coupling @ (va * vb) + 0.5 * sa * sb + da * sb + sa * db)
+    return float(cfg._coupling @ (va * vb) + 0.5 * sa * sb + da * sb + sa * db)
 
 
 def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
@@ -296,8 +363,10 @@ def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
         raise ValueError("radii must be positive")
     x, env = _envelope(cfg, r)
     xp, envp = _envelope(cfg, rp)
-    rows, s, d = _reduced_factors(cfg, np.array([x, xp]))
-    return env * envp * _reduced_form(cfg, (rows[:, 0], s[0], d[0]), (rows[:, 1], s[1], d[1]))
+    scale = env * envp
+    if scale == 0:
+        return 0.0
+    return _finite(scale * _reduced_form(cfg, _reduced_factors(cfg, x), _reduced_factors(cfg, xp)))
 
 
 def reduced_double_integral(cfg: GreenEvalConfig) -> float:
@@ -325,20 +394,19 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
 
     The bound factor is orthogonal to the reduced kernel in plain measure;
     with the quadrature weight x^(2l+1) e^{-x} the smooth part is polynomial
-    so the residual is pure truncation plus rounding.
+    so the residual is pure truncation plus rounding.  The node side is
+    projected once per config; each call evaluates only r'.
     """
     if cfg.level is None:
         raise ValueError("reduced_orthogonality_defect needs a level-anchored configuration")
     if rp <= 0:
         raise ValueError("r' must be positive")
-    x, w = gauss_laguerre(2 * cfg.l + 1, cfg.quad_nodes)
     xp, envp = _envelope(cfg, rp)
-    # one table for the nodes and r', which sits in the last column
-    rows, s, d = _reduced_factors(cfg, np.append(x, xp))
-    u = w * s[:-1]
-    proj = (rows[:, :-1] @ u, s[:-1] @ u, d[:-1] @ u)
+    if envp == 0:
+        return 0.0
     # P0 = k s env and dr = dx / (2k): the prefactor is 1/2
-    return 0.5 * envp * _reduced_form(cfg, proj, (rows[:, -1], s[-1], d[-1]))
+    projection = cfg._orthogonality_projection
+    return _finite(0.5 * envp * _reduced_form(cfg, projection, _reduced_factors(cfg, xp)))
 
 
 def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
@@ -354,15 +422,17 @@ def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
         raise ValueError("projected index must sit inside the truncated basis")
     if r < 0:
         raise ValueError("radius must be non-negative")
+    xr, env = _envelope(cfg, r)
     _pole_scan(cfg)
+    if env == 0:
+        return 0.0
     x, w = gauss_laguerre(2 * cfg.l, cfg.quad_nodes)
-    c = _norm_consts(cfg)
+    c = cfg._norms
     mu = _mu_floats(cfg)
     table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
     # integral (Z/r') S_m S_j dr' = Z c_m c_j integral x^(2l) e^{-x} L_m L_j dx
     weighted = float(cfg.Z) * c[m] * c * (table[m][None, :] * table @ w)
-    xr, env = _envelope(cfg, r)
-    basis_r = c * _laguerre_table(cfg.truncation - 1, 2 * cfg.l, np.array([xr]))[:, 0] * env
+    basis_r = c * _laguerre_table(cfg.truncation - 1, 2 * cfg.l, xr) * env
     projected = float(np.sum(weighted / (mu - 1.0) * basis_r))
     expected = float(basis_r[m] / (mu[m] - 1.0))
-    return projected - expected
+    return _finite(projected - expected)

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src``.
+
+Each demo runs with ``-W error::RuntimeWarning``, the filter the suite runs
+under, so a numpy overflow or invalid value fails the demo too.
+"""
 
 import os
 import subprocess
@@ -19,6 +23,11 @@ def test_demos_present():
 def test_demo_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

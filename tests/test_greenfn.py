@@ -259,6 +259,127 @@ class TestSeparableFactors:
         assert all(type(v) is float for v in values)
 
 
+def _two_point_reference(cfg: GreenEvalConfig, r: float, rp: float) -> float:
+    """The reduced kernel as evaluated on one 2-point grid holding x and x'."""
+    x, env = _envelope(cfg, r)
+    xp, envp = _envelope(cfg, rp)
+    rows, s, d = _reduced_factors(cfg, np.array([x, xp]))
+    n_r = cfg.resonant_n_r
+    j = np.arange(cfg.truncation)
+    coupling = np.zeros(cfg.truncation)
+    coupling[j != n_r] = (cfg.level - 0.5) / (j[j != n_r] - n_r)
+    form = coupling @ (rows[:, 0] * rows[:, 1]) + 0.5 * s[0] * s[1] + d[0] * s[1] + s[0] * d[1]
+    return env * envp * float(form)
+
+
+class TestPointPath:
+    # single radii run the recurrence on Python floats; the values must be
+    # those of the grid evaluation bit for bit, not merely close
+
+    @pytest.mark.parametrize("alpha", [0, 2, 40, 170])
+    def test_float_table_equals_grid_column(self, alpha):
+        nodes, _ = gauss_laguerre(alpha, 60)
+        # x = 2kr is 32 N at r = 16 N^2 / Z, whatever Z
+        far = [32 * (n - 0.5) for n in (1, 5, 20, 60, 80)]
+        grid = np.concatenate([nodes, far, [1e-3, 0.5, 7.0]])
+        for j_max in (0, 1, 2, 17, 80):
+            table = _laguerre_table(j_max, alpha, grid)
+            assert table.shape == (j_max + 1, grid.size)
+            for i, x in enumerate(grid):
+                column = _laguerre_table(j_max, alpha, float(x))
+                assert column.shape == (j_max + 1,)
+                assert np.array_equal(column, table[:, i]), (j_max, x)
+
+    def test_orthogonality_projection_is_reused_exactly(self):
+        radii = (0.4, 1.1, 2.6)
+        for n, l, Z in [(1, 0, 1), (3, 1, 2), (12, 5, 3)]:
+            shared = GreenEvalConfig.for_level(n, l, Z=Z)
+            repeated = [reduced_orthogonality_defect(shared, rp) for rp in radii]
+            fresh = [
+                reduced_orthogonality_defect(GreenEvalConfig.for_level(n, l, Z=Z), rp) for rp in radii
+            ]
+            assert repeated == fresh
+
+    def test_point_eval_equals_two_point_grid(self):
+        for n, l, Z in [(1, 0, 1), (2, 1, 1), (3, 0, 2), (8, 3, 3), (12, 11, 1), (40, 3, 1)]:
+            cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+            scale = (n - 0.5) ** 2 / Z
+            for r, rp in POINT_PAIRS + [(scale / 2, 2 * scale), (scale, 0.3)]:
+                assert green_reduced_eval(cfg, r, rp) == _two_point_reference(cfg, r, rp)
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = GreenEvalConfig.for_level(3, 1)
+        before = reduced_double_integral(cfg)
+        x, w = gauss_laguerre(2 * cfg.l + 3, cfg.quad_nodes)
+        reduced_orthogonality_defect(cfg, 1.1)
+        cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0]]
+        for a in cached:
+            with pytest.raises(ValueError):
+                a *= 2
+        assert reduced_double_integral(cfg) == before
+        assert reduced_double_integral(GreenEvalConfig.for_level(3, 1)) == before
+
+
+EDGE_RADII = [1e5, 1e20, 1e100, 1e308, math.nan, math.inf]
+LEVEL_EDGE_CONFIGS = [(3, 1, 1), (40, 3, 1), (1, 0, 3)]
+ENERGY_EDGE_CONFIGS = [(Fraction(-1, 3), 0), (Fraction(-9), 2)]
+
+
+def _edge_expectation(r: float, call) -> None:
+    """A non-finite radius raises ValueError; a far one gives exactly 0.0."""
+    if math.isfinite(r):
+        value = call()
+        assert value == 0.0 and type(value) is float
+    else:
+        with pytest.raises(ValueError):
+            call()
+
+
+class TestRadiusEdges:
+    @pytest.mark.parametrize("r", EDGE_RADII)
+    def test_green_reduced_eval(self, r):
+        for n, l, Z in LEVEL_EDGE_CONFIGS:
+            cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+            _edge_expectation(r, lambda: green_reduced_eval(cfg, r, 1.0))
+            _edge_expectation(r, lambda: green_reduced_eval(cfg, 1.0, r))
+
+    @pytest.mark.parametrize("r", EDGE_RADII)
+    def test_reduced_orthogonality_defect(self, r):
+        for n, l, Z in LEVEL_EDGE_CONFIGS:
+            cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+            _edge_expectation(r, lambda: reduced_orthogonality_defect(cfg, r))
+
+    @pytest.mark.parametrize("r", EDGE_RADII)
+    def test_green_eval(self, r):
+        for energy, l in ENERGY_EDGE_CONFIGS:
+            cfg = GreenEvalConfig.at_energy(energy, l=l)
+            _edge_expectation(r, lambda: green_eval(cfg, r, 1.0))
+            _edge_expectation(r, lambda: green_eval(cfg, 1.0, r))
+
+    @pytest.mark.parametrize("r", EDGE_RADII)
+    def test_projection_defect(self, r):
+        for energy, l in ENERGY_EDGE_CONFIGS:
+            cfg = GreenEvalConfig.at_energy(energy, l=l, truncation=20)
+            _edge_expectation(r, lambda: projection_defect(cfg, 3, r))
+
+    def test_overflowing_rows_raise(self):
+        # at x = 1500 the envelope is subnormal, not 0, while rows of a
+        # truncation far above the default overflow; the float path must
+        # not hand back NaN
+        cfg = GreenEvalConfig.for_level(3, 1, truncation=400)
+        r = 1500 / (2 * cfg.scale_float)
+        with pytest.raises(ValueError, match="not finite"):
+            green_reduced_eval(cfg, r, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            reduced_orthogonality_defect(cfg, r)
+        energy = GreenEvalConfig.at_energy(Fraction(-1, 2), l=1, truncation=400)
+        r = 1500 / (2 * energy.scale_float)
+        with pytest.raises(ValueError, match="not finite"):
+            green_eval(energy, r, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            projection_defect(energy, 3, r)
+
+
 class TestSupportedRange:
     @pytest.mark.parametrize("n", [18, 24, 30, 40, 60])
     def test_high_n_double_integral(self, n):
