@@ -16,21 +16,31 @@ internal evaluators return the smooth factor with the envelope
 x^(l+1/2) e^{-x/2} removed, which is what keeps large-node quadrature free
 of overflow.
 
-Every polynomial value comes from one place, the three-term Laguerre
-recurrence of `_laguerre_table`: the Sturmian rows, the bound factor (the
-resonant row) and its r d/dr image (a combination of two adjacent rows).
-Expanding the alternating monomial coefficients instead cancels
-catastrophically at large n_r (eps4 lost 1e-9 relative at n = 18 and 2e-5
-at n = 30).  Both kernels are separable, so each integral contracts the
-factors against its weight vector first, at O(truncation x nodes) cost;
-no nodes-by-nodes kernel is formed.  With the default truncation and 200
-nodes the eps4 double integral is tested to 1e-11 relative for n <= 60.
+The rules are built here (`gauss_laguerre`, Golub-Welsch with one Newton
+step), so the module needs `scipy.linalg` alone.  Each channel l uses one
+rule, weight x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor,
+so the double integral and the orthogonality check share one node grid per
+config, projecting onto w x^2 s and w s respectively.
+
+Every kernel polynomial value comes from one place, the three-term
+Laguerre recurrence of `_laguerre_table`: the Sturmian rows, the bound
+factor (the resonant row) and its r d/dr image (a combination of two
+adjacent rows).  Expanding the alternating monomial coefficients instead
+cancels catastrophically at large n_r (eps4 lost 1e-9 relative at n = 18
+and 2e-5 at n = 30).  The one exception is the Newton polish of the rule,
+which runs the difference form of the recurrence (`_laguerre_pair`): the
+three-term form cancels near x -> 0 and left the smallest node 8e-13 off.
+Both kernels are separable, so each integral contracts the factors against
+its weight vector first, at O(truncation x nodes) cost; no nodes-by-nodes
+kernel is formed.  With the default truncation and 200 nodes the eps4
+double integral is tested to 1e-11 relative for n <= 60.
 
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
 of the cost.  What depends on the config alone (the Sturmian norms, the
-coupling vector and the node side of the orthogonality check) is computed
-once per `GreenEvalConfig` and kept on it read-only.  A non-finite radius
+coupling vector, the node grid with its factors, the node side of the
+orthogonality check and the exact pole scan) is computed once per
+`GreenEvalConfig` and kept on it read-only.  A non-finite radius
 raises `ValueError`; a radius whose envelope underflows to 0 gives 0.0
 without running the recurrence; a point value that is not finite (rows
 overflowing under a truncation far above the default) raises `ValueError`.
@@ -44,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
+from scipy.linalg import eigvals_banded
 
 from .coulomb import QuantumState, energy0, sturmian_mu_squared
 from .exactmath import rational_sqrt
@@ -63,7 +73,10 @@ __all__ = [
 
 DEFAULT_NODES = 200
 # (2l)! must be a finite double for the normalization constants: 170! is the
-# last factorial below the float maximum.
+# last factorial below the float maximum.  The quadratures of the reduced
+# kernel also need Gamma(2l+2) = (2l+1)! finite, so they run for l <= 84;
+# at l = 85 only point values are available, and the quadratures raise
+# `QuadratureError(171, nodes)`.
 MAX_L = 85
 
 
@@ -81,9 +94,10 @@ class PoleError(ValueError):
 class QuadratureError(ValueError):
     """Raised when the Gauss-Laguerre rule of a weight has non-finite nodes or weights.
 
-    `scipy.special.roots_genlaguerre` overflows at large node counts (from
-    somewhere between 360 and 380 nodes for alpha <= 25) and returns inf or
-    NaN instead of failing, which would otherwise surface as a NaN integral.
+    The scaled Laguerre values of the rule's Newton step overflow at large
+    node counts (from somewhere between 360 and 380 nodes for alpha <= 25),
+    and Gamma(alpha + 1) overflows from alpha = 171; either would otherwise
+    surface as a NaN integral or an untyped `OverflowError`.
     """
 
     def __init__(self, alpha: int, nodes: int):
@@ -206,16 +220,34 @@ class GreenEvalConfig:
         return _read_only(coupling)
 
     @cached_property
-    def _orthogonality_projection(self) -> tuple[np.ndarray, float, float]:
-        """The node side of `reduced_orthogonality_defect`: (rows, s, d) against w s.
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one node grid of the reduced kernel: (x, w, rows, s, d).
 
-        The weight is x^(2l+1) e^{-x}, so the projection depends on the
-        config alone and is contracted once, whatever r'.
+        Nodes and weights of x^(2l+1) e^{-x} with the factors of
+        `_reduced_factors` on them; both quadratures of the config use it.
         """
         x, w = gauss_laguerre(2 * self.l + 1, self.quad_nodes)
         rows, s, d = _reduced_factors(self, x)
+        return x, w, _read_only(rows), _read_only(s), _read_only(d)
+
+    @cached_property
+    def _orthogonality_projection(self) -> tuple[np.ndarray, float, float]:
+        """The node side of `reduced_orthogonality_defect`: (rows, s, d) against w s.
+
+        The projection depends on the config alone and is contracted once,
+        whatever r'.
+        """
+        _, w, rows, s, d = self._grid
         u = w * s
         return _read_only(rows @ u), s @ u, d @ u
+
+    @cached_property
+    def _pole(self) -> int | None:
+        """The index j with mu_j = 1 at the anchor energy, or None; scanned exactly."""
+        for j in range(self.truncation):
+            if sturmian_mu_squared(j, self.l, self.energy, self.Z) == 1:
+                return j
+        return None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -228,16 +260,73 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
 
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
+    of the Jacobi matrix of the Laguerre recurrence, polished by one Newton
+    step, and the weights are 1/(L_{n-1}(x) L_n'(x)), log-normalized and
+    scaled to sum to Gamma(alpha + 1).  This is the construction of
+    `scipy.special.roots_genlaguerre`, whose nodes these equal bit for bit.
+
     Raises `QuadratureError` when the rule is not finite; being cached, the
     check runs once per (alpha, nodes).  The overflow that makes a rule
     non-finite is silenced here, so the typed error is all a caller sees.
     The cached arrays are read-only: an in-place write raises `ValueError`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, w = roots_genlaguerre(nodes, alpha)
+    try:
+        total = math.gamma(alpha + 1)
+    except OverflowError:
+        raise QuadratureError(alpha, nodes) from None
+    if nodes == 1:
+        return _read_only(np.array([alpha + 1.0])), _read_only(np.array([total]))
+    k = np.arange(nodes, dtype=float)
+    band = np.zeros((2, nodes))
+    band[0, 1:] = -np.sqrt(k[1:] * (k[1:] + alpha))
+    band[1] = 2 * k + alpha + 1
+    x = eigvals_banded(band, overwrite_a_band=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y, y_prev = _laguerre_pair(nodes, alpha, x)
+        dy = (nodes * y - (nodes + alpha) * y_prev) / x
+        x = x - y / dy
+        fm = _laguerre_pair(nodes - 1, alpha, x)[0]
+        # fm and dy span many decades: centre each on its log range
+        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+        fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+        w = w * (total / w.sum())
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise QuadratureError(alpha, nodes)
     return _read_only(x), _read_only(w)
+
+
+def _laguerre_pair(n: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_n^{(alpha)}(x), L_{n-1}^{(alpha)}(x)) for n >= 1, by the difference form.
+
+    d <- -x/(k+alpha+1) p + k/(k+alpha+1) d, p <- p + d carries
+    p = L_k / binom(k+alpha, k) without the cancellation of the three-term
+    form near x = 0; each value is scaled back by its binomial, and degrees
+    0 and 1 are closed forms.  This is how `scipy.special.eval_genlaguerre`
+    evaluates, so the values overflow where scipy's do.
+    """
+    lower = -x + alpha + 1
+    if n == 1:
+        return lower, np.ones_like(x)
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        c = k + alpha + 1.0
+        d = -x / c * p + (k / c) * d
+        p, previous = d + p, p
+    if n > 2:
+        lower = _binomial(n - 1 + alpha, n - 1) * previous
+    return _binomial(n + alpha, n) * p, lower
+
+
+def _binomial(n: int, k: int) -> float:
+    """binom(n, k) as a float, inf where it exceeds the float range."""
+    try:
+        return float(math.comb(n, k))
+    except OverflowError:
+        return math.inf
 
 
 def _laguerre_table(j_max: int, alpha: int, x: float | np.ndarray) -> np.ndarray:
@@ -260,9 +349,8 @@ def _laguerre_table(j_max: int, alpha: int, x: float | np.ndarray) -> np.ndarray
 
 
 def _pole_scan(cfg: GreenEvalConfig) -> None:
-    for j in range(cfg.truncation):
-        if sturmian_mu_squared(j, cfg.l, cfg.energy, cfg.Z) == 1:
-            raise PoleError(j)
+    if cfg._pole is not None:
+        raise PoleError(cfg._pole)
 
 
 def _mu_floats(cfg: GreenEvalConfig) -> np.ndarray:
@@ -374,16 +462,16 @@ def reduced_double_integral(cfg: GreenEvalConfig) -> float:
 
     Under x = 2kr the bound factor is P0 = k s(x) x^(l+1/2) e^(-x/2), with
     s the resonant stripped Sturmian, so the integrand's smooth part is
-    polynomial and the tensor Gauss-Laguerre rule with weight
-    x^(2l+3) e^{-x} on each axis is exact.  Both axes project onto the
-    same vector w s.  Multiplying by -(Z^6/64) reproduces the exact quartic
-    coefficient; tests pin that.
+    polynomial and the tensor Gauss-Laguerre rule of the config's grid,
+    weight x^(2l+1) e^{-x}, is exact on each axis with the x^2 of r^2 in
+    the polynomial.  Both axes project onto the same vector w x^2 s.
+    Multiplying by -(Z^6/64) reproduces the exact quartic coefficient;
+    tests pin that.
     """
     if cfg.level is None:
         raise ValueError("reduced_double_integral needs a level-anchored configuration")
-    x, w = gauss_laguerre(2 * cfg.l + 3, cfg.quad_nodes)
-    rows, s, d = _reduced_factors(cfg, x)
-    u = w * s
+    x, w, rows, s, d = cfg._grid
+    u = w * x * x * s
     proj = (rows @ u, s @ u, d @ u)
     k = cfg.scale_float
     return k * k * (2.0 * k) ** -6 * _reduced_form(cfg, proj, proj)

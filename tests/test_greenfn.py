@@ -1,12 +1,18 @@
 """Tests for the Sturmian expansions of the radial Coulomb Green functions."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
+from zeeman2d import greenfn
 from zeeman2d.coulomb import QuantumState, energy0, sturmian_mu_squared
 from zeeman2d.greenfn import (
     GreenEvalConfig,
@@ -84,6 +90,34 @@ class TestResolventKernel:
             green_eval(cfg, 1.0, 1.0)
         assert err.value.n_r == 1  # -2/9 is the n = 2 level of the l = 0 channel
         assert "n_r = 1" in str(err.value)
+
+    def test_pole_scan_runs_once_per_config(self, monkeypatch):
+        # the exact scan depends on the config alone: a warm config does not
+        # rescan, and a config on a pole raises on every call
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sturmian_mu_squared(*args)
+
+        monkeypatch.setattr(greenfn, "sturmian_mu_squared", counting)
+        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
+        green_eval(cfg, 1.0, 2.0)
+        assert len(calls) == cfg.truncation
+        green_eval(cfg, 0.5, 1.5)
+        projection_defect(cfg, 3, 1.0)
+        assert len(calls) == cfg.truncation
+        pole = GreenEvalConfig.at_energy(Fraction(-2, 9), l=0, truncation=30)
+        for call in (
+            lambda: green_eval(pole, 1.0, 1.0),
+            lambda: projection_defect(pole, 3, 1.0),
+            lambda: green_eval(pole, 2.0, 0.5),
+        ):
+            with pytest.raises(PoleError) as err:
+                call()
+            assert err.value.n_r == 1
+        # the scan stops at the resonant index n_r = 1, once
+        assert len(calls) == cfg.truncation + 2
 
     def test_pole_detection_is_exact(self):
         # a nearby-but-unequal rational energy must not trip the scan
@@ -312,7 +346,7 @@ class TestPointPath:
         before = reduced_double_integral(cfg)
         x, w = gauss_laguerre(2 * cfg.l + 3, cfg.quad_nodes)
         reduced_orthogonality_defect(cfg, 1.1)
-        cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0]]
+        cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0], *cfg._grid]
         for a in cached:
             with pytest.raises(ValueError):
                 a *= 2
@@ -393,6 +427,21 @@ class TestSupportedRange:
                 val = -reduced_double_integral(cfg) * float(Z) ** 6 / 64
                 assert val == pytest.approx(exact, rel=1e-11)
 
+    def test_quadrature_range_edge(self):
+        # the grid's weight x^(2l+1) needs Gamma(2l+2) finite: the double
+        # integral runs at l = 84, and at l = 85 both quadratures raise the
+        # typed error instead of an OverflowError
+        eps4 = -reduced_double_integral(GreenEvalConfig.for_level(85, 84)) / 64
+        assert eps4 == pytest.approx(float(eps4_closed(85, 84)), rel=1e-11)
+        cfg = GreenEvalConfig.for_level(86, 85)
+        for call in (
+            lambda: reduced_double_integral(cfg),
+            lambda: reduced_orthogonality_defect(cfg, 85.5**2),
+        ):
+            with pytest.raises(QuadratureError) as info:
+                call()
+            assert (info.value.alpha, info.value.nodes) == (171, 200)
+
     def test_far_radius_underflows_to_zero(self):
         # x^(l+1/2) alone overflows a float at l = 85 and r = 50 N^2; the
         # envelope underflows to 0 instead of raising OverflowError
@@ -418,7 +467,7 @@ class TestSupportedRange:
 
 class TestQuadrature:
     def test_overflowing_rule_is_typed_error(self):
-        # roots_genlaguerre overflows at 400 nodes: the double integral must
+        # the rule overflows at 400 nodes: the double integral must
         # raise instead of returning NaN, with no warning printed first,
         # while 350 nodes are still finite
         with warnings.catch_warnings():
@@ -426,8 +475,8 @@ class TestQuadrature:
             with pytest.raises(QuadratureError) as info:
                 reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=400))
         assert isinstance(info.value, ValueError)
-        assert (info.value.alpha, info.value.nodes) == (3, 400)
-        assert "x^3" in str(info.value) and "400 nodes" in str(info.value)
+        assert (info.value.alpha, info.value.nodes) == (1, 400)
+        assert "x^1" in str(info.value) and "400 nodes" in str(info.value)
         eps4 = -reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=350)) / 64
         assert eps4 == pytest.approx(float(eps4_closed(1, 0)), rel=1e-8)
 
@@ -462,3 +511,65 @@ class TestQuadrature:
         ]
         total = const / ksum * float(sum(wi * v for wi, v in zip(w, vals)))
         assert abs(total) < 1e-12
+
+    def test_rule_matches_scipy_reference(self):
+        # scipy's roots_genlaguerre, a test-side reference only, builds the
+        # same Golub-Welsch rule: the nodes agree bit for bit
+        for alpha in range(30):
+            for nodes in (1, 2, 3, 5, 10, 40, 60, 200, 350):
+                x, w = gauss_laguerre.__wrapped__(alpha, nodes)
+                x_ref, w_ref = roots_genlaguerre(nodes, alpha)
+                assert np.array_equal(x, x_ref), (alpha, nodes)
+                assert np.all(np.abs(w - w_ref) <= 4e-15 * w_ref), (alpha, nodes)
+
+    def test_binomial_scale_overflow_is_typed_error(self):
+        # binom(n + alpha, n) exceeds the float range at alpha = 169 (l = 84)
+        # and 5000 nodes: the rule is refused with the typed error
+        with pytest.raises(QuadratureError):
+            gauss_laguerre.__wrapped__(169, 5000)
+
+    @pytest.mark.parametrize("alpha", range(26))
+    def test_rule_overflows_where_scipy_does(self, alpha):
+        # the Newton polish keeps scipy's binomial scale, so the rule stops
+        # being finite at the same node count, somewhere in 355..385
+        finite = []
+        for nodes in range(355, 386):
+            with np.errstate(all="ignore"):
+                x_ref, w_ref = roots_genlaguerre(nodes, alpha)
+            finite.append(bool(np.isfinite(x_ref).all() and np.isfinite(w_ref).all()))
+            if finite[-1]:
+                gauss_laguerre.__wrapped__(alpha, nodes)
+            else:
+                with pytest.raises(QuadratureError):
+                    gauss_laguerre.__wrapped__(alpha, nodes)
+        assert finite[0] and not finite[-1]
+
+    def test_one_rule_per_config(self):
+        # the double integral and the orthogonality check share one grid,
+        # on the weight x^(2l+1) e^-x
+        gauss_laguerre.cache_clear()
+        cfg = GreenEvalConfig.for_level(7, 3)
+        reduced_double_integral(cfg)
+        for rp in (0.4, 1.1, 2.6):
+            reduced_orthogonality_defect(cfg, rp)
+        info = gauss_laguerre.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        gauss_laguerre(2 * cfg.l + 1, cfg.quad_nodes)
+        assert gauss_laguerre.cache_info().hits == info.hits + 1
+
+
+class TestLayering:
+    def test_green_route_never_loads_scipy_special(self):
+        # the rule is built in-house on scipy.linalg, the oracle's module
+        script = (
+            "import sys\n"
+            "from zeeman2d.greenfn import GreenEvalConfig, reduced_double_integral\n"
+            "reduced_double_integral(GreenEvalConfig.for_level(3, 1))\n"
+            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False", "True"]
