@@ -11,7 +11,11 @@ Subcommands:
 entry point, ``fit_field_series``, on its one field grid, so the CLI and the
 library check the same numbers.  The oracle (and with it numpy and scipy) is
 imported only when a fit runs: ``coeff``, ``energy``, ``table`` and
-``validate --max-n 0`` stay on the exact layers.
+``validate --max-n 0`` stay on the exact layers.  Just before that import,
+``validate`` sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1
+unless either is already set, because its banded solves and small dense
+matrices gain nothing from a BLAS thread pool whose idle workers spin on the
+other cores.
 
 Exit codes: 0 success, 1 validation failure or a reader that closed stdout
 early (as ``| head`` does), 2 usage error.  All rationals
@@ -45,6 +49,18 @@ from .perturb import (
 SECOND_ORDER_REL_TOL = 1e-6
 QUARTIC_SIGMAS = 3  # the ground-state c4 error may reach this many reported uncertainties
 DUAL_ROUTE_MAX_N = 12
+
+
+def _single_threaded_blas() -> None:
+    """Pin the BLAS thread pools of numpy and scipy to one thread, before they load.
+
+    OpenBLAS sizes its pool when the library loads, so this acts only while
+    numpy is not yet imported, and only when neither variable is set: a
+    thread count the user chose always wins.
+    """
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 
 def _render_markdown(headers: list[str], rows: list[list[str]]) -> str:
@@ -200,6 +216,7 @@ def cmd_validate(args) -> int:
     oracle_payload: list[dict] = []
     ground_fit = None
     if args.max_n >= 1:
+        _single_threaded_blas()
         from . import oracle
 
         for state in (QuantumState(n, l, l) for n in range(1, args.max_n + 1) for l in range(n)):

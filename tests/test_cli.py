@@ -245,24 +245,68 @@ class TestValidate:
         assert "FAILURES detected" in out
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_isolated(args, **preset):
+    """Run python with ``args`` in an environment holding neither BLAS thread
+    variable unless ``preset`` names it; return stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# runs a command through cli.main, then prints the BLAS thread variables and
+# the number of threads in the process (-1 where /proc is absent)
+PIN_PROBE = (
+    "import contextlib, io, json, os, sys\n"
+    "from zeeman2d import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(sys.argv[1:]) == 0\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), tasks]))\n"
+)
+
+
 class TestLayering:
     def test_exact_commands_never_load_numpy(self):
-        # coeff and the exact part of validate run on rationals alone; the
-        # oracle, and with it numpy and scipy, is imported only for fits
+        # coeff, table and the exact part of validate run on rationals alone;
+        # the oracle, and with it numpy and scipy, is imported only for fits,
+        # and so is the BLAS thread pin: these commands leave os.environ alone
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, os, sys\n"
             "from zeeman2d import cli\n"
+            "before = dict(os.environ)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['coeff', '3', '1']) == 0\n"
+            "    assert cli.main(['table']) == 0\n"
             "    assert cli.main(['validate', '--max-n', '0']) == 0\n"
-            "print(sorted({'numpy', 'scipy', 'zeeman2d.oracle'} & set(sys.modules)))\n"
+            "print(sorted({'numpy', 'scipy', 'zeeman2d.oracle'} & set(sys.modules)), dict(os.environ) == before)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.strip() == "[]"
+        assert run_isolated(["-c", script]).strip() == "[] True"
+
+    def test_validate_pins_blas_to_one_thread(self):
+        openblas, omp, tasks = json.loads(run_isolated(["-c", PIN_PROBE, "validate", "--max-n", "1"]))
+        assert (openblas, omp) == ("1", "1")
+        if tasks != -1:
+            assert tasks == 1
+
+    @pytest.mark.parametrize("preset", BLAS_THREAD_VARS)
+    def test_preset_thread_count_wins(self, preset):
+        out = run_isolated(["-c", PIN_PROBE, "validate", "--max-n", "1"], **{preset: "2"})
+        assert json.loads(out)[:2] == [("2" if var == preset else None) for var in BLAS_THREAD_VARS]
+
+    def test_report_is_independent_of_blas_threads(self, tmp_path):
+        reports = []
+        for name, preset in (("pinned", {}), ("threaded", {"OPENBLAS_NUM_THREADS": "2"})):
+            path = tmp_path / f"{name}.json"
+            run_isolated(["-m", "zeeman2d.cli", "validate", "--max-n", "4", "--json", str(path)], **preset)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_library_imports_without_the_tests(self):
         # an isolated interpreter sees src but not tests/, so every module

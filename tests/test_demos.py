@@ -5,6 +5,7 @@ under, so a numpy overflow or invalid value fails the demo too.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,18 @@ def test_demo_exits_cleanly(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_green_demo_fails_on_a_wrong_kernel(monkeypatch, capsys):
+    # a double integral off by one part in 1e9 misses every eps4 line's 1e-11
+    # tolerance, so the demo must name those lines and exit 1
+    from zeeman2d import greenfn
+
+    exact = greenfn.reduced_double_integral
+    monkeypatch.setattr(greenfn, "reduced_double_integral", lambda cfg: (1 + 1e-9) * exact(cfg))
+    with pytest.raises(SystemExit) as err:
+        runpy.run_path(str(ROOT / "demos" / "green_function_checks.py"), run_name="__main__")
+    assert err.value.code == 1
+    out = capsys.readouterr()
+    assert out.err.count("FAILED: (n=") == 6
+    assert "Every route" not in out.out
