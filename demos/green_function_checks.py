@@ -1,11 +1,11 @@
-"""Structural checks on the radial Coulomb Green function.
+"""Structural checks on the reduced radial Coulomb Green function.
 
 The fourth-order field coefficient can be written as a double integral of
 the level-anchored reduced Green kernel against the quadratic coupling
-weight.  That makes the kernel itself worth auditing: if its symmetry,
-orthogonality, residue behaviour, and projection identity all hold to
-near machine precision, the double-integral route is trustworthy -- and
-it independently reproduces the exact rational coefficients.
+weight.  That makes the kernel itself worth auditing: if its symmetry and
+its orthogonality to the anchored bound state hold to near machine
+precision, the double-integral route is trustworthy -- and it
+independently reproduces the exact rational coefficients.
 
 Every figure is checked against the tolerance the test suite holds it to;
 a miss is named on stderr and the script exits 1.
@@ -13,16 +13,11 @@ a miss is named on stderr and the script exits 1.
 Run:  python demos/green_function_checks.py
 """
 
-import math
 import sys
-from fractions import Fraction
 
-from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.greenfn import (
     GreenEvalConfig,
-    green_eval,
     green_reduced_eval,
-    projection_defect,
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
@@ -40,42 +35,7 @@ def check(ok: bool, line: str) -> None:
         failures.append(line.strip())
 
 
-print("1. Resolvent symmetry  G(r, r') = G(r', r)")
-cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=40)
-for r, rp in POINTS:
-    a, b = green_eval(cfg, r, rp), green_eval(cfg, rp, r)
-    check(abs(a - b) <= 1e-13, f"   r={r:3.1f} r'={rp:3.1f}:  G={a:+.12e}   |G - G^T| = {abs(a - b):.1e}")
-print()
-
-print("2. Projection identity: integrating (Z/r')S_m(r') against G returns")
-print("   S_m(r)/(mu_m - 1); the defect should vanish.")
-for m in (0, 3, 10):
-    d = projection_defect(cfg, m, 1.5)
-    check(abs(d) < 1e-11, f"   basis index m={m:2d}:  defect = {d:+.2e}")
-print()
-
-print("3. Residue law: (E - E_1) G -> 2 E_1 S(r) S(r') as E -> E_1.")
-E1 = energy0(QuantumState(1, 0, 0))
-r, rp = 0.7, 1.3
-# the level-1 Sturmian at Z = 1 is x^(1/2) e^(-x/2) with x = 4r, at unit weighted norm
-S_r, S_rp = (x**0.5 * math.exp(-x / 2) for x in (4 * r, 4 * rp))
-target = 2 * float(E1)
-prev = math.inf
-for eps_denom in (10**3, 10**4, 10**5, 10**6):
-    E = E1 * (1 + Fraction(1, eps_denom))
-    near = GreenEvalConfig.at_energy(E, l=0, truncation=40)
-    factor = (float(E) - float(E1)) * green_eval(near, r, rp) / (S_r * S_rp)
-    rel = abs(factor / target - 1)
-    # the error falls with the offset, and the closest offset reaches 1e-6
-    check(
-        rel < prev and (eps_denom < 10**6 or rel <= 1e-6),
-        f"   E offset 1/{eps_denom:>7}:  prefactor = {factor:+.9f}"
-        f"   (limit {target:+.9f}, rel err {rel:.1e})",
-    )
-    prev = rel
-print()
-
-print("4. Reduced kernel (pole removed at the anchored level):")
+print("1. Reduced kernel (pole removed at the anchored level):")
 print("   symmetric, and orthogonal to the anchored bound state.")
 for n, l in [(1, 0), (2, 0), (3, 1)]:
     red = GreenEvalConfig.for_level(n, l)
@@ -90,7 +50,7 @@ for n, l in [(1, 0), (2, 0), (3, 1)]:
     )
 print()
 
-print("5. The payoff: the double integral of the reduced kernel against the")
+print("2. The payoff: the double integral of the reduced kernel against the")
 print("   quadratic coupling weight reproduces the exact quartic coefficient.")
 print()
 print("   state      -(1/64) * double integral      exact eps4        rel err")

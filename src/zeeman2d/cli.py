@@ -335,8 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         if args.max_n < 0:
             parser.error("--max-n must be non-negative")
-        # the fit of (max_n, 0) tracks n_r = max_n - 1 and needs n_r + 20 functions
-        if args.max_n >= 1 and args.basis_size < args.max_n + 19:
+        # the fit of (max_n, 0) tracks n_r = max_n - 1 and needs n_r + 20 functions;
+        # --max-n 0 runs no fit but is held to the same bound, so no bad size passes
+        if args.basis_size < args.max_n + 19:
             parser.error(f"--basis-size must be at least {args.max_n + 19} for --max-n {args.max_n}")
     try:
         code = args.func(args)

@@ -20,7 +20,6 @@ from .laguerre import moment3_band
 __all__ = [
     "QuantumState",
     "energy0",
-    "sturmian_mu_squared",
     "r2_element_squared",
 ]
 
@@ -70,20 +69,6 @@ def energy0(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
     Z = Fraction(Z)
     n_eff = state.effective_n
     return -(Z * Z) / (2 * n_eff * n_eff)
-
-
-def sturmian_mu_squared(n_r: int, l: int, E: Fraction, Z: Fraction = Fraction(1)) -> Fraction:
-    """Exact square of the Sturmian eigenvalue mu = (n_r+l+1/2) k / Z.
-
-    mu is generally irrational, but mu^2 is rational for rational E, and
-    mu == 1 iff mu^2 == 1, so pole detection can stay exact.
-    """
-    E = Fraction(E)
-    if E >= 0:
-        raise ValueError("anchor energy must be negative")
-    Z = Fraction(Z)
-    order = Fraction(2 * (n_r + l) + 1, 2)
-    return order * order * (-2 * E) / (Z * Z)
 
 
 def _r2_term_ratio(n_r: int, j: int, alpha: int, perm_nr: int) -> tuple[int, int]:

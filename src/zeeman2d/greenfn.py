@@ -1,12 +1,10 @@
-"""Sturmian-expansion evaluation of the radial Coulomb Green functions.
+"""Sturmian-expansion evaluation of the reduced radial Coulomb Green function.
 
-Two kernels are evaluated in floating point:
-
-* the resolvent G_l(E; r, r') at a negative non-eigenvalue energy, a plain
-  sum of separable Sturmian terms weighted by 1/(mu_j - 1);
-* the reduced (pole-subtracted) kernel attached to a bound level, whose
-  extra pieces are a 1/2 diagonal term and one r d/dr term acting on the
-  resonant Sturmian on each argument.
+The kernel evaluated, in floating point, is the reduced (pole-subtracted)
+Green function attached to a bound level: the off-resonant Sturmian sum,
+plus a 1/2 diagonal term and one r d/dr term acting on the resonant
+Sturmian on each argument.  Its double integral against r^2 P0 is the
+paper's route to the quartic coefficient.
 
 All Sturmians of a channel share one exponential scale, so every
 verification integral factors as (polynomial) x (fixed weight x^a e^{-x}),
@@ -30,7 +28,7 @@ cancels catastrophically at large n_r (eps4 lost 1e-9 relative at n = 18
 and 2e-5 at n = 30).  The one exception is the Newton polish of the rule,
 which runs the difference form of the recurrence (`_laguerre_pair`): the
 three-term form cancels near x -> 0 and left the smallest node 8e-13 off.
-Both kernels are separable, so each integral contracts the factors against
+The kernel is separable, so each integral contracts the factors against
 its weight vector first, at O(truncation x nodes) cost; no nodes-by-nodes
 kernel is formed.  With the default truncation and 200 nodes the eps4
 double integral is tested to 1e-11 relative for n <= 60.
@@ -38,12 +36,12 @@ double integral is tested to 1e-11 relative for n <= 60.
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
 of the cost.  What depends on the config alone (the Sturmian norms, the
-coupling vector, the node grid with its factors, the node side of the
-orthogonality check and the exact pole scan) is computed once per
-`GreenEvalConfig` and kept on it read-only.  A non-finite radius
-raises `ValueError`; a radius whose envelope underflows to 0 gives 0.0
-without running the recurrence; a point value that is not finite (rows
-overflowing under a truncation far above the default) raises `ValueError`.
+coupling vector, the node grid with its factors and the node side of the
+orthogonality check) is computed once per `GreenEvalConfig` and kept on it
+read-only.  A non-finite radius raises `ValueError`; a radius whose
+envelope underflows to 0 gives 0.0 without running the recurrence; a point
+value that is not finite (rows overflowing under a truncation far above the
+default) raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -56,19 +54,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .coulomb import QuantumState, energy0, sturmian_mu_squared
-from .exactmath import rational_sqrt
+from .coulomb import QuantumState, energy0
 
 __all__ = [
     "GreenEvalConfig",
-    "PoleError",
     "QuadratureError",
-    "green_eval",
     "green_reduced_eval",
     "gauss_laguerre",
     "reduced_double_integral",
     "reduced_orthogonality_defect",
-    "projection_defect",
 ]
 
 DEFAULT_NODES = 200
@@ -78,17 +72,6 @@ DEFAULT_NODES = 200
 # at l = 85 only point values are available, and the quadratures raise
 # `QuadratureError(171, nodes)`.
 MAX_L = 85
-
-
-class PoleError(ValueError):
-    """Raised when the requested energy sits on a bound level of the channel."""
-
-    def __init__(self, n_r: int):
-        self.n_r = n_r
-        super().__init__(
-            f"energy is an eigenvalue of the channel (resonant n_r = {n_r}); "
-            "use the reduced kernel for level-anchored work"
-        )
 
 
 class QuadratureError(ValueError):
@@ -111,20 +94,18 @@ class QuadratureError(ValueError):
 
 @dataclass(frozen=True)
 class GreenEvalConfig:
-    """Evaluation parameters for one channel and one anchor.
+    """Evaluation parameters for one channel l anchored at the bound level n.
 
-    Exactly one of ``energy`` (resolvent mode) and ``level`` (reduced-kernel
-    mode) is set.  ``truncation`` counts Sturmian terms; the reduced kernel
-    needs at least n_r + 4 of them so the whole coupling band of the
-    resonant index is present.
+    ``truncation`` counts Sturmian terms; the reduced kernel needs at least
+    n_r + 4 of them so the whole coupling band of the resonant index is
+    present.
     """
 
     l: int
+    level: int
     Z: Fraction = Fraction(1)
     truncation: int = 30
     quad_nodes: int = DEFAULT_NODES
-    energy: Fraction | None = None
-    level: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Z", Fraction(self.Z))
@@ -138,28 +119,10 @@ class GreenEvalConfig:
             raise ValueError("truncation must be positive")
         if self.quad_nodes < 2:
             raise ValueError("need at least two quadrature nodes")
-        if (self.energy is None) == (self.level is None):
-            raise ValueError("set exactly one of energy (resolvent) or level (reduced)")
-        if self.energy is not None:
-            object.__setattr__(self, "energy", Fraction(self.energy))
-            if self.energy >= 0:
-                raise ValueError("resolvent anchor energy must be negative")
-        if self.level is not None:
-            if self.level < self.l + 1:
-                raise ValueError("level must satisfy n >= l+1")
-            if self.truncation < self.resonant_n_r + 4:
-                raise ValueError("truncation must be at least n_r + 4 for the reduced kernel")
-
-    @classmethod
-    def at_energy(
-        cls,
-        energy: Fraction,
-        l: int,
-        Z: Fraction = Fraction(1),
-        truncation: int = 30,
-        quad_nodes: int = DEFAULT_NODES,
-    ) -> "GreenEvalConfig":
-        return cls(l=l, Z=Z, truncation=truncation, quad_nodes=quad_nodes, energy=Fraction(energy))
+        if self.level < self.l + 1:
+            raise ValueError("level must satisfy n >= l+1")
+        if self.truncation < self.resonant_n_r + 4:
+            raise ValueError("truncation must be at least n_r + 4 for the reduced kernel")
 
     @classmethod
     def for_level(
@@ -177,14 +140,10 @@ class GreenEvalConfig:
 
     @property
     def resonant_n_r(self) -> int:
-        if self.level is None:
-            raise ValueError("resonant index exists only in reduced-kernel mode")
         return self.level - self.l - 1
 
     @property
     def anchor_energy(self) -> Fraction:
-        if self.energy is not None:
-            return self.energy
         return energy0(QuantumState(self.level, self.l, self.l), self.Z)
 
     @property
@@ -193,8 +152,8 @@ class GreenEvalConfig:
 
     @cached_property
     def scale_float(self) -> float:
-        root = rational_sqrt(self.scale_squared)
-        return float(root) if root is not None else math.sqrt(float(self.scale_squared))
+        """k = Z/N, rational at every level, rounded once."""
+        return float(self.Z / Fraction(2 * self.level - 1, 2))
 
     # Per-config constants, computed on first use and kept read-only on the
     # config; no module-level cache holds them.
@@ -240,14 +199,6 @@ class GreenEvalConfig:
         _, w, rows, s, d = self._grid
         u = w * s
         return _read_only(rows @ u), s @ u, d @ u
-
-    @cached_property
-    def _pole(self) -> int | None:
-        """The index j with mu_j = 1 at the anchor energy, or None; scanned exactly."""
-        for j in range(self.truncation):
-            if sturmian_mu_squared(j, self.l, self.energy, self.Z) == 1:
-                return j
-        return None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -348,16 +299,6 @@ def _laguerre_table(j_max: int, alpha: int, x: float | np.ndarray) -> np.ndarray
     return np.array(rows)
 
 
-def _pole_scan(cfg: GreenEvalConfig) -> None:
-    if cfg._pole is not None:
-        raise PoleError(cfg._pole)
-
-
-def _mu_floats(cfg: GreenEvalConfig) -> np.ndarray:
-    k_over_z = cfg.scale_float / float(cfg.Z)
-    return (np.arange(cfg.truncation) + cfg.l + 0.5) * k_over_z
-
-
 def _envelope(cfg: GreenEvalConfig, r: float) -> tuple[float, float]:
     """Return (x, x^(l+1/2) e^{-x/2}) at radius r, with x a Python float.
 
@@ -387,24 +328,6 @@ def _finite(value: float) -> float:
             "use a smaller truncation"
         )
     return value
-
-
-def green_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
-    """Resolvent kernel G_l(E; r, r') as a truncated Sturmian sum."""
-    if cfg.energy is None:
-        raise ValueError("green_eval needs an energy-anchored configuration")
-    if r <= 0 or rp <= 0:
-        raise ValueError("radii must be positive")
-    x, env = _envelope(cfg, r)
-    xp, envp = _envelope(cfg, rp)
-    _pole_scan(cfg)
-    scale = env * envp
-    if scale == 0:
-        return 0.0
-    j_max, alpha = cfg.truncation - 1, 2 * cfg.l
-    c = cfg._norms
-    terms = c * c * _laguerre_table(j_max, alpha, x) * _laguerre_table(j_max, alpha, xp)
-    return _finite(scale * float(np.sum(terms / (_mu_floats(cfg) - 1.0))))
 
 
 def _reduced_factors(
@@ -445,8 +368,6 @@ def _reduced_form(cfg: GreenEvalConfig, a: tuple, b: tuple) -> float:
 
 def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
     """Reduced kernel of the anchored level at a pair of radii."""
-    if cfg.level is None:
-        raise ValueError("green_reduced_eval needs a level-anchored configuration")
     if r <= 0 or rp <= 0:
         raise ValueError("radii must be positive")
     x, env = _envelope(cfg, r)
@@ -468,8 +389,6 @@ def reduced_double_integral(cfg: GreenEvalConfig) -> float:
     Multiplying by -(Z^6/64) reproduces the exact quartic coefficient;
     tests pin that.
     """
-    if cfg.level is None:
-        raise ValueError("reduced_double_integral needs a level-anchored configuration")
     x, w, rows, s, d = cfg._grid
     u = w * x * x * s
     proj = (rows @ u, s @ u, d @ u)
@@ -485,8 +404,6 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
     so the residual is pure truncation plus rounding.  The node side is
     projected once per config; each call evaluates only r'.
     """
-    if cfg.level is None:
-        raise ValueError("reduced_orthogonality_defect needs a level-anchored configuration")
     if rp <= 0:
         raise ValueError("r' must be positive")
     xp, envp = _envelope(cfg, rp)
@@ -495,32 +412,3 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
     # P0 = k s env and dr = dx / (2k): the prefactor is 1/2
     projection = cfg._orthogonality_projection
     return _finite(0.5 * envp * _reduced_form(cfg, projection, _reduced_factors(cfg, xp)))
-
-
-def projection_defect(cfg: GreenEvalConfig, m: int, r: float) -> float:
-    """Defect of the weighted projection identity of the resolvent.
-
-    integral dr' (Z/r') S_m(r') G(E; r, r') must equal S_m(r)/(mu_m - 1);
-    the returned value is the difference, evaluated with the weight
-    x^(2l) e^{-x} matched to the product of scales.
-    """
-    if cfg.energy is None:
-        raise ValueError("projection_defect needs an energy-anchored configuration")
-    if not 0 <= m < cfg.truncation:
-        raise ValueError("projected index must sit inside the truncated basis")
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    xr, env = _envelope(cfg, r)
-    _pole_scan(cfg)
-    if env == 0:
-        return 0.0
-    x, w = gauss_laguerre(2 * cfg.l, cfg.quad_nodes)
-    c = cfg._norms
-    mu = _mu_floats(cfg)
-    table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
-    # integral (Z/r') S_m S_j dr' = Z c_m c_j integral x^(2l) e^{-x} L_m L_j dx
-    weighted = float(cfg.Z) * c[m] * c * (table[m][None, :] * table @ w)
-    basis_r = c * _laguerre_table(cfg.truncation - 1, 2 * cfg.l, xr) * env
-    projected = float(np.sum(weighted / (mu - 1.0) * basis_r))
-    expected = float(basis_r[m] / (mu[m] - 1.0))
-    return _finite(projected - expected)

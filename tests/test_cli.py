@@ -219,6 +219,7 @@ class TestValidate:
             ["--max-n", "1", "--basis-size", "10"],
             ["--max-n", "1", "--basis-size", "19"],
             ["--max-n", "4", "--basis-size", "22"],
+            ["--max-n", "0", "--basis-size", "-5"],
         ],
     )
     def test_bad_arguments_rejected_before_any_check(self, capsys, argv):
@@ -320,8 +321,9 @@ class TestLayering:
             "    importlib.import_module('zeeman2d.' + module.name)\n"
             "print(' '.join(zeeman2d.__all__))\n"
         )
+        # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps bytecode out of src
         proc = subprocess.run(
-            [sys.executable, "-I", "-c", script, str(src)], cwd=src, capture_output=True, text=True, timeout=120
+            [sys.executable, "-I", "-B", "-c", script, str(src)], cwd=src, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == COEFFICIENT_API

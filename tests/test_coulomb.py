@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zeeman2d import coulomb
-from zeeman2d.coulomb import QuantumState, energy0, r2_element_squared, sturmian_mu_squared
+from zeeman2d.coulomb import QuantumState, energy0, r2_element_squared
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.laguerre import moment3_band
 from zeeman2d.perturb import eps4_sturmian
@@ -113,23 +113,6 @@ class TestSturmian:
             sturmian(0, 0, Fraction(0))
         with pytest.raises(ValueError):
             sturmian(0, 0, Fraction(1, 2))
-
-    def test_mu_fixed_values(self):
-        E1 = energy0(QuantumState(1, 0, 0))
-        assert sturmian_mu_squared(0, 0, E1) == 1
-        assert sturmian_mu_squared(1, 0, E1) == 9  # mu = 3
-        E2 = energy0(QuantumState(2, 0, 0))
-        assert sturmian_mu_squared(2, 1, E2) == Fraction(49, 9)  # mu = 7/3
-        assert math.sqrt(sturmian_mu_squared(1, 0, E1)) == pytest.approx(3.0, rel=1e-15)
-
-    def test_mu_formula(self):
-        # mu = (n_r + l + 1/2) k / Z with k = sqrt(-2E)
-        E = Fraction(-1, 3)
-        for n_r in range(4):
-            for l in range(3):
-                mu2 = sturmian_mu_squared(n_r, l, E, 2)
-                expected = Fraction(2 * (n_r + l) + 1, 2) ** 2 * Fraction(2, 3) / 4
-                assert mu2 == expected
 
     def test_eigen_energy_proportionality(self):
         # at E = E0_n the Sturmian is (N_n/Z) times the bound function:

@@ -12,41 +12,27 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from zeeman2d import greenfn
-from zeeman2d.coulomb import QuantumState, energy0, sturmian_mu_squared
+from zeeman2d.coulomb import QuantumState
 from zeeman2d.greenfn import (
     GreenEvalConfig,
-    PoleError,
     QuadratureError,
     _envelope,
     _laguerre_table,
     _reduced_factors,
     gauss_laguerre,
-    green_eval,
     green_reduced_eval,
-    projection_defect,
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
 from zeeman2d.perturb import eps4_closed
 
-from radial_reference import Laguerre, RationalPolynomial, bound_radial, laguerre_coeffs, sturmian
+from radial_reference import Laguerre, RationalPolynomial, bound_radial, laguerre_coeffs
 
 POINT_PAIRS = [(0.3, 1.7), (0.9, 2.4), (2.2, 0.5), (1.1, 1.1)]
 LOW_STATES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
 class TestConfig:
-    def test_exactly_one_anchor(self):
-        with pytest.raises(ValueError):
-            GreenEvalConfig(l=0)
-        with pytest.raises(ValueError):
-            GreenEvalConfig(l=0, energy=Fraction(-1, 3), level=1)
-
-    def test_energy_must_be_negative(self):
-        with pytest.raises(ValueError):
-            GreenEvalConfig.at_energy(Fraction(1, 3), l=0)
-
     def test_level_consistency(self):
         with pytest.raises(ValueError):
             GreenEvalConfig(l=1, level=1)  # n >= l+1 violated
@@ -68,111 +54,20 @@ class TestConfig:
         for n, l in [(87, 86), (120, 100)]:
             with pytest.raises(ValueError, match="MAX_L = 85"):
                 GreenEvalConfig.for_level(n, l)
-        with pytest.raises(ValueError, match="MAX_L = 85"):
-            GreenEvalConfig.at_energy(Fraction(-1, 3), l=86)
 
     def test_anchor_energy(self):
         cfg = GreenEvalConfig.for_level(2, 1)
         assert cfg.anchor_energy == Fraction(-2, 9)
         assert cfg.scale_squared == Fraction(4, 9)
         assert cfg.scale_float == pytest.approx(2 / 3, rel=1e-15)
-
-
-class TestResolventKernel:
-    def test_symmetry(self):
-        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=40)
-        for r, rp in POINT_PAIRS:
-            assert abs(green_eval(cfg, r, rp) - green_eval(cfg, rp, r)) <= 1e-13
-
-    def test_pole_error_names_resonant_index(self):
-        cfg = GreenEvalConfig.at_energy(Fraction(-2, 9), l=0, truncation=30)
-        with pytest.raises(PoleError) as err:
-            green_eval(cfg, 1.0, 1.0)
-        assert err.value.n_r == 1  # -2/9 is the n = 2 level of the l = 0 channel
-        assert "n_r = 1" in str(err.value)
-
-    def test_pole_scan_runs_once_per_config(self, monkeypatch):
-        # the exact scan depends on the config alone: a warm config does not
-        # rescan, and a config on a pole raises on every call
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return sturmian_mu_squared(*args)
-
-        monkeypatch.setattr(greenfn, "sturmian_mu_squared", counting)
-        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
-        green_eval(cfg, 1.0, 2.0)
-        assert len(calls) == cfg.truncation
-        green_eval(cfg, 0.5, 1.5)
-        projection_defect(cfg, 3, 1.0)
-        assert len(calls) == cfg.truncation
-        pole = GreenEvalConfig.at_energy(Fraction(-2, 9), l=0, truncation=30)
-        for call in (
-            lambda: green_eval(pole, 1.0, 1.0),
-            lambda: projection_defect(pole, 3, 1.0),
-            lambda: green_eval(pole, 2.0, 0.5),
-        ):
-            with pytest.raises(PoleError) as err:
-                call()
-            assert err.value.n_r == 1
-        # the scan stops at the resonant index n_r = 1, once
-        assert len(calls) == cfg.truncation + 2
-
-    def test_pole_detection_is_exact(self):
-        # a nearby-but-unequal rational energy must not trip the scan
-        almost = Fraction(-2, 9) * (1 + Fraction(1, 10**12))
-        cfg = GreenEvalConfig.at_energy(almost, l=0, truncation=30)
-        assert sturmian_mu_squared(1, 0, almost) != 1
-        green_eval(cfg, 1.0, 1.0)  # evaluates without raising
-
-    def test_projection_identity(self):
-        # int dr' (Z/r') S_m(r') G(E; r, r') = S_m(r) / (mu_m - 1)
-        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=40)
-        for m in (0, 3, 10):
-            for r in (0.5, 1.5):
-                assert abs(projection_defect(cfg, m, r)) < 1e-11
-
-    def test_projection_defect_rejects_out_of_band_index(self):
-        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
-        with pytest.raises(ValueError):
-            projection_defect(cfg, 20, 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            projection_defect(cfg, 3, -1.0)
-        assert projection_defect(cfg, 3, 0.0) == 0.0
-
-    def test_residue_limit_two_sided(self):
-        # (E - E0_n) G -> 2 E0_n S(r) S(r') as E -> E0_n from either side
-        E1 = energy0(QuantumState(1, 0, 0))
-        S = sturmian(0, 0, E1)
-        r, rp = 0.7, 1.3
-        for sign in (1, -1):
-            E = E1 * (1 + sign * Fraction(1, 10**6))
-            cfg = GreenEvalConfig.at_energy(E, l=0, truncation=40)
-            factor = (float(E) - float(E1)) * green_eval(cfg, r, rp) / (S(r) * S(rp))
-            assert factor == pytest.approx(2 * float(E1), rel=1e-6)
-
-    def test_resonance_identity_is_exact(self):
-        # (E - E0_n) = E0_n (mu^2 - 1) for the resonant index, exactly
-        for n in range(1, 5):
-            for l in range(n):
-                En = energy0(QuantumState(n, l, l))
-                for E in (En * Fraction(10**6 + 1, 10**6), Fraction(-1, 3)):
-                    mu2 = sturmian_mu_squared(n - l - 1, l, E)
-                    assert E - En == En * (mu2 - 1)
-
-    def test_rejects_bad_radii(self):
-        cfg = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0)
-        with pytest.raises(ValueError):
-            green_eval(cfg, 0.0, 1.0)
-
-    def test_mode_mismatch_rejected(self):
-        cfg_level = GreenEvalConfig.for_level(1, 0)
-        with pytest.raises(ValueError):
-            green_eval(cfg_level, 1.0, 1.0)
-        cfg_energy = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0)
-        with pytest.raises(ValueError):
-            green_reduced_eval(cfg_energy, 1.0, 1.0)
+        # k = Z/N is rational at every level and is rounded once
+        for Z in (Fraction(1), Fraction(3, 2), Fraction(3)):
+            for n in range(1, 13):
+                for l in range(n):
+                    cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+                    k = Z / Fraction(2 * n - 1, 2)
+                    assert cfg.scale_squared == k * k
+                    assert cfg.scale_float == float(k)
 
 
 class TestReducedKernel:
@@ -228,6 +123,16 @@ class TestReducedKernel:
         vals = [reduced_orthogonality_defect(cfg, rp) for rp in (0.7, 1.9)]
         assert max(abs(v) for v in vals) < 1e-8
 
+    def test_rejects_bad_radii(self):
+        cfg = GreenEvalConfig.for_level(2, 1)
+        for call in (
+            lambda: green_reduced_eval(cfg, 0.0, 1.0),
+            lambda: green_reduced_eval(cfg, 1.0, -1.0),
+            lambda: reduced_orthogonality_defect(cfg, 0.0),
+        ):
+            with pytest.raises(ValueError, match="positive"):
+                call()
+
 
 def _exact_factor_polys(n_r: int, l: int) -> tuple[RationalPolynomial, RationalPolynomial]:
     """q = L_{n_r}^{(2l)} and its stripped r d/dr image (l+1/2) q - (x/2) q + x q'."""
@@ -282,10 +187,7 @@ class TestSeparableFactors:
 
     def test_public_values_are_python_floats(self):
         level = GreenEvalConfig.for_level(2, 1)
-        energy = GreenEvalConfig.at_energy(Fraction(-1, 3), l=0, truncation=20)
         values = [
-            green_eval(energy, 0.5, 1.5),
-            projection_defect(energy, 3, 1.5),
             green_reduced_eval(level, 0.5, 1.5),
             reduced_double_integral(level),
             reduced_orthogonality_defect(level, 1.1),
@@ -356,7 +258,6 @@ class TestPointPath:
 
 EDGE_RADII = [1e5, 1e20, 1e100, 1e308, math.nan, math.inf]
 LEVEL_EDGE_CONFIGS = [(3, 1, 1), (40, 3, 1), (1, 0, 3)]
-ENERGY_EDGE_CONFIGS = [(Fraction(-1, 3), 0), (Fraction(-9), 2)]
 
 
 def _edge_expectation(r: float, call) -> None:
@@ -383,19 +284,6 @@ class TestRadiusEdges:
             cfg = GreenEvalConfig.for_level(n, l, Z=Z)
             _edge_expectation(r, lambda: reduced_orthogonality_defect(cfg, r))
 
-    @pytest.mark.parametrize("r", EDGE_RADII)
-    def test_green_eval(self, r):
-        for energy, l in ENERGY_EDGE_CONFIGS:
-            cfg = GreenEvalConfig.at_energy(energy, l=l)
-            _edge_expectation(r, lambda: green_eval(cfg, r, 1.0))
-            _edge_expectation(r, lambda: green_eval(cfg, 1.0, r))
-
-    @pytest.mark.parametrize("r", EDGE_RADII)
-    def test_projection_defect(self, r):
-        for energy, l in ENERGY_EDGE_CONFIGS:
-            cfg = GreenEvalConfig.at_energy(energy, l=l, truncation=20)
-            _edge_expectation(r, lambda: projection_defect(cfg, 3, r))
-
     def test_overflowing_rows_raise(self):
         # at x = 1500 the envelope is subnormal, not 0, while rows of a
         # truncation far above the default overflow; the float path must
@@ -406,12 +294,6 @@ class TestRadiusEdges:
             green_reduced_eval(cfg, r, 1.0)
         with pytest.raises(ValueError, match="not finite"):
             reduced_orthogonality_defect(cfg, r)
-        energy = GreenEvalConfig.at_energy(Fraction(-1, 2), l=1, truncation=400)
-        r = 1500 / (2 * energy.scale_float)
-        with pytest.raises(ValueError, match="not finite"):
-            green_eval(energy, r, 1.0)
-        with pytest.raises(ValueError, match="not finite"):
-            projection_defect(energy, 3, r)
 
 
 class TestSupportedRange:
