@@ -15,17 +15,16 @@ fit extracts the b^4 coefficient with no perturbation theory involved.
 Run:  python demos/disputed_value.py
 """
 
-from fractions import Fraction
-
 from zeeman2d.coulomb import QuantumState
 from zeeman2d.oracle import fit_field_series
 from zeeman2d.perturb import disputed_value_report, eps4_closed, eps4_sturmian
+from zeeman2d.reference import GROUND_EPS4_HALF_GAP, GROUND_EPS4_LITERATURE
 
-EXACT = Fraction(-159, 65536)
-LITERATURE = Fraction(-153, 65536)
+EXACT = eps4_closed(1, 0)
+LITERATURE = GROUND_EPS4_LITERATURE
 
 print("Exact routes:")
-print(f"  closed form:   {eps4_closed(1, 0)}")
+print(f"  closed form:   {EXACT}")
 print(f"  window sum:    {eps4_sturmian(1, 0)}")
 print(f"  literature:    {LITERATURE}")
 print()
@@ -41,12 +40,12 @@ err_exact = abs(c4 - float(EXACT))
 err_lit = abs(c4 - float(LITERATURE))
 print(f"  |c4 - exact|      = {err_exact:.3e}")
 print(f"  |c4 - literature| = {err_lit:.3e}")
-print(f"  candidate gap / 2 = {float(abs(EXACT - LITERATURE)) / 2:.3e}")
+print(f"  candidate gap / 2 = {float(GROUND_EPS4_HALF_GAP):.3e}")
 print()
 
 ratio = err_lit / err_exact
-print(f"The estimate sits {ratio:,.0f} times closer to -159/65536 than to")
-print("-153/65536; the numeric experiment rejects the literature value.")
+print(f"The estimate sits {ratio:,.0f} times closer to {EXACT} than to")
+print(f"{LITERATURE}; the numeric experiment rejects the literature value.")
 print()
 
 report = disputed_value_report(oracle_estimate=c4, oracle_uncertainty=sigma)

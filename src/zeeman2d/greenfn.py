@@ -30,8 +30,17 @@ which runs the difference form of the recurrence (`_laguerre_pair`): the
 three-term form cancels near x -> 0 and left the smallest node 8e-13 off.
 The kernel is separable, so each integral contracts the factors against
 its weight vector first, at O(truncation x nodes) cost; no nodes-by-nodes
-kernel is formed.  With the default truncation and 200 nodes the eps4
-double integral is tested to 1e-11 relative for n <= 60.
+kernel is formed.
+
+A config is the level (l, n, Z) and nothing else: the kernel keeps n_r + 12
+Sturmian terms (n_r = n - l - 1; the coupling band of the resonant index
+needs n_r + 4) and every rule has `DEFAULT_NODES` = 200 nodes.  Both
+quadratures accept n_r <= `MAX_QUADRATURE_N_R` = 92: there every l <= 84
+at Z in {1, 3/2} holds eps4 to 1e-11 relative and the orthogonality defect
+below 1e-8 (at r' = 0.4, 1.1, 2.6 and (N^2/Z) {1/2, 1, 2}).  From n_r = 93
+(l = 53) rounding passes the 1e-11, eps4 is 85% off at (190, 0), and from
+n_r = 194 the integrand's degree 2 n_r + 13 passes the rule's 399; past
+the edge both raise `ValueError`, while point values run at every level.
 
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
@@ -40,8 +49,8 @@ coupling vector, the node grid with its factors and the node side of the
 orthogonality check) is computed once per `GreenEvalConfig` and kept on it
 read-only.  A non-finite radius raises `ValueError`; a radius whose
 envelope underflows to 0 gives 0.0 without running the recurrence; a point
-value that is not finite (rows overflowing under a truncation far above the
-default) raises `ValueError`.
+value that is not finite (rows of a high level overflowing at a far radius)
+raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -53,8 +62,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigvals_banded
-
-from .coulomb import QuantumState, energy0
 
 __all__ = [
     "GreenEvalConfig",
@@ -72,6 +79,9 @@ DEFAULT_NODES = 200
 # at l = 85 only point values are available, and the quadratures raise
 # `QuadratureError(171, nodes)`.
 MAX_L = 85
+# The largest n_r = n - l - 1 the quadratures accept: the measured edge of
+# their 1e-11 eps4 accuracy (module docstring).
+MAX_QUADRATURE_N_R = 92
 
 
 class QuadratureError(ValueError):
@@ -88,24 +98,18 @@ class QuadratureError(ValueError):
         self.nodes = nodes
         super().__init__(
             f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes "
-            "has non-finite nodes or weights; use fewer quadrature nodes"
+            "has non-finite nodes or weights: Gamma(alpha + 1) or the Laguerre "
+            "values of its Newton step overflow a float"
         )
 
 
 @dataclass(frozen=True)
 class GreenEvalConfig:
-    """Evaluation parameters for one channel l anchored at the bound level n.
-
-    ``truncation`` counts Sturmian terms; the reduced kernel needs at least
-    n_r + 4 of them so the whole coupling band of the resonant index is
-    present.
-    """
+    """The reduced kernel of channel l anchored at the bound level n, charge Z."""
 
     l: int
     level: int
     Z: Fraction = Fraction(1)
-    truncation: int = 30
-    quad_nodes: int = DEFAULT_NODES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Z", Fraction(self.Z))
@@ -115,40 +119,21 @@ class GreenEvalConfig:
             raise ValueError(f"l = {self.l} exceeds MAX_L = {MAX_L}: (2l)! overflows a float")
         if self.Z <= 0:
             raise ValueError("Z must be positive")
-        if self.truncation < 1:
-            raise ValueError("truncation must be positive")
-        if self.quad_nodes < 2:
-            raise ValueError("need at least two quadrature nodes")
         if self.level < self.l + 1:
             raise ValueError("level must satisfy n >= l+1")
-        if self.truncation < self.resonant_n_r + 4:
-            raise ValueError("truncation must be at least n_r + 4 for the reduced kernel")
 
     @classmethod
-    def for_level(
-        cls,
-        n: int,
-        l: int,
-        Z: Fraction = Fraction(1),
-        truncation: int | None = None,
-        quad_nodes: int = DEFAULT_NODES,
-    ) -> "GreenEvalConfig":
-        n_r = n - l - 1
-        if truncation is None:
-            truncation = n_r + 12
-        return cls(l=l, Z=Z, truncation=truncation, quad_nodes=quad_nodes, level=n)
+    def for_level(cls, n: int, l: int, Z: Fraction = Fraction(1)) -> "GreenEvalConfig":
+        return cls(l=l, level=n, Z=Z)
 
     @property
     def resonant_n_r(self) -> int:
         return self.level - self.l - 1
 
     @property
-    def anchor_energy(self) -> Fraction:
-        return energy0(QuantumState(self.level, self.l, self.l), self.Z)
-
-    @property
-    def scale_squared(self) -> Fraction:
-        return -2 * self.anchor_energy
+    def truncation(self) -> int:
+        """Sturmian terms kept: n_r + 12."""
+        return self.resonant_n_r + 12
 
     @cached_property
     def scale_float(self) -> float:
@@ -185,7 +170,7 @@ class GreenEvalConfig:
         Nodes and weights of x^(2l+1) e^{-x} with the factors of
         `_reduced_factors` on them; both quadratures of the config use it.
         """
-        x, w = gauss_laguerre(2 * self.l + 1, self.quad_nodes)
+        x, w = gauss_laguerre(2 * self.l + 1, DEFAULT_NODES)
         rows, s, d = _reduced_factors(self, x)
         return x, w, _read_only(rows), _read_only(s), _read_only(d)
 
@@ -320,14 +305,25 @@ def _finite(value: float) -> float:
 
     Python float arithmetic overflows without a warning, so a kernel value
     at a radius whose envelope is tiny but not 0 could otherwise come back
-    as NaN; that happens only with a truncation far above the default.
+    as NaN.  The rows grow like x^truncation: at x = 1420 they overflow for
+    (400, 0) and (1000, 0), while (300, 0) stays finite.
     """
     if not math.isfinite(value):
         raise ValueError(
-            "kernel value is not finite: the Laguerre rows overflow at this radius; "
-            "use a smaller truncation"
+            "kernel value is not finite: the Laguerre rows of this level overflow "
+            "a float at this radius"
         )
     return value
+
+
+def _check_quadrature_range(cfg: GreenEvalConfig) -> None:
+    """Refuse a level past `MAX_QUADRATURE_N_R`, where the quadratures lose accuracy."""
+    if cfg.resonant_n_r > MAX_QUADRATURE_N_R:
+        raise ValueError(
+            f"level n = {cfg.level}, l = {cfg.l}: n_r = {cfg.resonant_n_r} exceeds "
+            f"MAX_QUADRATURE_N_R = {MAX_QUADRATURE_N_R}, past which the quadratures "
+            "miss eps4 by more than 1e-11"
+        )
 
 
 def _reduced_factors(
@@ -389,6 +385,7 @@ def reduced_double_integral(cfg: GreenEvalConfig) -> float:
     Multiplying by -(Z^6/64) reproduces the exact quartic coefficient;
     tests pin that.
     """
+    _check_quadrature_range(cfg)
     x, w, rows, s, d = cfg._grid
     u = w * x * x * s
     proj = (rows @ u, s @ u, d @ u)
@@ -404,6 +401,7 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
     so the residual is pure truncation plus rounding.  The node side is
     projected once per config; each call evaluates only r'.
     """
+    _check_quadrature_range(cfg)
     if rp <= 0:
         raise ValueError("r' must be positive")
     xp, envp = _envelope(cfg, rp)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -179,7 +178,6 @@ class ExactBands:
     r2: ExactBand
 
 
-@lru_cache(maxsize=32)
 def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> ExactBands:
     """Field-independent exact bands in closed form, on integers.
 

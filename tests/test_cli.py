@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zeeman2d import reference
-from zeeman2d.cli import main
+from zeeman2d import oracle, reference
+from zeeman2d.cli import build_parser, main
 from zeeman2d.exactmath import parse_rational
 
 
@@ -229,6 +229,11 @@ class TestValidate:
         assert exc.value.code == 2
         assert out.out == ""
         assert "--max-n" in out.err or "--basis-size" in out.err
+
+    def test_basis_size_default_is_the_oracle_default(self):
+        # the parser spells out its own default so that it need not load
+        # numpy; the two must not drift apart
+        assert build_parser().parse_args(["validate"]).basis_size == oracle.DEFAULT_BASIS_SIZE
 
     def test_smallest_basis_size_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--max-n", "1", "--basis-size", "20"])

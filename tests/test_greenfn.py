@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from zeeman2d.coulomb import QuantumState
+from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.greenfn import (
+    DEFAULT_NODES,
+    MAX_QUADRATURE_N_R,
     GreenEvalConfig,
     QuadratureError,
     _envelope,
@@ -37,12 +39,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             GreenEvalConfig(l=1, level=1)  # n >= l+1 violated
 
-    def test_reduced_kernel_needs_margin(self):
-        # truncation below n_r + 4 leaves part of the coupling band missing
-        with pytest.raises(ValueError, match="n_r \\+ 4"):
-            GreenEvalConfig.for_level(5, 0, truncation=7)
-        assert GreenEvalConfig.for_level(5, 0, truncation=8).truncation == 8
-
     def test_largest_l(self):
         # (2l)! is a finite float up to l = 85; beyond it the configuration
         # is refused with a typed error instead of overflowing later
@@ -56,17 +52,15 @@ class TestConfig:
                 GreenEvalConfig.for_level(n, l)
 
     def test_anchor_energy(self):
-        cfg = GreenEvalConfig.for_level(2, 1)
-        assert cfg.anchor_energy == Fraction(-2, 9)
-        assert cfg.scale_squared == Fraction(4, 9)
-        assert cfg.scale_float == pytest.approx(2 / 3, rel=1e-15)
-        # k = Z/N is rational at every level and is rounded once
+        # the scale k of the anchored level solves E_n = -k^2/2; k = Z/N is
+        # rational at every level and is rounded once
+        assert GreenEvalConfig.for_level(2, 1).scale_float == pytest.approx(2 / 3, rel=1e-15)
         for Z in (Fraction(1), Fraction(3, 2), Fraction(3)):
             for n in range(1, 13):
                 for l in range(n):
                     cfg = GreenEvalConfig.for_level(n, l, Z=Z)
                     k = Z / Fraction(2 * n - 1, 2)
-                    assert cfg.scale_squared == k * k
+                    assert -2 * energy0(QuantumState(n, l, l), Z) == k * k
                     assert cfg.scale_float == float(k)
 
 
@@ -105,16 +99,6 @@ class TestReducedKernel:
         cfg = GreenEvalConfig.for_level(1, 0, Z=2)
         val = -reduced_double_integral(cfg) * 2**6 / 64
         assert val == pytest.approx(float(eps4_closed(1, 0)), rel=1e-8)
-
-    def test_truncation_stability(self):
-        # the r^2 weight cuts the series exactly; extra terms change nothing
-        for n, l in [(1, 0), (2, 1), (3, 0)]:
-            base = GreenEvalConfig.for_level(n, l)
-            more = GreenEvalConfig.for_level(n, l, truncation=base.truncation + 15)
-            delta = abs(
-                reduced_double_integral(base) - reduced_double_integral(more)
-            ) / 64
-            assert delta < 1e-12
 
     def test_orthogonality_both_argument_orders(self):
         # by symmetry the defect vanishes with the roles of r, r' swapped;
@@ -169,7 +153,7 @@ class TestSeparableFactors:
         # from the table rows and the exact derivative polynomial
         cfg = GreenEvalConfig.for_level(n, l)
         n_r = n - l - 1
-        x, w = gauss_laguerre(2 * l + 3, cfg.quad_nodes)
+        x, w = gauss_laguerre(2 * l + 3, DEFAULT_NODES)
         table = _laguerre_table(cfg.truncation - 1, 2 * l, x)
         c = np.array([_norm_const(j, l, cfg.Z) for j in range(cfg.truncation)])
         coupling = np.array(
@@ -246,7 +230,7 @@ class TestPointPath:
     def test_cached_arrays_are_read_only(self):
         cfg = GreenEvalConfig.for_level(3, 1)
         before = reduced_double_integral(cfg)
-        x, w = gauss_laguerre(2 * cfg.l + 3, cfg.quad_nodes)
+        x, w = gauss_laguerre(2 * cfg.l + 3, DEFAULT_NODES)
         reduced_orthogonality_defect(cfg, 1.1)
         cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0], *cfg._grid]
         for a in cached:
@@ -285,15 +269,18 @@ class TestRadiusEdges:
             _edge_expectation(r, lambda: reduced_orthogonality_defect(cfg, r))
 
     def test_overflowing_rows_raise(self):
-        # at x = 1500 the envelope is subnormal, not 0, while rows of a
-        # truncation far above the default overflow; the float path must
-        # not hand back NaN
-        cfg = GreenEvalConfig.for_level(3, 1, truncation=400)
-        r = 1500 / (2 * cfg.scale_float)
-        with pytest.raises(ValueError, match="not finite"):
-            green_reduced_eval(cfg, r, 1.0)
-        with pytest.raises(ValueError, match="not finite"):
-            reduced_orthogonality_defect(cfg, r)
+        # at x = 1420 the envelope is subnormal, not 0, while the rows of
+        # (400, 0) and (1000, 0) overflow; the float path must not hand back
+        # NaN.  The orthogonality check refuses those levels outright.
+        for n in (400, 1000):
+            cfg = GreenEvalConfig.for_level(n, 0)
+            r = 1420 / (2 * cfg.scale_float)
+            with pytest.raises(ValueError, match="not finite"):
+                green_reduced_eval(cfg, r, 1.0)
+            with pytest.raises(ValueError, match="MAX_QUADRATURE_N_R"):
+                reduced_orthogonality_defect(cfg, r)
+        cfg = GreenEvalConfig.for_level(300, 0)
+        assert math.isfinite(green_reduced_eval(cfg, 1420 / (2 * cfg.scale_float), 1.0))
 
 
 class TestSupportedRange:
@@ -324,6 +311,32 @@ class TestSupportedRange:
                 call()
             assert (info.value.alpha, info.value.nodes) == (171, 200)
 
+    @pytest.mark.parametrize("l", [0, 1, 5, 20, 40, 60, 84])
+    def test_level_range_edge(self, l):
+        # at the last accepted n_r both checks hold to the suite's
+        # tolerances; from the next n_r, and at (190, 0) where eps4 is 85%
+        # off, both quadratures refuse the level while point values run
+        n = MAX_QUADRATURE_N_R + l + 1
+        exact = float(eps4_closed(n, l))
+        for Z in (Fraction(1), Fraction(3, 2)):
+            cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+            val = -reduced_double_integral(cfg) * float(Z) ** 6 / 64
+            assert val == pytest.approx(exact, rel=1e-11), Z
+            scale = (n - 0.5) ** 2 / float(Z)
+            for rp in (0.4, 1.1, 2.6, scale / 2, scale, 2 * scale):
+                assert abs(reduced_orthogonality_defect(cfg, rp)) < 1e-8, (Z, rp)
+        for n_refused, l_refused in [(n + 1, l), (190, 0)]:
+            cfg = GreenEvalConfig.for_level(n_refused, l_refused)
+            for call in (
+                lambda: reduced_double_integral(cfg),
+                lambda: reduced_orthogonality_defect(cfg, 1.1),
+            ):
+                with pytest.raises(ValueError, match=f"n = {n_refused}, l = {l_refused}") as info:
+                    call()
+                assert f"MAX_QUADRATURE_N_R = {MAX_QUADRATURE_N_R}" in str(info.value)
+                assert not isinstance(info.value, QuadratureError)
+            assert math.isfinite(green_reduced_eval(cfg, 1.1, 2.6))
+
     def test_far_radius_underflows_to_zero(self):
         # x^(l+1/2) alone overflows a float at l = 85 and r = 50 N^2; the
         # envelope underflows to 0 instead of raising OverflowError
@@ -349,18 +362,19 @@ class TestSupportedRange:
 
 class TestQuadrature:
     def test_overflowing_rule_is_typed_error(self):
-        # the rule overflows at 400 nodes: the double integral must
-        # raise instead of returning NaN, with no warning printed first,
-        # while 350 nodes are still finite
+        # the rule overflows at 400 nodes: it must raise instead of
+        # returning NaN, with no warning printed first, while 350 nodes are
+        # still finite and integrate the weight's moments
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError) as info:
-                reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=400))
+                gauss_laguerre(1, 400)
+            x, w = gauss_laguerre(1, 350)
         assert isinstance(info.value, ValueError)
         assert (info.value.alpha, info.value.nodes) == (1, 400)
         assert "x^1" in str(info.value) and "400 nodes" in str(info.value)
-        eps4 = -reduced_double_integral(GreenEvalConfig.for_level(1, 0, quad_nodes=350)) / 64
-        assert eps4 == pytest.approx(float(eps4_closed(1, 0)), rel=1e-8)
+        for m in range(4):
+            assert float(w @ x**m) == pytest.approx(math.factorial(1 + m), rel=1e-12)
 
     def test_gauss_laguerre_moments(self):
         # the rule integrates x^alpha e^-x x^m exactly up to high degree
@@ -436,7 +450,7 @@ class TestQuadrature:
             reduced_orthogonality_defect(cfg, rp)
         info = gauss_laguerre.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        gauss_laguerre(2 * cfg.l + 1, cfg.quad_nodes)
+        gauss_laguerre(2 * cfg.l + 1, DEFAULT_NODES)
         assert gauss_laguerre.cache_info().hits == info.hits + 1
 
 
