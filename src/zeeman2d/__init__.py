@@ -7,6 +7,9 @@ order, entirely in exact rational arithmetic, along two independent routes
 floating-point variational eigensolver.
 """
 
+import os
+import sys
+
 from .coulomb import QuantumState, energy0
 from .perturb import (
     CoefficientSet,
@@ -23,6 +26,21 @@ from .perturb import (
 )
 
 __version__ = "0.1.0"
+
+
+def _single_threaded_blas() -> None:
+    """Pin the BLAS thread pools of numpy and scipy to one thread, before they load.
+
+    `cli` calls this before ``validate`` imports the oracle, and `greenfn`
+    before it imports numpy: their matrices are small, and an OpenBLAS pool
+    only spins on the other cores.  OpenBLAS sizes its pool when the library
+    loads, so this acts only while numpy is not yet imported, and only when
+    neither variable is set: a thread count the user chose always wins.
+    """
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
 
 __all__ = [
     "QuantumState",

@@ -33,7 +33,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import reference
+from . import _single_threaded_blas, reference
 from .coulomb import QuantumState
 from .exactmath import format_factorized, parse_rational, render_decimal
 from .perturb import (
@@ -49,18 +49,6 @@ from .perturb import (
 SECOND_ORDER_REL_TOL = 1e-6
 QUARTIC_SIGMAS = 3  # the ground-state c4 error may reach this many reported uncertainties
 DUAL_ROUTE_MAX_N = 12
-
-
-def _single_threaded_blas() -> None:
-    """Pin the BLAS thread pools of numpy and scipy to one thread, before they load.
-
-    OpenBLAS sizes its pool when the library loads, so this acts only while
-    numpy is not yet imported, and only when neither variable is set: a
-    thread count the user chose always wins.
-    """
-    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 
 def _render_markdown(headers: list[str], rows: list[list[str]]) -> str:

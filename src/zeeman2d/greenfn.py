@@ -15,10 +15,18 @@ x^(l+1/2) e^{-x/2} removed, which is what keeps large-node quadrature free
 of overflow.
 
 The rules are built here (`gauss_laguerre`, Golub-Welsch with one Newton
-step), so the module needs `scipy.linalg` alone.  Each channel l uses one
-rule, weight x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor,
-so the double integral and the orthogonality check share one node grid per
-config, projecting onto w x^2 s and w s respectively.
+step), so the module needs numpy alone.  Each config uses one rule, weight
+x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor, so the double
+integral and the orthogonality check share one node grid per config,
+projecting onto w x^2 s and w s respectively.  Rules are cached per
+(l, n_r), so configs that differ only in Z share one.
+
+Importing the module pins OpenBLAS to one thread, by the rule ``validate``
+applies (`zeeman2d._single_threaded_blas`: only while numpy is not yet
+loaded and no thread count is set).  The largest matrix here is a 200-node
+Jacobi matrix, where a second thread doubles the CPU time and saves no wall
+time, and a fresh OpenBLAS pool busy-waits on the other core for about
+0.1 s after it loads.
 
 Every kernel polynomial value comes from one place, the three-term
 Laguerre recurrence of `_laguerre_table`: the Sturmian rows, the bound
@@ -34,13 +42,16 @@ kernel is formed.
 
 A config is the level (l, n, Z) and nothing else: the kernel keeps n_r + 12
 Sturmian terms (n_r = n - l - 1; the coupling band of the resonant index
-needs n_r + 4) and every rule has `DEFAULT_NODES` = 200 nodes.  Both
-quadratures accept n_r <= `MAX_QUADRATURE_N_R` = 92: there every l <= 84
-at Z in {1, 3/2} holds eps4 to 1e-11 relative and the orthogonality defect
-below 1e-8 (at r' = 0.4, 1.1, 2.6 and (N^2/Z) {1/2, 1, 2}).  From n_r = 93
-(l = 53) rounding passes the 1e-11, eps4 is 85% off at (190, 0), and from
-n_r = 194 the integrand's degree 2 n_r + 13 passes the rule's 399; past
-the edge both raise `ValueError`, while point values run at every level.
+needs n_r + 4) and its rule has 2 n_r + 16 nodes.  Both integrands have
+degree <= 2 n_r + 13, so n_r + 7 nodes would be exact, but at that count
+rounding reads 3.8e-11 in eps4 at n_r = 92 (l = 68); 2 n_r + 16 is 200
+nodes there.  Both quadratures accept n_r <= `MAX_QUADRATURE_N_R` = 92:
+there every l <= 84 at Z in {1, 3/2} holds eps4 to 1e-11 relative and the
+orthogonality defect below 1e-8 (at r' = 0.4, 1.1, 2.6 and
+(N^2/Z) {1/2, 1, 2}).  The edge is where 200-node rules first missed
+(n_r = 93, l = 53); the rules of 2 n_r + 16 nodes first miss at n_r = 102
+(l = 54, 1.02e-11), so it keeps a margin.  Past it both raise `ValueError`,
+while point values run at every level.
 
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
@@ -60,8 +71,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-from scipy.linalg import eigvals_banded
+from . import _single_threaded_blas
+
+_single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its pool
+
+import numpy as np  # noqa: E402
 
 __all__ = [
     "GreenEvalConfig",
@@ -72,7 +86,6 @@ __all__ = [
     "reduced_orthogonality_defect",
 ]
 
-DEFAULT_NODES = 200
 # (2l)! must be a finite double for the normalization constants: 170! is the
 # last factorial below the float maximum.  The quadratures of the reduced
 # kernel also need Gamma(2l+2) = (2l+1)! finite, so they run for l <= 84;
@@ -80,17 +93,22 @@ DEFAULT_NODES = 200
 # `QuadratureError(171, nodes)`.
 MAX_L = 85
 # The largest n_r = n - l - 1 the quadratures accept: the measured edge of
-# their 1e-11 eps4 accuracy (module docstring).
+# their 1e-11 eps4 accuracy with 200-node rules (module docstring).
 MAX_QUADRATURE_N_R = 92
+# No Gauss-Laguerre rule with alpha <= 170 is finite past 363 nodes (the
+# Newton step's Laguerre values overflow), so `gauss_laguerre` refuses a
+# larger count before forming its dense Jacobi matrix.
+MAX_NODES = 400
 
 
 class QuadratureError(ValueError):
     """Raised when the Gauss-Laguerre rule of a weight has non-finite nodes or weights.
 
     The scaled Laguerre values of the rule's Newton step overflow at large
-    node counts (from somewhere between 360 and 380 nodes for alpha <= 25),
-    and Gamma(alpha + 1) overflows from alpha = 171; either would otherwise
-    surface as a NaN integral or an untyped `OverflowError`.
+    node counts (from somewhere between 360 and 380 nodes for alpha <= 25;
+    counts past `MAX_NODES` are refused outright), and Gamma(alpha + 1)
+    overflows from alpha = 171; either would otherwise surface as a NaN
+    integral or an untyped `OverflowError`.
     """
 
     def __init__(self, alpha: int, nodes: int):
@@ -135,6 +153,11 @@ class GreenEvalConfig:
         """Sturmian terms kept: n_r + 12."""
         return self.resonant_n_r + 12
 
+    @property
+    def nodes(self) -> int:
+        """Gauss-Laguerre nodes of the config's rule: 2 n_r + 16."""
+        return 2 * self.resonant_n_r + 16
+
     @cached_property
     def scale_float(self) -> float:
         """k = Z/N, rational at every level, rounded once."""
@@ -170,7 +193,7 @@ class GreenEvalConfig:
         Nodes and weights of x^(2l+1) e^{-x} with the factors of
         `_reduced_factors` on them; both quadratures of the config use it.
         """
-        x, w = gauss_laguerre(2 * self.l + 1, DEFAULT_NODES)
+        x, w = gauss_laguerre(2 * self.l + 1, self.nodes)
         rows, s, d = _reduced_factors(self, x)
         return x, w, _read_only(rows), _read_only(s), _read_only(d)
 
@@ -197,13 +220,15 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
 
     Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
-    of the Jacobi matrix of the Laguerre recurrence, polished by one Newton
+    of the dense Jacobi matrix of the Laguerre recurrence (`numpy.linalg`;
+    the rules of the reduced kernel are small), polished by one Newton
     step, and the weights are 1/(L_{n-1}(x) L_n'(x)), log-normalized and
     scaled to sum to Gamma(alpha + 1).  This is the construction of
     `scipy.special.roots_genlaguerre`, whose nodes these equal bit for bit.
 
     Raises `QuadratureError` when the rule is not finite; being cached, the
-    check runs once per (alpha, nodes).  The overflow that makes a rule
+    check runs once per (alpha, nodes), and a count past `MAX_NODES` is
+    refused before the matrix is formed.  The overflow that makes a rule
     non-finite is silenced here, so the typed error is all a caller sees.
     The cached arrays are read-only: an in-place write raises `ValueError`.
     """
@@ -213,11 +238,11 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise QuadratureError(alpha, nodes) from None
     if nodes == 1:
         return _read_only(np.array([alpha + 1.0])), _read_only(np.array([total]))
+    if nodes > MAX_NODES:
+        raise QuadratureError(alpha, nodes)
     k = np.arange(nodes, dtype=float)
-    band = np.zeros((2, nodes))
-    band[0, 1:] = -np.sqrt(k[1:] * (k[1:] + alpha))
-    band[1] = 2 * k + alpha + 1
-    x = eigvals_banded(band, overwrite_a_band=True)
+    jacobi = np.diag(2 * k + alpha + 1) + np.diag(-np.sqrt(k[1:] * (k[1:] + alpha)), -1)
+    x = np.linalg.eigvalsh(jacobi, UPLO="L")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y, y_prev = _laguerre_pair(nodes, alpha, x)
         dy = (nodes * y - (nodes + alpha) * y_prev) / x
@@ -241,7 +266,9 @@ def _laguerre_pair(n: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     p = L_k / binom(k+alpha, k) without the cancellation of the three-term
     form near x = 0; each value is scaled back by its binomial, and degrees
     0 and 1 are closed forms.  This is how `scipy.special.eval_genlaguerre`
-    evaluates, so the values overflow where scipy's do.
+    evaluates, so the values overflow where scipy's do.  The binomials stay
+    below 1e150 for the rules `gauss_laguerre` forms (alpha <= 170,
+    nodes <= `MAX_NODES`).
     """
     lower = -x + alpha + 1
     if n == 1:
@@ -253,16 +280,8 @@ def _laguerre_pair(n: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
         d = -x / c * p + (k / c) * d
         p, previous = d + p, p
     if n > 2:
-        lower = _binomial(n - 1 + alpha, n - 1) * previous
-    return _binomial(n + alpha, n) * p, lower
-
-
-def _binomial(n: int, k: int) -> float:
-    """binom(n, k) as a float, inf where it exceeds the float range."""
-    try:
-        return float(math.comb(n, k))
-    except OverflowError:
-        return math.inf
+        lower = float(math.comb(n - 1 + alpha, n - 1)) * previous
+    return float(math.comb(n + alpha, n)) * p, lower
 
 
 def _laguerre_table(j_max: int, alpha: int, x: float | np.ndarray) -> np.ndarray:
@@ -387,7 +406,7 @@ def reduced_double_integral(cfg: GreenEvalConfig) -> float:
     """
     _check_quadrature_range(cfg)
     x, w, rows, s, d = cfg._grid
-    u = w * x * x * s
+    u = w * (x * x * s)  # w nears Gamma(2l+2) on small rules: scale s first
     proj = (rows @ u, s @ u, d @ u)
     k = cfg.scale_float
     return k * k * (2.0 * k) ** -6 * _reduced_form(cfg, proj, proj)

@@ -7,6 +7,6 @@ only spins on the other cores.  A thread count set by the runner, as in
 Subprocess tests that check the rule itself build their own environment.
 """
 
-from zeeman2d.cli import _single_threaded_blas
+from zeeman2d import _single_threaded_blas
 
 _single_threaded_blas()

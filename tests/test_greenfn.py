@@ -1,5 +1,6 @@
 """Tests for the Sturmian expansions of the radial Coulomb Green functions."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,6 @@ from scipy.special import roots_genlaguerre
 
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.greenfn import (
-    DEFAULT_NODES,
     MAX_QUADRATURE_N_R,
     GreenEvalConfig,
     QuadratureError,
@@ -153,7 +153,7 @@ class TestSeparableFactors:
         # from the table rows and the exact derivative polynomial
         cfg = GreenEvalConfig.for_level(n, l)
         n_r = n - l - 1
-        x, w = gauss_laguerre(2 * l + 3, DEFAULT_NODES)
+        x, w = gauss_laguerre(2 * l + 3, cfg.nodes)
         table = _laguerre_table(cfg.truncation - 1, 2 * l, x)
         c = np.array([_norm_const(j, l, cfg.Z) for j in range(cfg.truncation)])
         coupling = np.array(
@@ -230,7 +230,7 @@ class TestPointPath:
     def test_cached_arrays_are_read_only(self):
         cfg = GreenEvalConfig.for_level(3, 1)
         before = reduced_double_integral(cfg)
-        x, w = gauss_laguerre(2 * cfg.l + 3, DEFAULT_NODES)
+        x, w = gauss_laguerre(2 * cfg.l + 3, cfg.nodes)
         reduced_orthogonality_defect(cfg, 1.1)
         cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0], *cfg._grid]
         for a in cached:
@@ -309,13 +309,13 @@ class TestSupportedRange:
         ):
             with pytest.raises(QuadratureError) as info:
                 call()
-            assert (info.value.alpha, info.value.nodes) == (171, 200)
+            assert (info.value.alpha, info.value.nodes) == (171, cfg.nodes)
 
     @pytest.mark.parametrize("l", [0, 1, 5, 20, 40, 60, 84])
     def test_level_range_edge(self, l):
         # at the last accepted n_r both checks hold to the suite's
-        # tolerances; from the next n_r, and at (190, 0) where eps4 is 85%
-        # off, both quadratures refuse the level while point values run
+        # tolerances; from the next n_r, and at (190, 0), both quadratures
+        # refuse the level while point values run
         n = MAX_QUADRATURE_N_R + l + 1
         exact = float(eps4_closed(n, l))
         for Z in (Fraction(1), Fraction(3, 2)):
@@ -336,6 +336,22 @@ class TestSupportedRange:
                 assert f"MAX_QUADRATURE_N_R = {MAX_QUADRATURE_N_R}" in str(info.value)
                 assert not isinstance(info.value, QuadratureError)
             assert math.isfinite(green_reduced_eval(cfg, 1.1, 2.6))
+
+    def test_strided_range(self):
+        # every l in steps of 12 at n_r in steps of 31 up to the edge, where
+        # the rule has 200 nodes, held at the suite's tolerances
+        for l in range(0, 85, 12):
+            for n_r in (0, 31, 62, MAX_QUADRATURE_N_R):
+                n = n_r + l + 1
+                exact = float(eps4_closed(n, l))
+                for Z in (Fraction(1), Fraction(3, 2)):
+                    cfg = GreenEvalConfig.for_level(n, l, Z=Z)
+                    val = -reduced_double_integral(cfg) * float(Z) ** 6 / 64
+                    assert val == pytest.approx(exact, rel=1e-11), (n, l, Z)
+                    scale = (n - 0.5) ** 2 / float(Z)
+                    for rp in (0.4, 1.1, 2.6, scale / 2, scale, 2 * scale):
+                        assert abs(reduced_orthogonality_defect(cfg, rp)) < 1e-8, (n, l, Z, rp)
+        assert cfg._grid[0].size == cfg.nodes == 200
 
     def test_far_radius_underflows_to_zero(self):
         # x^(l+1/2) alone overflows a float at l = 85 and r = 50 N^2; the
@@ -420,7 +436,8 @@ class TestQuadrature:
 
     def test_binomial_scale_overflow_is_typed_error(self):
         # binom(n + alpha, n) exceeds the float range at alpha = 169 (l = 84)
-        # and 5000 nodes: the rule is refused with the typed error
+        # and 5000 nodes: the rule is refused with the typed error, before
+        # a 5000 x 5000 Jacobi matrix is formed (5000 > MAX_NODES)
         with pytest.raises(QuadratureError):
             gauss_laguerre.__wrapped__(169, 5000)
 
@@ -442,30 +459,70 @@ class TestQuadrature:
 
     def test_one_rule_per_config(self):
         # the double integral and the orthogonality check share one grid,
-        # on the weight x^(2l+1) e^-x
+        # on the weight x^(2l+1) e^-x with 2 n_r + 16 nodes; configs that
+        # differ only in Z share it too
         gauss_laguerre.cache_clear()
-        cfg = GreenEvalConfig.for_level(7, 3)
-        reduced_double_integral(cfg)
-        for rp in (0.4, 1.1, 2.6):
-            reduced_orthogonality_defect(cfg, rp)
+        for Z in (Fraction(1), Fraction(3, 2), Fraction(3)):
+            cfg = GreenEvalConfig.for_level(7, 3, Z=Z)
+            reduced_double_integral(cfg)
+            for rp in (0.4, 1.1, 2.6):
+                reduced_orthogonality_defect(cfg, rp)
         info = gauss_laguerre.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        gauss_laguerre(2 * cfg.l + 1, DEFAULT_NODES)
+        assert cfg.nodes == 2 * 3 + 16
+        gauss_laguerre(2 * cfg.l + 1, cfg.nodes)
         assert gauss_laguerre.cache_info().hits == info.hits + 1
 
 
+def _run_isolated(script: str, *args: str, **preset: str) -> str:
+    """Run ``script`` with ``args`` in a fresh interpreter whose environment
+    holds no BLAS thread variable unless ``preset`` names it; return stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# imports greenfn, after numpy when asked, and prints the BLAS thread
+# variables and the number of threads in the process (-1 where /proc is absent)
+PIN_PROBE = (
+    "import json, os, sys\n"
+    "if 'numpy-first' in sys.argv:\n"
+    "    import numpy\n"
+    "import zeeman2d.greenfn\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), tasks]))\n"
+)
+
+
 class TestLayering:
-    def test_green_route_never_loads_scipy_special(self):
-        # the rule is built in-house on scipy.linalg, the oracle's module
+    def test_green_route_never_loads_scipy(self):
+        # the rule is built in-house on numpy alone: no scipy module is
+        # loaded by a double integral, an orthogonality check or a point value
         script = (
             "import sys\n"
-            "from zeeman2d.greenfn import GreenEvalConfig, reduced_double_integral\n"
-            "reduced_double_integral(GreenEvalConfig.for_level(3, 1))\n"
-            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "from zeeman2d.greenfn import (\n"
+            "    GreenEvalConfig, green_reduced_eval, reduced_double_integral,\n"
+            "    reduced_orthogonality_defect,\n"
+            ")\n"
+            "cfg = GreenEvalConfig.for_level(3, 1)\n"
+            "reduced_double_integral(cfg)\n"
+            "reduced_orthogonality_defect(cfg, 1.1)\n"
+            "green_reduced_eval(cfg, 0.5, 1.5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["False", "True"]
+        assert _run_isolated(script).split() == ["[]"]
+
+    def test_import_pins_blas_before_numpy(self):
+        # imported before numpy, greenfn pins OpenBLAS to one thread as
+        # validate does; a thread count the user set, or a numpy already
+        # loaded, is left alone
+        openblas, omp, tasks = json.loads(_run_isolated(PIN_PROBE))
+        assert (openblas, omp) == ("1", "1")
+        if tasks != -1:
+            assert tasks == 1
+        assert json.loads(_run_isolated(PIN_PROBE, OPENBLAS_NUM_THREADS="2"))[:2] == ["2", None]
+        assert json.loads(_run_isolated(PIN_PROBE, "numpy-first"))[:2] == [None, None]
