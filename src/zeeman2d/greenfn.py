@@ -15,11 +15,23 @@ x^(l+1/2) e^{-x/2} removed, which is what keeps large-node quadrature free
 of overflow.
 
 The rules are built here (`gauss_laguerre`, Golub-Welsch with one Newton
-step), so the module needs numpy alone.  Each config uses one rule, weight
-x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor, so the double
-integral and the orthogonality check share one node grid per config,
-projecting onto w x^2 s and w s respectively.  Rules are cached per
-(l, n_r), so configs that differ only in Z share one.
+step), so the module needs numpy alone.  Each channel (l, n_r) uses one
+rule, weight x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor, so
+the double integral and the orthogonality check share one node grid,
+projecting onto w x^2 s and w s respectively.
+
+The charge enters a config only through k = Z/N, which sets x = 2kr, and
+through the Sturmian norms c_j, proportional to Z^(-1/2).  So what depends
+on the channel alone is computed once, at Z = 1 whichever config asks
+first, and kept in module-level caches keyed by (l, n_r); each public value
+applies its own power of Z.  The double integral is k^2 (2k)^-6 Z^-2 F,
+with F one cached float; the orthogonality defect scales as Z^(-3/2) and a
+point value as Z^-1.  The point side of a channel (`_channel`: the Z = 1
+norms and the coupling vector) needs no rule.  The quadrature side
+(`_channel_quadratures`: F and the node side of the orthogonality check) is
+built by the quadratures alone, after their range check, from the rule and
+the node table, and keeps O(truncation) floats: the table is dropped once
+contracted.  Cached arrays are read-only.
 
 Importing the module pins OpenBLAS to one thread, by the rule ``validate``
 applies (`zeeman2d._single_threaded_blas`: only while numpy is not yet
@@ -55,10 +67,7 @@ while point values run at every level.
 
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
-of the cost.  What depends on the config alone (the Sturmian norms, the
-coupling vector, the node grid with its factors and the node side of the
-orthogonality check) is computed once per `GreenEvalConfig` and kept on it
-read-only.  A non-finite radius raises `ValueError`; a radius whose
+of the cost.  A non-finite radius raises `ValueError`; a radius whose
 envelope underflows to 0 gives 0.0 without running the recurrence; a point
 value that is not finite (rows of a high level overflowing at a far radius)
 raises `ValueError`.
@@ -162,51 +171,6 @@ class GreenEvalConfig:
     def scale_float(self) -> float:
         """k = Z/N, rational at every level, rounded once."""
         return float(self.Z / Fraction(2 * self.level - 1, 2))
-
-    # Per-config constants, computed on first use and kept read-only on the
-    # config; no module-level cache holds them.
-
-    @cached_property
-    def _norms(self) -> np.ndarray:
-        """sqrt(j! / (Z (j+2l)!)) for j below the truncation, built recursively."""
-        two_l = 2 * self.l
-        c = np.empty(self.truncation)
-        c[0] = math.sqrt(1.0 / (float(self.Z) * math.factorial(two_l)))
-        for j in range(self.truncation - 1):
-            c[j + 1] = c[j] * math.sqrt((j + 1) / (j + 1 + two_l))
-        return _read_only(c)
-
-    @cached_property
-    def _coupling(self) -> np.ndarray:
-        """(n - 1/2) / (j - n_r) off the resonant index, 0 on it."""
-        n_r = self.resonant_n_r
-        j = np.arange(self.truncation)
-        coupling = np.zeros(self.truncation)
-        off = j != n_r
-        coupling[off] = (self.level - 0.5) / (j[off] - n_r)
-        return _read_only(coupling)
-
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The one node grid of the reduced kernel: (x, w, rows, s, d).
-
-        Nodes and weights of x^(2l+1) e^{-x} with the factors of
-        `_reduced_factors` on them; both quadratures of the config use it.
-        """
-        x, w = gauss_laguerre(2 * self.l + 1, self.nodes)
-        rows, s, d = _reduced_factors(self, x)
-        return x, w, _read_only(rows), _read_only(s), _read_only(d)
-
-    @cached_property
-    def _orthogonality_projection(self) -> tuple[np.ndarray, float, float]:
-        """The node side of `reduced_orthogonality_defect`: (rows, s, d) against w s.
-
-        The projection depends on the config alone and is contracted once,
-        whatever r'.
-        """
-        _, w, rows, s, d = self._grid
-        u = w * s
-        return _read_only(rows @ u), s @ u, d @ u
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -345,11 +309,53 @@ def _check_quadrature_range(cfg: GreenEvalConfig) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _channel(l: int, n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point side of channel (l, n_r) at Z = 1: (norms, coupling), read-only.
+
+    norms[j] = sqrt(j! / (j+2l)!) for j below the truncation, built
+    recursively; a config at charge Z has norms Z^(-1/2) times these.
+    coupling[j] = (n - 1/2) / (j - n_r) off the resonant index, 0 on it.
+    """
+    unit = GreenEvalConfig(l=l, level=l + n_r + 1)
+    two_l = 2 * l
+    c = np.empty(unit.truncation)
+    c[0] = math.sqrt(1.0 / math.factorial(two_l))
+    for j in range(unit.truncation - 1):
+        c[j + 1] = c[j] * math.sqrt((j + 1) / (j + 1 + two_l))
+    j = np.arange(unit.truncation)
+    coupling = np.zeros(unit.truncation)
+    off = j != n_r
+    coupling[off] = (unit.level - 0.5) / (j[off] - n_r)
+    return _read_only(c), _read_only(coupling)
+
+
+@lru_cache(maxsize=None)
+def _channel_quadratures(l: int, n_r: int) -> tuple[float, tuple[np.ndarray, float, float]]:
+    """The quadrature side of channel (l, n_r) at Z = 1: (F, orthogonality projection).
+
+    On the channel's rule, weight x^(2l+1) e^{-x}, F is the stripped reduced
+    kernel contracted on both sides against w x^2 s, and the projection is
+    (rows, s, d) contracted against w s.  The node table is dropped once
+    contracted, so a channel keeps O(truncation) floats.  Only the
+    quadratures call this, after `_check_quadrature_range`.
+    """
+    unit = GreenEvalConfig(l=l, level=l + n_r + 1)
+    x, w = gauss_laguerre(2 * l + 1, unit.nodes)
+    rows, s, d = _reduced_factors(unit, x)
+    u = w * (x * x * s)  # w nears Gamma(2l+2) on small rules: scale s first
+    proj = (rows @ u, s @ u, d @ u)
+    u = w * s
+    return _reduced_form(unit, proj, proj), (_read_only(rows @ u), s @ u, d @ u)
+
+
 def _reduced_factors(
     cfg: GreenEvalConfig, x: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Separable factors of the stripped reduced kernel at a point or on a grid.
 
+    The factors are those of the config's channel at Z = 1, whatever cfg.Z:
+    at charge Z each carries Z^(-1/2) more, which the public values apply.
     Returns (rows, s, d): rows[j] = c_j L_j(x) for j below the truncation,
     the resonant stripped Sturmian s = rows[n_r], and its stripped r d/dr
     image d = c_{n_r} ((l + 1/2) q - (x/2) q + x q') with q = L_{n_r}.
@@ -360,7 +366,7 @@ def _reduced_factors(
     """
     n_r = cfg.resonant_n_r
     table = _laguerre_table(cfg.truncation - 1, 2 * cfg.l, x)
-    c = cfg._norms
+    c = _channel(cfg.l, n_r)[0]
     rows = c.reshape((-1,) + (1,) * (table.ndim - 1)) * table
     d = (cfg.l + 0.5 + n_r - 0.5 * x) * table[n_r]
     if n_r:
@@ -375,14 +381,18 @@ def _reduced_form(cfg: GreenEvalConfig, a: tuple, b: tuple) -> float:
     contracted against one vector each, or taken at one point.  The
     kernel N sum' c_j^2 L_j(x) L_j(x') / (j - n_r) + (1/2) s(x) s(x')
     + d(x) s(x') + s(x) d(x'), with N = n - 1/2, is separable, so no
-    grid-by-grid matrix is formed.
+    grid-by-grid matrix is formed.  Only the config's channel is read, not Z.
     """
     (va, sa, da), (vb, sb, db) = a, b
-    return float(cfg._coupling @ (va * vb) + 0.5 * sa * sb + da * sb + sa * db)
+    coupling = _channel(cfg.l, cfg.resonant_n_r)[1]
+    return float(coupling @ (va * vb) + 0.5 * sa * sb + da * sb + sa * db)
 
 
 def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
-    """Reduced kernel of the anchored level at a pair of radii."""
+    """Reduced kernel of the anchored level at a pair of radii.
+
+    The channel's Z = 1 form at x = 2kr and x' = 2kr', times Z^-1.
+    """
     if r <= 0 or rp <= 0:
         raise ValueError("radii must be positive")
     x, env = _envelope(cfg, r)
@@ -390,7 +400,8 @@ def green_reduced_eval(cfg: GreenEvalConfig, r: float, rp: float) -> float:
     scale = env * envp
     if scale == 0:
         return 0.0
-    return _finite(scale * _reduced_form(cfg, _reduced_factors(cfg, x), _reduced_factors(cfg, xp)))
+    form = _reduced_form(cfg, _reduced_factors(cfg, x), _reduced_factors(cfg, xp))
+    return _finite(scale * form / float(cfg.Z))
 
 
 def reduced_double_integral(cfg: GreenEvalConfig) -> float:
@@ -398,18 +409,17 @@ def reduced_double_integral(cfg: GreenEvalConfig) -> float:
 
     Under x = 2kr the bound factor is P0 = k s(x) x^(l+1/2) e^(-x/2), with
     s the resonant stripped Sturmian, so the integrand's smooth part is
-    polynomial and the tensor Gauss-Laguerre rule of the config's grid,
+    polynomial and the tensor Gauss-Laguerre rule of the channel's grid,
     weight x^(2l+1) e^{-x}, is exact on each axis with the x^2 of r^2 in
-    the polynomial.  Both axes project onto the same vector w x^2 s.
+    the polynomial.  Both axes project onto the same vector w x^2 s, so the
+    value is k^2 (2k)^-6 Z^-2 F with F the channel's one cached float.
     Multiplying by -(Z^6/64) reproduces the exact quartic coefficient;
     tests pin that.
     """
     _check_quadrature_range(cfg)
-    x, w, rows, s, d = cfg._grid
-    u = w * (x * x * s)  # w nears Gamma(2l+2) on small rules: scale s first
-    proj = (rows @ u, s @ u, d @ u)
     k = cfg.scale_float
-    return k * k * (2.0 * k) ** -6 * _reduced_form(cfg, proj, proj)
+    F = _channel_quadratures(cfg.l, cfg.resonant_n_r)[0]
+    return k * k * (2.0 * k) ** -6 * (F / float(cfg.Z * cfg.Z))
 
 
 def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
@@ -418,7 +428,8 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
     The bound factor is orthogonal to the reduced kernel in plain measure;
     with the quadrature weight x^(2l+1) e^{-x} the smooth part is polynomial
     so the residual is pure truncation plus rounding.  The node side is
-    projected once per config; each call evaluates only r'.
+    projected once per channel; each call evaluates only r' and applies
+    Z^(-3/2).
     """
     _check_quadrature_range(cfg)
     if rp <= 0:
@@ -427,5 +438,6 @@ def reduced_orthogonality_defect(cfg: GreenEvalConfig, rp: float) -> float:
     if envp == 0:
         return 0.0
     # P0 = k s env and dr = dx / (2k): the prefactor is 1/2
-    projection = cfg._orthogonality_projection
-    return _finite(0.5 * envp * _reduced_form(cfg, projection, _reduced_factors(cfg, xp)))
+    projection = _channel_quadratures(cfg.l, cfg.resonant_n_r)[1]
+    form = _reduced_form(cfg, projection, _reduced_factors(cfg, xp))
+    return _finite(0.5 * envp * form / float(cfg.Z) ** 1.5)

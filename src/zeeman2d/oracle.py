@@ -274,9 +274,13 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _general_storage(band: np.ndarray) -> np.ndarray:
-    """The (l, u) = (3, 3) storage `scipy.linalg.solve_banded` takes, from upper storage."""
+    """The (l, u) = (3, 3) storage `scipy.linalg.solve_banded` takes, from upper storage.
+
+    The storage keeps the band's dtype, so a complex shift H - sigma O keeps
+    its imaginary part.
+    """
     u, m = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((2 * u + 1, m))
+    full = np.zeros((2 * u + 1, m), dtype=band.dtype)
     full[: u + 1] = band
     for d in range(1, u + 1):
         full[u + d, : max(m - d, 0)] = band[u - d, d:]

@@ -18,6 +18,8 @@ from zeeman2d.greenfn import (
     MAX_QUADRATURE_N_R,
     GreenEvalConfig,
     QuadratureError,
+    _channel,
+    _channel_quadratures,
     _envelope,
     _laguerre_table,
     _reduced_factors,
@@ -180,7 +182,11 @@ class TestSeparableFactors:
 
 
 def _two_point_reference(cfg: GreenEvalConfig, r: float, rp: float) -> float:
-    """The reduced kernel as evaluated on one 2-point grid holding x and x'."""
+    """The reduced kernel as evaluated on one 2-point grid holding x and x'.
+
+    The grid's factors are those of the channel at Z = 1; the config's charge
+    enters through x = 2kr and the final Z^-1.
+    """
     x, env = _envelope(cfg, r)
     xp, envp = _envelope(cfg, rp)
     rows, s, d = _reduced_factors(cfg, np.array([x, xp]))
@@ -188,8 +194,9 @@ def _two_point_reference(cfg: GreenEvalConfig, r: float, rp: float) -> float:
     j = np.arange(cfg.truncation)
     coupling = np.zeros(cfg.truncation)
     coupling[j != n_r] = (cfg.level - 0.5) / (j[j != n_r] - n_r)
+    assert np.array_equal(coupling, _channel(cfg.l, n_r)[1])
     form = coupling @ (rows[:, 0] * rows[:, 1]) + 0.5 * s[0] * s[1] + d[0] * s[1] + s[0] * d[1]
-    return env * envp * float(form)
+    return env * envp * float(form) / float(cfg.Z)
 
 
 class TestPointPath:
@@ -228,16 +235,102 @@ class TestPointPath:
                 assert green_reduced_eval(cfg, r, rp) == _two_point_reference(cfg, r, rp)
 
     def test_cached_arrays_are_read_only(self):
+        # the channel caches hold the rule and O(truncation) floats per
+        # channel, never a truncation-by-nodes table, and none can be written
         cfg = GreenEvalConfig.for_level(3, 1)
         before = reduced_double_integral(cfg)
-        x, w = gauss_laguerre(2 * cfg.l + 3, cfg.nodes)
+        x, w = gauss_laguerre(2 * cfg.l + 1, cfg.nodes)
         reduced_orthogonality_defect(cfg, 1.1)
-        cached = [x, w, cfg._norms, cfg._coupling, cfg._orthogonality_projection[0], *cfg._grid]
-        for a in cached:
+        channel = [*_channel(cfg.l, cfg.resonant_n_r), _channel_quadratures(cfg.l, cfg.resonant_n_r)[1][0]]
+        assert all(a.shape == (cfg.truncation,) for a in channel)
+        for a in [x, w, *channel]:
             with pytest.raises(ValueError):
                 a *= 2
         assert reduced_double_integral(cfg) == before
         assert reduced_double_integral(GreenEvalConfig.for_level(3, 1)) == before
+
+
+def _radius_at(cfg: GreenEvalConfig, x: float) -> float | None:
+    """A radius at which ``cfg`` evaluates exactly ``x`` = 2kr, if one exists.
+
+    Searches the few floats around x / 2k; some x fall between the products
+    2k r of adjacent radii, and then there is none.
+    """
+    lo = hi = x / (2 * cfg.scale_float)
+    for _ in range(8):
+        for r in (lo, hi):
+            if _envelope(cfg, r)[0] == x:
+                return r
+        lo, hi = math.nextafter(lo, 0), math.nextafter(hi, math.inf)
+    return None
+
+
+CHANNEL_STATES = [(1, 0), (3, 1), (8, 3), (12, 11), (30, 15), (40, 3)]
+CHANNEL_CHARGES = [Fraction(1, 3), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+def _channel_values(cfg: GreenEvalConfig) -> tuple:
+    """Every public value of a config: the double integral, defects, point values."""
+    scale = (cfg.level - 0.5) ** 2 / float(cfg.Z)
+    radii = (0.4, 1.1, 2.6, scale / 2, scale, 2 * scale)
+    return (
+        reduced_double_integral(cfg),
+        [reduced_orthogonality_defect(cfg, rp) for rp in radii],
+        [green_reduced_eval(cfg, r, rp) for r, rp in POINT_PAIRS + [(scale, 2 * scale)]],
+    )
+
+
+class TestChannel:
+    # everything but Z is the channel (l, n_r), built once at Z = 1; each
+    # public value carries its own power of Z
+
+    @pytest.mark.parametrize("n, l", CHANNEL_STATES)
+    @pytest.mark.parametrize("Z", CHANNEL_CHARGES)
+    def test_z_scaling_identities(self, n, l, Z):
+        # at equal x = 2kr the defect scales as Z^(-3/2) and point values as
+        # Z^-1; the double integral k^2 (2k)^-6 Z^-2 F as Z^-6
+        cfg, unit = GreenEvalConfig.for_level(n, l, Z=Z), GreenEvalConfig.for_level(n, l)
+        assert reduced_double_integral(cfg) * float(Z**6) == pytest.approx(
+            reduced_double_integral(unit), rel=1e-14, abs=0
+        )
+        pairs = []
+        for x in (0.1, 0.75, 3.0, 7.3, n / 2, 2 * n - 1.0, 4 * n - 2.0):
+            r, r_unit = _radius_at(cfg, x), _radius_at(unit, x)
+            if r is not None and r_unit is not None:
+                pairs.append((r, r_unit))
+        assert len(pairs) >= 4
+        for (r, r_unit), (rp, rp_unit) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert reduced_orthogonality_defect(cfg, rp) == pytest.approx(
+                reduced_orthogonality_defect(unit, rp_unit) * float(Z) ** -1.5, rel=1e-14, abs=0
+            )
+            assert green_reduced_eval(cfg, r, rp) == pytest.approx(
+                green_reduced_eval(unit, r_unit, rp_unit) / float(Z), rel=1e-14, abs=0
+            )
+
+    def test_unit_charge_values_do_not_depend_on_who_built_the_channel(self):
+        # the channel is built at Z = 1 whichever config asks first, so Z = 1
+        # values are bit for bit the same after a Z = 3 config built it
+        caches = (_channel, _channel_quadratures)
+        for n, l in CHANNEL_STATES:
+            for cache in caches:
+                cache.cache_clear()
+            first = _channel_values(GreenEvalConfig.for_level(n, l))
+            for cache in caches:
+                cache.cache_clear()
+            _channel_values(GreenEvalConfig.for_level(n, l, Z=3))
+            assert _channel_values(GreenEvalConfig.for_level(n, l)) == first, (n, l)
+
+    def test_point_values_build_no_rule(self):
+        # point values read only the point side: at l = 85, where no rule is
+        # finite, and at (190, 0), past the quadratures' range, no rule and
+        # no quadrature side is built
+        gauss_laguerre.cache_clear()
+        _channel_quadratures.cache_clear()
+        for n, l in [(86, 85), (190, 0)]:
+            cfg = GreenEvalConfig.for_level(n, l)
+            assert math.isfinite(green_reduced_eval(cfg, 1.1, (n - 0.5) ** 2))
+        for cache in (gauss_laguerre, _channel_quadratures):
+            assert cache.cache_info().misses == 0, cache
 
 
 EDGE_RADII = [1e5, 1e20, 1e100, 1e308, math.nan, math.inf]
@@ -351,7 +444,7 @@ class TestSupportedRange:
                     scale = (n - 0.5) ** 2 / float(Z)
                     for rp in (0.4, 1.1, 2.6, scale / 2, scale, 2 * scale):
                         assert abs(reduced_orthogonality_defect(cfg, rp)) < 1e-8, (n, l, Z, rp)
-        assert cfg._grid[0].size == cfg.nodes == 200
+        assert gauss_laguerre(2 * cfg.l + 1, cfg.nodes)[0].size == cfg.nodes == 200
 
     def test_far_radius_underflows_to_zero(self):
         # x^(l+1/2) alone overflows a float at l = 85 and r = 50 N^2; the
@@ -460,15 +553,21 @@ class TestQuadrature:
     def test_one_rule_per_config(self):
         # the double integral and the orthogonality check share one grid,
         # on the weight x^(2l+1) e^-x with 2 n_r + 16 nodes; configs that
-        # differ only in Z share it too
-        gauss_laguerre.cache_clear()
+        # differ only in Z share it, and build one channel, point side and
+        # quadrature side
+        caches = (gauss_laguerre, _channel, _channel_quadratures)
+        for cache in caches:
+            cache.cache_clear()
         for Z in (Fraction(1), Fraction(3, 2), Fraction(3)):
             cfg = GreenEvalConfig.for_level(7, 3, Z=Z)
             reduced_double_integral(cfg)
             for rp in (0.4, 1.1, 2.6):
                 reduced_orthogonality_defect(cfg, rp)
+            green_reduced_eval(cfg, 0.5, 1.5)
+        for cache in caches:
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (1, 1), cache
         info = gauss_laguerre.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
         assert cfg.nodes == 2 * 3 + 16
         gauss_laguerre(2 * cfg.l + 1, cfg.nodes)
         assert gauss_laguerre.cache_info().hits == info.hits + 1

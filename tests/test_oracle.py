@@ -18,8 +18,10 @@ from zeeman2d.oracle import (
     ConvergenceError,
     GalerkinConfig,
     LevelCrossingError,
+    _band_matvec,
     _certify,
     _exact_pieces,
+    _general_storage,
     _inverse_iteration,
     _round_bands,
     _track,
@@ -253,6 +255,24 @@ class TestSolveGeneralized:
         for n_r in range(5):
             cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=n_r)
             assert tracked(cfg, Fraction(1, 100))[0] > tracked(cfg)[0]
+
+    def test_complex_shift_keeps_its_imaginary_part(self):
+        # solve_banded on the general storage of H - sigma O with a complex
+        # sigma matches the dense solve; a real band keeps float64 storage
+        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        h, o = bands.h0, bands.overlap
+        # halfway between the two lowest levels, off the real axis
+        sigma = float(energy0(QuantumState(1, 0, 0)) + energy0(QuantumState(2, 0, 0))) / 2 + 0.05j
+        rhs = _band_matvec(o, np.linspace(1.0, 2.0, BASIS_SMALL))
+        for shift in (sigma, sigma.real):
+            band = h - shift * o
+            storage = _general_storage(band)
+            assert storage.dtype == band.dtype
+            y = scipy.linalg.solve_banded((3, 3), storage, rhs)
+            expected = np.linalg.solve(dense(band), rhs)
+            assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+        real = h - sigma.real * o
+        assert np.array_equal(_general_storage(real), _general_storage(real.astype(complex)).real)
 
     def test_singular_shift_is_typed_error(self):
         # sigma is exactly an eigenvalue and x is not its eigenvector
