@@ -174,12 +174,11 @@ class GreenEvalConfig:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, so no caller can change it for the next."""
+    """Mark an array read-only, so no caller can change what a cache keeps for the next."""
     a.flags.writeable = False
     return a
 
 
-@lru_cache(maxsize=None)
 def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
 
@@ -190,11 +189,12 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     scaled to sum to Gamma(alpha + 1).  This is the construction of
     `scipy.special.roots_genlaguerre`, whose nodes these equal bit for bit.
 
-    Raises `QuadratureError` when the rule is not finite; being cached, the
-    check runs once per (alpha, nodes), and a count past `MAX_NODES` is
-    refused before the matrix is formed.  The overflow that makes a rule
-    non-finite is silenced here, so the typed error is all a caller sees.
-    The cached arrays are read-only: an in-place write raises `ValueError`.
+    Raises `QuadratureError` when the rule is not finite, and refuses a
+    count past `MAX_NODES` before the matrix is formed.  The overflow that
+    makes a rule non-finite is silenced here, so the typed error is all a
+    caller sees.  Nothing keeps a rule: each channel asks for its one rule
+    once, inside its own cache.  The arrays are read-only, like every array
+    a channel keeps: an in-place write raises `ValueError`.
     """
     try:
         total = math.gamma(alpha + 1)

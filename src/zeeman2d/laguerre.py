@@ -3,7 +3,9 @@
 `moment3_band` is the one home of the integer
 integral_0^inf x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx: its
 diagonal gives the second-order coefficient, its band |k - k'| <= 3 the
-fourth-order window and the oracle's r^2 operator.
+fourth-order window and the oracle's r^2 operator.  Its closed form is
+`_moment3_factor` times (k+alpha)!/k!, which `_moment3_diagonals` also uses
+to build whole diagonals, for the oracle, in one pass.
 """
 
 from __future__ import annotations
@@ -31,14 +33,41 @@ def moment3_band(k: int, kp: int, alpha: int) -> int:
     d = hi - lo
     if d > 3:
         return 0
+    return _moment3_factor(lo, d, alpha) * math.perm(lo + alpha, alpha)
+
+
+def _moment3_diagonals(alpha: int, size: int, scale: int) -> tuple[tuple[int, ...], ...]:
+    """The diagonals d = 0..3 of scale * moment3_band(i, j, alpha) for i, j < size.
+
+    Diagonal d holds the entries (i, i + d) for i < size - d.  One pass over
+    the running ratio q_i = perm(i + alpha, alpha) forms every row from
+    `_moment3_factor`, with no `math.perm` per entry.
+    """
+    q = math.factorial(alpha)
+    r0, r1, r2, r3 = [], [], [], []
+    for i in range(size):
+        sq = scale * q
+        r0.append(sq * _moment3_factor(i, 0, alpha))
+        r1.append(sq * _moment3_factor(i, 1, alpha))
+        r2.append(sq * _moment3_factor(i, 2, alpha))
+        r3.append(sq * _moment3_factor(i, 3, alpha))
+        q = (i + alpha + 1) * q // (i + 1)
+    return tuple(r0), tuple(r1[:-1]), tuple(r2[:-2]), tuple(r3[:-3])
+
+
+def _moment3_factor(lo: int, d: int, alpha: int) -> int:
+    """The integer c with moment3_band(lo, lo + d, alpha) = c perm(lo + alpha, alpha), 0 <= d <= 3.
+
+    perm(lo + alpha, alpha) = (lo + alpha)!/lo! is a running ratio from row
+    to row, so `_moment3_diagonals` multiplies these small factors by it and
+    `moment3_band` by one `math.perm`.
+    """
     a = alpha
-    # (lo + a + d)!/lo! as the integer perm(lo + a + d, a + d)
     if d == 0:
-        body = 10 * lo * lo + 10 * lo + 10 * a * lo + a * a + 5 * a + 6
-        return (2 * lo + a + 1) * body * math.perm(lo + a, a)
+        return (2 * lo + a + 1) * (10 * lo * lo + 10 * lo + 10 * a * lo + a * a + 5 * a + 6)
+    up = lo + a + 1
     if d == 1:
-        body = 5 * lo * lo + 10 * lo + 5 * a * lo + a * a + 5 * a + 6
-        return -3 * body * math.perm(lo + a + 1, a + 1)
+        return -3 * (5 * lo * lo + 10 * lo + 5 * a * lo + a * a + 5 * a + 6) * up
     if d == 2:
-        return 3 * (2 * lo + a + 3) * math.perm(lo + a + 2, a + 2)
-    return -math.perm(lo + a + 3, a + 3)
+        return 3 * (2 * lo + a + 3) * (up + 1) * up
+    return -(up + 2) * (up + 1) * up

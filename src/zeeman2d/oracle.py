@@ -21,13 +21,17 @@ each field.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
-previous field.  Sylvester's law of inertia certifies the level index of
-every result: H - sigma O has exactly as many negative eigenvalues as the
-pencil has levels below sigma, and a radial channel has no crossings.  The
-count costs O(m) (spectrum slicing, Parlett, The Symmetric Eigenvalue
-Problem, ch. 3): a banded Cholesky factorization shows a trailing block
-positive definite, and by Haynsworth's inertia additivity the count is then
-that of a small dense Schur complement on the leading block.  The inverse
+previous field.  H - sigma O is factored once per field by LAPACK's banded
+LU, xGBTRF, and every step is one xGBTRS on those factors (Anderson et al.,
+LAPACK Users' Guide, SIAM 1999); the routines come from
+`scipy.linalg.get_lapack_funcs`, so a complex shift takes the same path.
+Sylvester's law of inertia certifies the level index of every result:
+H - sigma O has exactly as many negative eigenvalues as the pencil has
+levels below sigma, and a radial channel has no crossings.  The count costs
+O(m) (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem, ch. 3):
+a banded Cholesky factorization, xPBTRF, shows a trailing block positive
+definite, and by Haynsworth's inertia additivity the count is then that of
+a small dense Schur complement on the leading block.  The inverse
 of that complement is the leading block of (H - sigma O)^-1, so its
 eigenvalues lie no closer to zero than the spectrum of H - sigma O: the
 certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
@@ -35,7 +39,8 @@ certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 `fit_field_series` is the one way in: it walks the one field grid,
 `default_field_grid` (nine fields from 0 to b_max = Z^2 / (20 (2n-1)^2)),
 this way and fits an even polynomial in b to recover the quadratic and
-quartic coefficients with conditioning and noise diagnostics.
+quartic coefficients with conditioning and noise diagnostics; the result
+keeps the residual of the certified eigenpair at each field.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import scipy.linalg
 
 from .coulomb import QuantumState, energy0
 from .exactmath import rational_sqrt
-from .laguerre import moment3_band
+from .laguerre import _moment3_diagonals
 from .perturb import assemble_energy
 
 __all__ = [
@@ -186,7 +191,8 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     W_i = z q_i/zeta, O_ii = a_i q_i s/(2p), O_i,i+1 = -(i+alpha+1) q_i s/(2p),
     H0_ii = (mu_i - 1) W_i + E* O_ii = q_i (a_i p zeta - 4 s z)/(4 s zeta) with
     mu_i = a_i k/(2Z), H0_i,i+1 = E* O_i,i+1 = p (i+alpha+1) q_i/(4s), and
-    R_i,i+d = s^3 moment3_band(i, i+d, alpha)/(8 p^3).
+    R_i,i+d = s^3 moment3_band(i, i+d, alpha)/(8 p^3), built in one pass over
+    the same q_i by `laguerre._moment3_diagonals`.
     """
     k = rational_sqrt(-2 * reference)
     if k is None:
@@ -206,16 +212,11 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
         o_diag.append(a * q * s)
         o_off.append(-up * s)
         q = up // (i + 1)
-    s3 = s**3
-    r2 = tuple(
-        tuple(s3 * moment3_band(i, i + d, alpha) for i in range(basis_size - d))
-        for d in range(HALF_BANDWIDTH + 1)
-    )
     return ExactBands(
         weighted_norm=ExactBand((tuple(weighted_norm),), zeta),
         h0=ExactBand((tuple(h0_diag), tuple(h0_off[:-1])), 4 * s * zeta),
         overlap=ExactBand((tuple(o_diag), tuple(o_off[:-1])), 2 * p),
-        r2=ExactBand(r2, 8 * p**3),
+        r2=ExactBand(_moment3_diagonals(alpha, basis_size, s**3), 8 * p**3),
     )
 
 
@@ -264,27 +265,64 @@ def _round_bands(cfg: GalerkinConfig) -> FloatBands:
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for the symmetric A held in upper band storage."""
-    u = band.shape[0] - 1
-    y = band[u] * x
+    """A @ x for the symmetric A held in upper band storage.
+
+    A stack of bands (k, u + 1, m) times a stack of vectors (k, m) gives
+    the k products at once, each element formed in the same order as alone.
+    """
+    u = band.shape[-2] - 1
+    y = band[..., u, :] * x
     for d in range(1, u + 1):
-        y[:-d] += band[u - d, d:] * x[d:]
-        y[d:] += band[u - d, d:] * x[:-d]
+        y[..., :-d] += band[..., u - d, d:] * x[..., d:]
+        y[..., d:] += band[..., u - d, d:] * x[..., :-d]
     return y
 
 
-def _general_storage(band: np.ndarray) -> np.ndarray:
-    """The (l, u) = (3, 3) storage `scipy.linalg.solve_banded` takes, from upper storage.
+def _check_info(routine: str, info: int) -> None:
+    """Raise ValueError on a LAPACK argument error (info < 0); info > 0 is the caller's."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
-    The storage keeps the band's dtype, so a complex shift H - sigma O keeps
-    its imaginary part.
+
+def _general_storage(band: np.ndarray) -> np.ndarray:
+    """The general band storage that xGBTRF factors in place, from upper storage.
+
+    With kl = ku = u it has 3u + 1 rows: row 2u - d holds diagonal d, row
+    2u + d diagonal -d, and the first u rows start at zero and take the
+    fill-in of the row interchanges.  It is Fortran-ordered, so LAPACK
+    factors it without a copy, and keeps the band's dtype, so a complex
+    shift H - sigma O keeps its imaginary part.
     """
     u, m = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((2 * u + 1, m), dtype=band.dtype)
-    full[: u + 1] = band
+    full = np.zeros((3 * u + 1, m), dtype=band.dtype, order="F")
+    full[u : 2 * u + 1] = band
     for d in range(1, u + 1):
-        full[u + d, : max(m - d, 0)] = band[u - d, d:]
+        full[2 * u + d, : max(m - d, 0)] = band[u - d, d:]
     return full
+
+
+def _lu_solver(band: np.ndarray):
+    """Factor the symmetric A held in upper band storage once; return its solve b -> A^-1 b.
+
+    xGBTRF forms the pivoted LU factors and every solve is one xGBTRS on
+    them (`scipy.linalg.solve_banded` runs the two together, as xGBSV, and
+    so refactors at every call).  `get_lapack_funcs` picks the routines of
+    the band's dtype, so a complex shift takes the same path.  Raises
+    `np.linalg.LinAlgError` when A is exactly singular.
+    """
+    u = band.shape[0] - 1
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    lu, piv, info = gbtrf(_general_storage(band), u, u, overwrite_ab=True)
+    _check_info("gbtrf", info)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y, info = gbtrs(lu, u, u, rhs, piv)
+        _check_info("gbtrs", info)
+        return y
+
+    return solve
 
 
 def _inverse_iteration(
@@ -293,25 +331,29 @@ def _inverse_iteration(
     """(lambda, unit x, residual) of H x = lambda O x nearest sigma, iterating from x.
 
     Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
+    H - sigma O is factored at most once, at the first solve, and every
+    step reuses the factors.  The four band products of a step (H x, O x,
+    |H| |x|, |O| |x|) are formed as one stacked product.
     """
-    shifted = _general_storage(h - sigma * overlap)
-    abs_h, abs_o = abs(h), abs(overlap)
+    stacked = np.array((h, overlap, abs(h), abs(overlap)))
+    solve = None
     x = x / np.linalg.norm(x)
     for solves in range(MAX_ITERATIONS + 1):
-        hx, ox = _band_matvec(h, x), _band_matvec(overlap, x)
+        abs_x = abs(x)
+        hx, ox, abs_hx, abs_ox = _band_matvec(stacked, np.array((x, x, abs_x, abs_x)))
         value = float(x @ hx / (x @ ox))
         residual = float(np.linalg.norm(hx - value * ox))
         if not (math.isfinite(value) and math.isfinite(residual)):
             raise ConvergenceError(b, solves, residual, "produced a non-finite value or vector")
-        size = np.linalg.norm(_band_matvec(abs_h, abs(x))) + abs(value) * np.linalg.norm(
-            _band_matvec(abs_o, abs(x))
-        )
+        size = np.linalg.norm(abs_hx) + abs(value) * np.linalg.norm(abs_ox)
         if residual <= RESIDUAL_TOL * size:
             return value, x, residual
         if solves == MAX_ITERATIONS:
             break
         try:
-            y = scipy.linalg.solve_banded((HALF_BANDWIDTH, HALF_BANDWIDTH), shifted, ox, check_finite=False)
+            if solve is None:
+                solve = _lu_solver(h - sigma * overlap)
+            y = solve(ox)
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
         x = y / np.linalg.norm(y)
@@ -341,10 +383,11 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
     """
     a = h - sigma * overlap
     u, m = HALF_BANDWIDTH, a.shape[1]
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (a,))
     while head < m:
-        try:
-            tail = scipy.linalg.cholesky_banded(a[:, head:], check_finite=False)
-        except np.linalg.LinAlgError:
+        tail, info = pbtrf(a[:, head:])
+        _check_info("pbtrf", info)
+        if info > 0:
             head *= 2
             continue
         # A21 is zero outside its first u rows and last u columns
@@ -352,7 +395,9 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
         edge = np.zeros((m - head, min(u, head)))
         edge[: lead.shape[0] - head] = lead[head:, :head][:, -u:]
         schur = lead[:head, :head]
-        schur[-u:, -u:] -= edge.T @ scipy.linalg.cho_solve_banded((tail, False), edge, check_finite=False)
+        solved, info = pbtrs(tail, edge)
+        _check_info("pbtrs", info)
+        schur[-u:, -u:] -= edge.T @ solved
         return int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0))
     return int(np.count_nonzero(np.linalg.eigvalsh(_dense(a)) < 0))
 
@@ -424,13 +469,18 @@ def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[F
 
 @dataclass(frozen=True)
 class FieldFitResult:
-    """Even-power fit of the tracked level's field dependence."""
+    """Even-power fit of the tracked level's field dependence.
+
+    ``residuals`` holds |H x - lambda O x| of the converged eigenpair at each
+    field, in the order of ``fields``.
+    """
 
     state: QuantumState
     Z: Fraction
     basis_size: int
     fields: tuple[Fraction, ...]
     energies: tuple[float, ...]
+    residuals: tuple[float, ...]
     powers: tuple[int, ...]
     coefficients: dict[int, float]
     conditioning: float
@@ -454,6 +504,7 @@ class FieldFitResult:
             "basis_size": self.basis_size,
             "grid": [str(b) for b in self.fields],
             "energies": list(self.energies),
+            "residuals": list(self.residuals),
             "coefficients": {str(p): self.coefficients[p] for p in self.powers},
             "uncertainties": {str(p): self.coefficient_uncertainty(p) for p in self.powers},
             "conditioning": self.conditioning,
@@ -488,7 +539,7 @@ def fit_field_series(
         )
     cfg = GalerkinConfig(l=state.l, Z=Z, basis_size=basis_size, target_n_r=state.n_r)
     tracked = _track(_round_bands(cfg), grid, state.n_r, float(cfg.unperturbed_energy))
-    energies = tuple(energy for energy, _ in tracked)
+    energies, residuals = zip(*tracked)
     powers = (0, 2, 4, 6)
     bf = np.array([float(b) for b in grid])
     target = np.array(energies)
@@ -512,6 +563,7 @@ def fit_field_series(
         basis_size=basis_size,
         fields=tuple(grid),
         energies=energies,
+        residuals=residuals,
         powers=powers,
         coefficients=coefficients,
         conditioning=conditioning,

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeeman2d.laguerre import moment3_band
+from zeeman2d.laguerre import _moment3_diagonals, moment3_band
 
 from radial_reference import (
     Laguerre,
@@ -128,6 +128,23 @@ class TestThirdMomentDiagonal:
         for alpha in range(0, 9):
             for k in range(0, 11):
                 assert moment3_band(k, k, alpha) > 0
+
+
+class TestThirdMomentDiagonals:
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 7, 40, 168])
+    def test_rows_match_entries(self, alpha):
+        # the one-pass diagonals against moment3_band, entry by entry, as ints
+        for size in (0, 1, 2, 3, 4, 5, 300):
+            diagonals = _moment3_diagonals(alpha, size, 1)
+            assert [len(diagonal) for diagonal in diagonals] == [max(size - d, 0) for d in range(4)]
+            for d, diagonal in enumerate(diagonals):
+                for i, value in enumerate(diagonal):
+                    assert type(value) is int
+                    assert value == moment3_band(i, i + d, alpha), (size, d, i)
+
+    def test_scale_multiplies_every_entry(self):
+        plain, scaled = _moment3_diagonals(5, 40, 1), _moment3_diagonals(5, 40, 27)
+        assert scaled == tuple(tuple(27 * value for value in diagonal) for diagonal in plain)
 
 
 class TestThirdMomentBand:

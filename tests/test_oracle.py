@@ -1,5 +1,6 @@
 """Tests for the variational Galerkin oracle and the field-series fit."""
 
+import collections
 import importlib
 import math
 import pkgutil
@@ -23,6 +24,7 @@ from zeeman2d.oracle import (
     _exact_pieces,
     _general_storage,
     _inverse_iteration,
+    _lu_solver,
     _round_bands,
     _track,
     default_field_grid,
@@ -257,8 +259,9 @@ class TestSolveGeneralized:
             assert tracked(cfg, Fraction(1, 100))[0] > tracked(cfg)[0]
 
     def test_complex_shift_keeps_its_imaginary_part(self):
-        # solve_banded on the general storage of H - sigma O with a complex
-        # sigma matches the dense solve; a real band keeps float64 storage
+        # the factor-once solve of H - sigma O with a complex sigma matches
+        # the dense solve, and so does its real part; a real band keeps
+        # float64 storage
         bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
         h, o = bands.h0, bands.overlap
         # halfway between the two lowest levels, off the real axis
@@ -266,12 +269,13 @@ class TestSolveGeneralized:
         rhs = _band_matvec(o, np.linspace(1.0, 2.0, BASIS_SMALL))
         for shift in (sigma, sigma.real):
             band = h - shift * o
-            storage = _general_storage(band)
-            assert storage.dtype == band.dtype
-            y = scipy.linalg.solve_banded((3, 3), storage, rhs)
+            assert _general_storage(band).dtype == band.dtype
+            y = _lu_solver(band)(rhs)
+            assert y.dtype == band.dtype
             expected = np.linalg.solve(dense(band), rhs)
             assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
         real = h - sigma.real * o
+        assert _general_storage(real).dtype == np.float64
         assert np.array_equal(_general_storage(real), _general_storage(real.astype(complex)).real)
 
     def test_singular_shift_is_typed_error(self):
@@ -282,6 +286,95 @@ class TestSolveGeneralized:
         o[3] = 1.0
         with pytest.raises(ConvergenceError, match="singular"):
             _inverse_iteration(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
+
+
+def _lapack_calls(monkeypatch, alter=None):
+    """Count the calls of every routine `get_lapack_funcs` hands out, by name.
+
+    ``alter`` maps a routine name to a function of its return value, which
+    replaces what the routine returns.
+    """
+    calls, alter = collections.Counter(), alter or {}
+    original = scipy.linalg.get_lapack_funcs
+
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            out = routine(*args, **kwargs)
+            return alter[name](out) if name in alter else out
+
+        return call
+
+    def patched(names, arrays=(), *args, **kwargs):
+        routines = original(names, arrays, *args, **kwargs)
+        return [counted(name, routine) for name, routine in zip(names, routines)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+    return calls
+
+
+def _with_info(info):
+    """Replace the trailing info of a LAPACK return tuple."""
+    return lambda out: (*out[:-1], info)
+
+
+class TestFactorOnce:
+    def _many_solves(self):
+        # a far seed and a shift 0.1 below the ground level: the iteration
+        # contracts by about 1/20 per solve, so it takes a dozen solves
+        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        return bands.h0, bands.overlap, -2.1, np.linspace(1.0, 2.0, BASIS_SMALL)
+
+    def test_one_factorization_per_call(self, monkeypatch):
+        h, o, sigma, x = self._many_solves()
+        calls = _lapack_calls(monkeypatch)
+        value, _, _ = _inverse_iteration(h, o, sigma, x, 0.0)
+        assert value == pytest.approx(-2.0, abs=1e-12)
+        assert calls["gbtrf"] == 1
+        assert calls["gbtrs"] >= 10
+
+    def test_converged_seed_factors_nothing(self, monkeypatch):
+        # the factorization waits for the first solve, after the convergence check
+        h = np.array([[0.0], [0.0], [0.0], [3.5]])
+        o = np.array([[0.0], [0.0], [0.0], [1.0]])
+        calls = _lapack_calls(monkeypatch)
+        _inverse_iteration(h, o, 3.0, np.array([1.0]), 0.0)
+        assert calls["gbtrf"] == calls["gbtrs"] == 0
+
+    def test_factor_once_matches_refactoring_solves(self):
+        # gbtrf then gbtrs is what solve_banded runs as gbsv: bit for bit
+        h, o, sigma, _ = self._many_solves()
+        band = h - sigma * o
+        solve = _lu_solver(band)
+        for rhs in (np.linspace(1.0, 2.0, BASIS_SMALL), np.cos(np.arange(BASIS_SMALL))):
+            reference = scipy.linalg.solve_banded((3, 3), _general_storage(band)[3:], rhs)
+            assert np.array_equal(solve(rhs), reference)
+
+    def test_fit_path_avoids_scipy_wrappers(self, monkeypatch):
+        # every solve and inertia count of a fit goes to LAPACK directly
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refactoring scipy wrapper called on the fit path")
+
+        for name in ("solve_banded", "cholesky_banded", "cho_solve_banded"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+        fit = fit_field_series(QuantumState(1, 0, 0))
+        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-8)
+
+    @pytest.mark.parametrize("routine", ["gbtrf", "gbtrs"])
+    def test_illegal_argument_in_solve_raises(self, monkeypatch, routine):
+        # info < 0 is a call error, not a singular shift
+        h, o, sigma, x = self._many_solves()
+        _lapack_calls(monkeypatch, {routine: _with_info(-4)})
+        with pytest.raises(ValueError, match=f"argument 4 of LAPACK {routine}"):
+            _inverse_iteration(h, o, sigma, x, 0.0)
+
+    @pytest.mark.parametrize("routine", ["pbtrf", "pbtrs"])
+    def test_illegal_argument_in_inertia_count_raises(self, monkeypatch, routine):
+        # info < 0 is a call error, not a tail that fails to be positive definite
+        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        _lapack_calls(monkeypatch, {routine: _with_info(-1)})
+        with pytest.raises(ValueError, match=f"argument 1 of LAPACK {routine}"):
+            oracle._levels_below(bands.h0, bands.overlap, -2.1, 1)
 
 
 def _dense_reference_cases():
@@ -516,7 +609,17 @@ class TestFieldFit:
         assert payload["state"] == {"n": 1, "l": 0, "m_l": 0}
         assert payload["coefficients"]["2"] == fit.coefficients[2]
         assert payload["tolerances"] == {"c2_rel": 1e-8}
-        assert len(payload["grid"]) == len(payload["energies"]) == 9
+        assert len(payload["grid"]) == len(payload["energies"]) == len(payload["residuals"]) == 9
+
+    def test_residuals_are_the_tracked_ones(self):
+        # the fit keeps |H x - lambda O x| of the certified eigenpair at each field
+        state = QuantumState(2, 1, 1)
+        fit = fit_field_series(state)
+        cfg = GalerkinConfig(l=1, basis_size=fit.basis_size)
+        tracked_pairs = _track(_round_bands(cfg), list(fit.fields), 0, float(cfg.unperturbed_energy))
+        assert fit.residuals == tuple(residual for _, residual in tracked_pairs)
+        assert all(0 <= residual <= 1e-13 for residual in fit.residuals)
+        assert fit.as_dict()["residuals"] == list(fit.residuals)
 
 
 MODULES = ["zeeman2d", *sorted(f"zeeman2d.{m.name}" for m in pkgutil.iter_modules(zeeman2d.__path__))]
