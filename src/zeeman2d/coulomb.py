@@ -6,16 +6,18 @@ are Bohr radii, energies are Hartree, and the magnetic field unit B0 is 1.
 At the level energy the Sturmian of level n is the bound state rescaled by
 N/Z (N = n - 1/2), which is what makes the window sums exact.  Only squared
 r^2 couplings are formed, in which the normalization roots cancel, so they
-stay in the integers (`_r2_term_ratio`) and rationals (`r2_element_squared`).
+stay in the integers (`_window_terms`) and rationals (`r2_element_squared`).
+`_window_terms` is the one home of the window term: it builds every term
+from `laguerre._moment3_factor` and ratios of a few consecutive integers,
+and forms no factorial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laguerre import moment3_band
+from .laguerre import _moment3_factor
 
 __all__ = [
     "QuantumState",
@@ -71,30 +73,39 @@ def energy0(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
     return -(Z * Z) / (2 * n_eff * n_eff)
 
 
-def _r2_term_ratio(n_r: int, j: int, alpha: int, perm_nr: int) -> tuple[int, int]:
-    """B_j^2 / (perm(n_r+alpha, alpha) perm(j+alpha, alpha)) as integers (num, den).
+def _window_terms(n_r: int, alpha: int) -> dict[int, tuple[int, int]]:
+    """T_j = B_j^2 / (P_{n_r} P_j) for every j with |j - n_r| <= 3, as integer pairs (num, den).
 
-    ``perm_nr`` is perm(n_r+alpha, alpha), passed in so a window sum forms it
-    once.  B_j = moment3_band(n_r, j, alpha) is an exact multiple s_j P of
-    P = perm_nr, and P / perm(j+alpha, alpha) is a ratio of at most three
-    consecutive integers on each side, so the term is s_j^2 times that short
-    ratio and never forms the factorials themselves.  The pair is not reduced.
+    Here P_i = perm(i+alpha, alpha), and B_j = moment3_band(n_r, j, alpha) is
+    c_j P_lo with c_j = `_moment3_factor`(lo, |j - n_r|, alpha) and
+    lo = min(j, n_r).  Writing B_j = s_j P_{n_r}, s_j is c_j itself for
+    j >= n_r, and c_j prod(j+1..n_r) / prod(j+alpha+1..n_r+alpha) for
+    j < n_r, an exact integer whose remainder is checked, not assumed.  Then
+    T_j = s_j^2 P_{n_r}/P_j, where P_{n_r}/P_j is that same ratio of at most
+    three consecutive integers on each side.  One running product per side
+    of n_r extends the ratio by one integer a step, so no factorial is
+    formed.  The pairs are not reduced.
     """
-    band = moment3_band(n_r, j, alpha)
-    if band == 0:
-        return 0, 1
-    s, rest = divmod(band, perm_nr)
-    if rest:
-        raise ArithmeticError(
-            f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"
-        )
-    if j >= n_r:
-        num = math.prod(range(n_r + 1, j + 1))
-        den = math.prod(range(n_r + alpha + 1, j + alpha + 1))
-    else:
-        num = math.prod(range(j + alpha + 1, n_r + alpha + 1))
-        den = math.prod(range(j + 1, n_r + 1))
-    return s * s * num, den
+    terms = {}
+    num = den = 1
+    for d in range(4):
+        if d:
+            num *= n_r + d
+            den *= n_r + d + alpha
+        c = _moment3_factor(n_r, d, alpha)
+        terms[n_r + d] = c * c * num, den
+    num = den = 1
+    for d in range(1, min(n_r, 3) + 1):
+        j = n_r - d
+        num *= j + 1
+        den *= j + alpha + 1
+        s, rest = divmod(_moment3_factor(j, d, alpha) * num, den)
+        if rest:
+            raise ArithmeticError(
+                f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"
+            )
+        terms[j] = s * s * den, num
+    return terms
 
 
 def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:
@@ -107,6 +118,7 @@ def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fracti
     """
     if n_r_prime < 0:
         raise ValueError("n_r_prime must be non-negative")
-    n_r, alpha = state.n_r, 2 * state.l
-    term = Fraction(*_r2_term_ratio(n_r, n_r_prime, alpha, math.perm(n_r + alpha, alpha)))
+    if abs(n_r_prime - state.n_r) > 3:
+        return Fraction(0)
+    term = Fraction(*_window_terms(state.n_r, 2 * state.l)[n_r_prime])
     return state.effective_n**4 / (64 * Fraction(Z) ** 6) * term

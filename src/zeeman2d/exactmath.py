@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
 __all__ = [
@@ -37,13 +37,18 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-# Every prime up to a sieved limit, grown on demand by `factorize_integer` and
-# never built at import.  It is replaced whole, so a reader never sees a limit
-# that its list of primes does not cover.
-_prime_table: tuple[int, list[int]] = (1, [])
+# Every prime up to a sieved limit, cut into runs of `_RUN` consecutive primes
+# (the last run may be short), each held with its product.  It is grown on
+# demand by `factorize_integer` and never built at import, and it is replaced
+# whole, so a reader never sees a limit that its runs do not cover.
+_prime_table: tuple[int, list[tuple[int, tuple[int, ...]]]] = (1, [])
+
+# primes per run: one gcd with a run's product tells which of them divide,
+# and the first run ends at _PROOF_AFTER
+_RUN = 25
 
 
-def _primes_through(limit: int) -> tuple[int, list[int]]:
+def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """The prime table, first sieved up to ``limit`` if it stops short of it."""
     global _prime_table
     table = _prime_table
@@ -53,7 +58,9 @@ def _primes_through(limit: int) -> tuple[int, list[int]]:
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        table = (limit, list(itertools.compress(range(limit + 1), sieve)))
+        primes = list(itertools.compress(range(limit + 1), sieve))
+        runs = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
+        table = (limit, [(math.prod(run), run) for run in runs])
         _prime_table = table
     return table
 
@@ -120,9 +127,15 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
     primes are tried: a composite divisor can never divide once its prime
     factors are gone, so the result is that of dividing by every integer.
 
+    The power of 2 is read off the low bits.  The other primes are tried in
+    runs of `_RUN`: one gcd with the run's product either skips the run or
+    is the product of exactly those of its primes that divide.  Division
+    stops before a run whose first prime is past the cap or whose square is
+    past the cofactor, which is then 1 or prime.
+
     Trial division proves a prime cofactor only by reaching its square root.
     So once every prime up to `_PROOF_AFTER` has been tried, and again after
-    each larger factor is divided out, the cofactor is put to a deterministic
+    each later run that divided, the cofactor is put to a deterministic
     Miller-Rabin test, and division stops if it is proven prime.  It is then
     appended whole, as trial division would append it after finding no
     factor of it below any cap, so the result is the same for every
@@ -133,33 +146,42 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
         raise ValueError("only positive integers are factored")
     factors: list[tuple[int, int]] = []
     rem = value
-    covered, primes = _prime_table
-    count = len(primes)
-    i = 0
-    while True:
-        if i == count:
+    if trial_limit >= 2 and not rem & 1:
+        e = (rem & -rem).bit_length() - 1
+        factors.append((2, e))
+        rem >>= e
+    covered, runs = _prime_table
+    r = 0
+    while rem > 1:
+        if r == len(runs):
             need = min(trial_limit, math.isqrt(rem))
             if covered >= need:
                 break
+            # a short last run is tried again, whole, once the table has grown
+            if runs and len(runs[-1][1]) < _RUN:
+                r -= 1
             # at least double the table, so a sweep of growing values sieves
             # O(log) times, but never past the cap of this call
-            covered, primes = _primes_through(min(trial_limit, max(need, 2 * covered)))
-            count = len(primes)
+            covered, runs = _primes_through(min(trial_limit, max(need, 2 * covered)))
             continue
-        p = primes[i]
-        if p > trial_limit or p * p > rem:
+        product, run = runs[r]
+        if run[0] > trial_limit or run[0] * run[0] > rem:
             break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-            if p >= _PROOF_AFTER and rem > 1 and _is_proven_prime(rem):
-                break
-        elif p == _PROOF_AFTER and _is_proven_prime(rem):
+        g = math.gcd(rem, product)
+        if g > 1:
+            for p in run:
+                if g % p == 0 and p <= trial_limit:
+                    e = 0
+                    while rem % p == 0:
+                        rem //= p
+                        e += 1
+                    factors.append((p, e))
+        # a proof needs every prime through _PROOF_AFTER tried, and is not
+        # needed below the square of the last one, where rem is 1 or prime
+        last = run[-1]
+        if (g > 1 or r == 0) and _PROOF_AFTER <= last <= trial_limit and rem >= last * last and _is_proven_prime(rem):
             break
-        i += 1
+        r += 1
     if rem > 1:
         factors.append((rem, 1))
     return factors
@@ -178,10 +200,11 @@ def format_factorized(x: Fraction) -> str:
     Exponent 1 is omitted; a unit numerator or denominator prints as the
     bare factorization of the other side; zero prints as ``0``.
     """
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    num, den = abs(x.numerator), x.denominator
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     num_s = "1" if num == 1 else _format_factored_int(num)
     if den == 1:
         return sign + num_s
@@ -196,15 +219,23 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
+# round-half-even with no traps and an exponent range no rational reaches;
+# never modified, only copied
+_RENDER_CONTEXT = Context(
+    rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[]
+)
+
+
 def render_decimal(x: Fraction, digits: int = 12) -> str:
     """Correctly rounded decimal string with ``digits`` significant digits.
 
     Computed from the exact rational at print time (round-half-even); no
-    intermediate binary float is involved.
+    intermediate binary float is involved.  The division runs in a context of
+    its own, so the caller's decimal context (its rounding, traps or
+    exponent letter) never changes the result.
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
+    ctx = _RENDER_CONTEXT.copy()
+    ctx.prec = digits
+    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))

@@ -4,8 +4,13 @@
 integral_0^inf x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx: its
 diagonal gives the second-order coefficient, its band |k - k'| <= 3 the
 fourth-order window and the oracle's r^2 operator.  Its closed form is
-`_moment3_factor` times (k+alpha)!/k!, which `_moment3_diagonals` also uses
-to build whole diagonals, for the oracle, in one pass.
+`_moment3_factor` times (k+alpha)!/k!.  The factorial ratio is the only
+large part, so no route builds it per entry: `_moment3_diagonals` builds
+whole diagonals for the oracle in one pass of a running ratio, and the
+exact routes (`coulomb._window_terms`, `perturb.eps2_integral`) cancel it
+against the level's own and keep `_moment3_factor` times ratios of a few
+consecutive integers.  `moment3_band` itself is the public integral and the
+tests' reference for `_moment3_factor`.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def _moment3_factor(lo: int, d: int, alpha: int) -> int:
 
     perm(lo + alpha, alpha) = (lo + alpha)!/lo! is a running ratio from row
     to row, so `_moment3_diagonals` multiplies these small factors by it and
-    `moment3_band` by one `math.perm`.
+    `moment3_band` by one `math.perm`; the exact routes never form it.
     """
     a = alpha
     if d == 0:

@@ -363,9 +363,14 @@ def _inverse_iteration(
 def _dense(band: np.ndarray) -> np.ndarray:
     """The symmetric dense matrix held in upper band storage."""
     u, m = band.shape[0] - 1, band.shape[1]
-    out = np.diag(band[u])
+    out = np.zeros((m, m), dtype=band.dtype)
+    flat = out.reshape(-1)
+    # entry (i, i + d) sits at flat index i (m + 1) + d, and (i + d, i) at i (m + 1) + d m
+    flat[:: m + 1] = band[u]
     for d in range(1, min(u, m - 1) + 1):
-        out += np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+        row = band[u - d, d:]
+        flat[d : (m - d) * m : m + 1] = row
+        flat[d * m :: m + 1] = row
     return out
 
 

@@ -31,36 +31,41 @@ where B is the banded third-moment integral `laguerre.moment3_band` and
 M3(n_r, alpha) = B(n_r, n_r; alpha) its diagonal, and the sum runs only
 over the seven-wide band |j - n_r| <= 3.
 The Z powers cancel identically, so the coefficients are Z-independent and
-are computed once per (n, l).  The window sum is taken in reduced form: each
-B_j is an exact integer multiple s_j P_{n_r}, so
+are computed once per (n, l).  Neither route forms P_j.  The diagonal is
+M3 = c P_{n_r} with c = `laguerre._moment3_factor`(n_r, 0, alpha), so P_{n_r}
+cancels exactly and
+
+    eps2 = N c / 64 = (2n - 1) c / 128.
+
+The window sum is taken in reduced form: each B_j is an exact integer
+multiple s_j P_{n_r}, so
 
     eps4 = -(N^4/4096) * [ N * sum_{j != n_r} T_j/(j - n_r) - 5/2 T_{n_r} ]
     T_j  = B_j^2 / (P_{n_r} P_j) = s_j^2 P_{n_r}/P_j,
 
-where P_{n_r}/P_j is a ratio of at most three consecutive integers on each
-side.  With q = 2n - 1 = 2N this is
+where s_j is a `_moment3_factor` times a ratio of at most three consecutive
+integers, and P_{n_r}/P_j is such a ratio too.  With q = 2n - 1 = 2N this is
 
     eps4 = -(q^4 / 2^17) * [ q * sum_{j != n_r} T_j/(j - n_r) - 5 T_{n_r} ],
 
 which `eps4_sturmian` sums as one integer numerator over one integer
-denominator, forming P_{n_r} once and a single `Fraction` at the end.  The
-integer pairs (num, den) of the terms come from `coulomb._r2_term_ratio`, the
-one home of the R_j^2 formula.  Every coefficient, closed forms included, is
-one `Fraction` built from integers, with no rational arithmetic on N: the
+denominator and a single `Fraction` at the end.  The integer pairs
+(num, den) of the terms come from `coulomb._window_terms`, the one home of
+the R_j^2 formula.  Every coefficient, closed forms included, is one
+`Fraction` built from integers, with no rational arithmetic on N: the
 closed forms are powers of q times a polynomial body over a power of 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import reference
-from .coulomb import QuantumState, _r2_term_ratio
+from .coulomb import QuantumState, _window_terms
 from .exactmath import render_decimal
-from .laguerre import moment3_band
+from .laguerre import _moment3_factor
 
 __all__ = [
     "CoefficientSet",
@@ -119,9 +124,7 @@ def eps2_closed(n: int, l: int) -> Fraction:
 def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
     _check_nl(n, l)
-    n_r, alpha = n - l - 1, 2 * l
-    m3 = moment3_band(n_r, n_r, alpha)
-    return Fraction((2 * n - 1) * m3, 128 * math.perm(n_r + alpha, alpha))
+    return Fraction((2 * n - 1) * _moment3_factor(n - l - 1, 0, 2 * l), 128)
 
 
 def eps2_circular(n: int) -> Fraction:
@@ -159,15 +162,13 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
     as one integer fraction num/den.
     """
     _check_nl(n, l)
-    n_r, alpha = n - l - 1, 2 * l
-    perm_nr = math.perm(n_r + alpha, alpha)
+    n_r = n - l - 1
+    terms = _window_terms(n_r, 2 * l)
+    r_num, r_den = terms.pop(n_r)
     num, den = 0, 1
-    for j in range(max(0, n_r - 3), n_r + 4):
-        if j != n_r:
-            t_num, t_den = _r2_term_ratio(n_r, j, alpha, perm_nr)
-            t_den *= j - n_r
-            num, den = num * t_den + t_num * den, den * t_den
-    r_num, r_den = _r2_term_ratio(n_r, n_r, alpha, perm_nr)
+    for j, (t_num, t_den) in terms.items():
+        t_den *= j - n_r
+        num, den = num * t_den + t_num * den, den * t_den
     q = 2 * n - 1
     return Fraction(-(q**4) * (q * num * r_den - 5 * r_num * den), 2**17 * den * r_den)
 

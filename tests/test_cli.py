@@ -58,6 +58,15 @@ class TestCoeff:
             "8176943044468983d102c16717a8bfbb3650bbba76444f1a47ef9cb8e037fdba"
         )
 
+    def test_default_sweep_output_is_pinned(self, capsys):
+        # sha256 of the stdout bytes of `zeeman2d coeff --all-up-to 40`, whose
+        # factorized and decimal columns the csv pin does not cover
+        code, out, _ = run_cli(capsys, ["coeff", "--all-up-to", "40"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "6dd7a9de45449c357edecc35a7ecc4bf0a2aef90bd3a5a50a549b015e5cf283b"
+        )
+
     def test_closed_pipe_exits_quietly(self):
         # a reader that stops early (`| head -3`) ends the command with exit
         # code 1 and no traceback; the sweep is far larger than a pipe buffer

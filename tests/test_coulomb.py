@@ -217,13 +217,16 @@ class TestR2Element:
         assert rational_sqrt(sq) is None
 
     def test_band_not_multiple_of_perm_raises(self, monkeypatch):
-        # the window term divides B_j by perm(n_r+2l, 2l) and checks the
-        # remainder instead of assuming it vanishes, on both of its paths:
-        # the single element and the integer window sum of eps4
-        true_band = coulomb.moment3_band
-        monkeypatch.setattr(coulomb, "moment3_band", lambda k, kp, a: true_band(k, kp, a) + 1)
+        # below the level (j < n_r) the window term divides the moment factor
+        # times prod(j+1..n_r) by prod(j+2l+1..n_r+2l), which is B_j over
+        # perm(n_r+2l, 2l), and checks the remainder instead of assuming it
+        # vanishes, on both of its paths: the single element and the integer
+        # window sum of eps4.  At (3, 1), j = 0 the true factor is -180 and
+        # the divisor 3, so the perturbed -179 leaves a remainder.
+        true_factor = coulomb._moment3_factor
+        monkeypatch.setattr(coulomb, "_moment3_factor", lambda lo, d, a: true_factor(lo, d, a) + 1)
         with pytest.raises(ArithmeticError, match="multiple"):
-            r2_element_squared(QuantumState(3, 1, 1), 1)
+            r2_element_squared(QuantumState(3, 1, 1), 0)
         with pytest.raises(ArithmeticError, match="multiple"):
             eps4_sturmian(3, 1)
 

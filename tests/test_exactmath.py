@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic primitives."""
 
+import decimal
 import math
 import subprocess
 import sys
@@ -150,6 +151,8 @@ class TestFactorizeInteger:
         assert not exactmath._is_proven_prime(2**89 - 1)  # prime, but past the last bound
 
     def test_prime_table_not_built_at_import(self):
+        # the runs hold their products, so an empty run list means no primes
+        # and no run products either
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -157,6 +160,47 @@ class TestFactorizeInteger:
             "assert em._prime_table == (1, []), em._prime_table[0]"
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+    def test_runs_cover_the_primes_in_order(self, monkeypatch):
+        monkeypatch.setattr(exactmath, "_prime_table", (1, []))
+        limit, runs = exactmath._primes_through(2000)
+        assert limit == 2000
+        primes = [p for _, run in runs for p in run]
+        assert primes == [p for p in range(2, limit + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert all(len(run) == exactmath._RUN for _, run in runs[:-1])
+        assert all(product == math.prod(run) for product, run in runs)
+        assert runs[0][1][-1] == exactmath._PROOF_AFTER
+
+    def test_run_edges_match_plain_trial_division(self):
+        # prime factors on each side of the first three run boundaries (97 |
+        # 101 and the ones after), with caps below, on and inside those runs
+        runs = exactmath._primes_through(2000)[1]
+        edges = [p for _, run in runs[:3] for p in (run[0], run[-1])][1:]
+        assert edges[:2] == [97, 101]
+        caps = [1, 2, 3, 96, 97, 100, 101, 150, *edges, *(p + 1 for p in edges), 10**6]
+        values = [*edges, *(p * p for p in edges), math.prod(edges), 2**5 * 3 * math.prod(edges[1::2]) ** 2]
+        values += [a * b for a in edges for b in edges] + [p * 1_000_003 for p in edges]
+        for v in values:
+            for cap in caps:
+                assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
+
+    def test_table_grown_mid_call(self, monkeypatch):
+        # the table ends inside the second run (101 .. 113 of 101 .. 229).
+        # The short run is tried before the table grows, so a factor in it
+        # shrinks the cofactor first and the table grows only as far as plain
+        # trial division needs; the run is then tried again, whole
+        monkeypatch.setattr(exactmath, "_prime_table", (1, []))
+        exactmath._primes_through(120)
+        assert [len(run) for _, run in exactmath._prime_table[1]] == [exactmath._RUN, 5]
+        assert factorize_integer(113 * 1_000_003) == [(113, 1), (1_000_003, 1)]
+        assert exactmath._prime_table[0] == 120
+        # cofactor 127 * 131 left: sqrt 128, so the table doubles to 240
+        assert factorize_integer(101 * 103 * 127 * 131) == [(101, 1), (103, 1), (127, 1), (131, 1)]
+        assert exactmath._prime_table[0] == 240
+        for v, cap in ((113 * 127 * 131, 10**6), (103 * 229**2 * 233, 10**6), (109 * 127**2, 200),
+                       (107 * 1_000_003, 500), (103 * 107, 10**6), (241 * 251 * 257, 10**6)):
+            assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
+        assert exactmath._prime_table[0] > 240
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -219,6 +263,21 @@ class TestFormatting:
         assert render_decimal(Fraction(-159, 65536), 9) == "-0.00242614746"
         # round-half-even at the boundary
         assert render_decimal(Fraction(25, 100), 1) == "0.2"
+
+    def test_render_decimal_ignores_the_callers_context(self):
+        # rounding, traps, precision, exponent range and exponent letter of
+        # the thread's decimal context do not reach the rendering
+        values = [(Fraction(2, 3), 3), (Fraction(-159, 65536), 9), (Fraction(1, 10**20), 12),
+                  (Fraction(10**30, 3), 12), (Fraction(25, 100), 1)]
+        expected = [render_decimal(x, digits) for x, digits in values]
+        assert expected[0] == "0.667"
+        with decimal.localcontext() as ctx:
+            ctx.rounding = decimal.ROUND_FLOOR
+            ctx.traps[decimal.Inexact] = True
+            ctx.prec = 2
+            ctx.Emax = 3
+            ctx.capitals = 0
+            assert [render_decimal(x, digits) for x, digits in values] == expected
 
     def test_render_decimal_requires_digits(self):
         with pytest.raises(ValueError):

@@ -494,6 +494,53 @@ class TestTracking:
             tracked(GalerkinConfig(l=0, basis_size=BASIS_SMALL), Fraction(10**150))
 
 
+def _diag_dense(band):
+    """The np.diag construction that `oracle._dense` replaced, kept as its reference."""
+    u, m = band.shape[0] - 1, band.shape[1]
+    out = np.diag(band[u])
+    for d in range(1, min(u, m - 1) + 1):
+        out += np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+    return out
+
+
+class TestDense:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_diag_construction(self, m):
+        band = np.random.default_rng(m).standard_normal((oracle.HALF_BANDWIDTH + 1, m))
+        out, ref = oracle._dense(band), _diag_dense(band)
+        assert (out.shape, out.dtype) == (ref.shape, ref.dtype)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_fit_inertia_counts_unchanged(self, monkeypatch):
+        # every inertia count the certificates of the n <= 6 fits take, and
+        # the fitted coefficients, equal those built on the np.diag reference
+        def fits():
+            counts = []
+            levels_below = oracle._levels_below
+
+            def counting(*args):
+                counts.append(levels_below(*args))
+                return counts[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_levels_below", counting)
+                coefficients = [
+                    fit_field_series(QuantumState(n, l, l)).coefficients for n in range(1, 7) for l in range(n)
+                ]
+            return counts, coefficients
+
+        counts, coefficients = fits()
+        reference_calls = []
+
+        def reference(band):
+            reference_calls.append(band.shape)
+            return _diag_dense(band)
+
+        monkeypatch.setattr(oracle, "_dense", reference)
+        assert fits() == (counts, coefficients)
+        assert len(reference_calls) == len(counts) > 21
+
+
 def _inertia_cases():
     for m in (60, 240):
         for Z in (Fraction(1), Fraction(2)):

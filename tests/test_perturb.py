@@ -1,11 +1,12 @@
 """Tests for the exact perturbative coefficients and energy assembly."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from zeeman2d import reference
-from zeeman2d.coulomb import QuantumState
+from zeeman2d.coulomb import QuantumState, r2_element_squared
 from zeeman2d.perturb import (
     CoefficientSet,
     assemble_energy,
@@ -57,8 +58,9 @@ class TestSecondOrder:
         assert eps2_integral(5, 2) == eps2_closed(5, 2)
 
     def test_dual_route_exact_agreement(self):
-        states = [(n, l) for n in range(1, 41) for l in range(n)]
-        assert len(states) == 820
+        # every state the exact_sweep benchmark renders
+        states = [(n, l) for n in range(1, 81) for l in range(n)]
+        assert len(states) == 3240
         for n, l in states:
             assert eps2_integral(n, l) == eps2_closed(n, l), (n, l)
 
@@ -88,8 +90,9 @@ class TestFourthOrder:
         assert eps4_sturmian(3, 0) == Fraction(-124078125, 65536)
 
     def test_dual_route_exact_agreement(self):
-        states = [(n, l) for n in range(1, 41) for l in range(n)]
-        assert len(states) == 820
+        # every state the exact_sweep benchmark renders
+        states = [(n, l) for n in range(1, 81) for l in range(n)]
+        assert len(states) == 3240
         for n, l in states:
             assert eps4_sturmian(n, l) == eps4_closed(n, l), (n, l)
 
@@ -99,6 +102,23 @@ class TestFourthOrder:
         assert eps4_circular(4) == Fraction(-392830011, 16384)
         for n in range(1, 13):
             assert eps4_circular(n) == eps4_closed(n, n - 1)
+
+
+class TestNoFactorials:
+    def test_routes_form_no_factorial(self, monkeypatch):
+        # both exact routes cancel perm(n_r+2l, 2l) analytically, so even at
+        # (80, 79), where it has about 1000 bits, neither forms it: with
+        # math.perm and math.factorial raising for every module, coulomb and
+        # perturb included, both routes still run
+        def forbidden(*args):
+            raise AssertionError("a factorial was formed")
+
+        monkeypatch.setattr(math, "perm", forbidden)
+        monkeypatch.setattr(math, "factorial", forbidden)
+        assert eps2_integral(80, 79) == eps2_closed(80, 79)
+        assert eps4_sturmian(80, 79) == eps4_closed(80, 79)
+        state = QuantumState(80, 79, 79)
+        assert all(r2_element_squared(state, j) > 0 for j in range(4))
 
 
 class TestSigns:
