@@ -31,11 +31,11 @@ __version__ = "0.1.0"
 def _single_threaded_blas() -> None:
     """Pin the BLAS thread pools of numpy and scipy to one thread, before they load.
 
-    `cli` calls this before ``validate`` imports the oracle, and `greenfn`
-    before it imports numpy: their matrices are small, and an OpenBLAS pool
-    only spins on the other cores.  OpenBLAS sizes its pool when the library
-    loads, so this acts only while numpy is not yet imported, and only when
-    neither variable is set: a thread count the user chose always wins.
+    `oracle` and `greenfn` call this on import, before they import numpy:
+    their matrices are small, and an OpenBLAS pool only spins on the other
+    cores.  OpenBLAS sizes its pool when the library loads, so this acts
+    only while numpy is not yet imported, and only when neither variable is
+    set: a thread count the user chose always wins.
     """
     if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return

@@ -9,13 +9,13 @@ Subcommands:
 
 ``validate`` fits every state up to ``--max-n`` through the oracle's one
 entry point, ``fit_field_series``, on its one field grid, so the CLI and the
-library check the same numbers.  The oracle (and with it numpy and scipy) is
-imported only when a fit runs: ``coeff``, ``energy``, ``table`` and
-``validate --max-n 0`` stay on the exact layers.  Just before that import,
-``validate`` sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1
-unless either is already set, because its banded solves and small dense
-matrices gain nothing from a BLAS thread pool whose idle workers spin on the
-other cores.
+library check the same numbers.  The oracle (and with it numpy and scipy's
+LAPACK extension) is imported only when a fit runs: ``coeff``, ``energy``,
+``table`` and ``validate --max-n 0`` stay on the exact layers.  Importing
+the oracle sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 unless
+either is already set (`zeeman2d._single_threaded_blas`), because its banded
+solves and small dense matrices gain nothing from a BLAS thread pool whose
+idle workers spin on the other cores.
 
 Exit codes: 0 success, 1 validation failure or a reader that closed stdout
 early (as ``| head`` does), 2 usage error.  All rationals
@@ -33,7 +33,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import _single_threaded_blas, reference
+from . import reference
 from .coulomb import QuantumState
 from .exactmath import format_factorized, parse_rational, render_decimal
 from .perturb import (
@@ -204,7 +204,6 @@ def cmd_validate(args) -> int:
     oracle_payload: list[dict] = []
     ground_fit = None
     if args.max_n >= 1:
-        _single_threaded_blas()
         from . import oracle
 
         for state in (QuantumState(n, l, l) for n in range(1, args.max_n + 1) for l in range(n)):

@@ -33,9 +33,9 @@ built by the quadratures alone, after their range check, from the rule and
 the node table, and keeps O(truncation) floats: the table is dropped once
 contracted.  Cached arrays are read-only.
 
-Importing the module pins OpenBLAS to one thread, by the rule ``validate``
-applies (`zeeman2d._single_threaded_blas`: only while numpy is not yet
-loaded and no thread count is set).  The largest matrix here is a 200-node
+Importing the module pins OpenBLAS to one thread, as importing `oracle`
+does (`zeeman2d._single_threaded_blas`: only while numpy is not yet loaded
+and no thread count is set).  The largest matrix here is a 200-node
 Jacobi matrix, where a second thread doubles the CPU time and saves no wall
 time, and a fresh OpenBLAS pool busy-waits on the other core for about
 0.1 s after it loads.

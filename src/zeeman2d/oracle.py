@@ -23,8 +23,13 @@ Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
 previous field.  H - sigma O is factored once per field by LAPACK's banded
 LU, xGBTRF, and every step is one xGBTRS on those factors (Anderson et al.,
-LAPACK Users' Guide, SIAM 1999); the routines come from
-`scipy.linalg.get_lapack_funcs`, so a complex shift takes the same path.
+LAPACK Users' Guide, SIAM 1999).  The routines are scipy's f2py wrappers,
+taken from its extension module `scipy.linalg._flapack`, which is loaded
+from its file without running the `scipy` or `scipy.linalg` package code:
+importing the `scipy.linalg` package takes about 250 ms, mostly array-API
+shims that load numpy submodules the oracle never uses, against about 5 ms
+for the extension alone.  `_lapack_funcs` picks the routines of the band's
+dtype, so a complex shift takes the same path.
 Sylvester's law of inertia certifies the level index of every result:
 H - sigma O has exactly as many negative eigenvalues as the pencil has
 levels below sigma, and a radial channel has no crossings.  The count costs
@@ -45,17 +50,22 @@ keeps the residual of the certified eigenpair at each field.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
-import numpy as np
-import scipy.linalg
-
+from . import _single_threaded_blas
 from .coulomb import QuantumState, energy0
 from .exactmath import rational_sqrt
 from .laguerre import _moment3_diagonals
 from .perturb import assemble_energy
+
+_single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its pool
+
+import numpy as np  # noqa: E402
 
 __all__ = [
     "GalerkinConfig",
@@ -278,6 +288,47 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file alone (module docstring).
+
+    `importlib.util.find_spec` locates the scipy directory without running
+    any scipy code.  Like any single-phase extension, the module registers
+    itself in ``sys.modules`` as ``scipy.linalg._flapack``, and loading it
+    again returns that same module.  A later ``import scipy.linalg`` uses
+    that module too, so scipy's own routines run the same wrappers (only
+    the private attribute ``scipy.linalg._flapack`` is then left unset).
+    Raises ImportError when scipy or the extension cannot be found.
+    """
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"the oracle needs scipy's LAPACK extension {name}, which was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+# the prefixes `scipy.linalg.get_lapack_funcs` picks for these dtypes
+_LAPACK_PREFIXES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
+
+
+def _lapack_funcs(names: tuple[str, ...], array: np.ndarray) -> list:
+    """The LAPACK routines ``names`` (e.g. "gbtrf") for the dtype of ``array``.
+
+    Raises TypeError for a dtype other than float64 or complex128.
+    """
+    try:
+        prefix = _LAPACK_PREFIXES[array.dtype]
+    except KeyError:
+        raise TypeError(f"the oracle's LAPACK routines take float64 or complex128, not {array.dtype}") from None
+    return [getattr(_FLAPACK, prefix + name) for name in names]
+
+
 def _check_info(routine: str, info: int) -> None:
     """Raise ValueError on a LAPACK argument error (info < 0); info > 0 is the caller's."""
     if info < 0:
@@ -306,12 +357,13 @@ def _lu_solver(band: np.ndarray):
 
     xGBTRF forms the pivoted LU factors and every solve is one xGBTRS on
     them (`scipy.linalg.solve_banded` runs the two together, as xGBSV, and
-    so refactors at every call).  `get_lapack_funcs` picks the routines of
-    the band's dtype, so a complex shift takes the same path.  Raises
-    `np.linalg.LinAlgError` when A is exactly singular.
+    so refactors at every call).  Both come from the directly loaded
+    extension `scipy.linalg._flapack`, through `_lapack_funcs`, which picks
+    the routines of the band's dtype, so a complex shift takes the same
+    path.  Raises `np.linalg.LinAlgError` when A is exactly singular.
     """
     u = band.shape[0] - 1
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    gbtrf, gbtrs = _lapack_funcs(("gbtrf", "gbtrs"), band)
     lu, piv, info = gbtrf(_general_storage(band), u, u, overwrite_ab=True)
     _check_info("gbtrf", info)
     if info > 0:
@@ -388,7 +440,7 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
     """
     a = h - sigma * overlap
     u, m = HALF_BANDWIDTH, a.shape[1]
-    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (a,))
+    pbtrf, pbtrs = _lapack_funcs(("pbtrf", "pbtrs"), a)
     while head < m:
         tail, info = pbtrf(a[:, head:])
         _check_info("pbtrf", info)

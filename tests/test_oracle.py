@@ -2,9 +2,14 @@
 
 import collections
 import importlib
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,13 +294,13 @@ class TestSolveGeneralized:
 
 
 def _lapack_calls(monkeypatch, alter=None):
-    """Count the calls of every routine `get_lapack_funcs` hands out, by name.
+    """Count the calls of every routine `oracle._lapack_funcs` hands out, by name.
 
     ``alter`` maps a routine name to a function of its return value, which
     replaces what the routine returns.
     """
     calls, alter = collections.Counter(), alter or {}
-    original = scipy.linalg.get_lapack_funcs
+    original = oracle._lapack_funcs
 
     def counted(name, routine):
         def call(*args, **kwargs):
@@ -305,11 +310,10 @@ def _lapack_calls(monkeypatch, alter=None):
 
         return call
 
-    def patched(names, arrays=(), *args, **kwargs):
-        routines = original(names, arrays, *args, **kwargs)
-        return [counted(name, routine) for name, routine in zip(names, routines)]
+    def patched(names, array):
+        return [counted(name, routine) for name, routine in zip(names, original(names, array))]
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+    monkeypatch.setattr(oracle, "_lapack_funcs", patched)
     return calls
 
 
@@ -375,6 +379,91 @@ class TestFactorOnce:
         _lapack_calls(monkeypatch, {routine: _with_info(-1)})
         with pytest.raises(ValueError, match=f"argument 1 of LAPACK {routine}"):
             oracle._levels_below(bands.h0, bands.overlap, -2.1, 1)
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("sigma", [-0.6, -0.6 + 0.05j], ids=["real", "complex"])
+    def test_routines_match_get_lapack_funcs(self, sigma):
+        # the directly loaded extension hands out what scipy's own lookup
+        # picks for the dtype: the factors and solves agree bit for bit
+        bands = _round_bands(GalerkinConfig(l=1, basis_size=BASIS_SMALL))
+        band = bands.h0 - sigma * bands.overlap
+        rhs = np.cos(np.arange(BASIS_SMALL)).astype(band.dtype)
+        spd = bands.overlap.astype(band.dtype)
+        results = []
+        for lookup in (oracle._lapack_funcs, lambda names, a: scipy.linalg.get_lapack_funcs(names, (a,))):
+            gbtrf, gbtrs, pbtrf, pbtrs = lookup(("gbtrf", "gbtrs", "pbtrf", "pbtrs"), band)
+            lu, piv, info = gbtrf(_general_storage(band), 3, 3)
+            assert info == 0
+            chol, info = pbtrf(spd)
+            assert info == 0
+            results.append((lu, piv, gbtrs(lu, 3, 3, rhs, piv)[0], chol, pbtrs(chol, rhs)[0]))
+        assert results[0][2].dtype == band.dtype
+        for ours, theirs in zip(*results):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+    def test_other_dtype_is_type_error(self, dtype):
+        with pytest.raises(TypeError, match="float64 or complex128"):
+            oracle._lapack_funcs(("gbtrf",), np.zeros((4, 3), dtype=dtype))
+
+
+def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
+    """Run ``script`` in a fresh interpreter whose environment holds no BLAS
+    thread variable unless ``preset`` names it, with ``sys_path`` ahead of
+    src; return stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=os.pathsep.join(map(str, (*sys_path, Path(__file__).resolve().parents[1] / "src"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# imports the oracle, runs the ground-state fit and prints the scipy modules
+# loaded, the BLAS thread variables and the number of threads in the process
+# (-1 where /proc is absent)
+PROBE = (
+    "import json, os, sys\n"
+    "from zeeman2d import oracle\n"
+    "from zeeman2d.coulomb import QuantumState\n"
+    "oracle.fit_field_series(QuantumState(1, 0, 0))\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+    "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+    "    os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), tasks]))\n"
+)
+
+
+class TestLayering:
+    def test_fit_loads_only_the_lapack_extension(self):
+        # neither the scipy nor the scipy.linalg package code runs: the
+        # extension alone is loaded, and registers itself under its own name
+        assert json.loads(_run_isolated(PROBE))[0] == ["scipy.linalg._flapack"]
+
+    def test_import_pins_blas_before_numpy(self):
+        _, openblas, omp, tasks = json.loads(_run_isolated(PROBE))
+        assert (openblas, omp) == ("1", "1")
+        if tasks != -1:
+            assert tasks == 1
+
+    def test_preset_thread_count_wins(self):
+        assert json.loads(_run_isolated(PROBE, OPENBLAS_NUM_THREADS="2"))[1:3] == ["2", None]
+
+    @pytest.mark.parametrize("scipy_kind", ["stub", "blocked"])
+    def test_missing_extension_is_import_error(self, tmp_path, scipy_kind):
+        # a scipy without linalg/_flapack, or none at all, fails the import
+        # of the oracle with an ImportError that names the extension
+        if scipy_kind == "stub":
+            (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+            (tmp_path / "scipy" / "__init__.py").write_text("")
+        block = "sys.modules['scipy'] = None\n" if scipy_kind == "blocked" else ""
+        script = (
+            "import sys\n" + block + "try:\n"
+            "    import zeeman2d.oracle\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc.name, 'scipy.linalg._flapack' in str(exc))\n"
+        )
+        assert _run_isolated(script, tmp_path).split() == ["ImportError", "scipy.linalg._flapack", "True"]
 
 
 def _dense_reference_cases():
