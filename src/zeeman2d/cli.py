@@ -13,9 +13,7 @@ library check the same numbers.  The oracle (and with it numpy and scipy's
 LAPACK extension) is imported only when a fit runs: ``coeff``, ``energy``,
 ``table`` and ``validate --max-n 0`` stay on the exact layers.  Importing
 the oracle sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 unless
-either is already set (`zeeman2d._single_threaded_blas`), because its banded
-solves and small dense matrices gain nothing from a BLAS thread pool whose
-idle workers spin on the other cores.
+either is already set (`zeeman2d._single_threaded_blas`).
 
 Exit codes: 0 success, 1 validation failure or a reader that closed stdout
 early (as ``| head`` does), 2 usage error.  All rationals
@@ -84,12 +82,10 @@ def _coeff_row(n: int, l: int, digits: int) -> tuple[list[str], dict]:
     row: list[str] = [str(n), str(l)]
     payload = {"n": n, "l": l}
     for name, value in (("eps0", cs.eps0), ("eps2", cs.eps2), ("eps4", cs.eps4)):
-        row += [str(value), format_factorized(value), render_decimal(value, digits)]
-        payload[name] = {
-            "exact": str(value),
-            "factorized": format_factorized(value),
-            "decimal": render_decimal(value, digits),
-        }
+        forms = {"exact": str(value), "factorized": format_factorized(value),
+                 "decimal": render_decimal(value, digits)}
+        row += forms.values()
+        payload[name] = forms
     return row, payload
 
 
@@ -152,16 +148,13 @@ def cmd_table(args) -> int:
     rows, payload = [], []
     for n, l in sorted(reference.TABLE_EPS2):
         cs = coefficient_set(n, l)
-        rows.append([
-            str(n), str(l),
-            str(cs.eps2), format_factorized(cs.eps2),
-            str(cs.eps4), format_factorized(cs.eps4),
-        ])
-        payload.append({
-            "n": n, "l": l,
-            "eps2": {"exact": str(cs.eps2), "factorized": format_factorized(cs.eps2)},
-            "eps4": {"exact": str(cs.eps4), "factorized": format_factorized(cs.eps4)},
-        })
+        row, entry = [str(n), str(l)], {"n": n, "l": l}
+        for name, value in (("eps2", cs.eps2), ("eps4", cs.eps4)):
+            forms = {"exact": str(value), "factorized": format_factorized(value)}
+            row += forms.values()
+            entry[name] = forms
+        rows.append(row)
+        payload.append(entry)
     _emit_table(args, headers, rows, payload)
     return 0
 

@@ -6,10 +6,11 @@ are Bohr radii, energies are Hartree, and the magnetic field unit B0 is 1.
 At the level energy the Sturmian of level n is the bound state rescaled by
 N/Z (N = n - 1/2), which is what makes the window sums exact.  Only squared
 r^2 couplings are formed, in which the normalization roots cancel, so they
-stay in the integers (`_window_terms`) and rationals (`r2_element_squared`).
-`_window_terms` is the one home of the window term: it builds every term
-from `laguerre._moment3_factor` and ratios of a few consecutive integers,
-and forms no factorial.
+stay in the integers.  `_window_terms` is the one home of the window term:
+it builds every term from `laguerre._moment3_factor` and ratios of a few
+consecutive integers, and forms no factorial.  The squared coupling of the
+bound state to the Sturmian n_r' is N^4 T_(n_r') / (64 Z^6), with T the
+window term.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .laguerre import _moment3_factor
 __all__ = [
     "QuantumState",
     "energy0",
-    "r2_element_squared",
 ]
 
 HALF = Fraction(1, 2)
@@ -76,9 +76,9 @@ def energy0(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
 def _window_terms(n_r: int, alpha: int) -> dict[int, tuple[int, int]]:
     """T_j = B_j^2 / (P_{n_r} P_j) for every j with |j - n_r| <= 3, as integer pairs (num, den).
 
-    Here P_i = perm(i+alpha, alpha), and B_j = moment3_band(n_r, j, alpha) is
-    c_j P_lo with c_j = `_moment3_factor`(lo, |j - n_r|, alpha) and
-    lo = min(j, n_r).  Writing B_j = s_j P_{n_r}, s_j is c_j itself for
+    Here P_i = perm(i+alpha, alpha), and B_j, the third moment M(n_r, j) of
+    `laguerre`, is c_j P_lo with c_j = `_moment3_factor`(lo, |j - n_r|, alpha)
+    and lo = min(j, n_r).  Writing B_j = s_j P_{n_r}, s_j is c_j itself for
     j >= n_r, and c_j prod(j+1..n_r) / prod(j+alpha+1..n_r+alpha) for
     j < n_r, an exact integer whose remainder is checked, not assumed.  Then
     T_j = s_j^2 P_{n_r}/P_j, where P_{n_r}/P_j is that same ratio of at most
@@ -102,23 +102,7 @@ def _window_terms(n_r: int, alpha: int) -> dict[int, tuple[int, int]]:
         s, rest = divmod(_moment3_factor(j, d, alpha) * num, den)
         if rest:
             raise ArithmeticError(
-                f"moment3_band({n_r}, {j}, {alpha}) is not a multiple of perm({n_r + alpha}, {alpha})"
+                f"the third moment M({n_r}, {j}) at alpha = {alpha} is not a multiple of perm({n_r + alpha}, {alpha})"
             )
         terms[j] = s * s * den, num
     return terms
-
-
-def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:
-    """Exact square of integral r^2 P0_{nl} S_{n_r' l} dr at the level energy.
-
-    This squared form is the only one the fourth-order window sum needs, and
-    it is always rational (the normalization roots cancel against each
-    other): N^4 B^2 / (64 Z^6 perm(n_r+2l, 2l) perm(n_r'+2l, 2l)).  Zero
-    whenever |n_r' - n_r| > 3.
-    """
-    if n_r_prime < 0:
-        raise ValueError("n_r_prime must be non-negative")
-    if abs(n_r_prime - state.n_r) > 3:
-        return Fraction(0)
-    term = Fraction(*_window_terms(state.n_r, 2 * state.l)[n_r_prime])
-    return state.effective_n**4 / (64 * Fraction(Z) ** 6) * term

@@ -37,14 +37,25 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-# Every prime up to a sieved limit, cut into runs of `_RUN` consecutive primes
-# (the last run may be short), each held with its product.  It is grown on
-# demand by `factorize_integer` and never built at import, and it is replaced
-# whole, so a reader never sees a limit that its runs do not cover.
+# The odd primes below 256 and their product: one gcd with it tells which of
+# them divide, with no table built.  Every cofactor they leave below
+# _SMALL_BOUND = 257**2 is 1 or prime.
+_SMALL_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_SMALL_BOUND = 257 * 257
+
+# The primes from 257 up to a sieved limit, cut into runs of `_RUN`
+# consecutive primes (the last run may be short), each held with its product.
+# It is grown on demand by `factorize_integer` and never built at import, and
+# it is replaced whole, so a reader never sees a limit that its runs do not
+# cover.
 _prime_table: tuple[int, list[tuple[int, tuple[int, ...]]]] = (1, [])
 
-# primes per run: one gcd with a run's product tells which of them divide,
-# and the first run ends at _PROOF_AFTER
+# primes per run: one gcd with a run's product tells which of them divide
 _RUN = 25
 
 
@@ -58,7 +69,7 @@ def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        primes = list(itertools.compress(range(limit + 1), sieve))
+        primes = list(itertools.compress(range(257, limit + 1), sieve[257:]))
         runs = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
         table = (limit, [(math.prod(run), run) for run in runs])
         _prime_table = table
@@ -87,10 +98,6 @@ _SPSP_BOUNDS = (
     3_317_044_064_679_887_385_961_981,
 )
 _SPSP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# trial division tries every prime up to this one before it asks for a proof
-_PROOF_AFTER = 97
-
 
 def _is_proven_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for an odd n > 41.
@@ -127,20 +134,22 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
     primes are tried: a composite divisor can never divide once its prime
     factors are gone, so the result is that of dividing by every integer.
 
-    The power of 2 is read off the low bits.  The other primes are tried in
-    runs of `_RUN`: one gcd with the run's product either skips the run or
-    is the product of exactly those of its primes that divide.  Division
-    stops before a run whose first prime is past the cap or whose square is
-    past the cofactor, which is then 1 or prime.
+    The power of 2 is read off the low bits.  The odd primes below 256 come
+    next: one gcd with their product is the product of exactly those that
+    divide, and they are walked only until it is used up.  With the cap at
+    251 or more, every prime below 257 has then been tried, so the cofactor
+    is 1, or prime if it is below 257^2, or put to one deterministic
+    Miller-Rabin test.  A proven prime is appended whole, as trial division
+    would append it after finding no factor of it below any cap, so the
+    result is the same for every ``trial_limit``.
 
-    Trial division proves a prime cofactor only by reaching its square root.
-    So once every prime up to `_PROOF_AFTER` has been tried, and again after
-    each later run that divided, the cofactor is put to a deterministic
-    Miller-Rabin test, and division stops if it is proven prime.  It is then
-    appended whole, as trial division would append it after finding no
-    factor of it below any cap, so the result is the same for every
-    ``trial_limit``.  Cofactors of 3.3e24 and up are never proven this way
-    and are trial-divided as before.
+    Any other cofactor (composite, or of 3.3e24 and up, where no proof
+    holds) is divided by the primes from 257 on, in runs of `_RUN`: one gcd
+    with a run's product either skips the run or is the product of those of
+    its primes that divide.  After each run that divided, the cofactor is
+    put to the test again.  Division stops before a run whose first prime is
+    past the cap or whose square is past the cofactor, which is then 1 or
+    prime.
     """
     if value < 1:
         raise ValueError("only positive integers are factored")
@@ -150,13 +159,59 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
         e = (rem & -rem).bit_length() - 1
         factors.append((2, e))
         rem >>= e
+    rem = _divide_out(rem, math.gcd(rem, _SMALL_PRODUCT), _SMALL_PRIMES, trial_limit, factors)
+    if trial_limit >= 257 and rem >= _SMALL_BOUND and not _is_proven_prime(rem):
+        rem = _divide_runs(rem, trial_limit, factors)
+    if rem > 1:
+        factors.append((rem, 1))
+    return factors
+
+
+def _divide_out(rem: int, g: int, primes: tuple[int, ...], trial_limit: int, factors: list) -> int:
+    """Divide ``rem`` by each prime of ``primes``, up to the cap, that divides ``g``.
+
+    ``g`` is the gcd of ``rem`` with the product of ``primes``: a product of
+    distinct primes of the list.  The walk ends once the square of the next
+    prime passes what is left of ``g``, which is then 1 or the last prime to
+    divide.  Appends (p, e) for each such prime and returns the cofactor.
+    """
+    for p in primes:
+        if p * p > g or p > trial_limit:
+            break
+        if g % p == 0:
+            g //= p
+            rem, e = _divide_power(rem, p)
+            factors.append((p, e))
+    if 1 < g <= trial_limit:
+        rem, e = _divide_power(rem, g)
+        factors.append((g, e))
+    return rem
+
+
+def _divide_power(rem: int, p: int) -> tuple[int, int]:
+    """(rem / p^e, e) for the largest e, given that p divides rem."""
+    rem //= p
+    e = 1
+    while rem % p == 0:
+        rem //= p
+        e += 1
+    return rem, e
+
+
+def _divide_runs(rem: int, trial_limit: int, factors: list) -> int:
+    """Trial-divide a cofactor free of primes below 257 by the runs of the table.
+
+    Returns the cofactor left once the runs pass the cap or its square root,
+    or once it is proven prime after a run that divided.  The table grows on
+    demand, never past the cap of the call.
+    """
     covered, runs = _prime_table
     r = 0
-    while rem > 1:
+    while True:
         if r == len(runs):
             need = min(trial_limit, math.isqrt(rem))
             if covered >= need:
-                break
+                return rem
             # a short last run is tried again, whole, once the table has grown
             if runs and len(runs[-1][1]) < _RUN:
                 r -= 1
@@ -166,32 +221,18 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
             continue
         product, run = runs[r]
         if run[0] > trial_limit or run[0] * run[0] > rem:
-            break
+            return rem
         g = math.gcd(rem, product)
         if g > 1:
-            for p in run:
-                if g % p == 0 and p <= trial_limit:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
-                        e += 1
-                    factors.append((p, e))
-        # a proof needs every prime through _PROOF_AFTER tried, and is not
-        # needed below the square of the last one, where rem is 1 or prime
-        last = run[-1]
-        if (g > 1 or r == 0) and _PROOF_AFTER <= last <= trial_limit and rem >= last * last and _is_proven_prime(rem):
-            break
+            rem = _divide_out(rem, g, run, trial_limit, factors)
+            # below the square of the run's last prime, the next run stops anyway
+            if rem >= run[-1] ** 2 and _is_proven_prime(rem):
+                return rem
         r += 1
-    if rem > 1:
-        factors.append((rem, 1))
-    return factors
 
 
 def _format_factored_int(v: int) -> str:
-    parts = []
-    for p, e in factorize_integer(v):
-        parts.append(str(p) if e == 1 else f"{p}^{e}")
-    return "×".join(parts) if parts else "1"
+    return "×".join([str(p) if e == 1 else f"{p}^{e}" for p, e in factorize_integer(v)]) or "1"
 
 
 def format_factorized(x: Fraction) -> str:
@@ -204,8 +245,7 @@ def format_factorized(x: Fraction) -> str:
     if num == 0:
         return "0"
     sign = "-" if num < 0 else ""
-    num = abs(num)
-    num_s = "1" if num == 1 else _format_factored_int(num)
+    num_s = _format_factored_int(abs(num))
     if den == 1:
         return sign + num_s
     return f"{sign}{num_s}/{_format_factored_int(den)}"

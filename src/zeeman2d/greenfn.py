@@ -14,7 +14,7 @@ internal evaluators return the smooth factor with the envelope
 x^(l+1/2) e^{-x/2} removed, which is what keeps large-node quadrature free
 of overflow.
 
-The rules are built here (`gauss_laguerre`, Golub-Welsch with one Newton
+The rules are built here (`_gauss_laguerre`, Golub-Welsch with one Newton
 step), so the module needs numpy alone.  Each channel (l, n_r) uses one
 rule, weight x^(2l+1) e^{-x}: the x^2 of r^2 P0 is a polynomial factor, so
 the double integral and the orthogonality check share one node grid,
@@ -35,19 +35,15 @@ contracted.  Cached arrays are read-only.
 
 Importing the module pins OpenBLAS to one thread, as importing `oracle`
 does (`zeeman2d._single_threaded_blas`: only while numpy is not yet loaded
-and no thread count is set).  The largest matrix here is a 200-node
-Jacobi matrix, where a second thread doubles the CPU time and saves no wall
-time, and a fresh OpenBLAS pool busy-waits on the other core for about
-0.1 s after it loads.
+and no thread count is set).
 
 Every kernel polynomial value comes from one place, the three-term
 Laguerre recurrence of `_laguerre_table`: the Sturmian rows, the bound
 factor (the resonant row) and its r d/dr image (a combination of two
-adjacent rows).  Expanding the alternating monomial coefficients instead
-cancels catastrophically at large n_r (eps4 lost 1e-9 relative at n = 18
-and 2e-5 at n = 30).  The one exception is the Newton polish of the rule,
-which runs the difference form of the recurrence (`_laguerre_pair`): the
-three-term form cancels near x -> 0 and left the smallest node 8e-13 off.
+adjacent rows); expanding the alternating monomial coefficients instead
+cancels catastrophically at large n_r.  The one exception is the Newton
+polish of the rule, which runs the difference form of the recurrence
+(`_laguerre_pair`), because the three-term form cancels near x -> 0.
 The kernel is separable, so each integral contracts the factors against
 its weight vector first, at O(truncation x nodes) cost; no nodes-by-nodes
 kernel is formed.
@@ -55,15 +51,14 @@ kernel is formed.
 A config is the level (l, n, Z) and nothing else: the kernel keeps n_r + 12
 Sturmian terms (n_r = n - l - 1; the coupling band of the resonant index
 needs n_r + 4) and its rule has 2 n_r + 16 nodes.  Both integrands have
-degree <= 2 n_r + 13, so n_r + 7 nodes would be exact, but at that count
-rounding reads 3.8e-11 in eps4 at n_r = 92 (l = 68); 2 n_r + 16 is 200
-nodes there.  Both quadratures accept n_r <= `MAX_QUADRATURE_N_R` = 92:
-there every l <= 84 at Z in {1, 3/2} holds eps4 to 1e-11 relative and the
-orthogonality defect below 1e-8 (at r' = 0.4, 1.1, 2.6 and
-(N^2/Z) {1/2, 1, 2}).  The edge is where 200-node rules first missed
-(n_r = 93, l = 53); the rules of 2 n_r + 16 nodes first miss at n_r = 102
-(l = 54, 1.02e-11), so it keeps a margin.  Past it both raise `ValueError`,
-while point values run at every level.
+degree <= 2 n_r + 13, so n_r + 7 nodes would be exact; the larger rule
+keeps rounding below the 1e-11 tolerance.  Both quadratures accept
+n_r <= `MAX_QUADRATURE_N_R` = 92 and l <= 84, so a rule has at most 200
+nodes and weight x^169 e^{-x} at most.  Over that range, at Z in {1, 3/2},
+eps4 holds to 1e-11 relative and the orthogonality defect stays below 1e-8
+(at r' = 0.4, 1.1, 2.6 and (N^2/Z) {1/2, 1, 2}).  Past n_r = 92 both raise
+`ValueError`, and at l = 85 `QuadratureError`, while point values run at
+every level.
 
 A single radius runs the same recurrence on plain Python floats, so point
 values equal the matching column of a grid table bit for bit at a fraction
@@ -90,7 +85,6 @@ __all__ = [
     "GreenEvalConfig",
     "QuadratureError",
     "green_reduced_eval",
-    "gauss_laguerre",
     "reduced_double_integral",
     "reduced_orthogonality_defect",
 ]
@@ -101,32 +95,25 @@ __all__ = [
 # at l = 85 only point values are available, and the quadratures raise
 # `QuadratureError(171, nodes)`.
 MAX_L = 85
-# The largest n_r = n - l - 1 the quadratures accept: the measured edge of
-# their 1e-11 eps4 accuracy with 200-node rules (module docstring).
+# The largest n_r = n - l - 1 the quadratures accept, where they hold eps4 to
+# 1e-11 (module docstring); their rules have at most 2 * 92 + 16 = 200 nodes.
 MAX_QUADRATURE_N_R = 92
-# No Gauss-Laguerre rule with alpha <= 170 is finite past 363 nodes (the
-# Newton step's Laguerre values overflow), so `gauss_laguerre` refuses a
-# larger count before forming its dense Jacobi matrix.
-MAX_NODES = 400
 
 
 class QuadratureError(ValueError):
-    """Raised when the Gauss-Laguerre rule of a weight has non-finite nodes or weights.
+    """Raised when the Gauss-Laguerre rule of a weight x^alpha e^{-x} cannot be formed.
 
-    The scaled Laguerre values of the rule's Newton step overflow at large
-    node counts (from somewhere between 360 and 380 nodes for alpha <= 25;
-    counts past `MAX_NODES` are refused outright), and Gamma(alpha + 1)
-    overflows from alpha = 171; either would otherwise surface as a NaN
-    integral or an untyped `OverflowError`.
+    Its weights sum to Gamma(alpha + 1), which overflows a float from
+    alpha = 171 (l = 85 for the reduced kernel); this error replaces the
+    untyped `OverflowError`.
     """
 
     def __init__(self, alpha: int, nodes: int):
         self.alpha = alpha
         self.nodes = nodes
         super().__init__(
-            f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes "
-            "has non-finite nodes or weights: Gamma(alpha + 1) or the Laguerre "
-            "values of its Newton step overflow a float"
+            f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes: "
+            "Gamma(alpha + 1) overflows a float"
         )
 
 
@@ -179,7 +166,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight x^alpha e^{-x} on (0, inf).
 
     Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
@@ -189,12 +176,13 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     scaled to sum to Gamma(alpha + 1).  This is the construction of
     `scipy.special.roots_genlaguerre`, whose nodes these equal bit for bit.
 
-    Raises `QuadratureError` when the rule is not finite, and refuses a
-    count past `MAX_NODES` before the matrix is formed.  The overflow that
-    makes a rule non-finite is silenced here, so the typed error is all a
-    caller sees.  Nothing keeps a rule: each channel asks for its one rule
-    once, inside its own cache.  The arrays are read-only, like every array
-    a channel keeps: an in-place write raises `ValueError`.
+    Its one caller, `_channel_quadratures`, runs after the range check, so
+    it asks for at most 2 * `MAX_QUADRATURE_N_R` + 16 = 200 nodes, with
+    alpha = 2l + 1 <= 171; every such rule with alpha <= 169 is finite, and
+    alpha = 171 raises `QuadratureError`.  Larger counts are not checked.
+    Nothing keeps a rule: each channel asks for its one rule once, inside
+    its own cache.  The arrays are read-only, like every array a channel
+    keeps: an in-place write raises `ValueError`.
     """
     try:
         total = math.gamma(alpha + 1)
@@ -202,24 +190,19 @@ def gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise QuadratureError(alpha, nodes) from None
     if nodes == 1:
         return _read_only(np.array([alpha + 1.0])), _read_only(np.array([total]))
-    if nodes > MAX_NODES:
-        raise QuadratureError(alpha, nodes)
     k = np.arange(nodes, dtype=float)
     jacobi = np.diag(2 * k + alpha + 1) + np.diag(-np.sqrt(k[1:] * (k[1:] + alpha)), -1)
     x = np.linalg.eigvalsh(jacobi, UPLO="L")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y, y_prev = _laguerre_pair(nodes, alpha, x)
-        dy = (nodes * y - (nodes + alpha) * y_prev) / x
-        x = x - y / dy
-        fm = _laguerre_pair(nodes - 1, alpha, x)[0]
-        # fm and dy span many decades: centre each on its log range
-        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-        fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
-        dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
-        w = 1.0 / (fm * dy)
-        w = w * (total / w.sum())
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise QuadratureError(alpha, nodes)
+    y, y_prev = _laguerre_pair(nodes, alpha, x)
+    dy = (nodes * y - (nodes + alpha) * y_prev) / x
+    x = x - y / dy
+    fm = _laguerre_pair(nodes - 1, alpha, x)[0]
+    # fm and dy span many decades: centre each on its log range
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = w * (total / w.sum())
     return _read_only(x), _read_only(w)
 
 
@@ -230,9 +213,8 @@ def _laguerre_pair(n: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     p = L_k / binom(k+alpha, k) without the cancellation of the three-term
     form near x = 0; each value is scaled back by its binomial, and degrees
     0 and 1 are closed forms.  This is how `scipy.special.eval_genlaguerre`
-    evaluates, so the values overflow where scipy's do.  The binomials stay
-    below 1e150 for the rules `gauss_laguerre` forms (alpha <= 170,
-    nodes <= `MAX_NODES`).
+    evaluates.  The binomials stay below 1e110 for the rules
+    `_gauss_laguerre` forms (alpha <= 169, nodes <= 200).
     """
     lower = -x + alpha + 1
     if n == 1:
@@ -341,7 +323,7 @@ def _channel_quadratures(l: int, n_r: int) -> tuple[float, tuple[np.ndarray, flo
     quadratures call this, after `_check_quadrature_range`.
     """
     unit = GreenEvalConfig(l=l, level=l + n_r + 1)
-    x, w = gauss_laguerre(2 * l + 1, unit.nodes)
+    x, w = _gauss_laguerre(2 * l + 1, unit.nodes)
     rows, s, d = _reduced_factors(unit, x)
     u = w * (x * x * s)  # w nears Gamma(2l+2) on small rules: scale s first
     proj = (rows @ u, s @ u, d @ u)

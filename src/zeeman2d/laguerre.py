@@ -1,48 +1,27 @@
 """The exact banded third moment of the generalized Laguerre polynomials.
 
-`moment3_band` is the one home of the integer
-integral_0^inf x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx: its
-diagonal gives the second-order coefficient, its band |k - k'| <= 3 the
-fourth-order window and the oracle's r^2 operator.  Its closed form is
-`_moment3_factor` times (k+alpha)!/k!.  The factorial ratio is the only
-large part, so no route builds it per entry: `_moment3_diagonals` builds
-whole diagonals for the oracle in one pass of a running ratio, and the
-exact routes (`coulomb._window_terms`, `perturb.eps2_integral`) cancel it
-against the level's own and keep `_moment3_factor` times ratios of a few
-consecutive integers.  `moment3_band` itself is the public integral and the
-tests' reference for `_moment3_factor`.
+The integer M(k, k') = integral_0^inf x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx
+vanishes for |k - k'| > 3: its diagonal gives the second-order
+coefficient, its band the fourth-order window and the oracle's r^2
+operator.  For k <= k' = k + d it is `_moment3_factor`(k, d, alpha) times
+perm(k + alpha, alpha) = (k+alpha)!/k!, and the integrand is symmetric in
+(k, k'); the diagonal is
+(2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6) (k+alpha)!/k!.  The
+factorial ratio is the only large part, so no route builds it per entry:
+`_moment3_diagonals` builds whole diagonals for the oracle in one pass of a
+running ratio, and the exact routes (`coulomb._window_terms`,
+`perturb.eps2_integral`) cancel it against the level's own and keep
+`_moment3_factor` times ratios of a few consecutive integers.  The tests
+hold M itself as the reference for `_moment3_factor`.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["moment3_band"]
-
-
-def moment3_band(k: int, kp: int, alpha: int) -> int:
-    """Exact banded third moment: integral x^{alpha+3} e^{-x} L_k L_{k'}, an integer.
-
-    Couples only |k - k'| <= 3 (the selection rule behind every finite
-    window downstream).  The closed form is stated for k' >= k; symmetry of
-    the integrand lets (k, k') be reordered first, and the test suite checks
-    the reordering against both the independent downward-branch coefficients
-    and the brute-force expansion.  The diagonal is
-    (2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6) (k+alpha)!/k!.
-    """
-    if k < 0 or kp < 0:
-        raise ValueError("degrees must be non-negative")
-    if alpha < 0:
-        raise ValueError("weight parameter alpha must be non-negative")
-    lo, hi = (k, kp) if k <= kp else (kp, k)
-    d = hi - lo
-    if d > 3:
-        return 0
-    return _moment3_factor(lo, d, alpha) * math.perm(lo + alpha, alpha)
-
 
 def _moment3_diagonals(alpha: int, size: int, scale: int) -> tuple[tuple[int, ...], ...]:
-    """The diagonals d = 0..3 of scale * moment3_band(i, j, alpha) for i, j < size.
+    """The diagonals d = 0..3 of scale * M(i, j) for i, j < size (module docstring).
 
     Diagonal d holds the entries (i, i + d) for i < size - d.  One pass over
     the running ratio q_i = perm(i + alpha, alpha) forms every row from
@@ -61,11 +40,11 @@ def _moment3_diagonals(alpha: int, size: int, scale: int) -> tuple[tuple[int, ..
 
 
 def _moment3_factor(lo: int, d: int, alpha: int) -> int:
-    """The integer c with moment3_band(lo, lo + d, alpha) = c perm(lo + alpha, alpha), 0 <= d <= 3.
+    """The integer c with M(lo, lo + d) = c perm(lo + alpha, alpha), 0 <= d <= 3 (module docstring).
 
     perm(lo + alpha, alpha) = (lo + alpha)!/lo! is a running ratio from row
-    to row, so `_moment3_diagonals` multiplies these small factors by it and
-    `moment3_band` by one `math.perm`; the exact routes never form it.
+    to row, so `_moment3_diagonals` multiplies these small factors by it;
+    the exact routes never form it.
     """
     a = alpha
     if d == 0:

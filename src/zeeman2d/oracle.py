@@ -25,11 +25,9 @@ previous field.  H - sigma O is factored once per field by LAPACK's banded
 LU, xGBTRF, and every step is one xGBTRS on those factors (Anderson et al.,
 LAPACK Users' Guide, SIAM 1999).  The routines are scipy's f2py wrappers,
 taken from its extension module `scipy.linalg._flapack`, which is loaded
-from its file without running the `scipy` or `scipy.linalg` package code:
-importing the `scipy.linalg` package takes about 250 ms, mostly array-API
-shims that load numpy submodules the oracle never uses, against about 5 ms
-for the extension alone.  `_lapack_funcs` picks the routines of the band's
-dtype, so a complex shift takes the same path.
+from its file without running the `scipy` or `scipy.linalg` package code.
+`_lapack_funcs` picks the routines of the band's dtype, so a complex shift
+takes the same path.
 Sylvester's law of inertia certifies the level index of every result:
 H - sigma O has exactly as many negative eigenvalues as the pencil has
 levels below sigma, and a radial channel has no crossings.  The count costs
@@ -201,8 +199,8 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     W_i = z q_i/zeta, O_ii = a_i q_i s/(2p), O_i,i+1 = -(i+alpha+1) q_i s/(2p),
     H0_ii = (mu_i - 1) W_i + E* O_ii = q_i (a_i p zeta - 4 s z)/(4 s zeta) with
     mu_i = a_i k/(2Z), H0_i,i+1 = E* O_i,i+1 = p (i+alpha+1) q_i/(4s), and
-    R_i,i+d = s^3 moment3_band(i, i+d, alpha)/(8 p^3), built in one pass over
-    the same q_i by `laguerre._moment3_diagonals`.
+    R_i,i+d = s^3 M(i, i+d)/(8 p^3), with M the third moment of `laguerre`,
+    built in one pass over the same q_i by `laguerre._moment3_diagonals`.
     """
     k = rational_sqrt(-2 * reference)
     if k is None:

@@ -27,7 +27,7 @@ every step is exact in the rationals):
     eps4 = -(Z^6/64) * [ N * sum_{j != n_r} R_j^2/(j - n_r) - 5/2 R_{n_r}^2 ]
     R_j^2 = N^4 B(n_r, j; alpha)^2 / (64 Z^6 P_{n_r} P_j)
 
-where B is the banded third-moment integral `laguerre.moment3_band` and
+where B is the banded third-moment integral M of the `laguerre` module and
 M3(n_r, alpha) = B(n_r, n_r; alpha) its diagonal, and the sum runs only
 over the seven-wide band |j - n_r| <= 3.
 The Z powers cancel identically, so the coefficients are Z-independent and

@@ -7,8 +7,10 @@ n_r = n - l - 1 <= `MAX_QUADRATURE_N_R`, at Z in {1, 3/2}, the script checks
 eps4 from `reduced_double_integral` against `eps4_closed` to 1e-11 relative,
 and the orthogonality defect below 1e-8 at r' = 0.4, 1.1, 2.6 and
 (N^2/Z) {1/2, 1, 2}.  For every l it checks that n_r = MAX_QUADRATURE_N_R + 1
-is refused by both quadratures with the range error.  It prints the worst
-values and the time, and exits 1 on any miss.
+is refused by both quadratures with the range error, and that the largest
+Gauss-Laguerre rule the quadratures build has 2 * MAX_QUADRATURE_N_R + 16 =
+200 nodes.  It prints the worst values and the time, and exits 1 on any
+miss.
 
 The tier-1 suite checks the edges and a strided subset of this range
 (`test_level_range_edge`, `test_strided_range`); this script covers all of
@@ -21,6 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
+from zeeman2d import greenfn
 from zeeman2d.greenfn import (
     MAX_L,
     MAX_QUADRATURE_N_R,
@@ -35,6 +38,20 @@ EPS4_REL_TOL = 1e-11
 ORTHOGONALITY_TOL = 1e-8
 CHARGES = (Fraction(1), Fraction(3, 2))
 MAX_QUADRATURE_L = MAX_L - 1
+LARGEST_RULE = 2 * MAX_QUADRATURE_N_R + 16
+
+
+def record_rule_sizes() -> list[int]:
+    """Record the node count of every rule the quadratures build from now on."""
+    sizes = []
+    build = greenfn._gauss_laguerre
+
+    def recorded(alpha: int, nodes: int):
+        sizes.append(nodes)
+        return build(alpha, nodes)
+
+    greenfn._gauss_laguerre = recorded
+    return sizes
 
 
 def accepted_misses(n: int, l: int, worst: dict) -> list[str]:
@@ -81,6 +98,7 @@ def main() -> int:
     start = time.perf_counter()
     worst = {"eps4": (0.0, None), "orthogonality": (0.0, None)}
     misses = []
+    sizes = record_rule_sizes()
     for l in range(MAX_QUADRATURE_L + 1):
         for n_r in range(MAX_QUADRATURE_N_R + 1):
             misses += accepted_misses(n_r + l + 1, l, worst)
@@ -88,6 +106,9 @@ def main() -> int:
     elapsed = time.perf_counter() - start
     levels = (MAX_QUADRATURE_L + 1) * (MAX_QUADRATURE_N_R + 1)
     print(f"{levels} levels (l <= {MAX_QUADRATURE_L}, n_r <= {MAX_QUADRATURE_N_R}) at Z = 1, 3/2 in {elapsed:.1f} s")
+    print(f"{len(sizes)} rules built, the largest with {max(sizes)} nodes")
+    if max(sizes) != LARGEST_RULE:
+        misses.append(f"the largest rule has {max(sizes)} nodes, not {LARGEST_RULE}")
     for name, (value, where) in worst.items():
         print(f"worst {name}: {value:.3g} at (n, l, Z) = {where}")
     for miss in misses:

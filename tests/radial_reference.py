@@ -5,6 +5,11 @@ binomials; `Laguerre`/`laguerre_coeffs` give L_k^{(alpha)} as coefficients.
 `cross_integral` sums integral_0^inf x^gamma e^{-x} L_k^{(alpha)} L_{k'}^{(beta)} dx
 in closed form, and `brute_force_integral`, the arbiter whenever a closed
 form is in doubt, expands both polynomials with integral x^m e^{-x} dx = m!.
+`moment3_band` is the banded third moment
+integral x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx built from
+`laguerre._moment3_factor` and one `math.perm`, the reference for that
+factor, and `r2_element_squared` the squared r^2 coupling of a bound state
+to a Sturmian, built from `coulomb._window_terms`.
 `bound_radial` and `sturmian` build normalized radial functions in the form
 
     f(r) = sqrt(norm_squared) * x^(l+1/2) * exp(-x/2) * poly(x),   x = 2*scale*r,
@@ -22,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from zeeman2d.coulomb import QuantumState
+from zeeman2d.coulomb import QuantumState, _window_terms
 from zeeman2d.exactmath import rational_sqrt
+from zeeman2d.laguerre import _moment3_factor
 
 
 def gen_binomial(top: int, j: int) -> Fraction:
@@ -279,3 +285,40 @@ def sturmian(n_r: int, l: int, E: Fraction, Z: Fraction = Fraction(1)) -> Radial
         norm_squared=norm_sq,
         poly=laguerre_coeffs(Laguerre(n_r, 2 * l)),
     )
+
+
+def moment3_band(k: int, kp: int, alpha: int) -> int:
+    """Exact banded third moment: integral x^{alpha+3} e^{-x} L_k L_{k'}, an integer.
+
+    Couples only |k - k'| <= 3 (the selection rule behind every finite
+    window downstream).  The closed form is stated for k' >= k; symmetry of
+    the integrand lets (k, k') be reordered first, and the test suite checks
+    the reordering against both the independent downward-branch coefficients
+    and the brute-force expansion.  The diagonal is
+    (2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6) (k+alpha)!/k!.
+    """
+    if k < 0 or kp < 0:
+        raise ValueError("degrees must be non-negative")
+    if alpha < 0:
+        raise ValueError("weight parameter alpha must be non-negative")
+    lo, hi = (k, kp) if k <= kp else (kp, k)
+    d = hi - lo
+    if d > 3:
+        return 0
+    return _moment3_factor(lo, d, alpha) * math.perm(lo + alpha, alpha)
+
+
+def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fraction(1)) -> Fraction:
+    """Exact square of integral r^2 P0_{nl} S_{n_r' l} dr at the level energy.
+
+    This squared form is the only one the fourth-order window sum needs, and
+    it is always rational (the normalization roots cancel against each
+    other): N^4 B^2 / (64 Z^6 perm(n_r+2l, 2l) perm(n_r'+2l, 2l)).  Zero
+    whenever |n_r' - n_r| > 3.
+    """
+    if n_r_prime < 0:
+        raise ValueError("n_r_prime must be non-negative")
+    if abs(n_r_prime - state.n_r) > 3:
+        return Fraction(0)
+    term = Fraction(*_window_terms(state.n_r, 2 * state.l)[n_r_prime])
+    return state.effective_n**4 / (64 * Fraction(Z) ** 6) * term

@@ -19,7 +19,6 @@ from zeeman2d.greenfn import (
     reduced_double_integral,
     reduced_orthogonality_defect,
 )
-from zeeman2d.laguerre import moment3_band
 from zeeman2d.oracle import fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
@@ -30,7 +29,7 @@ from zeeman2d.perturb import (
     eps4_sturmian,
 )
 
-from radial_reference import Laguerre, brute_force_integral, cross_integral
+from radial_reference import Laguerre, brute_force_integral, cross_integral, moment3_band
 
 GROUND_EXACT = Fraction(-159, 65536)
 GROUND_LITERATURE = Fraction(-153, 65536)

@@ -6,12 +6,19 @@ from fractions import Fraction
 import pytest
 
 from zeeman2d import coulomb
-from zeeman2d.coulomb import QuantumState, energy0, r2_element_squared
+from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
-from zeeman2d.laguerre import moment3_band
 from zeeman2d.perturb import eps4_sturmian
 
-from radial_reference import Laguerre, bound_radial, brute_force_integral, cross_integral, sturmian
+from radial_reference import (
+    Laguerre,
+    bound_radial,
+    brute_force_integral,
+    cross_integral,
+    moment3_band,
+    r2_element_squared,
+    sturmian,
+)
 
 
 class TestQuantumState:

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic primitives."""
 
 import decimal
+import hashlib
 import math
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from zeeman2d.exactmath import (
     rational_sqrt,
     render_decimal,
 )
+from zeeman2d.perturb import coefficient_set
 
 from radial_reference import RationalPolynomial, gen_binomial
 
@@ -161,22 +163,44 @@ class TestFactorizeInteger:
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
+    def test_small_primes_are_the_odd_primes_below_256(self):
+        assert exactmath._SMALL_PRIMES == tuple(_odd_primes(3, 255))
+        assert exactmath._SMALL_PRODUCT == math.prod(exactmath._SMALL_PRIMES)
+        assert exactmath._SMALL_BOUND == 257**2
+
     def test_runs_cover_the_primes_in_order(self, monkeypatch):
         monkeypatch.setattr(exactmath, "_prime_table", (1, []))
         limit, runs = exactmath._primes_through(2000)
         assert limit == 2000
         primes = [p for _, run in runs for p in run]
-        assert primes == [p for p in range(2, limit + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert primes == _odd_primes(257, limit)
         assert all(len(run) == exactmath._RUN for _, run in runs[:-1])
         assert all(product == math.prod(run) for product, run in runs)
-        assert runs[0][1][-1] == exactmath._PROOF_AFTER
+        assert runs[0][1][0] == 257
+
+    def test_front_end_boundary_matches_plain_trial_division(self):
+        # 251 | 257 is where the front end hands over to the runs; 66047 and
+        # 66067 are the primes either side of 257^2, and 257 * 263 the least
+        # cofactor past 257^2 free of primes below 257
+        square = 257**2
+        cofactors = [66047, square, 66067, 257 * 263, 251 * 1_000_003]
+        values = [251, 257, 251**2, square, 251 * 257, 251 * 1_000_003]
+        values += cofactors + [2**3 * 3 * 251 * c for c in cofactors]
+        for v in values:
+            for cap in (250, 251, 256, 257, exactmath.TRIAL_DIVISION_LIMIT):
+                assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
+        assert factorize_integer(2**3 * 3 * 251 * 66047) == [(2, 3), (3, 1), (251, 1), (66047, 1)]
+        assert factorize_integer(square * 251) == [(251, 1), (257, 2)]
 
     def test_run_edges_match_plain_trial_division(self):
-        # prime factors on each side of the first three run boundaries (97 |
-        # 101 and the ones after), with caps below, on and inside those runs
+        # prime factors on each side of the front end's boundary (251 | 257)
+        # and of the first two run boundaries after it, with caps below, on
+        # and inside them; 97 | 101 and 229 | 233, the run boundaries of an
+        # earlier layout, now lie inside the front end
         runs = exactmath._primes_through(2000)[1]
-        edges = [p for _, run in runs[:3] for p in (run[0], run[-1])][1:]
-        assert edges[:2] == [97, 101]
+        edges = [exactmath._SMALL_PRIMES[-1]] + [p for _, run in runs[:2] for p in (run[0], run[-1])]
+        assert edges[:2] == [251, 257]
+        edges += [97, 101, 229, 233, 379]
         caps = [1, 2, 3, 96, 97, 100, 101, 150, *edges, *(p + 1 for p in edges), 10**6]
         values = [*edges, *(p * p for p in edges), math.prod(edges), 2**5 * 3 * math.prod(edges[1::2]) ** 2]
         values += [a * b for a in edges for b in edges] + [p * 1_000_003 for p in edges]
@@ -185,22 +209,29 @@ class TestFactorizeInteger:
                 assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
 
     def test_table_grown_mid_call(self, monkeypatch):
-        # the table ends inside the second run (101 .. 113 of 101 .. 229).
+        # the table ends inside the first run (257 .. 293 of 257 .. 401).
         # The short run is tried before the table grows, so a factor in it
         # shrinks the cofactor first and the table grows only as far as plain
         # trial division needs; the run is then tried again, whole
         monkeypatch.setattr(exactmath, "_prime_table", (1, []))
-        exactmath._primes_through(120)
-        assert [len(run) for _, run in exactmath._prime_table[1]] == [exactmath._RUN, 5]
-        assert factorize_integer(113 * 1_000_003) == [(113, 1), (1_000_003, 1)]
-        assert exactmath._prime_table[0] == 120
-        # cofactor 127 * 131 left: sqrt 128, so the table doubles to 240
-        assert factorize_integer(101 * 103 * 127 * 131) == [(101, 1), (103, 1), (127, 1), (131, 1)]
-        assert exactmath._prime_table[0] == 240
-        for v, cap in ((113 * 127 * 131, 10**6), (103 * 229**2 * 233, 10**6), (109 * 127**2, 200),
+        exactmath._primes_through(300)
+        assert [len(run) for _, run in exactmath._prime_table[1]] == [8]
+        assert factorize_integer(283 * 1_000_003) == [(283, 1), (1_000_003, 1)]
+        assert exactmath._prime_table[0] == 300
+        # cofactor 307 * 311 left: sqrt 308, so the table doubles to 600
+        assert factorize_integer(257 * 263 * 307 * 311) == [(257, 1), (263, 1), (307, 1), (311, 1)]
+        assert exactmath._prime_table[0] == 600
+        for v, cap in ((283 * 307 * 311, 10**6), (263 * 569**2 * 571, 10**6), (269 * 307**2, 500),
+                       (271 * 1_000_003, 1000), (263 * 271, 10**6), (599 * 601 * 607, 10**6),
+                       (113 * 127 * 131, 10**6), (103 * 229**2 * 233, 10**6), (109 * 127**2, 200),
                        (107 * 1_000_003, 500), (103 * 107, 10**6), (241 * 251 * 257, 10**6)):
             assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
-        assert exactmath._prime_table[0] > 240
+        assert exactmath._prime_table[0] > 600
+
+
+def _odd_primes(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p <= hi, by trial division (lo >= 3)."""
+    return [p for p in range(lo, hi + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -238,6 +269,19 @@ class TestFormatting:
         assert format_factorized(Fraction(1)) == "1"
         assert format_factorized(Fraction(-1, 8)) == "-1/2^3"
         assert format_factorized(Fraction(12)) == "2^2×3"
+
+    def test_sweep_renderings_are_pinned(self):
+        # the factorized and 12-digit decimal forms of eps0, eps2 and eps4 for
+        # all 3240 states with n <= 80, one line per state
+        digest = hashlib.sha256()
+        for n in range(1, 81):
+            for l in range(n):
+                cs = coefficient_set(n, l)
+                parts = [str(n), str(l)]
+                for v in (cs.eps0, cs.eps2, cs.eps4):
+                    parts += [format_factorized(v), render_decimal(v, 12)]
+                digest.update((" ".join(parts) + "\n").encode())
+        assert digest.hexdigest() == "319fe587e78cbb3ca9f14b2bb9ffd34eb629193623c28f1eab643ecca6607800"
 
     def test_rational_round_trip(self):
         for q in (Fraction(3, 64), Fraction(-159, 65536), Fraction(7), Fraction(0)):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeeman2d.laguerre import _moment3_diagonals, moment3_band
+from zeeman2d.laguerre import _moment3_diagonals
 
 from radial_reference import (
     Laguerre,
@@ -21,6 +21,7 @@ from radial_reference import (
     brute_force_integral,
     cross_integral,
     laguerre_coeffs,
+    moment3_band,
 )
 
 

@@ -19,7 +19,6 @@ import zeeman2d
 from zeeman2d import oracle
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
-from zeeman2d.laguerre import moment3_band
 from zeeman2d.oracle import (
     ConvergenceError,
     GalerkinConfig,
@@ -37,7 +36,7 @@ from zeeman2d.oracle import (
 )
 from zeeman2d.perturb import assemble_energy, eps2_closed, eps4_closed
 
-from radial_reference import Laguerre, brute_force_integral, cross_integral
+from radial_reference import Laguerre, brute_force_integral, cross_integral, moment3_band
 
 BASIS_SMALL = 40
 

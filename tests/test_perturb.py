@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zeeman2d import reference
-from zeeman2d.coulomb import QuantumState, r2_element_squared
+from zeeman2d.coulomb import QuantumState
 from zeeman2d.perturb import (
     CoefficientSet,
     assemble_energy,
@@ -21,6 +21,8 @@ from zeeman2d.perturb import (
     eps4_closed,
     eps4_sturmian,
 )
+
+from radial_reference import r2_element_squared
 
 
 class TestZerothOrder:
