@@ -101,19 +101,22 @@ MAX_QUADRATURE_N_R = 92
 
 
 class QuadratureError(ValueError):
-    """Raised when the Gauss-Laguerre rule of a weight x^alpha e^{-x} cannot be formed.
+    """Raised when the Gauss-Laguerre rule of a weight has non-finite nodes or weights.
 
     Its weights sum to Gamma(alpha + 1), which overflows a float from
-    alpha = 171 (l = 85 for the reduced kernel); this error replaces the
-    untyped `OverflowError`.
+    alpha = 171 (l = 85 for the reduced kernel), and the Laguerre values of
+    its Newton step overflow at large node counts (from somewhere between
+    355 and 385 nodes for alpha <= 25); either would otherwise surface as
+    an untyped `OverflowError` or a NaN integral.
     """
 
     def __init__(self, alpha: int, nodes: int):
         self.alpha = alpha
         self.nodes = nodes
         super().__init__(
-            f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes: "
-            "Gamma(alpha + 1) overflows a float"
+            f"Gauss-Laguerre rule for weight x^{alpha} e^-x with {nodes} nodes "
+            "has non-finite nodes or weights: Gamma(alpha + 1) or the Laguerre "
+            "values of its Newton step overflow a float"
         )
 
 
@@ -179,8 +182,9 @@ def _gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Its one caller, `_channel_quadratures`, runs after the range check, so
     it asks for at most 2 * `MAX_QUADRATURE_N_R` + 16 = 200 nodes, with
     alpha = 2l + 1 <= 171; every such rule with alpha <= 169 is finite, and
-    alpha = 171 raises `QuadratureError`.  Larger counts are not checked.
-    Nothing keeps a rule: each channel asks for its one rule once, inside
+    alpha = 171 raises `QuadratureError`.  Any other rule that is not
+    finite raises it too; the overflow is silenced here, so the typed error
+    is all a caller sees.  Nothing keeps a rule: each channel asks for its one rule once, inside
     its own cache.  The arrays are read-only, like every array a channel
     keeps: an in-place write raises `ValueError`.
     """
@@ -193,16 +197,19 @@ def _gauss_laguerre(alpha: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(nodes, dtype=float)
     jacobi = np.diag(2 * k + alpha + 1) + np.diag(-np.sqrt(k[1:] * (k[1:] + alpha)), -1)
     x = np.linalg.eigvalsh(jacobi, UPLO="L")
-    y, y_prev = _laguerre_pair(nodes, alpha, x)
-    dy = (nodes * y - (nodes + alpha) * y_prev) / x
-    x = x - y / dy
-    fm = _laguerre_pair(nodes - 1, alpha, x)[0]
-    # fm and dy span many decades: centre each on its log range
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = w * (total / w.sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y, y_prev = _laguerre_pair(nodes, alpha, x)
+        dy = (nodes * y - (nodes + alpha) * y_prev) / x
+        x = x - y / dy
+        fm = _laguerre_pair(nodes - 1, alpha, x)[0]
+        # fm and dy span many decades: centre each on its log range
+        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+        fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+        w = w * (total / w.sum())
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise QuadratureError(alpha, nodes)
     return _read_only(x), _read_only(w)
 
 
@@ -213,8 +220,9 @@ def _laguerre_pair(n: int, alpha: int, x: np.ndarray) -> tuple[np.ndarray, np.nd
     p = L_k / binom(k+alpha, k) without the cancellation of the three-term
     form near x = 0; each value is scaled back by its binomial, and degrees
     0 and 1 are closed forms.  This is how `scipy.special.eval_genlaguerre`
-    evaluates.  The binomials stay below 1e110 for the rules
-    `_gauss_laguerre` forms (alpha <= 169, nodes <= 200).
+    evaluates, so the values overflow where scipy's do.  The binomials stay
+    below 1e110 for the rules the quadratures form (alpha <= 169,
+    nodes <= 200).
     """
     lower = -x + alpha + 1
     if n == 1:

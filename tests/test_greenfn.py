@@ -541,6 +541,22 @@ class TestQuadrature:
                 assert np.array_equal(x, x_ref), (alpha, nodes)
                 assert np.all(np.abs(w - w_ref) <= 4e-15 * w_ref), (alpha, nodes)
 
+    @pytest.mark.parametrize("alpha", range(26))
+    def test_rule_overflows_where_scipy_does(self, alpha):
+        # the Newton polish keeps scipy's binomial scale, so the rule stops
+        # being finite at the same node count, somewhere in 355..385
+        finite = []
+        for nodes in range(355, 386):
+            with np.errstate(all="ignore"):
+                x_ref, w_ref = roots_genlaguerre(nodes, alpha)
+            finite.append(bool(np.isfinite(x_ref).all() and np.isfinite(w_ref).all()))
+            if finite[-1]:
+                _gauss_laguerre(alpha, nodes)
+            else:
+                with pytest.raises(QuadratureError):
+                    _gauss_laguerre(alpha, nodes)
+        assert finite[0] and not finite[-1]
+
     def test_one_rule_per_config(self, monkeypatch):
         # the double integral and the orthogonality check share one grid,
         # on the weight x^(2l+1) e^-x with 2 n_r + 16 nodes; configs that
