@@ -6,20 +6,14 @@ the dimensionless field b = B/B0,
     E = eps0 Z^2  +  eps1 b  +  eps2 b^2/Z^2  +  eps4 b^4/Z^6  +  O(b^6),
 
 with every coefficient an exact rational number.  This script prints the
-low-lying table, the factorized forms, and the circular-state (l = n-1)
-specializations.
+low-lying table, the factorized forms, and the closed forms at the
+circular states (l = n-1).
 
 Run:  python demos/coefficient_table.py
 """
 
 from zeeman2d.exactmath import format_factorized, render_decimal
-from zeeman2d.perturb import (
-    coefficient_set,
-    eps2_circular,
-    eps2_closed,
-    eps4_circular,
-    eps4_closed,
-)
+from zeeman2d.perturb import coefficient_set, eps2_closed, eps4_closed
 
 print("Quadratic and quartic coefficients for n <= 4")
 print("=" * 78)
@@ -40,12 +34,9 @@ cs = coefficient_set(1, 0)
 print(f"  eps4(1, 0) = {cs.eps4} = {render_decimal(cs.eps4, 12)}")
 
 print()
-print("Circular states (l = n - 1) have one-line closed forms; they match")
-print("the general formulas exactly:")
+print("Circular states (l = n - 1), from the general closed forms:")
 for n in range(1, 7):
-    assert eps2_circular(n) == eps2_closed(n, n - 1)
-    assert eps4_circular(n) == eps4_closed(n, n - 1)
-    print(f"  n = {n}: eps2 = {str(eps2_circular(n)):>12}   eps4 = {eps4_circular(n)}")
+    print(f"  n = {n}: eps2 = {str(eps2_closed(n, n - 1)):>12}   eps4 = {eps4_closed(n, n - 1)}")
 
 print()
 print("Growth is steep: both coefficients scale like the sixth and higher")

@@ -11,10 +11,15 @@ it builds every term from `laguerre._moment3_factor` and ratios of a few
 consecutive integers, and forms no factorial.  The squared coupling of the
 bound state to the Sturmian n_r' is N^4 T_(n_r') / (64 Z^6), with T the
 window term.
+
+The module is also the one home of the input checks that every entry point
+of the package shares (level labels, spin projection, charge) and of the
+zeroth-order coefficient -2/q^2 (q = 2n - 1), which `energy0` scales by Z^2.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +27,37 @@ from .laguerre import _moment3_factor
 
 __all__ = [
     "QuantumState",
+    "eps0",
     "energy0",
 ]
 
 HALF = Fraction(1, 2)
+
+
+def _check_level(n: int, l: int) -> tuple[int, int]:
+    """The one check of level labels: integral (`operator.index`), n >= 1, 0 <= l <= n-1."""
+    n, l = operator.index(n), operator.index(l)
+    if n < 1:
+        raise ValueError("n must satisfy n >= 1")
+    if not 0 <= l <= n - 1:
+        raise ValueError("l must satisfy 0 <= l <= n-1")
+    return n, l
+
+
+def _check_spin(m_s) -> Fraction:
+    """The one check of a spin projection: m_s = +-1/2, as a `Fraction`."""
+    m_s = Fraction(m_s)
+    if abs(m_s) != HALF:
+        raise ValueError("m_s must be +1/2 or -1/2")
+    return m_s
+
+
+def _check_charge(Z) -> Fraction:
+    """The one check of a nuclear charge: Z > 0, as a `Fraction`."""
+    Z = Fraction(Z)
+    if Z <= 0:
+        raise ValueError("Z must be positive")
+    return Z
 
 
 @dataclass(frozen=True)
@@ -34,7 +66,8 @@ class QuantumState:
 
     l counts radial symmetry: 0 <= l <= n-1 and |m_l| = l (the planar atom
     has a single angular quantum number; l is its magnitude).  m_s, when
-    present, must be +-1/2.
+    present, must be +-1/2.  The labels are taken through `operator.index`,
+    so a float raises `TypeError` and every label is stored as an `int`.
     """
 
     n: int
@@ -43,17 +76,13 @@ class QuantumState:
     m_s: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must satisfy n >= 1")
-        if not 0 <= self.l <= self.n - 1:
-            raise ValueError("l must satisfy 0 <= l <= n-1")
-        if abs(self.m_l) != self.l:
+        n, l = _check_level(self.n, self.l)
+        m_l = operator.index(self.m_l)
+        if abs(m_l) != l:
             raise ValueError("m_l must satisfy |m_l| = l")
-        if self.m_s is not None:
-            ms = Fraction(self.m_s)
-            if abs(ms) != HALF:
-                raise ValueError("m_s must be +1/2 or -1/2")
-            object.__setattr__(self, "m_s", ms)
+        m_s = None if self.m_s is None else _check_spin(self.m_s)
+        for name, value in (("n", n), ("l", l), ("m_l", m_l), ("m_s", m_s)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_r(self) -> int:
@@ -66,11 +95,17 @@ class QuantumState:
         return Fraction(2 * self.n - 1, 2)
 
 
+def eps0(n: int) -> Fraction:
+    """Zeroth order: -1/(2 N^2) = -2/q^2 with q = 2n - 1, the one home of the formula."""
+    n, _ = _check_level(n, 0)
+    q = 2 * n - 1
+    return Fraction(-2, q * q)
+
+
 def energy0(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
-    """Unperturbed level energy -Z^2 / (2 N^2) in Hartree."""
-    Z = Fraction(Z)
-    n_eff = state.effective_n
-    return -(Z * Z) / (2 * n_eff * n_eff)
+    """Unperturbed level energy eps0(n) Z^2 = -Z^2 / (2 N^2) in Hartree."""
+    Z = _check_charge(Z)
+    return eps0(state.n) * Z * Z
 
 
 def _window_terms(n_r: int, alpha: int) -> dict[int, tuple[int, int]]:

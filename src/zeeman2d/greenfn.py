@@ -76,6 +76,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import _single_threaded_blas
+from .coulomb import _check_charge, _check_level
 
 _single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its pool
 
@@ -122,22 +123,22 @@ class QuadratureError(ValueError):
 
 @dataclass(frozen=True)
 class GreenEvalConfig:
-    """The reduced kernel of channel l anchored at the bound level n, charge Z."""
+    """The reduced kernel of channel l anchored at the bound level n, charge Z.
+
+    (level, l) and Z pass the level and charge checks of `coulomb`.
+    """
 
     l: int
     level: int
     Z: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Z", Fraction(self.Z))
-        if self.l < 0:
-            raise ValueError("l must be non-negative")
-        if self.l > MAX_L:
-            raise ValueError(f"l = {self.l} exceeds MAX_L = {MAX_L}: (2l)! overflows a float")
-        if self.Z <= 0:
-            raise ValueError("Z must be positive")
-        if self.level < self.l + 1:
-            raise ValueError("level must satisfy n >= l+1")
+        level, l = _check_level(self.level, self.l)
+        if l > MAX_L:
+            raise ValueError(f"l = {l} exceeds MAX_L = {MAX_L}: (2l)! overflows a float")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "Z", _check_charge(self.Z))
 
     @classmethod
     def for_level(cls, n: int, l: int, Z: Fraction = Fraction(1)) -> "GreenEvalConfig":

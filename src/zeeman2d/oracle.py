@@ -56,7 +56,7 @@ from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 from . import _single_threaded_blas
-from .coulomb import QuantumState, energy0
+from .coulomb import QuantumState, _check_charge, energy0
 from .exactmath import rational_sqrt
 from .laguerre import _moment3_diagonals
 from .perturb import assemble_energy
@@ -134,11 +134,9 @@ class GalerkinConfig:
     target_n_r: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Z", Fraction(self.Z))
         if self.l < 0:
             raise ValueError("l must be non-negative")
-        if self.Z <= 0:
-            raise ValueError("Z must be positive")
+        object.__setattr__(self, "Z", _check_charge(self.Z))
         if self.target_n_r < 0:
             raise ValueError("target_n_r must be non-negative")
         if self.basis_size < self.target_n_r + 20:

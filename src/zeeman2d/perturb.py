@@ -4,10 +4,11 @@ The dimensionless coefficients eps^(k) are defined by
 
     E = sum_k eps^(k) Z^(2-2k) b^k   (Hartree, b = B/B0),
 
-with eps^(0) the unperturbed level, eps^(1) = m_l/2 the orientational term
-(plus 2 m_s with spin), and only even k >= 2 thereafter: the diamagnetic
-perturbation is proportional to b^2 r^2, so no odd-order channel exists in
-this formulation and `assemble_energy` has none.
+with eps^(0) the unperturbed level (`coulomb.eps0`, re-exported here),
+eps^(1) = m_l/2 the orientational term (plus 2 m_s with spin), and only
+even k >= 2 thereafter: the diamagnetic perturbation is proportional to
+b^2 r^2, so no odd-order channel exists in this formulation and
+`assemble_energy` has none.
 
 Second and fourth order are each computed along two independent exact
 routes that the validation suite requires to agree digit for digit:
@@ -58,12 +59,12 @@ closed forms are powers of q times a polynomial body over a power of 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import reference
-from .coulomb import QuantumState, _window_terms
+from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _window_terms, eps0
 from .exactmath import render_decimal
 from .laguerre import _moment3_factor
 
@@ -75,69 +76,38 @@ __all__ = [
     "eps1",
     "eps2_closed",
     "eps2_integral",
-    "eps2_circular",
     "eps4_closed",
     "eps4_sturmian",
-    "eps4_circular",
     "coefficient_set",
     "assemble_energy",
     "disputed_value_report",
 ]
 
-HALF = Fraction(1, 2)
-
 TRUNCATION_NOTE = "neglected terms are O(Z^-10 (B/B0)^6)"
-
-
-def _check_nl(n: int, l: int) -> None:
-    if n < 1:
-        raise ValueError("n must satisfy n >= 1")
-    if not 0 <= l <= n - 1:
-        raise ValueError("l must satisfy 0 <= l <= n-1")
-
-
-def eps0(n: int) -> Fraction:
-    """Zeroth order: -1/(2 N^2) with N = n - 1/2."""
-    if n < 1:
-        raise ValueError("n must satisfy n >= 1")
-    q = 2 * n - 1
-    return Fraction(-2, q * q)
 
 
 def eps1(m_l: int, m_s: Fraction | None = None) -> Fraction:
     """First order: m_l/2, or (m_l + 2 m_s)/2 with spin (g factor exactly 2)."""
-    if m_s is None:
-        return Fraction(m_l, 2)
-    m_s = Fraction(m_s)
-    if abs(m_s) != HALF:
-        raise ValueError("m_s must be +1/2 or -1/2")
-    return Fraction(m_l, 2) + m_s
+    orbital = Fraction(operator.index(m_l), 2)
+    return orbital if m_s is None else orbital + _check_spin(m_s)
 
 
 def eps2_closed(n: int, l: int) -> Fraction:
     """Second order, closed form: N^2 (5n^2 - 5n - 3l^2 + 3) / 16."""
-    _check_nl(n, l)
+    n, l = _check_level(n, l)
     q = 2 * n - 1
     return Fraction(q * q * (5 * n * n - 5 * n - 3 * l * l + 3), 64)
 
 
 def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
-    _check_nl(n, l)
+    n, l = _check_level(n, l)
     return Fraction((2 * n - 1) * _moment3_factor(n - l - 1, 0, 2 * l), 128)
-
-
-def eps2_circular(n: int) -> Fraction:
-    """Second order for the node-free state l = n-1: n (n + 1/2) N^2 / 8."""
-    if n < 1:
-        raise ValueError("n must satisfy n >= 1")
-    q = 2 * n - 1
-    return Fraction(n * (2 * n + 1) * q * q, 64)
 
 
 def eps4_closed(n: int, l: int) -> Fraction:
     """Fourth order, closed form (negative for every bound state)."""
-    _check_nl(n, l)
+    n, l = _check_level(n, l)
     body = (
         143 * n**4
         - 286 * n**3
@@ -161,7 +131,7 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
     the derivative terms of the reduced kernel.  The shifted terms are summed
     as one integer fraction num/den.
     """
-    _check_nl(n, l)
+    n, l = _check_level(n, l)
     n_r = n - l - 1
     terms = _window_terms(n_r, 2 * l)
     r_num, r_den = terms.pop(n_r)
@@ -171,13 +141,6 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
         num, den = num * t_den + t_num * den, den * t_den
     q = 2 * n - 1
     return Fraction(-(q**4) * (q * num * r_den - 5 * r_num * den), 2**17 * den * r_den)
-
-
-def eps4_circular(n: int) -> Fraction:
-    """Fourth order for l = n-1: -n (n + 1/2) N^6 (16n^2 + 26n + 11) / 512."""
-    if n < 1:
-        raise ValueError("n must satisfy n >= 1")
-    return Fraction(-n * (2 * n + 1) * (2 * n - 1) ** 6 * (16 * n * n + 26 * n + 11), 65536)
 
 
 @dataclass(frozen=True)
@@ -198,10 +161,9 @@ class CoefficientSet:
     provenance: str
 
 
-@lru_cache(maxsize=None)
 def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> CoefficientSet:
-    """Memoized coefficients of (n, l); thread-safe via the lru_cache lock."""
-    _check_nl(n, l)
+    """Coefficients of (n, l) by the named exact route, computed on each call."""
+    n, l = _check_level(n, l)
     if provenance == "closed_form":
         e2, e4 = eps2_closed(n, l), eps4_closed(n, l)
     elif provenance == "sturmian_sum":
@@ -242,9 +204,7 @@ def assemble_energy(
     """
     if order not in (0, 1, 2, 4):
         raise ValueError("order must be one of 0, 1, 2, 4 (odd orders vanish)")
-    Z = Fraction(Z)
-    if Z <= 0:
-        raise ValueError("Z must be positive")
+    Z = _check_charge(Z)
     b = Fraction(b)
     if b < 0:
         raise ValueError("b = B/B0 must be non-negative")

@@ -3,12 +3,24 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zeeman2d import coulomb
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
-from zeeman2d.perturb import eps4_sturmian
+from zeeman2d.greenfn import GreenEvalConfig
+from zeeman2d.oracle import GalerkinConfig
+from zeeman2d.perturb import (
+    assemble_energy,
+    coefficient_set,
+    eps0,
+    eps1,
+    eps2_closed,
+    eps2_integral,
+    eps4_closed,
+    eps4_sturmian,
+)
 
 from radial_reference import (
     Laguerre,
@@ -19,6 +31,70 @@ from radial_reference import (
     r2_element_squared,
     sturmian,
 )
+
+
+# Every public entry point that takes level labels (n, l), m_l, a spin
+# projection or a charge, each as a call on the one bad input.
+LEVEL_ENTRIES = {
+    "QuantumState": lambda n, l: QuantumState(n, l, l),
+    "eps2_closed": eps2_closed,
+    "eps2_integral": eps2_integral,
+    "eps4_closed": eps4_closed,
+    "eps4_sturmian": eps4_sturmian,
+    "coefficient_set/closed_form": lambda n, l: coefficient_set(n, l, "closed_form"),
+    "coefficient_set/sturmian_sum": lambda n, l: coefficient_set(n, l, "sturmian_sum"),
+    "GreenEvalConfig": lambda n, l: GreenEvalConfig(l=l, level=n),
+    "GreenEvalConfig.for_level": GreenEvalConfig.for_level,
+}
+N_ENTRIES = {"eps0": lambda n, l: eps0(n)}  # takes n alone, so only bad-n inputs apply
+M_L_ENTRIES = {
+    "QuantumState": lambda m_l: QuantumState(2, 1, m_l),
+    "eps1": eps1,
+}
+SPIN_ENTRIES = {
+    "QuantumState": lambda m_s: QuantumState(1, 0, 0, m_s),
+    "eps1": lambda m_s: eps1(0, m_s),
+}
+CHARGE_ENTRIES = {
+    "energy0": lambda Z: energy0(QuantumState(2, 0, 0), Z),
+    "assemble_energy": lambda Z: assemble_energy(QuantumState(2, 0, 0), Z=Z),
+    "GalerkinConfig": lambda Z: GalerkinConfig(l=0, Z=Z),
+    "GreenEvalConfig": lambda Z: GreenEvalConfig(l=0, level=1, Z=Z),
+    "GreenEvalConfig.for_level": lambda Z: GreenEvalConfig.for_level(1, 0, Z),
+}
+NOT_INTEGRAL = "'float' object cannot be interpreted as an integer"
+BAD_INPUTS = [
+    (LEVEL_ENTRIES | N_ENTRIES, (0, 0), ValueError, "n must satisfy n >= 1"),
+    (LEVEL_ENTRIES | N_ENTRIES, (-3, 0), ValueError, "n must satisfy n >= 1"),
+    (LEVEL_ENTRIES | N_ENTRIES, (1.5, 0), TypeError, NOT_INTEGRAL),
+    (LEVEL_ENTRIES | N_ENTRIES, (2.0, 0), TypeError, NOT_INTEGRAL),
+    (LEVEL_ENTRIES, (2, 2), ValueError, "l must satisfy 0 <= l <= n-1"),
+    (LEVEL_ENTRIES, (2, -1), ValueError, "l must satisfy 0 <= l <= n-1"),
+    (LEVEL_ENTRIES, (2, 0.5), TypeError, NOT_INTEGRAL),
+    (M_L_ENTRIES, (1.0,), TypeError, NOT_INTEGRAL),
+    (SPIN_ENTRIES, (Fraction(1),), ValueError, "m_s must be +1/2 or -1/2"),
+    (SPIN_ENTRIES, (0,), ValueError, "m_s must be +1/2 or -1/2"),
+    (SPIN_ENTRIES, (Fraction(-3, 2),), ValueError, "m_s must be +1/2 or -1/2"),
+    (CHARGE_ENTRIES, (0,), ValueError, "Z must be positive"),
+    (CHARGE_ENTRIES, (Fraction(-1, 2),), ValueError, "Z must be positive"),
+    (CHARGE_ENTRIES, (-2,), ValueError, "Z must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        pytest.param(call, args, error, message, id=f"{name}{args}")
+        for entries, args, error, message in BAD_INPUTS
+        for name, call in entries.items()
+    ],
+)
+def test_every_entry_point_rejects_a_bad_input_alike(call, args, error, message):
+    # one check per input kind lives in coulomb, so each entry point that
+    # takes the input raises the same error with the same message
+    with pytest.raises(error) as raised:
+        call(*args)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestQuantumState:
@@ -50,6 +126,13 @@ class TestQuantumState:
             QuantumState(1, 0, 0, Fraction(1))
         assert QuantumState(1, 0, 0, Fraction(1, 2)).m_s == Fraction(1, 2)
         assert QuantumState(1, 0, 0, Fraction(-1, 2)).m_s == Fraction(-1, 2)
+
+    def test_integer_like_labels_are_stored_as_int(self):
+        st = QuantumState(np.int64(3), np.int64(1), np.int64(-1), "1/2")
+        assert (st.n, st.l, st.m_l, st.m_s) == (3, 1, -1, Fraction(1, 2))
+        assert all(type(v) is int for v in (st.n, st.l, st.m_l))
+        assert coefficient_set(np.int64(3), np.int64(1)) == coefficient_set(3, 1)
+        assert GreenEvalConfig(l=np.int64(1), level=np.int64(3)) == GreenEvalConfig(l=1, level=3)
 
 
 class TestEnergy0:

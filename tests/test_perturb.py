@@ -14,10 +14,8 @@ from zeeman2d.perturb import (
     disputed_value_report,
     eps0,
     eps1,
-    eps2_circular,
     eps2_closed,
     eps2_integral,
-    eps4_circular,
     eps4_closed,
     eps4_sturmian,
 )
@@ -67,11 +65,9 @@ class TestSecondOrder:
             assert eps2_integral(n, l) == eps2_closed(n, l), (n, l)
 
     def test_circular_specialization(self):
-        assert eps2_circular(1) == Fraction(3, 64)
-        assert eps2_circular(2) == Fraction(45, 32)
-        assert eps2_circular(4) == Fraction(441, 16)
-        for n in range(1, 13):
-            assert eps2_circular(n) == eps2_closed(n, n - 1)
+        assert eps2_closed(1, 0) == Fraction(3, 64)
+        assert eps2_closed(2, 1) == Fraction(45, 32)
+        assert eps2_closed(4, 3) == Fraction(441, 16)
 
     def test_rejects_bad_quantum_numbers(self):
         with pytest.raises(ValueError):
@@ -99,11 +95,9 @@ class TestFourthOrder:
             assert eps4_sturmian(n, l) == eps4_closed(n, l), (n, l)
 
     def test_circular_specialization(self):
-        assert eps4_circular(1) == Fraction(-159, 65536)
-        assert eps4_circular(2) == Fraction(-462915, 32768)
-        assert eps4_circular(4) == Fraction(-392830011, 16384)
-        for n in range(1, 13):
-            assert eps4_circular(n) == eps4_closed(n, n - 1)
+        assert eps4_closed(1, 0) == Fraction(-159, 65536)
+        assert eps4_closed(2, 1) == Fraction(-462915, 32768)
+        assert eps4_closed(4, 3) == Fraction(-392830011, 16384)
 
 
 class TestNoFactorials:
@@ -149,9 +143,6 @@ class TestCoefficientSet:
                 a = coefficient_set(n, l, "closed_form")
                 b = coefficient_set(n, l, "sturmian_sum")
                 assert (a.eps0, a.eps2, a.eps4) == (b.eps0, b.eps2, b.eps4)
-
-    def test_memoized(self):
-        assert coefficient_set(3, 1) is coefficient_set(3, 1)
 
     def test_bad_provenance(self):
         with pytest.raises(ValueError):
