@@ -25,10 +25,12 @@ from zeeman2d.perturb import eps2_closed, eps2_integral, eps4_closed, eps4_sturm
 print("Window structure feeding the quartic sum for the ground state:")
 st = QuantumState(1, 0, 0)
 # the squared coupling to the Sturmian n_r' is N^4 T / 64 (Z = 1), with T
-# the window term; outside the window there is no term and the coupling is 0
-terms = _window_terms(st.n_r, 2 * st.l)
+# the window term: numerators over one denominator, for n_r' = n_r - 3 .. n_r + 3;
+# outside the window there is no term and the coupling is 0
+terms, den = _window_terms(st.n_r, 2 * st.l)
 for npr in range(0, 6):
-    sq = st.effective_n**4 / 64 * Fraction(*terms.get(npr, (0, 1)))
+    offset = npr - st.n_r + 3
+    sq = st.effective_n**4 / 64 * Fraction(terms[offset] if 0 <= offset < 7 else 0, den)
     tag = "resonant index" if npr == st.n_r else ("coupled" if sq else "outside the window")
     print(f"  n_r' = {npr}:  |<r^2>|^2 = {str(sq):>12}   ({tag})")
 print()

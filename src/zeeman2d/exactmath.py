@@ -10,6 +10,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 TRIAL_DIVISION_LIMIT = 1_000_000
+# a residual of the default cap below this square has no factor below its
+# square root, so it is prime without a test
+_RHO_FLOOR = TRIAL_DIVISION_LIMIT**2
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -38,15 +42,13 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 # The odd primes below 256 and their product: one gcd with it tells which of
-# them divide, with no table built.  Every cofactor they leave below
-# _SMALL_BOUND = 257**2 is 1 or prime.
+# them divide, with no table built.
 _SMALL_PRIMES = (
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
     197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
 )
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
-_SMALL_BOUND = 257 * 257
 
 # The primes from 257 up to a sieved limit, cut into runs of `_RUN`
 # consecutive primes (the last run may be short), each held with its product.
@@ -56,7 +58,7 @@ _SMALL_BOUND = 257 * 257
 _prime_table: tuple[int, list[tuple[int, tuple[int, ...]]]] = (1, [])
 
 # primes per run: one gcd with a run's product tells which of them divide
-_RUN = 25
+_RUN = 100
 
 
 def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
@@ -69,7 +71,7 @@ def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]
         for p in range(2, math.isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        primes = list(itertools.compress(range(257, limit + 1), sieve[257:]))
+        primes = list(itertools.compress(range(257, limit + 1, 2), sieve[257::2]))
         runs = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
         table = (limit, [(math.prod(run), run) for run in runs])
         _prime_table = table
@@ -110,15 +112,16 @@ def _is_proven_prime(n: int) -> bool:
             break
     else:
         return False
-    s = ((n - 1) & -(n - 1)).bit_length() - 1
-    d = (n - 1) >> s
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
     for a in _SPSP_BASES[:k]:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == m:
             continue
         for _ in range(s - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -134,22 +137,20 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
     primes are tried: a composite divisor can never divide once its prime
     factors are gone, so the result is that of dividing by every integer.
 
-    The power of 2 is read off the low bits.  The odd primes below 256 come
-    next: one gcd with their product is the product of exactly those that
-    divide, and they are walked only until it is used up.  With the cap at
-    251 or more, every prime below 257 has then been tried, so the cofactor
-    is 1, or prime if it is below 257^2, or put to one deterministic
-    Miller-Rabin test.  A proven prime is appended whole, as trial division
-    would append it after finding no factor of it below any cap, so the
-    result is the same for every ``trial_limit``.
-
-    Any other cofactor (composite, or of 3.3e24 and up, where no proof
-    holds) is divided by the primes from 257 on, in runs of `_RUN`: one gcd
-    with a run's product either skips the run or is the product of those of
-    its primes that divide.  After each run that divided, the cofactor is
-    put to the test again.  Division stops before a run whose first prime is
-    past the cap or whose square is past the cofactor, which is then 1 or
-    prime.
+    The power of 2 is read off the low bits.  The odd primes are then tried
+    in chunks, each with its product: first the 53 below 256, then the runs
+    of `_RUN` primes from 257 on.  One gcd with a chunk's product is the
+    product of exactly those of its primes that divide, and they are walked
+    with their powers only until it is used up; a cofactor of 1 takes no gcd.
+    After each chunk the cofactor has no prime factor up to the chunk's last
+    prime p, so it is 1 or prime below p^2, and division stops there, or
+    once p reaches the cap.  Otherwise it is put to one deterministic
+    Miller-Rabin test after the first chunk and after each run that divided,
+    and a proven prime is appended whole, as trial division would append it
+    after finding no factor of it below any cap; so the result is the same
+    for every ``trial_limit``.  Any other cofactor (composite, or of 3.3e24
+    and up, where no proof holds) goes on to the next run, until a run's
+    first prime is past the cap or its square past the cofactor.
     """
     if value < 1:
         raise ValueError("only positive integers are factored")
@@ -159,96 +160,137 @@ def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> li
         e = (rem & -rem).bit_length() - 1
         factors.append((2, e))
         rem >>= e
-    rem = _divide_out(rem, math.gcd(rem, _SMALL_PRODUCT), _SMALL_PRIMES, trial_limit, factors)
-    if trial_limit >= 257 and rem >= _SMALL_BOUND and not _is_proven_prime(rem):
-        rem = _divide_runs(rem, trial_limit, factors)
+    product, primes = _SMALL_PRODUCT, _SMALL_PRIMES
+    r = 0
+    while rem > 1:
+        before = rem
+        g = math.gcd(rem, product)
+        for p in primes:
+            if g % p:
+                if p * p <= g:
+                    continue
+                # past sqrt(g), what is left of g is 1 or the last prime to divide
+                if g == 1 or g > trial_limit:
+                    break
+                p = g
+            elif p > trial_limit:
+                break
+            g //= p
+            rem //= p
+            e = 1
+            while not rem % p:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        last = primes[-1]
+        if last >= trial_limit or rem < last * last:
+            break
+        if (r == 0 or rem < before) and _is_proven_prime(rem):
+            break
+        run = _run(r, rem, trial_limit)
+        if run is None:
+            break
+        r, (product, primes) = run
+        if primes[0] > trial_limit or primes[0] ** 2 > rem:
+            break
+        r += 1
     if rem > 1:
         factors.append((rem, 1))
     return factors
 
 
-def _divide_out(rem: int, g: int, primes: tuple[int, ...], trial_limit: int, factors: list) -> int:
-    """Divide ``rem`` by each prime of ``primes``, up to the cap, that divides ``g``.
+def _run(r: int, rem: int, trial_limit: int) -> tuple[int, tuple[int, tuple[int, ...]]] | None:
+    """(index, run) of the table's run to try after run r - 1, or None if none is needed.
 
-    ``g`` is the gcd of ``rem`` with the product of ``primes``: a product of
-    distinct primes of the list.  The walk ends once the square of the next
-    prime passes what is left of ``g``, which is then 1 or the last prime to
-    divide.  Appends (p, e) for each such prime and returns the cofactor.
-    """
-    for p in primes:
-        if p * p > g or p > trial_limit:
-            break
-        if g % p == 0:
-            g //= p
-            rem, e = _divide_power(rem, p)
-            factors.append((p, e))
-    if 1 < g <= trial_limit:
-        rem, e = _divide_power(rem, g)
-        factors.append((g, e))
-    return rem
-
-
-def _divide_power(rem: int, p: int) -> tuple[int, int]:
-    """(rem / p^e, e) for the largest e, given that p divides rem."""
-    rem //= p
-    e = 1
-    while rem % p == 0:
-        rem //= p
-        e += 1
-    return rem, e
-
-
-def _divide_runs(rem: int, trial_limit: int, factors: list) -> int:
-    """Trial-divide a cofactor free of primes below 257 by the runs of the table.
-
-    Returns the cofactor left once the runs pass the cap or its square root,
-    or once it is proven prime after a run that divided.  The table grows on
-    demand, never past the cap of the call.
+    The table grows on demand, never past the cap of the call and not once it
+    reaches the square root of the cofactor.
     """
     covered, runs = _prime_table
-    r = 0
-    while True:
-        if r == len(runs):
-            need = min(trial_limit, math.isqrt(rem))
-            if covered >= need:
-                return rem
-            # a short last run is tried again, whole, once the table has grown
-            if runs and len(runs[-1][1]) < _RUN:
-                r -= 1
-            # at least double the table, so a sweep of growing values sieves
-            # O(log) times, but never past the cap of this call
-            covered, runs = _primes_through(min(trial_limit, max(need, 2 * covered)))
-            continue
-        product, run = runs[r]
-        if run[0] > trial_limit or run[0] * run[0] > rem:
-            return rem
-        g = math.gcd(rem, product)
-        if g > 1:
-            rem = _divide_out(rem, g, run, trial_limit, factors)
-            # below the square of the run's last prime, the next run stops anyway
-            if rem >= run[-1] ** 2 and _is_proven_prime(rem):
-                return rem
-        r += 1
+    while r == len(runs):
+        need = min(trial_limit, math.isqrt(rem))
+        if covered >= need:
+            return None
+        # a short last run is tried again, whole, once the table has grown
+        if runs and len(runs[-1][1]) < _RUN:
+            r -= 1
+        # at least double the table, so a sweep of growing values sieves
+        # O(log) times, but never past the cap of this call
+        covered, runs = _primes_through(min(trial_limit, max(need, 2 * covered)))
+    return r, runs[r]
 
 
-def _format_factored_int(v: int) -> str:
-    return "×".join([str(p) if e == 1 else f"{p}^{e}" for p, e in factorize_integer(v)]) or "1"
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho in Brent's form.
+
+    R. P. Brent, BIT 20 (1980) 176.  The walk x -> x^2 + c mod n gathers
+    |x - y| into one product mod n and takes a gcd every 128 steps; a batch
+    whose gcd is n is walked again step by step, and a walk that finds only
+    n is restarted with the next c.
+    """
+    for c in itertools.count(1):
+        y = ys = x = 2
+        g = q = r = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_parts(n: int) -> list[int]:
+    """The prime factors of n, with repeats, for an odd n below 3.3e24 with none below 257."""
+    if _is_proven_prime(n):
+        return [n]
+    d = _rho_factor(n)
+    return _prime_parts(d) + _prime_parts(n // d)
 
 
 def format_factorized(x: Fraction) -> str:
     """Prime-factorized rendering of a rational, e.g. -3×53/2^16.
 
+    Each side is `factorize_integer` at the default cap, its factors joined
+    by ``×``.  Its residual is prime below the square of the cap; a residual
+    from there up to the last bound of `_SPSP_BOUNDS` (3.3e24) that the
+    Miller-Rabin test does not prove prime is split by `_rho_factor` into
+    parts that it does.  So every printed factor is proven prime whenever
+    the residual is below 3.3e24; a larger one is printed whole, unproven.
     Exponent 1 is omitted; a unit numerator or denominator prints as the
     bare factorization of the other side; zero prints as ``0``.
     """
     num, den = x.numerator, x.denominator
     if num == 0:
         return "0"
-    sign = "-" if num < 0 else ""
-    num_s = _format_factored_int(abs(num))
-    if den == 1:
-        return sign + num_s
-    return f"{sign}{num_s}/{_format_factored_int(den)}"
+    text = "-" + _factor_text(-num) if num < 0 else _factor_text(num)
+    return text if den == 1 else f"{text}/{_factor_text(den)}"
+
+
+def _factor_text(v: int) -> str:
+    """One side of `format_factorized`."""
+    factors = factorize_integer(v)
+    if v >= _RHO_FLOOR and factors[-1][0] >= _RHO_FLOOR:
+        residual = factors[-1][0]
+        if residual < _SPSP_BOUNDS[-1] and not _is_proven_prime(residual):
+            parts = sorted(_prime_parts(residual))
+            factors[-1:] = [(p, parts.count(p)) for p in sorted(set(parts))]
+    text = ""
+    for p, e in factors:
+        text += f"×{p}^{e}" if e > 1 else f"×{p}"
+    return text[1:] or "1"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -259,11 +301,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
-# round-half-even with no traps and an exponent range no rational reaches;
-# never modified, only copied
-_RENDER_CONTEXT = Context(
-    rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[]
-)
+@functools.lru_cache(maxsize=32)
+def _render_context(digits: int) -> Context:
+    """The context of `render_decimal` at ``digits``, one per digit count.
+
+    Round-half-even, no traps and an exponent range no rational reaches.
+    Every call at the same digit count shares it; a division in it only ever
+    sets its flags, which nothing reads.
+    """
+    return Context(
+        prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0, flags=[], traps=[]
+    )
 
 
 def render_decimal(x: Fraction, digits: int = 12) -> str:
@@ -276,6 +324,5 @@ def render_decimal(x: Fraction, digits: int = 12) -> str:
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    ctx = _RENDER_CONTEXT.copy()
-    ctx.prec = digits
+    ctx = _render_context(digits)
     return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))

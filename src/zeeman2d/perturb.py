@@ -47,14 +47,19 @@ multiple s_j P_{n_r}, so
 where s_j is a `_moment3_factor` times a ratio of at most three consecutive
 integers, and P_{n_r}/P_j is such a ratio too.  With q = 2n - 1 = 2N this is
 
-    eps4 = -(q^4 / 2^17) * [ q * sum_{j != n_r} T_j/(j - n_r) - 5 T_{n_r} ],
+    eps4 = -(q^4 / 2^17) * [ q * sum_{j != n_r} T_j/(j - n_r) - 5 T_{n_r} ].
 
-which `eps4_sturmian` sums as one integer numerator over one integer
-denominator and a single `Fraction` at the end.  The integer pairs
-(num, den) of the terms come from `coulomb._window_terms`, the one home of
-the R_j^2 formula.  Every coefficient, closed forms included, is one
-`Fraction` built from integers, with no rational arithmetic on N: the
-closed forms are powers of q times a polynomial body over a power of 2.
+`coulomb._window_terms`, the one home of the R_j^2 formula, gives the
+window's T_j (seven of them once n_r >= 3) as integer numerators t_j over
+one integer denominator D: the denominators of each side of n_r nest.
+Since 6/(j - n_r) is an integer for |j - n_r| <= 3, `eps4_sturmian` sums
+
+    eps4 = -q^4 [ q * sum_{j != n_r} (6/(j - n_r)) t_j - 30 t_{n_r} ] / (6 * 2^17 D)
+
+in integers and builds a single `Fraction` at the end.  Every coefficient,
+closed forms included, is one `Fraction` built from integers, with no
+rational arithmetic on N: the closed forms are powers of q times a
+polynomial body over a power of 2.
 """
 
 from __future__ import annotations
@@ -94,32 +99,17 @@ def eps1(m_l: int, m_s: Fraction | None = None) -> Fraction:
 
 def eps2_closed(n: int, l: int) -> Fraction:
     """Second order, closed form: N^2 (5n^2 - 5n - 3l^2 + 3) / 16."""
-    n, l = _check_level(n, l)
-    q = 2 * n - 1
-    return Fraction(q * q * (5 * n * n - 5 * n - 3 * l * l + 3), 64)
+    return _eps2_closed(*_check_level(n, l))
 
 
 def eps2_integral(n: int, l: int) -> Fraction:
     """Second order, integral route: (1/8) r^2 moment of the bound density."""
-    n, l = _check_level(n, l)
-    return Fraction((2 * n - 1) * _moment3_factor(n - l - 1, 0, 2 * l), 128)
+    return _eps2_integral(*_check_level(n, l))
 
 
 def eps4_closed(n: int, l: int) -> Fraction:
     """Fourth order, closed form (negative for every bound state)."""
-    n, l = _check_level(n, l)
-    body = (
-        143 * n**4
-        - 286 * n**3
-        - 90 * n**2 * l**2
-        + 582 * n**2
-        + 90 * n * l**2
-        - 439 * n
-        - 21 * l**4
-        - 138 * l**2
-        + 159
-    )
-    return Fraction(-((2 * n - 1) ** 6) * body, 65536)
+    return _eps4_closed(*_check_level(n, l))
 
 
 def eps4_sturmian(n: int, l: int) -> Fraction:
@@ -128,19 +118,37 @@ def eps4_sturmian(n: int, l: int) -> Fraction:
     The r^2 operator couples the level only to Sturmians with
     |n_r' - n_r| <= 3, so the formally infinite reduced sum is exact after
     seven terms; the -5/2 diagonal piece carries the pole subtraction and
-    the derivative terms of the reduced kernel.  The shifted terms are summed
-    as one integer fraction num/den.
+    the derivative terms of the reduced kernel.
     """
-    n, l = _check_level(n, l)
-    n_r = n - l - 1
-    terms = _window_terms(n_r, 2 * l)
-    r_num, r_den = terms.pop(n_r)
-    num, den = 0, 1
-    for j, (t_num, t_den) in terms.items():
-        t_den *= j - n_r
-        num, den = num * t_den + t_num * den, den * t_den
+    return _eps4_sturmian(*_check_level(n, l))
+
+
+# The unchecked cores of the four routes, for labels already checked.
+
+
+def _eps2_closed(n: int, l: int) -> Fraction:
     q = 2 * n - 1
-    return Fraction(-(q**4) * (q * num * r_den - 5 * r_num * den), 2**17 * den * r_den)
+    return Fraction(q * q * (5 * n * n - 5 * n - 3 * l * l + 3), 64)
+
+
+def _eps2_integral(n: int, l: int) -> Fraction:
+    return Fraction((2 * n - 1) * _moment3_factor(n - l - 1, 0, 2 * l), 128)
+
+
+def _eps4_closed(n: int, l: int) -> Fraction:
+    n2, l2 = n * n, l * l
+    # 143n^4 - 286n^3 - 90n^2 l^2 + 582n^2 + 90n l^2 - 439n - 21l^4 - 138l^2 + 159
+    body = (143 * n2 - 286 * n + 582 - 90 * l2) * n2 + (90 * l2 - 439) * n - (21 * l2 + 138) * l2 + 159
+    q2 = (2 * n - 1) ** 2
+    return Fraction(-q2 * q2 * q2 * body, 65536)
+
+
+def _eps4_sturmian(n: int, l: int) -> Fraction:
+    # t_j = T_j D for j = n_r - 3 .. n_r + 3, each shifted one taken 6/(j - n_r) times
+    t, den = _window_terms(n - l - 1, 2 * l)
+    shifted = 6 * (t[4] - t[2]) + 3 * (t[5] - t[1]) + 2 * (t[6] - t[0])
+    q = 2 * n - 1
+    return Fraction(-(q**4) * (q * shifted - 30 * t[3]), 3 * 2**18 * den)
 
 
 @dataclass(frozen=True)
@@ -162,15 +170,18 @@ class CoefficientSet:
 
 
 def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> CoefficientSet:
-    """Coefficients of (n, l) by the named exact route, computed on each call."""
+    """Coefficients of (n, l) by the named exact route, computed on each call.
+
+    The labels are checked once, here; the route's cores take them as checked.
+    """
     n, l = _check_level(n, l)
     if provenance == "closed_form":
-        e2, e4 = eps2_closed(n, l), eps4_closed(n, l)
+        e2, e4 = _eps2_closed(n, l), _eps4_closed(n, l)
     elif provenance == "sturmian_sum":
-        e2, e4 = eps2_integral(n, l), eps4_sturmian(n, l)
+        e2, e4 = _eps2_integral(n, l), _eps4_sturmian(n, l)
     else:
         raise ValueError("provenance must be 'closed_form' or 'sturmian_sum'")
-    return CoefficientSet(n=n, l=l, eps0=eps0(n), eps2=e2, eps4=e4, provenance=provenance)
+    return CoefficientSet(n, l, eps0(n), e2, e4, provenance)
 
 
 @dataclass(frozen=True)

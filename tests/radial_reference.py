@@ -320,5 +320,6 @@ def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fracti
         raise ValueError("n_r_prime must be non-negative")
     if abs(n_r_prime - state.n_r) > 3:
         return Fraction(0)
-    term = Fraction(*_window_terms(state.n_r, 2 * state.l)[n_r_prime])
+    terms, den = _window_terms(state.n_r, 2 * state.l)
+    term = Fraction(terms[n_r_prime - state.n_r + 3], den)
     return state.effective_n**4 / (64 * Fraction(Z) ** 6) * term

@@ -320,6 +320,23 @@ class TestR2Element:
         with pytest.raises(ArithmeticError, match="multiple"):
             eps4_sturmian(3, 1)
 
+    def test_farthest_lower_term_is_checked(self, monkeypatch):
+        # perturbing only the d = 3 factor leaves every other window term
+        # exact, so only the check of j = n_r - 3 can fire.  At (5, 1),
+        # n_r = 3 and alpha = 2, so j = 0: the true factor is -60, the
+        # multiplier prod(1..3) = 6 and the divisor prod(3..5) = 60, and the
+        # perturbed -59 leaves a remainder.  The d = 3 term above the level
+        # takes no division and has no check
+        true_factor = coulomb._moment3_factor
+        monkeypatch.setattr(coulomb, "_moment3_factor", lambda lo, d, a: true_factor(lo, d, a) + (d == 3))
+        with pytest.raises(ArithmeticError, match=r"M\(3, 0\) at alpha = 2"):
+            eps4_sturmian(5, 1)
+        with pytest.raises(ArithmeticError, match=r"M\(3, 0\) at alpha = 2"):
+            r2_element_squared(QuantumState(5, 1, 1), 0)
+        # a level with n_r < 3 has no j = n_r - 3 term, so the same perturbation
+        # only shifts the d = 3 term above it and raises nothing
+        assert eps4_sturmian(4, 1) != eps4_closed(4, 1)
+
     def test_z_dependence(self):
         # each element scales as 1/Z^3... squared as 1/Z^6
         st = QuantumState(3, 1, 1)

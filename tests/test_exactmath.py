@@ -166,7 +166,6 @@ class TestFactorizeInteger:
     def test_small_primes_are_the_odd_primes_below_256(self):
         assert exactmath._SMALL_PRIMES == tuple(_odd_primes(3, 255))
         assert exactmath._SMALL_PRODUCT == math.prod(exactmath._SMALL_PRIMES)
-        assert exactmath._SMALL_BOUND == 257**2
 
     def test_runs_cover_the_primes_in_order(self, monkeypatch):
         monkeypatch.setattr(exactmath, "_prime_table", (1, []))
@@ -209,7 +208,7 @@ class TestFactorizeInteger:
                 assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
 
     def test_table_grown_mid_call(self, monkeypatch):
-        # the table ends inside the first run (257 .. 293 of 257 .. 401).
+        # the table ends inside the first run (257 .. 293 of 257 .. 887).
         # The short run is tried before the table grows, so a factor in it
         # shrinks the cofactor first and the table grows only as far as plain
         # trial division needs; the run is then tried again, whole
@@ -241,6 +240,23 @@ def _strong_probable_prime(n: int, a: int) -> bool:
         d, s = d // 2, s + 1
     x = pow(a, d, n)
     return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def _printed_factors(text: str) -> list[tuple[int, int]]:
+    """The (base, exponent) pairs of a rendering such as ``-3×53/2^16``, both sides."""
+    pairs = []
+    for factor in text.lstrip("-").replace("/", "×").split("×"):
+        base, _, exp = factor.partition("^")
+        pairs.append((int(base), int(exp or 1)))
+    return pairs
+
+
+def _unfactor(text: str) -> Fraction:
+    """The value of a rendering such as ``-3×53/2^16``."""
+    num, _, den = text.lstrip("-").partition("/")
+    value = Fraction(math.prod(p**e for p, e in _printed_factors(num)),
+                     math.prod(p**e for p, e in _printed_factors(den or "1")))
+    return -value if text.startswith("-") else value
 
 
 def _odd_trial_division(value: int, trial_limit: int) -> list[tuple[int, int]]:
@@ -282,6 +298,47 @@ class TestFormatting:
                     parts += [format_factorized(v), render_decimal(v, 12)]
                 digest.update((" ".join(parts) + "\n").encode())
         assert digest.hexdigest() == "319fe587e78cbb3ca9f14b2bb9ffd34eb629193623c28f1eab643ecca6607800"
+
+    def test_composite_residuals_are_split_into_proven_primes(self):
+        # at the default cap these eps4 numerators leave a composite residual
+        # above 10^12 (4128343675363 = 1334117 × 3094439 at (413, 28)), which
+        # factorize_integer keeps whole and the rendering splits
+        pinned = {
+            (413, 28): "-3^6×5^12×11^6×1334117×3094439/2^16",
+            (419, 28): "-3^18×31^6×1849273×2365357/2^16",
+            (443, 210): "-3^6×5^6×59^6×1376257×3389413/2^16",
+        }
+        for (n, l), text in pinned.items():
+            value = coefficient_set(n, l).eps4
+            assert format_factorized(value) == text
+            residual = factorize_integer(-value.numerator)[-1][0]
+            assert residual > exactmath.TRIAL_DIVISION_LIMIT**2 and not exactmath._is_proven_prime(residual)
+            assert _unfactor(text) == value
+            assert all(p < 257**2 or exactmath._is_proven_prime(p) for p, _ in _printed_factors(text))
+
+    def test_prime_square_residual(self):
+        # the square of a prime just past the cap is left whole by the trial
+        # division and rendered as a power
+        p = 1_000_003
+        assert factorize_integer(3 * p * p) == [(3, 1), (p * p, 1)]
+        assert format_factorized(Fraction(3 * p * p, 32)) == "3×1000003^2/2^5"
+        assert format_factorized(Fraction(p**3)) == "1000003^3"
+        assert exactmath._is_proven_prime(p)
+
+    def test_residual_past_the_proof_bound_is_printed_whole(self):
+        # no Miller-Rabin base set is proven from 3.3e24 on: a residual there
+        # is printed as it stands, prime or not
+        composite = (10**12 + 39) * (10**13 + 37)
+        assert composite >= exactmath._SPSP_BOUNDS[-1]
+        assert format_factorized(Fraction(composite)) == str(composite)
+        assert format_factorized(Fraction(2**89 - 1, 3)) == f"{2**89 - 1}/3"
+        below = (10**12 + 39) * (10**12 + 61)
+        assert format_factorized(Fraction(below)) == "1000000000039×1000000000061"
+
+    def test_rho_factor_finds_a_proper_factor(self):
+        for p, q in ((1_000_003, 1_000_003), (1_000_003, 1_000_033), (1334117, 3094439), (10**6 + 3, 2**61 - 1)):
+            d = exactmath._rho_factor(p * q)
+            assert 1 < d < p * q and (p * q) % d == 0
 
     def test_rational_round_trip(self):
         for q in (Fraction(3, 64), Fraction(-159, 65536), Fraction(7), Fraction(0)):
