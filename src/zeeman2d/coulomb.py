@@ -15,12 +15,19 @@ window term.
 The module is also the one home of the input checks that every entry point
 of the package shares (level labels, spin projection, charge) and of the
 zeroth-order coefficient -2/q^2 (q = 2n - 1), which `energy0` scales by Z^2.
+
+`QuantumState`, like every record of the package, is an immutable named
+tuple (`collections.namedtuple`): assigning to a field raises
+`AttributeError`; it indexes, iterates and compares as a tuple; and
+`_replace` (through `_make`) re-runs the checks of the constructor.  The
+exact layers (`exactmath`, `laguerre`, `coulomb`, `perturb`, `reference`)
+load no numpy, no scipy and no `inspect`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .laguerre import _moment3_factor
@@ -60,29 +67,30 @@ def _check_charge(Z) -> Fraction:
     return Z
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(namedtuple("QuantumState", "n l m_l m_s")):
     """Bound-state labels (n, l, m_l) plus an optional spin projection.
 
     l counts radial symmetry: 0 <= l <= n-1 and |m_l| = l (the planar atom
     has a single angular quantum number; l is its magnitude).  m_s, when
     present, must be +-1/2.  The labels are taken through `operator.index`,
     so a float raises `TypeError` and every label is stored as an `int`.
+    Like every record of the package it is an immutable named tuple, and
+    `_replace` builds through the same checks.
     """
 
-    n: int
-    l: int
-    m_l: int
-    m_s: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n, l = _check_level(self.n, self.l)
-        m_l = operator.index(self.m_l)
+    def __new__(cls, n: int, l: int, m_l: int, m_s: Fraction | None = None) -> "QuantumState":
+        n, l = _check_level(n, l)
+        m_l = operator.index(m_l)
         if abs(m_l) != l:
             raise ValueError("m_l must satisfy |m_l| = l")
-        m_s = None if self.m_s is None else _check_spin(self.m_s)
-        for name, value in (("n", n), ("l", l), ("m_l", m_l), ("m_s", m_s)):
-            object.__setattr__(self, name, value)
+        m_s = None if m_s is None else _check_spin(m_s)
+        return tuple.__new__(cls, (n, l, m_l, m_s))
+
+    @classmethod
+    def _make(cls, iterable) -> "QuantumState":
+        return cls(*iterable)
 
     @property
     def n_r(self) -> int:

@@ -62,18 +62,34 @@ _RUN = 100
 
 
 def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """The prime table, first sieved up to ``limit`` if it stops short of it."""
+    """The prime table, first grown up to ``limit`` if it stops short of it.
+
+    Only the odd numbers of (old limit, limit] are sieved, by the odd primes
+    up to sqrt(limit).  The complete runs of the old table keep their
+    products, and the runs are cut again from the first prime of its short
+    last run, so the table equals one sieved at ``limit`` in a single step.
+    """
     global _prime_table
     table = _prime_table
-    if table[0] < limit:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        primes = list(itertools.compress(range(257, limit + 1, 2), sieve[257::2]))
-        runs = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
-        table = (limit, [(math.prod(run), run) for run in runs])
+    covered, runs = table
+    if covered < limit:
+        root = math.isqrt(limit)
+        base = bytearray([1]) * (root + 1)
+        for p in range(3, math.isqrt(root) + 1, 2):
+            if base[p]:
+                base[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
+        lo = max(covered + 1, 257) | 1  # odd
+        segment = bytearray([1]) * len(range(lo, limit + 1, 2))  # slot i holds lo + 2i
+        for p in itertools.compress(range(3, root + 1, 2), base[3::2]):
+            first = max(p * p, -(-lo // p) * p)
+            i = (first + p * (1 - first % 2) - lo) // 2  # the slot of the first odd multiple
+            segment[i::p] = bytes(len(range(i, len(segment), p)))
+        carry = ()
+        if runs and len(runs[-1][1]) < _RUN:
+            runs, carry = runs[:-1], runs[-1][1]
+        primes = [*carry, *itertools.compress(range(lo, limit + 1, 2), segment)]
+        new = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
+        table = (limit, runs + [(math.prod(run), run) for run in new])
         _prime_table = table
     return table
 

@@ -71,7 +71,7 @@ raises `ValueError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -121,24 +121,25 @@ class QuadratureError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GreenEvalConfig:
+class GreenEvalConfig(namedtuple("GreenEvalConfig", "l level Z")):
     """The reduced kernel of channel l anchored at the bound level n, charge Z.
 
-    (level, l) and Z pass the level and charge checks of `coulomb`.
+    (level, l) and Z pass the level and charge checks of `coulomb`.  Like
+    every record of the package it is an immutable named tuple, and
+    `_replace` builds through the same checks.  It declares no
+    ``__slots__``, so each instance has the ``__dict__`` in which
+    `scale_float` is kept once computed.
     """
 
-    l: int
-    level: int
-    Z: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        level, l = _check_level(self.level, self.l)
+    def __new__(cls, l: int, level: int, Z: Fraction = Fraction(1)) -> "GreenEvalConfig":
+        level, l = _check_level(level, l)
         if l > MAX_L:
             raise ValueError(f"l = {l} exceeds MAX_L = {MAX_L}: (2l)! overflows a float")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "Z", _check_charge(self.Z))
+        return tuple.__new__(cls, (l, level, _check_charge(Z)))
+
+    @classmethod
+    def _make(cls, iterable) -> "GreenEvalConfig":
+        return cls(*iterable)
 
     @classmethod
     def for_level(cls, n: int, l: int, Z: Fraction = Fraction(1)) -> "GreenEvalConfig":

@@ -51,7 +51,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -115,8 +115,7 @@ class LevelCrossingError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class GalerkinConfig:
+class GalerkinConfig(namedtuple("GalerkinConfig", "l Z basis_size reference_energy target_n_r")):
     """The Galerkin problem of one radial channel: charge, basis, anchor, level.
 
     It holds no field: the fit forms H(b) = H0 + (b^2/8) R from the rounded
@@ -124,27 +123,37 @@ class GalerkinConfig:
     unperturbed energy of the tracked level (n = target_n_r + l + 1), the
     one anchor at which the tracked eigenvalue is exact at b = 0.  It must
     have a rational Sturmian scale sqrt(-2 E*), otherwise exact matrix
-    assembly is impossible and `_exact_pieces` raises ValueError.
+    assembly is impossible and `_exact_pieces` raises ValueError.  Like
+    every record of the package it is an immutable named tuple, and
+    `_replace` builds through the same checks.
     """
 
-    l: int
-    Z: Fraction = Fraction(1)
-    basis_size: int = DEFAULT_BASIS_SIZE
-    reference_energy: Fraction | None = None
-    target_n_r: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.l < 0:
+    def __new__(
+        cls,
+        l: int,
+        Z: Fraction = Fraction(1),
+        basis_size: int = DEFAULT_BASIS_SIZE,
+        reference_energy: Fraction | None = None,
+        target_n_r: int = 0,
+    ) -> "GalerkinConfig":
+        if l < 0:
             raise ValueError("l must be non-negative")
-        object.__setattr__(self, "Z", _check_charge(self.Z))
-        if self.target_n_r < 0:
+        Z = _check_charge(Z)
+        if target_n_r < 0:
             raise ValueError("target_n_r must be non-negative")
-        if self.basis_size < self.target_n_r + 20:
+        if basis_size < target_n_r + 20:
             raise ValueError("basis_size must be at least target_n_r + 20")
-        if self.reference_energy is not None:
-            object.__setattr__(self, "reference_energy", Fraction(self.reference_energy))
-            if self.reference_energy >= 0:
+        if reference_energy is not None:
+            reference_energy = Fraction(reference_energy)
+            if reference_energy >= 0:
                 raise ValueError("reference energy must be negative")
+        return tuple.__new__(cls, (l, Z, basis_size, reference_energy, target_n_r))
+
+    @classmethod
+    def _make(cls, iterable) -> "GalerkinConfig":
+        return cls(*iterable)
 
     @property
     def unperturbed_energy(self) -> Fraction:
@@ -159,34 +168,28 @@ class GalerkinConfig:
         return self.unperturbed_energy
 
 
-@dataclass(frozen=True)
-class ExactBand:
+class ExactBand(namedtuple("ExactBand", "diagonals denominator")):
     """The diagonals of one exact band as integer numerators over one denominator.
 
     ``diagonals[d][i]`` is the entry (i, i+d) times ``denominator`` (> 0).
     """
 
-    diagonals: tuple[tuple[int, ...], ...]
-    denominator: int
+    __slots__ = ()
 
     def rounded(self) -> list[np.ndarray]:
         """Each diagonal correctly rounded to doubles: one integer division per entry."""
         return [np.array([num / self.denominator for num in diagonal]) for diagonal in self.diagonals]
 
 
-@dataclass(frozen=True)
-class ExactBands:
-    """Exact bands of the unnormalized Galerkin problem.
+class ExactBands(namedtuple("ExactBands", "weighted_norm h0 overlap r2")):
+    """Exact bands of the unnormalized Galerkin problem, each an `ExactBand`.
 
     ``weighted_norm`` holds the diagonal W, ``h0`` the diagonal and first
     off-diagonal of H0 = D + E* O, ``overlap`` the two diagonals of O and
     ``r2`` the four diagonals of R.
     """
 
-    weighted_norm: ExactBand
-    h0: ExactBand
-    overlap: ExactBand
-    r2: ExactBand
+    __slots__ = ()
 
 
 def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> ExactBands:
@@ -226,18 +229,15 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     )
 
 
-@dataclass(frozen=True)
-class FloatBands:
-    """Normalized float H0, R and O in LAPACK upper band storage.
+class FloatBands(namedtuple("FloatBands", "h0 r2 overlap")):
+    """Normalized float H0, R and O (numpy arrays) in LAPACK upper band storage.
 
     Row HALF_BANDWIDTH - d holds diagonal d: ``band[3 - d, j] = A[j - d, j]``.
     Columns 0..m'-1 hold the leading m' x m' block, so slicing them is the
     same problem in the first m' basis functions.
     """
 
-    h0: np.ndarray
-    r2: np.ndarray
-    overlap: np.ndarray
+    __slots__ = ()
 
     def hamiltonian(self, b: Fraction) -> np.ndarray:
         return self.h0 + float(b * b / 8) * self.r2
@@ -520,25 +520,21 @@ def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[F
     return [b_max * i / 8 for i in range(9)]
 
 
-@dataclass(frozen=True)
-class FieldFitResult:
+class FieldFitResult(
+    namedtuple(
+        "FieldFitResult",
+        "state Z basis_size fields energies residuals powers coefficients conditioning amplification noise_floor",
+    )
+):
     """Even-power fit of the tracked level's field dependence.
 
+    ``fields``, ``energies``, ``residuals`` and ``powers`` are tuples, and
+    ``coefficients`` and ``amplification`` map each power to a float.
     ``residuals`` holds |H x - lambda O x| of the converged eigenpair at each
     field, in the order of ``fields``.
     """
 
-    state: QuantumState
-    Z: Fraction
-    basis_size: int
-    fields: tuple[Fraction, ...]
-    energies: tuple[float, ...]
-    residuals: tuple[float, ...]
-    powers: tuple[int, ...]
-    coefficients: dict[int, float]
-    conditioning: float
-    amplification: dict[int, float]
-    noise_floor: float
+    __slots__ = ()
 
     def coefficient_uncertainty(self, power: int) -> float:
         """Crude one-sigma noise propagation through the least squares.

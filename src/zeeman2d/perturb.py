@@ -60,12 +60,17 @@ in integers and builds a single `Fraction` at the end.  Every coefficient,
 closed forms included, is one `Fraction` built from integers, with no
 rational arithmetic on N: the closed forms are powers of q times a
 polynomial body over a power of 2.
+
+The records `CoefficientSet`, `EnergyResult` and `DisputedValueReport` are
+immutable named tuples, like `coulomb.QuantumState`: they index, iterate and
+compare as tuples, and assigning to a field raises `AttributeError`.  The
+module loads no numpy, no scipy and no `inspect`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import reference
@@ -151,8 +156,7 @@ def _eps4_sturmian(n: int, l: int) -> Fraction:
     return Fraction(-(q**4) * (q * shifted - 30 * t[3]), 3 * 2**18 * den)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(namedtuple("CoefficientSet", "n l eps0 eps2 eps4 provenance")):
     """Exact field-free, quadratic and quartic coefficients of one (n, l).
 
     The first-order coefficient is a property of m_l alone (see `eps1`) and
@@ -161,12 +165,7 @@ class CoefficientSet:
     suite enforces state by state.
     """
 
-    n: int
-    l: int
-    eps0: Fraction
-    eps2: Fraction
-    eps4: Fraction
-    provenance: str
+    __slots__ = ()
 
 
 def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> CoefficientSet:
@@ -184,19 +183,19 @@ def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> Coeffici
     return CoefficientSet(n, l, eps0(n), e2, e4, provenance)
 
 
-@dataclass(frozen=True)
-class EnergyResult:
-    """Term-by-term exact energy of one state at one field strength."""
+class EnergyResult(
+    namedtuple(
+        "EnergyResult",
+        "state Z b order spin_included terms total regime_warning truncation_note",
+        defaults=(TRUNCATION_NOTE,),
+    )
+):
+    """Term-by-term exact energy of one state at one field strength.
 
-    state: QuantumState
-    Z: Fraction
-    b: Fraction
-    order: int
-    spin_included: bool
-    terms: dict[int, Fraction]
-    total: Fraction
-    regime_warning: bool
-    truncation_note: str = TRUNCATION_NOTE
+    ``terms`` maps each order k to its exact term eps^(k) Z^(2-2k) b^k.
+    """
+
+    __slots__ = ()
 
 
 def assemble_energy(
@@ -242,32 +241,24 @@ def assemble_energy(
     )
 
 
-@dataclass(frozen=True)
-class DisputedValueReport:
-    """Three-route comparison of the ground-state quartic coefficient."""
+class DisputedValueReport(
+    namedtuple(
+        "DisputedValueReport",
+        "closed_form sturmian_sum literature half_gap oracle_estimate oracle_uncertainty "
+        "routes_agree literature_rejected accepted_value",
+    )
+):
+    """Three-route comparison of the ground-state quartic coefficient.
 
-    closed_form: Fraction
-    sturmian_sum: Fraction
-    literature: Fraction
-    half_gap: Fraction
-    oracle_estimate: float | None
-    oracle_uncertainty: float | None
-    routes_agree: bool
-    literature_rejected: bool | None
-    accepted_value: Fraction
+    The exact values are `Fraction`s; the oracle estimate and its
+    uncertainty are floats, or None when no fit was run.
+    """
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {
-            "closed_form": str(self.closed_form),
-            "sturmian_sum": str(self.sturmian_sum),
-            "literature": str(self.literature),
-            "half_gap": str(self.half_gap),
-            "oracle_estimate": self.oracle_estimate,
-            "oracle_uncertainty": self.oracle_uncertainty,
-            "routes_agree": self.routes_agree,
-            "literature_rejected": self.literature_rejected,
-            "accepted_value": str(self.accepted_value),
-        }
+        """The fields by name, with every exact value as its string (JSON keeps no rationals)."""
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in self._asdict().items()}
 
     def summary_line(self, digits: int = 9) -> str:
         verdict = (

@@ -289,9 +289,11 @@ PIN_PROBE = (
 
 class TestLayering:
     def test_exact_commands_never_load_numpy(self):
-        # coeff, table and the exact part of validate run on rationals alone;
-        # the oracle, and with it numpy and scipy, is imported only for fits,
-        # and so is the BLAS thread pin: these commands leave os.environ alone
+        # coeff, table, energy and the exact part of validate run on rationals
+        # alone; the oracle, and with it numpy and scipy, is imported only for
+        # fits, and so is the BLAS thread pin: these commands leave os.environ
+        # alone.  The records are named tuples, so neither dataclasses nor the
+        # inspect module it pulls in is loaded either
         script = (
             "import contextlib, io, os, sys\n"
             "from zeeman2d import cli\n"
@@ -299,8 +301,10 @@ class TestLayering:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['coeff', '3', '1']) == 0\n"
             "    assert cli.main(['table']) == 0\n"
+            "    assert cli.main(['energy', '--n', '2', '--l', '1', '--ml', '1', '--B-over-B0', '1/100']) == 0\n"
             "    assert cli.main(['validate', '--max-n', '0']) == 0\n"
-            "print(sorted({'numpy', 'scipy', 'zeeman2d.oracle'} & set(sys.modules)), dict(os.environ) == before)\n"
+            "loaded = {'numpy', 'scipy', 'zeeman2d.oracle', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "print(sorted(loaded), dict(os.environ) == before)\n"
         )
         assert run_isolated(["-c", script]).strip() == "[] True"
 
@@ -333,6 +337,7 @@ class TestLayering:
             "import zeeman2d\n"
             "for module in pkgutil.iter_modules(zeeman2d.__path__):\n"
             "    importlib.import_module('zeeman2d.' + module.name)\n"
+            "assert 'dataclasses' not in sys.modules, 'a zeeman2d module loads dataclasses'\n"
             "print(' '.join(zeeman2d.__all__))\n"
         )
         # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps bytecode out of src

@@ -1,6 +1,7 @@
 """Tests for the planar Coulomb bound states and Sturmian functions."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,33 @@ class TestQuantumState:
         assert all(type(v) is int for v in (st.n, st.l, st.m_l))
         assert coefficient_set(np.int64(3), np.int64(1)) == coefficient_set(3, 1)
         assert GreenEvalConfig(l=np.int64(1), level=np.int64(3)) == GreenEvalConfig(l=1, level=3)
+
+    def test_fields_are_read_only(self):
+        st = QuantumState(3, 1, -1)
+        for name in ("n", "l", "m_l", "m_s"):
+            with pytest.raises(AttributeError):
+                setattr(st, name, 1)
+        assert st == (3, 1, -1, None)
+
+    def test_replace_runs_the_constructor_checks(self):
+        for changes, args in (({"l": 3}, (1, 3, 0)), ({"m_l": 1}, (1, 0, 1)), ({"m_s": 1}, (1, 0, 0, 1))):
+            with pytest.raises(ValueError) as direct:
+                QuantumState(*args)
+            with pytest.raises(ValueError) as replaced:
+                QuantumState(1, 0, 0)._replace(**changes)
+            assert str(replaced.value) == str(direct.value)
+        with pytest.raises(ValueError, match="l must satisfy"):
+            QuantumState._make((1, 3, 0, None))
+        moved = QuantumState(3, 1, 1)._replace(m_l=np.int64(-1), m_s="1/2")
+        assert moved == QuantumState(3, 1, -1, Fraction(1, 2)) and type(moved.m_l) is int
+
+    def test_repr_and_pickle(self):
+        spin = QuantumState(2, 1, -1, Fraction(1, 2))
+        assert repr(QuantumState(1, 0, 0)) == "QuantumState(n=1, l=0, m_l=0, m_s=None)"
+        assert repr(spin) == "QuantumState(n=2, l=1, m_l=-1, m_s=Fraction(1, 2))"
+        for st in (QuantumState(1, 0, 0), spin):
+            back = pickle.loads(pickle.dumps(st))
+            assert back == st and type(back) is QuantumState
 
 
 class TestEnergy0:

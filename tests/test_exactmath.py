@@ -227,6 +227,29 @@ class TestFactorizeInteger:
             assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
         assert exactmath._prime_table[0] > 600
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 20_000), min_size=1, max_size=6))
+    @example([300, 887, 888, 2000])  # ends inside the first run, at its last prime, past it
+    @example([256, 257, 258, 1000, 999])
+    def test_grown_table_equals_one_sieve(self, limits):
+        # growing sieves only the new range and keeps the old complete runs;
+        # the table must equal the one sieved at the final limit in one step,
+        # runs and products alike, and no table handed out may change later
+        saved = exactmath._prime_table
+        try:
+            exactmath._prime_table = (1, [])
+            handed = []
+            for limit in limits:
+                table = exactmath._primes_through(limit)
+                handed.append((table, list(table[1])))
+            grown = exactmath._prime_table
+            exactmath._prime_table = (1, [])
+            assert grown == exactmath._primes_through(max(limits))
+            assert grown[0] == max(limits)
+            assert all(table[1] == runs for table, runs in handed)
+        finally:
+            exactmath._prime_table = saved
+
 
 def _odd_primes(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, by trial division (lo >= 3)."""

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -65,6 +66,36 @@ class TestConfig:
                     k = Z / Fraction(2 * n - 1, 2)
                     assert -2 * energy0(QuantumState(n, l, l), Z) == k * k
                     assert cfg.scale_float == float(k)
+
+
+    def test_record_contract(self):
+        cfg = GreenEvalConfig.for_level(250, 1, Z=2)
+        assert repr(cfg) == "GreenEvalConfig(l=1, level=250, Z=Fraction(2, 1))"
+        with pytest.raises(AttributeError):
+            cfg.l = 2
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and type(back) is GreenEvalConfig
+        # _replace builds through the constructor: l = 200 passes the level
+        # check at n = 250 and fails the MAX_L one, as a direct build does
+        with pytest.raises(ValueError) as direct:
+            GreenEvalConfig(l=200, level=250, Z=2)
+        with pytest.raises(ValueError) as replaced:
+            cfg._replace(l=200)
+        assert "MAX_L" in str(direct.value) and str(replaced.value) == str(direct.value)
+        with pytest.raises(ValueError, match="Z must be positive"):
+            cfg._replace(Z=0)
+
+    def test_scale_float_is_computed_once(self):
+        cfg = GreenEvalConfig.for_level(3, 1)
+        assert "scale_float" not in vars(cfg)
+        first = cfg.scale_float
+        assert vars(cfg) == {"scale_float": first}
+        assert cfg.scale_float is first
+        assert pickle.loads(pickle.dumps(cfg)).scale_float == first
+        # a replaced config is a new record, which computes its own
+        other = cfg._replace(Z=3)
+        assert "scale_float" not in vars(other)
+        assert other.scale_float == 1.2  # k = 3 / (5/2)
 
 
 class TestReducedKernel:

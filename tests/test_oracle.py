@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -124,6 +125,32 @@ class TestGalerkinConfig:
     def test_nonnegative_reference_rejected(self):
         with pytest.raises(ValueError):
             GalerkinConfig(l=0, reference_energy=Fraction(1, 2), basis_size=BASIS_SMALL)
+
+    def test_record_contract(self):
+        cfg = GalerkinConfig(l=1, basis_size=BASIS_SMALL)
+        assert repr(cfg) == "GalerkinConfig(l=1, Z=Fraction(1, 1), basis_size=40, reference_energy=None, target_n_r=0)"
+        with pytest.raises(AttributeError):
+            cfg.basis_size = 5
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and type(back) is GalerkinConfig
+        # _replace builds through the constructor, so no check is skipped
+        with pytest.raises(ValueError) as direct:
+            GalerkinConfig(l=1, basis_size=5)
+        with pytest.raises(ValueError) as replaced:
+            cfg._replace(basis_size=5)
+        assert str(replaced.value) == str(direct.value)
+        for changes in ({"Z": 0}, {"reference_energy": Fraction(1, 2)}, {"l": -1}, {"target_n_r": 30}):
+            with pytest.raises(ValueError):
+                cfg._replace(**changes)
+        assert cfg._replace(reference_energy="-1/2").reference_energy == Fraction(-1, 2)
+
+    def test_exact_bands_repr(self):
+        assert repr(_exact_pieces(0, Fraction(1), 2, Fraction(-2))) == (
+            "ExactBands(weighted_norm=ExactBand(diagonals=((1, 1),), denominator=1), "
+            "h0=ExactBand(diagonals=((-2, 2), (2,)), denominator=4), "
+            "overlap=ExactBand(diagonals=((1, 3), (-1,)), denominator=4), "
+            "r2=ExactBand(diagonals=((6, 78), (-18,), (), ()), denominator=64))"
+        )
 
 
 class TestExactMatrices:

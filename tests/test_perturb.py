@@ -1,6 +1,7 @@
 """Tests for the exact perturbative coefficients and energy assembly."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -150,8 +151,30 @@ class TestCoefficientSet:
 
     def test_frozen(self):
         cs = coefficient_set(1, 0)
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             cs.eps2 = Fraction(1)
+
+    def test_records_keep_their_repr_and_pickle(self):
+        # EnergyResult holds a dict, so it is unhashable: pairs, not a mapping
+        records = [
+            (coefficient_set(2, 1), "CoefficientSet(n=2, l=1, eps0=Fraction(-2, 9), eps2=Fraction(45, 32), "
+            "eps4=Fraction(-462915, 32768), provenance='closed_form')"),
+            (assemble_energy(QuantumState(1, 0, 0), b=Fraction(1, 10), order=2), "EnergyResult("
+            "state=QuantumState(n=1, l=0, m_l=0, m_s=None), Z=Fraction(1, 1), b=Fraction(1, 10), order=2, "
+            "spin_included=False, terms={0: Fraction(-2, 1), 1: Fraction(0, 1), 2: Fraction(3, 6400)}, "
+            "total=Fraction(-12797, 6400), regime_warning=False, "
+            "truncation_note='neglected terms are O(Z^-10 (B/B0)^6)')"),
+            (disputed_value_report(), "DisputedValueReport(closed_form=Fraction(-159, 65536), "
+            "sturmian_sum=Fraction(-159, 65536), literature=Fraction(-153, 65536), half_gap=Fraction(3, 65536), "
+            "oracle_estimate=None, oracle_uncertainty=None, routes_agree=True, literature_rejected=None, "
+            "accepted_value=Fraction(-159, 65536))"),
+        ]
+        for record, text in records:
+            assert repr(record) == text
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and type(back) is type(record)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
 
 
 class TestAssembleEnergy:
