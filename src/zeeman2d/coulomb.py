@@ -15,6 +15,9 @@ window term.
 The module is also the one home of the input checks that every entry point
 of the package shares (level labels, spin projection, charge) and of the
 zeroth-order coefficient -2/q^2 (q = 2n - 1), which `energy0` scales by Z^2.
+Its core `_eps0` keeps a bounded memo per n (`functools.lru_cache`, 256
+entries); it takes only an n that `_check_level` has already made an `int`,
+so no input reaches the memo unchecked.
 
 `QuantumState`, like every record of the package, is an immutable named
 tuple (`collections.namedtuple`): assigning to a field raises
@@ -26,6 +29,7 @@ load no numpy, no scipy and no `inspect`.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -104,8 +108,14 @@ class QuantumState(namedtuple("QuantumState", "n l m_l m_s")):
 
 
 def eps0(n: int) -> Fraction:
-    """Zeroth order: -1/(2 N^2) = -2/q^2 with q = 2n - 1, the one home of the formula."""
+    """Zeroth order: -1/(2 N^2) = -2/q^2 with q = 2n - 1."""
     n, _ = _check_level(n, 0)
+    return _eps0(n)
+
+
+@functools.lru_cache(maxsize=256)
+def _eps0(n: int) -> Fraction:
+    """The unchecked core of `eps0`, the one home of -2/q^2, memoized per checked n."""
     q = 2 * n - 1
     return Fraction(-2, q * q)
 

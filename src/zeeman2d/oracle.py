@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import os
 from collections import namedtuple
 from fractions import Fraction
@@ -125,7 +126,9 @@ class GalerkinConfig(namedtuple("GalerkinConfig", "l Z basis_size reference_ener
     have a rational Sturmian scale sqrt(-2 E*), otherwise exact matrix
     assembly is impossible and `_exact_pieces` raises ValueError.  Like
     every record of the package it is an immutable named tuple, and
-    `_replace` builds through the same checks.
+    `_replace` builds through the same checks.  ``l``, ``basis_size`` and
+    ``target_n_r`` are taken through `operator.index`, so a float raises
+    `TypeError` here and each is stored as an `int`.
     """
 
     __slots__ = ()
@@ -138,6 +141,8 @@ class GalerkinConfig(namedtuple("GalerkinConfig", "l Z basis_size reference_ener
         reference_energy: Fraction | None = None,
         target_n_r: int = 0,
     ) -> "GalerkinConfig":
+        l, basis_size = operator.index(l), operator.index(basis_size)
+        target_n_r = operator.index(target_n_r)
         if l < 0:
             raise ValueError("l must be non-negative")
         Z = _check_charge(Z)
@@ -609,7 +614,7 @@ def fit_field_series(
     return FieldFitResult(
         state=state,
         Z=Z,
-        basis_size=basis_size,
+        basis_size=cfg.basis_size,
         fields=tuple(grid),
         energies=energies,
         residuals=residuals,

@@ -65,6 +65,11 @@ The records `CoefficientSet`, `EnergyResult` and `DisputedValueReport` are
 immutable named tuples, like `coulomb.QuantumState`: they index, iterate and
 compare as tuples, and assigning to a field raises `AttributeError`.  The
 module loads no numpy, no scipy and no `inspect`.
+
+`coefficient_set` keeps no memo: it computes eps2 and eps4 on each call.
+Its eps0 comes from `coulomb._eps0`, which keeps a bounded memo per checked
+n; the factorized text of the `coeff` command comes from
+`exactmath._factor_text`, memoized per integer.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import reference
-from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _window_terms, eps0
+from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _eps0, _window_terms, eps0
 from .exactmath import render_decimal
 from .laguerre import _moment3_factor
 
@@ -171,7 +176,8 @@ class CoefficientSet(namedtuple("CoefficientSet", "n l eps0 eps2 eps4 provenance
 def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> CoefficientSet:
     """Coefficients of (n, l) by the named exact route, computed on each call.
 
-    The labels are checked once, here; the route's cores take them as checked.
+    The labels are checked once, here; the route's cores and the memoized
+    `coulomb._eps0` take them as checked.
     """
     n, l = _check_level(n, l)
     if provenance == "closed_form":
@@ -180,7 +186,7 @@ def coefficient_set(n: int, l: int, provenance: str = "closed_form") -> Coeffici
         e2, e4 = _eps2_integral(n, l), _eps4_sturmian(n, l)
     else:
         raise ValueError("provenance must be 'closed_form' or 'sturmian_sum'")
-    return CoefficientSet(n, l, eps0(n), e2, e4, provenance)
+    return CoefficientSet(n, l, _eps0(n), e2, e4, provenance)
 
 
 class EnergyResult(

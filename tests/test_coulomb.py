@@ -11,7 +11,7 @@ from zeeman2d import coulomb
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.greenfn import GreenEvalConfig
-from zeeman2d.oracle import GalerkinConfig
+from zeeman2d.oracle import GalerkinConfig, fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
     coefficient_set,
@@ -63,6 +63,13 @@ CHARGE_ENTRIES = {
     "GreenEvalConfig": lambda Z: GreenEvalConfig(l=0, level=1, Z=Z),
     "GreenEvalConfig.for_level": lambda Z: GreenEvalConfig.for_level(1, 0, Z),
 }
+# The integer fields of the oracle's problem, each as a call on the one bad input.
+COUNT_ENTRIES = {
+    "GalerkinConfig.l": lambda v: GalerkinConfig(l=v),
+    "GalerkinConfig.basis_size": lambda v: GalerkinConfig(l=0, basis_size=v),
+    "GalerkinConfig.target_n_r": lambda v: GalerkinConfig(l=0, target_n_r=v),
+    "fit_field_series.basis_size": lambda v: fit_field_series(QuantumState(1, 0, 0), basis_size=v),
+}
 NOT_INTEGRAL = "'float' object cannot be interpreted as an integer"
 BAD_INPUTS = [
     (LEVEL_ENTRIES | N_ENTRIES, (0, 0), ValueError, "n must satisfy n >= 1"),
@@ -79,6 +86,8 @@ BAD_INPUTS = [
     (CHARGE_ENTRIES, (0,), ValueError, "Z must be positive"),
     (CHARGE_ENTRIES, (Fraction(-1, 2),), ValueError, "Z must be positive"),
     (CHARGE_ENTRIES, (-2,), ValueError, "Z must be positive"),
+    (COUNT_ENTRIES, (1.5,), TypeError, NOT_INTEGRAL),
+    (COUNT_ENTRIES, (40.0,), TypeError, NOT_INTEGRAL),
 ]
 
 
@@ -172,6 +181,21 @@ class TestEnergy0:
     def test_depends_only_on_n(self):
         for l in range(3):
             assert energy0(QuantumState(3, l, l)) == Fraction(-2, 25)
+
+    def test_memo_sits_behind_the_level_check(self):
+        # the memo of -2/q^2 is keyed by the checked n.  lru_cache matches a
+        # key of several arguments by equality, so a memo placed in front of
+        # the check on (n, l) would answer (2.0, 0) from the entry of (2, 0)
+        assert eps0(2) == Fraction(-2, 9)
+        assert coefficient_set(2, 0).eps0 == Fraction(-2, 9)
+        for call in (lambda: eps0(2.0), lambda: coefficient_set(2.0, 0),
+                     lambda: coefficient_set(2.0, 0, "sturmian_sum")):
+            with pytest.raises(TypeError, match=NOT_INTEGRAL):
+                call()
+
+    def test_memo_is_bounded(self):
+        maxsize = coulomb._eps0.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize >= 80  # every n of an n <= 80 sweep
 
 
 class TestBoundRadial:

@@ -309,18 +309,30 @@ class TestFormatting:
         assert format_factorized(Fraction(-1, 8)) == "-1/2^3"
         assert format_factorized(Fraction(12)) == "2^2×3"
 
-    def test_sweep_renderings_are_pinned(self):
+    def test_sweep_renderings_are_pinned(self, monkeypatch):
         # the factorized and 12-digit decimal forms of eps0, eps2 and eps4 for
-        # all 3240 states with n <= 80, one line per state
+        # all 3240 states with n <= 80, one line per state.  This is the
+        # traffic the memo of `_factor_text` is sized for: every residual is
+        # below 10^12, where trial division alone proves it prime, so rho is
+        # never reached
+        def forbidden(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(exactmath, "_rho_factor", forbidden)
+        exactmath._factor_text.cache_clear()
         digest = hashlib.sha256()
+        largest = 1
         for n in range(1, 81):
             for l in range(n):
                 cs = coefficient_set(n, l)
                 parts = [str(n), str(l)]
                 for v in (cs.eps0, cs.eps2, cs.eps4):
-                    parts += [format_factorized(v), render_decimal(v, 12)]
+                    text = format_factorized(v)
+                    parts += [text, render_decimal(v, 12)]
+                    largest = max([largest, *(p for p, _ in _printed_factors(text))])
                 digest.update((" ".join(parts) + "\n").encode())
         assert digest.hexdigest() == "319fe587e78cbb3ca9f14b2bb9ffd34eb629193623c28f1eab643ecca6607800"
+        assert largest < exactmath.TRIAL_DIVISION_LIMIT**2
 
     def test_composite_residuals_are_split_into_proven_primes(self):
         # at the default cap these eps4 numerators leave a composite residual
@@ -362,6 +374,32 @@ class TestFormatting:
         for p, q in ((1_000_003, 1_000_003), (1_000_003, 1_000_033), (1334117, 3094439), (10**6 + 3, 2**61 - 1)):
             d = exactmath._rho_factor(p * q)
             assert 1 < d < p * q and (p * q) % d == 0
+
+    def test_memo_returns_the_same_text_cold_warm_and_after_eviction(self):
+        pinned = {
+            Fraction(-159, 65536): "-3×53/2^16",
+            Fraction(3 * 1_000_003**2, 32): "3×1000003^2/2^5",
+            Fraction(-4128343675363, 2**16): "-1334117×3094439/2^16",
+            Fraction(-2, 9): "-2/3^2",
+        }
+        sides = {side for v in pinned for side in (abs(v.numerator), v.denominator)}
+        exactmath._factor_text.cache_clear()
+        assert [format_factorized(v) for v in pinned] == list(pinned.values())  # cold
+        assert exactmath._factor_text.cache_info().misses == len(sides) == 7
+        hits = exactmath._factor_text.cache_info().hits
+        assert [format_factorized(v) for v in pinned] == list(pinned.values())  # warm
+        assert exactmath._factor_text.cache_info().hits == hits + 8
+        # more distinct sides than the memo holds push every pinned side out
+        maxsize = exactmath._factor_text.cache_info().maxsize
+        for k in range(maxsize + 1):
+            format_factorized(Fraction(10**7 + k))
+        misses = exactmath._factor_text.cache_info().misses
+        assert [format_factorized(v) for v in pinned] == list(pinned.values())  # evicted
+        assert exactmath._factor_text.cache_info().misses == misses + len(sides)
+
+    def test_memo_is_bounded(self):
+        info = exactmath._factor_text.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
 
     def test_rational_round_trip(self):
         for q in (Fraction(3, 64), Fraction(-159, 65536), Fraction(7), Fraction(0)):
