@@ -310,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "coeff":
         if args.all_up_to is None and (args.n is None or args.l is None):
             parser.error("coeff needs n and l (or --all-up-to N)")
+        if args.all_up_to is not None and args.n is not None:
+            parser.error("coeff takes n and l or --all-up-to N, not both")
         if args.all_up_to is not None and args.all_up_to < 1:
             parser.error("--all-up-to must be at least 1")
     if args.command == "validate":

@@ -7,15 +7,16 @@ objects, which guarantee canonical form (gcd-reduced, positive denominator,
 zero denominator.  Decimals are rendered from the exact rationals at print
 time.
 
-Two pure functions keep a bounded memo (`functools.lru_cache`):
-`_factor_text`, the factorized text of one positive integer (1024 entries),
-and `_render_context`, the decimal context of one digit count (32 entries).
-The prime table of `factorize_integer` grows on demand and is kept for the
-process.
+Three pure functions keep a bounded memo (`functools.lru_cache`):
+`_factor_text`, the factorized text of one positive integer (1024 entries);
+`_runs`, the sieved prime runs of one trial-division limit (2 entries, built
+on first use); and `_render_context`, the decimal context of one digit count
+(32 entries).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -31,9 +32,6 @@ __all__ = [
 ]
 
 TRIAL_DIVISION_LIMIT = 1_000_000
-# a residual of the default cap below this square has no factor below its
-# square root, so it is prime without a test
-_RHO_FLOOR = TRIAL_DIVISION_LIMIT**2
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -56,48 +54,23 @@ _SMALL_PRIMES = (
 )
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
-# The primes from 257 up to a sieved limit, cut into runs of `_RUN`
-# consecutive primes (the last run may be short), each held with its product.
-# It is grown on demand by `factorize_integer` and never built at import, and
-# it is replaced whole, so a reader never sees a limit that its runs do not
-# cover.
-_prime_table: tuple[int, list[tuple[int, tuple[int, ...]]]] = (1, [])
-
 # primes per run: one gcd with a run's product tells which of them divide
 _RUN = 100
 
 
-def _primes_through(limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """The prime table, first grown up to ``limit`` if it stops short of it.
+@functools.lru_cache(maxsize=2)
+def _runs(limit: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The odd primes from 257 up to ``limit`` in runs of `_RUN`, each with its product.
 
-    Only the odd numbers of (old limit, limit] are sieved, by the odd primes
-    up to sqrt(limit).  The complete runs of the old table keep their
-    products, and the runs are cut again from the first prime of its short
-    last run, so the table equals one sieved at ``limit`` in a single step.
+    The last run may be short.  Sieved once per limit on first use, never at import.
     """
-    global _prime_table
-    table = _prime_table
-    covered, runs = table
-    if covered < limit:
-        root = math.isqrt(limit)
-        base = bytearray([1]) * (root + 1)
-        for p in range(3, math.isqrt(root) + 1, 2):
-            if base[p]:
-                base[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
-        lo = max(covered + 1, 257) | 1  # odd
-        segment = bytearray([1]) * len(range(lo, limit + 1, 2))  # slot i holds lo + 2i
-        for p in itertools.compress(range(3, root + 1, 2), base[3::2]):
-            first = max(p * p, -(-lo // p) * p)
-            i = (first + p * (1 - first % 2) - lo) // 2  # the slot of the first odd multiple
-            segment[i::p] = bytes(len(range(i, len(segment), p)))
-        carry = ()
-        if runs and len(runs[-1][1]) < _RUN:
-            runs, carry = runs[:-1], runs[-1][1]
-        primes = [*carry, *itertools.compress(range(lo, limit + 1, 2), segment)]
-        new = [tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN)]
-        table = (limit, runs + [(math.prod(run), run) for run in new])
-        _prime_table = table
-    return table
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+    primes = list(itertools.compress(range(257, limit + 1, 2), sieve[257::2]))
+    runs = (tuple(primes[i : i + _RUN]) for i in range(0, len(primes), _RUN))
+    return tuple((math.prod(run), run) for run in runs)
 
 
 # psi_k, the least odd composite that passes the strong-probable-prime test to
@@ -150,95 +123,61 @@ def _is_proven_prime(n: int) -> bool:
     return True
 
 
-def factorize_integer(value: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> list[tuple[int, int]]:
-    """Factor a positive integer by trial division, primes ascending.
-
-    Division stops at ``trial_limit``; whatever remains past the cap is
-    appended as a single unfactored residual (possibly composite), so the
-    product of p**e over the result always reconstructs ``value``.  Only
-    primes are tried: a composite divisor can never divide once its prime
-    factors are gone, so the result is that of dividing by every integer.
+def factorize_integer(value: int) -> list[tuple[int, int]]:
+    """The prime factors of a positive integer with their exponents, primes ascending.
 
     The power of 2 is read off the low bits.  The odd primes are then tried
     in chunks, each with its product: first the 53 below 256, then the runs
-    of `_RUN` primes from 257 on.  One gcd with a chunk's product is the
-    product of exactly those of its primes that divide, and they are walked
-    with their powers only until it is used up; a cofactor of 1 takes no gcd.
-    After each chunk the cofactor has no prime factor up to the chunk's last
-    prime p, so it is 1 or prime below p^2, and division stops there, or
-    once p reaches the cap.  Otherwise it is put to one deterministic
-    Miller-Rabin test after the first chunk and after each run that divided,
-    and a proven prime is appended whole, as trial division would append it
-    after finding no factor of it below any cap; so the result is the same
-    for every ``trial_limit``.  Any other cofactor (composite, or of 3.3e24
-    and up, where no proof holds) goes on to the next run, until a run's
-    first prime is past the cap or its square past the cofactor.
+    of `_runs`.  One gcd with a chunk's product is the product of exactly
+    those of its primes that divide.  After a chunk the cofactor has no prime
+    factor up to its last prime p, so below p^2 it is 1 or prime; a
+    deterministic Miller-Rabin test after the first chunk and after each run
+    that divided proves a larger prime.  Either ends the division.
+
+    A cofactor below 3.3e24 (the last bound of `_SPSP_BOUNDS`) after the
+    first chunk is tried against the runs up to ``1 << 16``; a larger one,
+    where no proof holds, up to `TRIAL_DIVISION_LIMIT`.  Pollard-Brent rho
+    splits what is left below 3.3e24 into proven primes.  A part left at or
+    past that bound is appended whole and unproven, so the product of p**e
+    over the result is always ``value``.
     """
     if value < 1:
         raise ValueError("only positive integers are factored")
-    factors: list[tuple[int, int]] = []
-    rem = value
-    if trial_limit >= 2 and not rem & 1:
-        e = (rem & -rem).bit_length() - 1
-        factors.append((2, e))
-        rem >>= e
-    product, primes = _SMALL_PRODUCT, _SMALL_PRIMES
-    r = 0
-    while rem > 1:
-        before = rem
-        g = math.gcd(rem, product)
-        for p in primes:
-            if g % p:
-                if p * p <= g:
-                    continue
-                # past sqrt(g), what is left of g is 1 or the last prime to divide
-                if g == 1 or g > trial_limit:
-                    break
-                p = g
-            elif p > trial_limit:
+    e = (value & -value).bit_length() - 1
+    factors = [(2, e)] if e else []
+    rem = _divide_out(value >> e, _SMALL_PRODUCT, _SMALL_PRIMES, factors)
+    if rem >= 257**2 and not _is_proven_prime(rem):
+        for product, primes in _runs(1 << 16 if rem < _SPSP_BOUNDS[-1] else TRIAL_DIVISION_LIMIT):
+            before = rem
+            rem = _divide_out(rem, product, primes, factors)
+            if rem < primes[-1] ** 2 or rem < before and _is_proven_prime(rem):
                 break
-            g //= p
-            rem //= p
-            e = 1
-            while not rem % p:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-        last = primes[-1]
-        if last >= trial_limit or rem < last * last:
-            break
-        if (r == 0 or rem < before) and _is_proven_prime(rem):
-            break
-        run = _run(r, rem, trial_limit)
-        if run is None:
-            break
-        r, (product, primes) = run
-        if primes[0] > trial_limit or primes[0] ** 2 > rem:
-            break
-        r += 1
+        else:  # no prime factor up to the limit and no proof: rho splits what it can
+            return factors + sorted(collections.Counter(_prime_parts(rem)).items())
     if rem > 1:
         factors.append((rem, 1))
     return factors
 
 
-def _run(r: int, rem: int, trial_limit: int) -> tuple[int, tuple[int, tuple[int, ...]]] | None:
-    """(index, run) of the table's run to try after run r - 1, or None if none is needed.
-
-    The table grows on demand, never past the cap of the call and not once it
-    reaches the square root of the cofactor.
-    """
-    covered, runs = _prime_table
-    while r == len(runs):
-        need = min(trial_limit, math.isqrt(rem))
-        if covered >= need:
-            return None
-        # a short last run is tried again, whole, once the table has grown
-        if runs and len(runs[-1][1]) < _RUN:
-            r -= 1
-        # at least double the table, so a sweep of growing values sieves
-        # O(log) times, but never past the cap of this call
-        covered, runs = _primes_through(min(trial_limit, max(need, 2 * covered)))
-    return r, runs[r]
+def _divide_out(rem: int, product: int, primes: tuple[int, ...], factors: list[tuple[int, int]]) -> int:
+    """``rem`` with the primes of one chunk divided out, each appended to ``factors`` with its power."""
+    g = math.gcd(rem, product)
+    for p in primes:
+        if g % p:
+            if p * p <= g:
+                continue
+            # past sqrt(g), what is left of g is 1 or the last prime to divide
+            if g == 1:
+                break
+            p = g
+        g //= p
+        rem //= p
+        e = 1
+        while not rem % p:
+            rem //= p
+            e += 1
+        factors.append((p, e))
+    return rem
 
 
 def _rho_factor(n: int) -> int:
@@ -275,8 +214,8 @@ def _rho_factor(n: int) -> int:
 
 
 def _prime_parts(n: int) -> list[int]:
-    """The prime factors of n, with repeats, for an odd n below 3.3e24 with none below 257."""
-    if _is_proven_prime(n):
+    """The prime factors of an odd n > 1 with none below 257, with repeats; n of 3.3e24 and up stays whole."""
+    if n >= _SPSP_BOUNDS[-1] or _is_proven_prime(n):
         return [n]
     d = _rho_factor(n)
     return _prime_parts(d) + _prime_parts(n // d)
@@ -285,21 +224,13 @@ def _prime_parts(n: int) -> list[int]:
 def format_factorized(x: Fraction) -> str:
     """Prime-factorized rendering of a rational, e.g. -3×53/2^16.
 
-    Each side is `factorize_integer` at the default cap, its factors joined
-    by ``×``.  Its residual is prime below the square of the cap; a residual
-    from there up to the last bound of `_SPSP_BOUNDS` (3.3e24) that the
-    Miller-Rabin test does not prove prime is split by `_rho_factor` into
-    parts that it does.  So every printed factor is proven prime whenever
-    the residual is below 3.3e24; a larger one is printed whole, unproven.
-    Exponent 1 is omitted; a unit numerator or denominator prints as the
-    bare factorization of the other side; zero prints as ``0``.
-
-    Each side's text is memoized per integer (`_factor_text`, LRU, 1024
-    entries), so a repeated side costs one lookup.  A new side can be slow:
-    a residual between 10^12 and 3.3e24 whose prime factors p are all above
-    10^6 costs rho O(sqrt(p)) steps.  ``(10**12 + 39) * (10**12 + 61)`` took
-    0.66-0.72 s on one core of an Intel Xeon under Python 3.11, against a
-    few ms when one factor is near 10^6.
+    Each side is `factorize_integer` of it, joined by ``×``: every printed
+    factor is proven prime, except a part of 3.3e24 or more left after trial
+    division up to `TRIAL_DIVISION_LIMIT`, which is printed whole.  Exponent
+    1 is omitted; a unit numerator or denominator prints as the bare
+    factorization of the other side; zero prints as ``0``.  Each side's text
+    is memoized per integer (`_factor_text`, LRU, 1024 entries), so a
+    repeated side costs one lookup.
     """
     num, den = x.numerator, x.denominator
     if num == 0:
@@ -317,14 +248,8 @@ def _factor_text(v: int) -> str:
     sweep repeats most of them (the q^2 of eps0, the powers of 2 under eps2
     and eps4), so each is factored and written once per process.
     """
-    factors = factorize_integer(v)
-    if v >= _RHO_FLOOR and factors[-1][0] >= _RHO_FLOOR:
-        residual = factors[-1][0]
-        if residual < _SPSP_BOUNDS[-1] and not _is_proven_prime(residual):
-            parts = sorted(_prime_parts(residual))
-            factors[-1:] = [(p, parts.count(p)) for p in sorted(set(parts))]
     text = ""
-    for p, e in factors:
+    for p, e in factorize_integer(v):
         text += f"×{p}^{e}" if e > 1 else f"×{p}"
     return text[1:] or "1"
 

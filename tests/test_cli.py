@@ -98,6 +98,16 @@ class TestCoeff:
             main(["coeff"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["3", "1", "--all-up-to", "1"], ["3", "--all-up-to", "1"]])
+    def test_state_and_sweep_together_is_usage_error(self, capsys, argv):
+        # the sweep would otherwise run and drop the state without a word
+        with pytest.raises(SystemExit) as err:
+            main(["coeff", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not both" in captured.err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, ["coeff", "3", "1", "--format", "json"])
         payload = json.loads(out)

@@ -93,7 +93,7 @@ class TestFactorizeInteger:
         assert factorize_integer(360) == [(2, 3), (3, 2), (5, 1)]
 
     def test_large_prime_survives(self):
-        p = 1_000_003  # prime just past the default trial cap
+        p = 1_000_003  # prime just past the trial-division limit
         assert factorize_integer(4 * p) == [(2, 2), (p, 1)]
 
     def test_nonpositive_rejected(self):
@@ -105,37 +105,61 @@ class TestFactorizeInteger:
         assert math.prod(p**e for p, e in factorize_integer(v)) == v
 
     def test_residual_past_cap_is_single_entry(self):
-        # 1009 and 1013 are both primes above the tiny cap used here
-        out = factorize_integer(2 * 1009 * 1013, trial_limit=100)
-        assert out == [(2, 1), (1009 * 1013, 1)]
+        # past the trial-division limit and the proof bound a composite is
+        # left unsplit, as one entry, so the product still reconstructs
+        composite = (10**12 + 39) * (10**13 + 37)
+        assert composite >= exactmath._SPSP_BOUNDS[-1]
+        assert factorize_integer(2 * 999_983 * composite) == [(2, 1), (999_983, 1), (composite, 1)]
 
     def test_prime_residual_above_cap_is_kept(self):
-        # a prime cofactor whose square root lies past the cap survives whole
-        p = 10_007
-        assert factorize_integer(3**4 * p, trial_limit=50) == [(3, 4), (p, 1)]
-        assert factorize_integer(p, trial_limit=50) == [(p, 1)]
+        # a prime cofactor past both run tables survives whole
+        for p in (1_000_003, 10**12 + 39):
+            assert factorize_integer(3**4 * p) == [(3, 4), (p, 1)]
+            assert factorize_integer(p) == [(p, 1)]
 
-    # the reference divides by every odd number up to the cap, about 0.12 s
-    # per cap-10^6 example, so hypothesis's 200 ms deadline would be a timing
+    # the reference divides by every odd number up to the square root of v,
+    # about 5 ms at 10^10, so hypothesis's 200 ms deadline would be a timing
     # coin flip rather than a check
     @settings(deadline=None)
-    @given(st.integers(1, 10**12), st.sampled_from([1, 2, 3, 10, 97, 100, 1000, 10**4]))
-    @example(2 * 97**3, 97)  # the cap itself is a prime factor
-    @example(97 * 101, 97)  # the cap is a factor, the residual a prime
-    @example(10**12, 10**4)
-    # strong pseudoprimes at each base-set bound of the primality shortcut
-    @example(3_215_031_751, 10**6)
-    @example(3_474_749_660_383, 10**6)
-    @example(341_550_071_728_321, 10**6)
-    @example(3_825_123_056_546_413_051, 10**6)
-    @example(3_317_044_064_679_887_385_961_981, 10**6)
-    @example(561, 10**6)  # Carmichael numbers
-    @example(41041, 10**6)
-    @example(1_000_003**2, 10**6)
-    @example(999_983 * 1_000_003, 10**6)
-    @example(2**89 - 1, 10**6)  # a prime above the last bound
-    def test_matches_plain_trial_division(self, v, cap):
-        assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap)
+    @given(st.integers(1, 10**10))
+    @example(2 * 97**3)
+    @example(97 * 101)
+    @example(65521 * 65537)  # both sides of the 1 << 16 table's edge: rho splits it
+    @example(65537 * 65539)
+    @example(3_215_031_751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+    @example(561)  # Carmichael numbers
+    @example(41041)
+    def test_matches_plain_trial_division(self, v):
+        assert factorize_integer(v) == _odd_trial_division(v)
+
+    def test_chosen_primes_come_back(self):
+        # products of chosen primes on each side of each boundary must give
+        # exactly those primes back: 251 | 257 (front end to first run), the
+        # edges of the first two runs, 65521 | 65537 (the 1 << 16 table) and
+        # 999983 | 1000003 (the trial-division limit).  Those past a table's
+        # end are split by rho
+        runs = exactmath._runs(1 << 16)
+        edges = [251, *(p for _, run in runs[:2] for p in (run[0], run[-1]))]
+        assert edges[:2] == [251, 257] and runs[-1][1][-1] == 65521
+        small = [*edges, 65521, 65537, 999_983]
+        for primes in (small, [*small, 1_000_003], [65521, 65537], [999_983, 1_000_003],
+                       [65537, 999_983, 1_000_003], [257, 65521, 1_000_003], [10**9 + 7]):
+            for e in (1, 2):
+                expected = [(p, e) for p in primes]
+                assert factorize_integer(math.prod(p**e for p in primes)) == expected, expected
+        assert factorize_integer((2**61 - 1) * 1_000_003) == [(1_000_003, 1), (2**61 - 1, 1)]
+
+    def test_proof_bound_decides_the_trial_division_limit(self):
+        # at or past 3.3e24 the runs go up to the trial-division limit: here
+        # they bring the cofactor below the bound, and rho splits the rest
+        big = 10**13 + 37
+        v = 999_983 * 1_000_003 * big
+        assert v >= exactmath._SPSP_BOUNDS[-1] > 1_000_003 * big
+        assert factorize_integer(v) == [(999_983, 1), (1_000_003, 1), (big, 1)]
+        # a part past the bound after the runs stays whole, unproven
+        m89 = 2**89 - 1
+        assert factorize_integer(65521 * 65537 * m89) == [(65521, 1), (65537, 1), (m89, 1)]
+        assert factorize_integer(3 * 65537 * 999_983 * m89) == [(3, 1), (65537, 1), (999_983, 1), (m89, 1)]
 
     def test_primality_proof_rejects_every_bound(self):
         # each bound is a strong pseudoprime to every base of its own set, so
@@ -152,14 +176,26 @@ class TestFactorizeInteger:
             assert exactmath._is_proven_prime(p), p
         assert not exactmath._is_proven_prime(2**89 - 1)  # prime, but past the last bound
 
-    def test_prime_table_not_built_at_import(self):
-        # the runs hold their products, so an empty run list means no primes
-        # and no run products either
+    def test_pseudoprime_bounds_come_back_as_their_primes(self):
+        # every bound below the last is split into its prime factors; the
+        # last is left whole, past the proof bound
+        for factors in (
+            [23, 89], [829, 1657], [2251, 11251], [151, 751, 28351], [6763, 10627, 29947],
+            [1303, 16927, 157543], [10670053, 32010157], [149491, 747451, 34233211],
+            [399165290221, 798330580441],
+        ):
+            assert math.prod(factors) in exactmath._SPSP_BOUNDS
+            assert factorize_integer(math.prod(factors)) == [(p, 1) for p in factors]
+        last = exactmath._SPSP_BOUNDS[-1]
+        assert factorize_integer(last) == [(last, 1)]
+
+    def test_runs_not_built_at_import(self):
+        # the runs are sieved on first use, not by importing the library or the CLI
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "import zeeman2d.cli, zeeman2d.exactmath as em; "
-            "assert em._prime_table == (1, []), em._prime_table[0]"
+            "assert em._runs.cache_info().currsize == 0, em._runs.cache_info()"
         )
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
@@ -167,15 +203,15 @@ class TestFactorizeInteger:
         assert exactmath._SMALL_PRIMES == tuple(_odd_primes(3, 255))
         assert exactmath._SMALL_PRODUCT == math.prod(exactmath._SMALL_PRIMES)
 
-    def test_runs_cover_the_primes_in_order(self, monkeypatch):
-        monkeypatch.setattr(exactmath, "_prime_table", (1, []))
-        limit, runs = exactmath._primes_through(2000)
-        assert limit == 2000
-        primes = [p for _, run in runs for p in run]
-        assert primes == _odd_primes(257, limit)
-        assert all(len(run) == exactmath._RUN for _, run in runs[:-1])
-        assert all(product == math.prod(run) for product, run in runs)
-        assert runs[0][1][0] == 257
+    def test_runs_cover_the_primes_in_order(self):
+        # the runs at both limits in use equal a plain sieve's primes from 257 on
+        for limit in (1 << 16, exactmath.TRIAL_DIVISION_LIMIT):
+            runs = exactmath._runs(limit)
+            primes = [p for _, run in runs for p in run]
+            assert primes == [p for p in _plain_sieve(limit) if p >= 257]
+            assert all(len(run) == exactmath._RUN for _, run in runs[:-1])
+            assert all(product == math.prod(run) for product, run in runs)
+            assert runs[0][1][0] == 257
 
     def test_front_end_boundary_matches_plain_trial_division(self):
         # 251 | 257 is where the front end hands over to the runs; 66047 and
@@ -186,69 +222,23 @@ class TestFactorizeInteger:
         values = [251, 257, 251**2, square, 251 * 257, 251 * 1_000_003]
         values += cofactors + [2**3 * 3 * 251 * c for c in cofactors]
         for v in values:
-            for cap in (250, 251, 256, 257, exactmath.TRIAL_DIVISION_LIMIT):
-                assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
+            assert factorize_integer(v) == _odd_trial_division(v), v
         assert factorize_integer(2**3 * 3 * 251 * 66047) == [(2, 3), (3, 1), (251, 1), (66047, 1)]
         assert factorize_integer(square * 251) == [(251, 1), (257, 2)]
 
     def test_run_edges_match_plain_trial_division(self):
         # prime factors on each side of the front end's boundary (251 | 257)
-        # and of the first two run boundaries after it, with caps below, on
-        # and inside them; 97 | 101 and 229 | 233, the run boundaries of an
-        # earlier layout, now lie inside the front end
-        runs = exactmath._primes_through(2000)[1]
+        # and of the first two run boundaries after it; 97 | 101 and
+        # 229 | 233, the run boundaries of an earlier layout, now lie inside
+        # the front end
+        runs = exactmath._runs(1 << 16)
         edges = [exactmath._SMALL_PRIMES[-1]] + [p for _, run in runs[:2] for p in (run[0], run[-1])]
         assert edges[:2] == [251, 257]
         edges += [97, 101, 229, 233, 379]
-        caps = [1, 2, 3, 96, 97, 100, 101, 150, *edges, *(p + 1 for p in edges), 10**6]
         values = [*edges, *(p * p for p in edges), math.prod(edges), 2**5 * 3 * math.prod(edges[1::2]) ** 2]
         values += [a * b for a in edges for b in edges] + [p * 1_000_003 for p in edges]
         for v in values:
-            for cap in caps:
-                assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
-
-    def test_table_grown_mid_call(self, monkeypatch):
-        # the table ends inside the first run (257 .. 293 of 257 .. 887).
-        # The short run is tried before the table grows, so a factor in it
-        # shrinks the cofactor first and the table grows only as far as plain
-        # trial division needs; the run is then tried again, whole
-        monkeypatch.setattr(exactmath, "_prime_table", (1, []))
-        exactmath._primes_through(300)
-        assert [len(run) for _, run in exactmath._prime_table[1]] == [8]
-        assert factorize_integer(283 * 1_000_003) == [(283, 1), (1_000_003, 1)]
-        assert exactmath._prime_table[0] == 300
-        # cofactor 307 * 311 left: sqrt 308, so the table doubles to 600
-        assert factorize_integer(257 * 263 * 307 * 311) == [(257, 1), (263, 1), (307, 1), (311, 1)]
-        assert exactmath._prime_table[0] == 600
-        for v, cap in ((283 * 307 * 311, 10**6), (263 * 569**2 * 571, 10**6), (269 * 307**2, 500),
-                       (271 * 1_000_003, 1000), (263 * 271, 10**6), (599 * 601 * 607, 10**6),
-                       (113 * 127 * 131, 10**6), (103 * 229**2 * 233, 10**6), (109 * 127**2, 200),
-                       (107 * 1_000_003, 500), (103 * 107, 10**6), (241 * 251 * 257, 10**6)):
-            assert factorize_integer(v, trial_limit=cap) == _odd_trial_division(v, cap), (v, cap)
-        assert exactmath._prime_table[0] > 600
-
-    @settings(deadline=None)
-    @given(st.lists(st.integers(1, 20_000), min_size=1, max_size=6))
-    @example([300, 887, 888, 2000])  # ends inside the first run, at its last prime, past it
-    @example([256, 257, 258, 1000, 999])
-    def test_grown_table_equals_one_sieve(self, limits):
-        # growing sieves only the new range and keeps the old complete runs;
-        # the table must equal the one sieved at the final limit in one step,
-        # runs and products alike, and no table handed out may change later
-        saved = exactmath._prime_table
-        try:
-            exactmath._prime_table = (1, [])
-            handed = []
-            for limit in limits:
-                table = exactmath._primes_through(limit)
-                handed.append((table, list(table[1])))
-            grown = exactmath._prime_table
-            exactmath._prime_table = (1, [])
-            assert grown == exactmath._primes_through(max(limits))
-            assert grown[0] == max(limits)
-            assert all(table[1] == runs for table, runs in handed)
-        finally:
-            exactmath._prime_table = saved
+            assert factorize_integer(v) == _odd_trial_division(v), v
 
 
 def _odd_primes(lo: int, hi: int) -> list[int]:
@@ -282,11 +272,11 @@ def _unfactor(text: str) -> Fraction:
     return -value if text.startswith("-") else value
 
 
-def _odd_trial_division(value: int, trial_limit: int) -> list[tuple[int, int]]:
-    """Reference: divide by 2 and then every odd number up to the cap."""
+def _odd_trial_division(value: int) -> list[tuple[int, int]]:
+    """Reference: divide by 2 and then every odd number up to the square root of what is left."""
     factors = []
     rem, p = value, 2
-    while p <= trial_limit and p * p <= rem:
+    while p * p <= rem:
         e = 0
         while rem % p == 0:
             rem //= p
@@ -297,6 +287,16 @@ def _odd_trial_division(value: int, trial_limit: int) -> list[tuple[int, int]]:
     if rem > 1:
         factors.append((rem, 1))
     return factors
+
+
+def _plain_sieve(limit: int) -> list[int]:
+    """Reference: the primes up to limit, by striking out multiples one by one."""
+    is_prime = [True] * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            for m in range(p * p, limit + 1, p):
+                is_prime[m] = False
+    return [p for p in range(2, limit + 1) if is_prime[p]]
 
 
 class TestFormatting:
@@ -312,14 +312,15 @@ class TestFormatting:
     def test_sweep_renderings_are_pinned(self, monkeypatch):
         # the factorized and 12-digit decimal forms of eps0, eps2 and eps4 for
         # all 3240 states with n <= 80, one line per state.  This is the
-        # traffic the memo of `_factor_text` is sized for: every residual is
-        # below 10^12, where trial division alone proves it prime, so rho is
-        # never reached
+        # traffic the memo of `_factor_text` is sized for: every cofactor left
+        # by the runs up to 1 << 16 is proven prime, so rho is never reached,
+        # and no side needs the runs up to the trial-division limit
         def forbidden(n):
             raise AssertionError(f"rho called on {n}")
 
         monkeypatch.setattr(exactmath, "_rho_factor", forbidden)
         exactmath._factor_text.cache_clear()
+        exactmath._runs.cache_clear()
         digest = hashlib.sha256()
         largest = 1
         for n in range(1, 81):
@@ -333,11 +334,16 @@ class TestFormatting:
                 digest.update((" ".join(parts) + "\n").encode())
         assert digest.hexdigest() == "319fe587e78cbb3ca9f14b2bb9ffd34eb629193623c28f1eab643ecca6607800"
         assert largest < exactmath.TRIAL_DIVISION_LIMIT**2
+        # only the small table was sieved: asking for it again is a hit
+        assert exactmath._runs.cache_info().currsize == 1
+        hits = exactmath._runs.cache_info().hits
+        exactmath._runs(1 << 16)
+        assert exactmath._runs.cache_info().hits == hits + 1
 
     def test_composite_residuals_are_split_into_proven_primes(self):
-        # at the default cap these eps4 numerators leave a composite residual
-        # above 10^12 (4128343675363 = 1334117 × 3094439 at (413, 28)), which
-        # factorize_integer keeps whole and the rendering splits
+        # these eps4 numerators leave a composite cofactor above 10^12 with
+        # no prime factor below 10^6 (4128343675363 = 1334117 × 3094439 at
+        # (413, 28)), which rho splits into primes that Miller-Rabin proves
         pinned = {
             (413, 28): "-3^6×5^12×11^6×1334117×3094439/2^16",
             (419, 28): "-3^18×31^6×1849273×2365357/2^16",
@@ -346,16 +352,18 @@ class TestFormatting:
         for (n, l), text in pinned.items():
             value = coefficient_set(n, l).eps4
             assert format_factorized(value) == text
-            residual = factorize_integer(-value.numerator)[-1][0]
-            assert residual > exactmath.TRIAL_DIVISION_LIMIT**2 and not exactmath._is_proven_prime(residual)
+            factors = factorize_integer(-value.numerator)
+            assert _printed_factors(text.split("/")[0]) == factors
+            p, q = (p for p, _ in factors[-2:])
+            assert exactmath.TRIAL_DIVISION_LIMIT < p < q and exactmath._is_proven_prime(q)
             assert _unfactor(text) == value
             assert all(p < 257**2 or exactmath._is_proven_prime(p) for p, _ in _printed_factors(text))
 
     def test_prime_square_residual(self):
-        # the square of a prime just past the cap is left whole by the trial
-        # division and rendered as a power
+        # the square of a prime just past the trial-division limit is split
+        # by rho and rendered as a power
         p = 1_000_003
-        assert factorize_integer(3 * p * p) == [(3, 1), (p * p, 1)]
+        assert factorize_integer(3 * p * p) == [(3, 1), (p, 2)]
         assert format_factorized(Fraction(3 * p * p, 32)) == "3×1000003^2/2^5"
         assert format_factorized(Fraction(p**3)) == "1000003^3"
         assert exactmath._is_proven_prime(p)
