@@ -213,6 +213,23 @@ class TestFactorizeInteger:
             assert all(product == math.prod(run) for product, run in runs)
             assert runs[0][1][0] == 257
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 20_000), min_size=1, max_size=6))
+    @example([300, 887, 888, 2000])  # ends inside the first run, at its last prime, past it
+    @example([256, 257, 258, 1000, 999])
+    def test_grown_table_equals_one_sieve(self, limits):
+        # the runs at any limit equal one plain sieve's primes from 257 on, and
+        # the runs at a smaller limit are those at the largest, the last one
+        # possibly cut short; sieved uncached so the two shared tables stay put
+        largest = exactmath._runs.__wrapped__(max(limits))
+        for limit in limits:
+            runs = exactmath._runs.__wrapped__(limit)
+            assert [p for _, run in runs for p in run] == [p for p in _plain_sieve(limit) if p >= 257]
+            assert all(product == math.prod(run) for product, run in runs)
+            if runs:
+                assert runs[:-1] == largest[: len(runs) - 1]
+                assert runs[-1][1] == largest[len(runs) - 1][1][: len(runs[-1][1])]
+
     def test_front_end_boundary_matches_plain_trial_division(self):
         # 251 | 257 is where the front end hands over to the runs; 66047 and
         # 66067 are the primes either side of 257^2, and 257 * 263 the least
