@@ -209,12 +209,10 @@ def cmd_validate(args) -> int:
                 ok,
                 f"fitted {fit.coefficients[2]:.12g}, exact {exact:.12g}, rel err {rel:.2e}",
             )
-            verdicts = {"c2_rel_err": rel, "c2_ok": ok}
             if (state.n, state.l) == (1, 0):
                 ground_fit = fit
-            oracle_payload.append(
-                fit.as_dict(tolerances={"c2_rel": SECOND_ORDER_REL_TOL}, verdicts=verdicts)
-            )
+            tolerances, verdicts = {"c2_rel": SECOND_ORDER_REL_TOL}, {"c2_rel_err": rel, "c2_ok": ok}
+            oracle_payload.append({**fit.as_dict(), "tolerances": tolerances, "verdicts": verdicts})
 
     report = disputed_value_report(
         oracle_estimate=None if ground_fit is None else ground_fit.coefficients[4],
@@ -252,8 +250,7 @@ def cmd_validate(args) -> int:
             "oracle_fits": oracle_payload,
             "disputed_value": report.as_dict(),
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_render_json(payload) + "\n")
+        args.json.write(_render_json(payload) + "\n")
     return 0 if all_passed else 1
 
 
@@ -321,6 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         # --max-n 0 runs no fit but is held to the same bound, so no bad size passes
         if args.basis_size < args.max_n + 19:
             parser.error(f"--basis-size must be at least {args.max_n + 19} for --max-n {args.max_n}")
+        if args.json is not None:  # opened before any check runs, closed before main returns
+            try:
+                args.json = open(args.json, "w", encoding="utf-8")
+            except OSError as exc:
+                parser.error(f"cannot write the --json report {args.json}: {exc.strerror}")
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -334,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)
+    finally:
+        if getattr(args, "json", None) is not None:
+            args.json.close()
 
 
 if __name__ == "__main__":

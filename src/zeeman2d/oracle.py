@@ -42,8 +42,9 @@ certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 `fit_field_series` is the one way in: it walks the one field grid,
 `default_field_grid` (nine fields from 0 to b_max = Z^2 / (20 (2n-1)^2)),
 this way and fits an even polynomial in b to recover the quadratic and
-quartic coefficients with conditioning and noise diagnostics; the result
-keeps the residual of the certified eigenpair at each field.
+quartic coefficients by one fixed projection of the tracked energies,
+formed once at import, whose conditioning is the constant GRID_CONDITIONING;
+the result keeps the residual of the certified eigenpair at each field.
 """
 
 from __future__ import annotations
@@ -510,6 +511,15 @@ def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) 
     return tracked
 
 
+_FIELD_STEPS = tuple(Fraction(i, 8) for i in range(9))  # b / b_max on every grid
+FIT_POWERS = (0, 2, 4, 6)
+# Column p scaled by b_max^p is (i/8)^p on every grid: one full-rank design, whose
+# pseudo-inverse is formed once (Golub & Van Loan, Matrix Computations, sec. 5.5).
+_DESIGN = np.array([[float(step**p) for p in FIT_POWERS] for step in _FIELD_STEPS])
+_PROJECTOR = np.linalg.pinv(_DESIGN)
+GRID_CONDITIONING = float(np.linalg.cond(_DESIGN))
+
+
 def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[Fraction]:
     """Nine evenly spaced fields 0 .. b_max with b_max = Z^2 / (20 (2n-1)^2).
 
@@ -522,52 +532,45 @@ def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[F
     grows like n^2, to below 1e-2 at n = 12.
     """
     b_max = Fraction(Z) ** 2 / (20 * (2 * state.n - 1) ** 2)
-    return [b_max * i / 8 for i in range(9)]
+    return [b_max * step for step in _FIELD_STEPS]
 
 
 class FieldFitResult(
-    namedtuple(
-        "FieldFitResult",
-        "state Z basis_size fields energies residuals powers coefficients conditioning amplification noise_floor",
-    )
+    namedtuple("FieldFitResult", "state Z basis_size fields energies residuals coefficients noise_floor")
 ):
     """Even-power fit of the tracked level's field dependence.
 
-    ``fields``, ``energies``, ``residuals`` and ``powers`` are tuples, and
-    ``coefficients`` and ``amplification`` map each power to a float.
-    ``residuals`` holds |H x - lambda O x| of the converged eigenpair at each
-    field, in the order of ``fields``.
+    ``fields``, ``energies`` and ``residuals`` are tuples, and
+    ``coefficients`` maps each of `FIT_POWERS` to a float.  ``residuals``
+    holds |H x - lambda O x| of the converged eigenpair at each field, in
+    the order of ``fields``.  Every fit has the conditioning GRID_CONDITIONING.
     """
 
     __slots__ = ()
 
     def coefficient_uncertainty(self, power: int) -> float:
-        """Crude one-sigma noise propagation through the least squares.
+        """Crude one-sigma noise propagation: the projector row's norm over b_max^power.
 
         Only the rms residual is propagated, not the bias that the truncated
         b^8 tail leaves in the fitted coefficients.  For n >= 2 on the
         default grid this understates the c4 error about 10x: at (4, 0) the
         c4 error is 2.3e-5 of |c4| and the reported uncertainty 2.2e-6.
         """
-        return self.amplification[power] * self.noise_floor
+        row = _PROJECTOR[FIT_POWERS.index(power)]
+        return float(np.linalg.norm(row)) / float(self.fields[-1]) ** power * self.noise_floor
 
-    def as_dict(self, tolerances: dict | None = None, verdicts: dict | None = None) -> dict:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "state": {"n": self.state.n, "l": self.state.l, "m_l": self.state.m_l},
             "Z": str(self.Z),
             "basis_size": self.basis_size,
             "grid": [str(b) for b in self.fields],
             "energies": list(self.energies),
             "residuals": list(self.residuals),
-            "coefficients": {str(p): self.coefficients[p] for p in self.powers},
-            "uncertainties": {str(p): self.coefficient_uncertainty(p) for p in self.powers},
-            "conditioning": self.conditioning,
+            "coefficients": {str(p): self.coefficients[p] for p in FIT_POWERS},
+            "uncertainties": {str(p): self.coefficient_uncertainty(p) for p in FIT_POWERS},
+            "conditioning": GRID_CONDITIONING,
         }
-        if tolerances is not None:
-            payload["tolerances"] = tolerances
-        if verdicts is not None:
-            payload["verdicts"] = verdicts
-        return payload
 
 
 def fit_field_series(
@@ -577,13 +580,13 @@ def fit_field_series(
 ) -> FieldFitResult:
     """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on ``default_field_grid(state, Z)``.
 
-    The level is tracked outward from b = 0, where it is exact.  c6 is
-    always included as an absorber for the first neglected order, so the
-    window choice does not bias c4.  On this grid the column-scaled design
-    is (i/8)^p for every state and charge, so ``conditioning`` is the same
-    for every fit.  Raises ValueError, before any assembly, when b_max lies
-    outside the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows
-    with b, so the other fields then lie inside it too.
+    The level is tracked outward from b = 0, where it is exact.  The fit is
+    one fixed projection: `_PROJECTOR` maps E(b) - E(0) to the coefficients
+    of (b/b_max)^p, and coefficient p is then divided by b_max^p.  c6 absorbs
+    the first neglected order, so the window choice does not bias c4.
+    Raises ValueError, before any assembly, when b_max lies outside the
+    perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b, so
+    the other fields then lie inside it too.
     """
     Z = Fraction(Z)
     grid = default_field_grid(state, Z)
@@ -594,23 +597,12 @@ def fit_field_series(
     cfg = GalerkinConfig(l=state.l, Z=Z, basis_size=basis_size, target_n_r=state.n_r)
     tracked = _track(_round_bands(cfg), grid, state.n_r, float(cfg.unperturbed_energy))
     energies, residuals = zip(*tracked)
-    powers = (0, 2, 4, 6)
-    bf = np.array([float(b) for b in grid])
-    target = np.array(energies)
-    offset = energies[0]
-    design = np.column_stack([bf**p for p in powers])
-    scales = design[-1]  # the largest field holds each column's largest entry
-    coef_scaled, res_sum, _, sv = np.linalg.lstsq(design / scales, target - offset, rcond=None)
-    conditioning = float(sv[0] / sv[-1])
-    coef = coef_scaled / scales
-    coefficients = {p: float(c) for p, c in zip(powers, coef)}
-    coefficients[0] += offset
-    pinv = np.linalg.pinv(design / scales)
-    amplification = {
-        p: float(np.linalg.norm(pinv[i]) / scales[i]) for i, p in enumerate(powers)
-    }
-    rms = math.sqrt(float(res_sum[0]) / len(grid))
-    noise_floor = max(1e-15 * float(np.max(np.abs(target))), rms)
+    shifts = np.array(energies) - energies[0]
+    scaled = _PROJECTOR @ shifts
+    b_max = float(grid[-1])
+    coefficients = {p: float(c) / b_max**p for p, c in zip(FIT_POWERS, scaled)}
+    coefficients[0] += energies[0]
+    rms = math.sqrt(float(np.mean((_DESIGN @ scaled - shifts) ** 2)))
     return FieldFitResult(
         state=state,
         Z=Z,
@@ -618,9 +610,6 @@ def fit_field_series(
         fields=tuple(grid),
         energies=energies,
         residuals=residuals,
-        powers=powers,
         coefficients=coefficients,
-        conditioning=conditioning,
-        amplification=amplification,
-        noise_floor=noise_floor,
+        noise_floor=max(1e-15 * max(map(abs, energies)), rms),
     )

@@ -266,22 +266,18 @@ class DisputedValueReport(
         """The fields by name, with every exact value as its string (JSON keeps no rationals)."""
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in self._asdict().items()}
 
-    def summary_line(self, digits: int = 9) -> str:
-        verdict = (
-            "REJECTED"
-            if self.literature_rejected
-            else ("UNRESOLVED" if self.literature_rejected is None else "NOT REJECTED")
-        )
+    def summary_line(self) -> str:
+        verdict = {True: "REJECTED", False: "NOT REJECTED", None: "UNRESOLVED"}[self.literature_rejected]
         if self.oracle_estimate is None:
             oracle_s = "skipped"
         elif self.oracle_uncertainty is None:
-            oracle_s = f"{self.oracle_estimate:.{digits}g}"
+            oracle_s = f"{self.oracle_estimate:.9g}"
         else:
-            oracle_s = f"{self.oracle_estimate:.{digits}g}±{self.oracle_uncertainty:.1g}"
+            oracle_s = f"{self.oracle_estimate:.9g}±{self.oracle_uncertainty:.1g}"
         return (
             f"eps4(1,0): closed={self.closed_form}, sturmian={self.sturmian_sum}, "
             f"oracle={oracle_s}, literature {self.literature} {verdict} "
-            f"(exact value {render_decimal(self.closed_form, digits)})"
+            f"(exact value {render_decimal(self.closed_form, 9)})"
         )
 
 

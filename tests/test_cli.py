@@ -249,6 +249,28 @@ class TestValidate:
         assert out.out == ""
         assert "--max-n" in out.err or "--basis-size" in out.err
 
+    def test_unwritable_report_rejected_before_any_check(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--max-n", "0", "--json", str(tmp_path / "missing" / "r.json")])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert "--json" in out.err
+
+    def test_fit_entry_keys_are_pinned(self, capsys, tmp_path):
+        # the oracle's fit fields plus the CLI's tolerances and verdicts
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, ["validate", "--max-n", "1", "--json", str(report)])
+        assert code == 0
+        (entry,) = json.loads(report.read_text())["oracle_fits"]
+        assert set(entry) == {
+            "state", "Z", "basis_size", "grid", "energies", "residuals", "coefficients",
+            "uncertainties", "conditioning", "tolerances", "verdicts",
+        }
+        assert entry["conditioning"] == oracle.GRID_CONDITIONING
+        assert entry["tolerances"] == {"c2_rel": 1e-6}
+        assert set(entry["verdicts"]) == {"c2_rel_err", "c2_ok"}
+
     def test_basis_size_default_is_the_oracle_default(self):
         # the parser spells out its own default so that it need not load
         # numpy; the two must not drift apart
