@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("l", type=int, nargs="?", help="angular quantum number magnitude")
     p_coeff.add_argument("--all-up-to", type=int, metavar="N", help="sweep every state with n <= N")
     _add_format_args(p_coeff)
-    p_coeff.set_defaults(func=cmd_coeff)
+    p_coeff.set_defaults(func=cmd_coeff, parser=p_coeff)
 
     p_energy = sub.add_parser("energy", help="term-by-term exact energy at a field strength")
     p_energy.add_argument("--n", type=int, required=True)
@@ -286,43 +286,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--spin", action="store_true", help="include the 2 m_s first-order shift")
     p_energy.add_argument("--tesla", action="store_true", help="also display the field in tesla")
     _add_format_args(p_energy)
-    p_energy.set_defaults(func=cmd_energy)
+    p_energy.set_defaults(func=cmd_energy, parser=p_energy)
 
     p_table = sub.add_parser("table", help="published n <= 4 coefficient table")
     _add_format_args(p_table, decimals=False)
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table, parser=p_table)
 
     p_val = sub.add_parser("validate", help="run the cross-validation suite")
     p_val.add_argument("--max-n", type=int, default=3, help="run oracle fits for states up to this n (0 skips them)")
     p_val.add_argument("--basis-size", type=int, default=120)
     p_val.add_argument("--json", metavar="PATH", help="also write a machine-readable report")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, parser=p_val)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = args.parser.error  # the usage line of the subcommand that parsed argv
     if args.command == "coeff":
         if args.all_up_to is None and (args.n is None or args.l is None):
-            parser.error("coeff needs n and l (or --all-up-to N)")
+            error("coeff needs n and l (or --all-up-to N)")
         if args.all_up_to is not None and args.n is not None:
-            parser.error("coeff takes n and l or --all-up-to N, not both")
+            error("coeff takes n and l or --all-up-to N, not both")
         if args.all_up_to is not None and args.all_up_to < 1:
-            parser.error("--all-up-to must be at least 1")
+            error("--all-up-to must be at least 1")
     if args.command == "validate":
         if args.max_n < 0:
-            parser.error("--max-n must be non-negative")
+            error("--max-n must be non-negative")
         # the fit of (max_n, 0) tracks n_r = max_n - 1 and needs n_r + 20 functions;
         # --max-n 0 runs no fit but is held to the same bound, so no bad size passes
         if args.basis_size < args.max_n + 19:
-            parser.error(f"--basis-size must be at least {args.max_n + 19} for --max-n {args.max_n}")
+            error(f"--basis-size must be at least {args.max_n + 19} for --max-n {args.max_n}")
         if args.json is not None:  # opened before any check runs, closed before main returns
             try:
                 args.json = open(args.json, "w", encoding="utf-8")
             except OSError as exc:
-                parser.error(f"cannot write the --json report {args.json}: {exc.strerror}")
+                error(f"cannot write the --json report {args.json}: {exc.strerror}")
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -334,8 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except (ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
-        return 2  # unreachable; parser.error raises SystemExit(2)
+        error(str(exc))
+        return 2  # unreachable; error raises SystemExit(2)
     finally:
         if getattr(args, "json", None) is not None:
             args.json.close()

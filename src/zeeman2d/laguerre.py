@@ -8,43 +8,23 @@ perm(k + alpha, alpha) = (k+alpha)!/k!, and the integrand is symmetric in
 (k, k'); the diagonal is
 (2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6) (k+alpha)!/k!.  The
 factorial ratio is the only large part, so no route builds it per entry:
-`_moment3_diagonals` builds whole diagonals for the oracle in one pass of a
-running ratio, and the exact routes (`coulomb._window_terms`,
-`perturb.eps2_integral`) cancel it against the level's own and keep
-`_moment3_factor` times ratios of a few consecutive integers.  The tests
-hold M itself as the reference for `_moment3_factor`.
+the oracle's `_exact_pieces` multiplies `_moment3_factor` by it as a
+running ratio, in the same pass that builds its other bands, and the exact
+routes (`coulomb._window_terms`, `perturb.eps2_integral`) cancel it against
+the level's own and keep `_moment3_factor` times ratios of a few
+consecutive integers.  The tests hold M itself as the reference for
+`_moment3_factor`.
 """
 
 from __future__ import annotations
-
-import math
-
-
-def _moment3_diagonals(alpha: int, size: int, scale: int) -> tuple[tuple[int, ...], ...]:
-    """The diagonals d = 0..3 of scale * M(i, j) for i, j < size (module docstring).
-
-    Diagonal d holds the entries (i, i + d) for i < size - d.  One pass over
-    the running ratio q_i = perm(i + alpha, alpha) forms every row from
-    `_moment3_factor`, with no `math.perm` per entry.
-    """
-    q = math.factorial(alpha)
-    r0, r1, r2, r3 = [], [], [], []
-    for i in range(size):
-        sq = scale * q
-        r0.append(sq * _moment3_factor(i, 0, alpha))
-        r1.append(sq * _moment3_factor(i, 1, alpha))
-        r2.append(sq * _moment3_factor(i, 2, alpha))
-        r3.append(sq * _moment3_factor(i, 3, alpha))
-        q = (i + alpha + 1) * q // (i + 1)
-    return tuple(r0), tuple(r1[:-1]), tuple(r2[:-2]), tuple(r3[:-3])
 
 
 def _moment3_factor(lo: int, d: int, alpha: int) -> int:
     """The integer c with M(lo, lo + d) = c perm(lo + alpha, alpha), 0 <= d <= 3 (module docstring).
 
     perm(lo + alpha, alpha) = (lo + alpha)!/lo! is a running ratio from row
-    to row, so `_moment3_diagonals` multiplies these small factors by it;
-    the exact routes never form it.
+    to row, so the oracle's `_exact_pieces` multiplies these small factors
+    by it; the exact routes never form it.
     """
     a = alpha
     if d == 0:

@@ -11,13 +11,13 @@ matrix element becomes an exact rational:
 
 in the unnormalized basis, where W_j is the (diagonal, rational) weighted
 norm, O is the tridiagonal plain overlap and R the seven-banded r^2 moment.
-`_exact_pieces` assembles these bands in closed form, O(m) entries in all,
-as integer numerators over one denominator per band.  Floating point enters
-once per fit, when `_round_bands` rounds each entry by one correctly rounded
-integer division and divides basis function j by sqrt(W_j); that diagonal
-congruence keeps the overlap well conditioned and leaves the generalized
-eigenvalues unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at
-each field.
+`_exact_pieces` assembles all four bands (W, H0, O, R) in closed form in one
+pass over the basis, O(m) entries in all, each band a plain pair of integer
+numerators and one denominator.  Floating point enters once per fit, when
+`_round_bands` rounds each entry by one correctly rounded integer division
+and divides basis function j by sqrt(W_j); that diagonal congruence keeps
+the overlap well conditioned and leaves the generalized eigenvalues
+unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at each field.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
@@ -39,12 +39,15 @@ of that complement is the leading block of (H - sigma O)^-1, so its
 eigenvalues lie no closer to zero than the spectrum of H - sigma O: the
 certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 
-`fit_field_series` is the one way in: it walks the one field grid,
-`default_field_grid` (nine fields from 0 to b_max = Z^2 / (20 (2n-1)^2)),
-this way and fits an even polynomial in b to recover the quadratic and
-quartic coefficients by one fixed projection of the tracked energies,
-formed once at import, whose conditioning is the constant GRID_CONDITIONING;
-the result keeps the residual of the certified eigenpair at each field.
+`fit_field_series` is the one way in.  It holds the Sturmians at the
+tracked level's own energy, E* = `energy0(state, Z)`; `_exact_pieces` and
+`_round_bands` also take any other E* with a rational sqrt(-2 E*).  It walks
+the one field grid, `default_field_grid` (nine fields from 0 to
+b_max = Z^2 / (20 (2n-1)^2)), this way and fits an even polynomial in b to
+recover the quadratic and quartic coefficients by one fixed projection of
+the tracked energies, formed once at import, whose conditioning is the
+constant GRID_CONDITIONING; the result keeps the residual of the certified
+eigenpair at each field.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 from . import _single_threaded_blas
 from .coulomb import QuantumState, _check_charge, energy0
 from .exactmath import rational_sqrt
-from .laguerre import _moment3_diagonals
+from .laguerre import _moment3_factor
 from .perturb import assemble_energy
 
 _single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its pool
@@ -68,7 +71,6 @@ _single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its 
 import numpy as np  # noqa: E402
 
 __all__ = [
-    "GalerkinConfig",
     "FieldFitResult",
     "ConvergenceError",
     "LevelCrossingError",
@@ -117,107 +119,34 @@ class LevelCrossingError(RuntimeError):
         )
 
 
-class GalerkinConfig(namedtuple("GalerkinConfig", "l Z basis_size reference_energy target_n_r")):
-    """The Galerkin problem of one radial channel: charge, basis, anchor, level.
+def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> tuple:
+    """Field-independent exact bands in closed form, on integers, in one pass.
 
-    It holds no field: the fit forms H(b) = H0 + (b^2/8) R from the rounded
-    bands at each field of its grid.  ``reference_energy`` defaults to the
-    unperturbed energy of the tracked level (n = target_n_r + l + 1), the
-    one anchor at which the tracked eigenvalue is exact at b = 0.  It must
-    have a rational Sturmian scale sqrt(-2 E*), otherwise exact matrix
-    assembly is impossible and `_exact_pieces` raises ValueError.  Like
-    every record of the package it is an immutable named tuple, and
-    `_replace` builds through the same checks.  ``l``, ``basis_size`` and
-    ``target_n_r`` are taken through `operator.index`, so a float raises
-    `TypeError` here and each is stored as an `int`.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        l: int,
-        Z: Fraction = Fraction(1),
-        basis_size: int = DEFAULT_BASIS_SIZE,
-        reference_energy: Fraction | None = None,
-        target_n_r: int = 0,
-    ) -> "GalerkinConfig":
-        l, basis_size = operator.index(l), operator.index(basis_size)
-        target_n_r = operator.index(target_n_r)
-        if l < 0:
-            raise ValueError("l must be non-negative")
-        Z = _check_charge(Z)
-        if target_n_r < 0:
-            raise ValueError("target_n_r must be non-negative")
-        if basis_size < target_n_r + 20:
-            raise ValueError("basis_size must be at least target_n_r + 20")
-        if reference_energy is not None:
-            reference_energy = Fraction(reference_energy)
-            if reference_energy >= 0:
-                raise ValueError("reference energy must be negative")
-        return tuple.__new__(cls, (l, Z, basis_size, reference_energy, target_n_r))
-
-    @classmethod
-    def _make(cls, iterable) -> "GalerkinConfig":
-        return cls(*iterable)
-
-    @property
-    def unperturbed_energy(self) -> Fraction:
-        """Exact b = 0 energy of the tracked level; it seeds the tracking."""
-        n = self.target_n_r + self.l + 1
-        return energy0(QuantumState(n, self.l, self.l), self.Z)
-
-    @property
-    def resolved_reference(self) -> Fraction:
-        if self.reference_energy is not None:
-            return self.reference_energy
-        return self.unperturbed_energy
-
-
-class ExactBand(namedtuple("ExactBand", "diagonals denominator")):
-    """The diagonals of one exact band as integer numerators over one denominator.
-
-    ``diagonals[d][i]`` is the entry (i, i+d) times ``denominator`` (> 0).
-    """
-
-    __slots__ = ()
-
-    def rounded(self) -> list[np.ndarray]:
-        """Each diagonal correctly rounded to doubles: one integer division per entry."""
-        return [np.array([num / self.denominator for num in diagonal]) for diagonal in self.diagonals]
-
-
-class ExactBands(namedtuple("ExactBands", "weighted_norm h0 overlap r2")):
-    """Exact bands of the unnormalized Galerkin problem, each an `ExactBand`.
-
-    ``weighted_norm`` holds the diagonal W, ``h0`` the diagonal and first
-    off-diagonal of H0 = D + E* O, ``overlap`` the two diagonals of O and
-    ``r2`` the four diagonals of R.
-    """
-
-    __slots__ = ()
-
-
-def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> ExactBands:
-    """Field-independent exact bands in closed form, on integers.
-
+    Returns (weighted_norm, h0, overlap, r2), each a pair (diagonals,
+    denominator) in which ``diagonals[d][i]`` is the entry (i, i+d) times
+    the denominator (> 0): the diagonal W, the diagonal and first
+    off-diagonal of H0 = D + E* O, the two diagonals of O and the four of R.
     With alpha = 2l, the running ratio q_i = (i+alpha)!/i! (q_0 = alpha!),
     a_i = 2i+alpha+1, k = sqrt(-2 E*) = p/s and Z = z/zeta in lowest terms:
     W_i = z q_i/zeta, O_ii = a_i q_i s/(2p), O_i,i+1 = -(i+alpha+1) q_i s/(2p),
     H0_ii = (mu_i - 1) W_i + E* O_ii = q_i (a_i p zeta - 4 s z)/(4 s zeta) with
     mu_i = a_i k/(2Z), H0_i,i+1 = E* O_i,i+1 = p (i+alpha+1) q_i/(4s), and
-    R_i,i+d = s^3 M(i, i+d)/(8 p^3), with M the third moment of `laguerre`,
-    built in one pass over the same q_i by `laguerre._moment3_diagonals`.
+    R_i,i+d = s^3 q_i c/(8 p^3), with c = `laguerre._moment3_factor`(i, d, alpha)
+    the third moment over q_i.  Raises ValueError for E* >= 0 and for an
+    irrational sqrt(-2 E*), at which exact assembly is impossible.
     """
+    if reference >= 0:
+        raise ValueError("reference energy must be negative")
     k = rational_sqrt(-2 * reference)
     if k is None:
         raise ValueError("exact assembly needs a rational Sturmian scale sqrt(-2 E*)")
     p, s = k.numerator, k.denominator
     z, zeta = Z.numerator, Z.denominator
     alpha = 2 * l
-    p_zeta, four_s_z = p * zeta, 4 * s * z
+    p_zeta, four_s_z, s3 = p * zeta, 4 * s * z, s**3
     q = math.factorial(alpha)
     weighted_norm, h0_diag, h0_off, o_diag, o_off = [], [], [], [], []
+    r0, r1, r2, r3 = [], [], [], []
     for i in range(basis_size):
         a = 2 * i + alpha + 1
         up = (i + alpha + 1) * q
@@ -226,12 +155,17 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
         h0_off.append(p_zeta * up)
         o_diag.append(a * q * s)
         o_off.append(-up * s)
+        sq = s3 * q
+        r0.append(sq * _moment3_factor(i, 0, alpha))
+        r1.append(sq * _moment3_factor(i, 1, alpha))
+        r2.append(sq * _moment3_factor(i, 2, alpha))
+        r3.append(sq * _moment3_factor(i, 3, alpha))
         q = up // (i + 1)
-    return ExactBands(
-        weighted_norm=ExactBand((tuple(weighted_norm),), zeta),
-        h0=ExactBand((tuple(h0_diag), tuple(h0_off[:-1])), 4 * s * zeta),
-        overlap=ExactBand((tuple(o_diag), tuple(o_off[:-1])), 2 * p),
-        r2=ExactBand(_moment3_diagonals(alpha, basis_size, s**3), 8 * p**3),
+    return (
+        ((tuple(weighted_norm),), zeta),
+        ((tuple(h0_diag), tuple(h0_off[:-1])), 4 * s * zeta),
+        ((tuple(o_diag), tuple(o_off[:-1])), 2 * p),
+        ((tuple(r0), tuple(r1[:-1]), tuple(r2[:-2]), tuple(r3[:-3])), 8 * p**3),
     )
 
 
@@ -249,23 +183,24 @@ class FloatBands(namedtuple("FloatBands", "h0 r2 overlap")):
         return self.h0 + float(b * b / 8) * self.r2
 
 
-def _round_bands(cfg: GalerkinConfig) -> FloatBands:
+def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> FloatBands:
     """Round the exact bands once, dividing basis function j by sqrt(W_j).
 
-    Raises ValueError when an entry or W_j is too large for a double.
+    Each entry is one correctly rounded integer division num / den.  Raises
+    ValueError when an entry or W_j is too large for a double.
     """
-    exact = _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
-    m = cfg.basis_size
+    m = basis_size
     try:
-        weighted_norm, h0, r2, overlap = [
-            band.rounded() for band in (exact.weighted_norm, exact.h0, exact.r2, exact.overlap)
+        (weighted_norm,), h0, overlap, r2 = [
+            [np.array([num / den for num in diagonal]) for diagonal in diagonals]
+            for diagonals, den in _exact_pieces(l, Z, m, reference)
         ]
     except OverflowError:
         raise ValueError(
-            f"the Galerkin bands at l = {cfg.l}, Z = {cfg.Z}, basis_size = {m} "
+            f"the Galerkin bands at l = {l}, Z = {Z}, basis_size = {m} "
             "have entries too large for a double"
         ) from None
-    scale = 1 / np.sqrt(weighted_norm[0])
+    scale = 1 / np.sqrt(weighted_norm)
 
     def upper(diagonals: list[np.ndarray]) -> np.ndarray:
         band = np.zeros((HALF_BANDWIDTH + 1, m))
@@ -580,22 +515,27 @@ def fit_field_series(
 ) -> FieldFitResult:
     """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on ``default_field_grid(state, Z)``.
 
-    The level is tracked outward from b = 0, where it is exact.  The fit is
-    one fixed projection: `_PROJECTOR` maps E(b) - E(0) to the coefficients
-    of (b/b_max)^p, and coefficient p is then divided by b_max^p.  c6 absorbs
+    The level is tracked outward from b = 0 on Sturmians held at its own
+    energy E* = ``energy0(state, Z)``, where it is exact.  The fit is one
+    fixed projection: `_PROJECTOR` maps E(b) - E(0) to the coefficients of
+    (b/b_max)^p, and coefficient p is then divided by b_max^p.  c6 absorbs
     the first neglected order, so the window choice does not bias c4.
-    Raises ValueError, before any assembly, when b_max lies outside the
-    perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b, so
-    the other fields then lie inside it too.
+    Raises ValueError, before any assembly, for Z <= 0, for a ``basis_size``
+    below n_r + 20 (a float raises TypeError) and when b_max lies outside
+    the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b,
+    so the other fields then lie inside it too.
     """
-    Z = Fraction(Z)
+    Z = _check_charge(Z)
+    basis_size = operator.index(basis_size)
+    if basis_size < state.n_r + 20:
+        raise ValueError(f"basis_size must be at least n_r + 20 = {state.n_r + 20}")
     grid = default_field_grid(state, Z)
     if assemble_energy(state, Z, grid[-1]).regime_warning:
         raise ValueError(
             f"b_max = {grid[-1]} of the n = {state.n} field grid lies outside the perturbative window"
         )
-    cfg = GalerkinConfig(l=state.l, Z=Z, basis_size=basis_size, target_n_r=state.n_r)
-    tracked = _track(_round_bands(cfg), grid, state.n_r, float(cfg.unperturbed_energy))
+    anchor = energy0(state, Z)
+    tracked = _track(_round_bands(state.l, Z, basis_size, anchor), grid, state.n_r, float(anchor))
     energies, residuals = zip(*tracked)
     shifts = np.array(energies) - energies[0]
     scaled = _PROJECTOR @ shifts
@@ -606,7 +546,7 @@ def fit_field_series(
     return FieldFitResult(
         state=state,
         Z=Z,
-        basis_size=cfg.basis_size,
+        basis_size=basis_size,
         fields=tuple(grid),
         energies=energies,
         residuals=residuals,

@@ -14,6 +14,7 @@ import pytest
 
 from zeeman2d import oracle, reference
 from zeeman2d.cli import build_parser, main
+from zeeman2d.coulomb import QuantumState
 from zeeman2d.exactmath import parse_rational
 
 
@@ -276,6 +277,21 @@ class TestValidate:
         # numpy; the two must not drift apart
         assert build_parser().parse_args(["validate"]).basis_size == oracle.DEFAULT_BASIS_SIZE
 
+    @pytest.mark.parametrize("max_n", range(1, 5))
+    def test_basis_size_floor_is_the_fit_floor(self, capsys, max_n):
+        # the CLI's floor max_n + 19 is the fit's n_r + 20 for the state
+        # (max_n, 0), which has the largest n_r of the run
+        state = QuantumState(max_n, 0, 0)
+        assert oracle.fit_field_series(state, basis_size=max_n + 19).basis_size == max_n + 19
+        with pytest.raises(ValueError, match="n_r \\+ 20"):
+            oracle.fit_field_series(state, basis_size=max_n + 18)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--max-n", str(max_n), "--basis-size", str(max_n + 18)])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert f"--basis-size must be at least {max_n + 19}" in out.err
+
     def test_smallest_basis_size_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--max-n", "1", "--basis-size", "20"])
         assert code == 0
@@ -390,3 +406,25 @@ class TestParserHygiene:
         with pytest.raises(SystemExit) as err:
             main(["energy", "--n", "1", "--l", "0", "--ml", "0", "--B-over-B0", "lots"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--max-n", "-1"],
+            ["validate", "--max-n", "0", "--json", "{missing}"],
+            ["coeff", "1", "0", "--digits", "0"],
+            ["coeff", "--all-up-to", "0"],
+            ["energy", "--n", "1", "--l", "0", "--ml", "0", "--B-over-B0", "1", "--Z", "0"],
+        ],
+        ids=["max-n", "json", "digits", "all-up-to", "charge"],
+    )
+    def test_usage_error_names_the_subcommand(self, capsys, tmp_path, argv):
+        # the argument checks of main and the library errors it catches both
+        # print the usage line of the subcommand, not the top-level one
+        argv = [arg.format(missing=tmp_path / "missing" / "r.json") for arg in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: zeeman2d {argv[0]} ")

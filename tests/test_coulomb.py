@@ -11,7 +11,7 @@ from zeeman2d import coulomb
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.greenfn import GreenEvalConfig
-from zeeman2d.oracle import GalerkinConfig, fit_field_series
+from zeeman2d.oracle import fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
     coefficient_set,
@@ -59,15 +59,12 @@ SPIN_ENTRIES = {
 CHARGE_ENTRIES = {
     "energy0": lambda Z: energy0(QuantumState(2, 0, 0), Z),
     "assemble_energy": lambda Z: assemble_energy(QuantumState(2, 0, 0), Z=Z),
-    "GalerkinConfig": lambda Z: GalerkinConfig(l=0, Z=Z),
+    "fit_field_series": lambda Z: fit_field_series(QuantumState(1, 0, 0), Z),
     "GreenEvalConfig": lambda Z: GreenEvalConfig(l=0, level=1, Z=Z),
     "GreenEvalConfig.for_level": lambda Z: GreenEvalConfig.for_level(1, 0, Z),
 }
-# The integer fields of the oracle's problem, each as a call on the one bad input.
+# The integer count of the oracle's problem, as a call on the one bad input.
 COUNT_ENTRIES = {
-    "GalerkinConfig.l": lambda v: GalerkinConfig(l=v),
-    "GalerkinConfig.basis_size": lambda v: GalerkinConfig(l=0, basis_size=v),
-    "GalerkinConfig.target_n_r": lambda v: GalerkinConfig(l=0, target_n_r=v),
     "fit_field_series.basis_size": lambda v: fit_field_series(QuantumState(1, 0, 0), basis_size=v),
 }
 NOT_INTEGRAL = "'float' object cannot be interpreted as an integer"

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeeman2d.laguerre import _moment3_diagonals
+from zeeman2d.laguerre import _moment3_factor
+from zeeman2d.oracle import _exact_pieces
 
 from radial_reference import (
     Laguerre,
@@ -134,18 +135,26 @@ class TestThirdMomentDiagonal:
 class TestThirdMomentDiagonals:
     @pytest.mark.parametrize("alpha", [0, 1, 2, 7, 40, 168])
     def test_rows_match_entries(self, alpha):
-        # the one-pass diagonals against moment3_band, entry by entry, as ints
-        for size in (0, 1, 2, 3, 4, 5, 300):
-            diagonals = _moment3_diagonals(alpha, size, 1)
-            assert [len(diagonal) for diagonal in diagonals] == [max(size - d, 0) for d in range(4)]
-            for d, diagonal in enumerate(diagonals):
-                for i, value in enumerate(diagonal):
-                    assert type(value) is int
-                    assert value == moment3_band(i, i + d, alpha), (size, d, i)
+        # the factor times perm(i + alpha, alpha) against moment3_band, entry by entry, as ints
+        for i in range(300):
+            for d in range(4):
+                value = _moment3_factor(i, d, alpha) * math.perm(i + alpha, alpha)
+                assert type(value) is int
+                assert value == moment3_band(i, i + d, alpha), (d, i)
 
     def test_scale_multiplies_every_entry(self):
-        plain, scaled = _moment3_diagonals(5, 40, 1), _moment3_diagonals(5, 40, 27)
-        assert scaled == tuple(tuple(27 * value for value in diagonal) for diagonal in plain)
+        # the oracle's R band is s^3 M(i, i + d) over 8 p^3, k = p/s = sqrt(-2 E*),
+        # built in the pass over its running ratio; here k = 3/4 and k = 1/5
+        for l in (0, 1, 3):
+            for reference, p, s in ((Fraction(-9, 32), 3, 4), (Fraction(-1, 50), 1, 5)):
+                for size in (0, 1, 2, 3, 4, 5, 300):
+                    diagonals, denominator = _exact_pieces(l, Fraction(1), size, reference)[3]
+                    assert denominator == 8 * p**3
+                    assert [len(diagonal) for diagonal in diagonals] == [max(size - d, 0) for d in range(4)]
+                    for d, diagonal in enumerate(diagonals):
+                        for i, value in enumerate(diagonal):
+                            assert type(value) is int
+                            assert value == s**3 * moment3_band(i, i + d, 2 * l), (l, size, d, i)
 
 
 class TestThirdMomentBand:

@@ -5,7 +5,6 @@ import importlib
 import json
 import math
 import os
-import pickle
 import pkgutil
 import subprocess
 import sys
@@ -22,7 +21,6 @@ from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.oracle import (
     ConvergenceError,
-    GalerkinConfig,
     LevelCrossingError,
     _band_matvec,
     _certify,
@@ -42,19 +40,32 @@ from radial_reference import Laguerre, brute_force_integral, cross_integral, mom
 BASIS_SMALL = 40
 
 
-def tracked(cfg, b=Fraction(0)):
-    """(energy, residual) of cfg's level at field b, tracked from b = 0 in one step."""
+def anchor(n, l, Z=Fraction(1)):
+    """The default anchor of level (n, l): its unperturbed energy."""
+    return energy0(QuantumState(n, l, l), Z)
+
+
+def tracked(l, Z, m, reference, b=Fraction(0)):
+    """(energy, residual) at field b of the level anchored at ``reference``, tracked from b = 0.
+
+    The reference is the level's exact b = 0 energy -Z^2 / (2 (n_r + l + 1/2)^2),
+    so n_r = Z / sqrt(-2 E*) - l - 1/2.
+    """
+    n_r = Z / rational_sqrt(-2 * reference) - l - Fraction(1, 2)
+    assert n_r.denominator == 1 and n_r >= 0
     fields = [Fraction(0), Fraction(b)]
-    return _track(_round_bands(cfg), fields, cfg.target_n_r, float(cfg.unperturbed_energy))[-1]
+    return _track(_round_bands(l, Z, m, reference), fields, int(n_r), float(reference))[-1]
 
 
-def exact_pieces(cfg):
-    return _exact_pieces(cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference)
+def exact_pieces(l, Z, m, reference):
+    """The four exact bands of `_exact_pieces`, by name."""
+    return dict(zip(("weighted_norm", "h0", "overlap", "r2"), _exact_pieces(l, Z, m, reference)))
 
 
 def entry(band, d, i):
-    """Entry (i, i+d) of an exact band as a Fraction."""
-    return Fraction(band.diagonals[d][i], band.denominator)
+    """Entry (i, i+d) of an exact band (diagonals, denominator) as a Fraction."""
+    diagonals, denominator = band
+    return Fraction(diagonals[d][i], denominator)
 
 
 def dense(band):
@@ -69,19 +80,18 @@ def dense(band):
 def exact_entry(bands, b, i, j):
     """(H_ij, O_ij) rebuilt exactly from the band arrays; zero outside the band."""
     lo, d = min(i, j), abs(i - j)
-    o_ij = entry(bands.overlap, d, lo) if d < 2 else Fraction(0)
-    h_ij = b * b / 8 * entry(bands.r2, d, lo) if d < 4 else Fraction(0)
-    h_ij += entry(bands.h0, d, lo) if d < 2 else Fraction(0)
+    o_ij = entry(bands["overlap"], d, lo) if d < 2 else Fraction(0)
+    h_ij = b * b / 8 * entry(bands["r2"], d, lo) if d < 4 else Fraction(0)
+    h_ij += entry(bands["h0"], d, lo) if d < 2 else Fraction(0)
     return h_ij, o_ij
 
 
-def fraction_bands(cfg):
+def fraction_bands(l, Z, m, e_star):
     """(H0, R, O) in upper band storage, assembled entry by entry as Fractions and rounded.
 
     An independent transcription of the closed forms: each entry is built as
     its own Fraction, converted with float(), and scaled by 1/sqrt(W_j).
     """
-    l, Z, m, e_star = cfg.l, cfg.Z, cfg.basis_size, cfg.resolved_reference
     k, alpha = rational_sqrt(-2 * e_star), 2 * l
     inv_2k = 1 / (2 * k)
     q = math.factorial(alpha)
@@ -108,48 +118,47 @@ def fraction_bands(cfg):
 
 
 class TestGalerkinConfig:
+    """The configuration of the Galerkin problem: anchor, basis margin and reference."""
+
     def test_defaults_resolve_to_tracked_level(self):
-        cfg = GalerkinConfig(l=1, target_n_r=1, basis_size=BASIS_SMALL)
-        assert cfg.resolved_reference == energy0(QuantumState(3, 1, 1))
-        assert rational_sqrt(-2 * cfg.resolved_reference) == Fraction(2, 5)
+        # at E0 = energy0(state, Z) the Sturmian n_r solves the unperturbed
+        # problem: column n_r of H0 - E0 O is exactly zero
+        for Z in (Fraction(1), Fraction(2), Fraction(1, 2)):
+            for n in range(1, 7):
+                for l in range(n):
+                    n_r, e0 = n - l - 1, anchor(n, l, Z)
+                    bands = exact_pieces(l, Z, n_r + 20, e0)
+                    column = [
+                        entry(bands["h0"], d, lo) - e0 * entry(bands["overlap"], d, lo)
+                        for lo, d in ((n_r - 1, 1), (n_r, 0), (n_r, 1))
+                        if lo >= 0
+                    ]
+                    assert column == [0] * len(column), (n, l, Z)
+                    assert rational_sqrt(-2 * e0) == Z / Fraction(2 * n - 1, 2)
 
     def test_margin_enforced(self):
-        with pytest.raises(ValueError, match="target_n_r \\+ 20"):
-            GalerkinConfig(l=0, target_n_r=5, basis_size=24)
+        with pytest.raises(ValueError, match="n_r \\+ 20"):
+            fit_field_series(QuantumState(6, 0, 0), basis_size=24)
 
     def test_irrational_scale_rejected_lazily(self):
-        cfg = GalerkinConfig(l=0, reference_energy=Fraction(-1, 3), basis_size=BASIS_SMALL)
+        # at assembly, by `_exact_pieces` and so by `_round_bands`
         with pytest.raises(ValueError, match="rational Sturmian scale"):
-            _round_bands(cfg)
+            _exact_pieces(0, Fraction(1), BASIS_SMALL, Fraction(-1, 3))
+        with pytest.raises(ValueError, match="rational Sturmian scale"):
+            _round_bands(0, Fraction(1), BASIS_SMALL, Fraction(-1, 3))
 
     def test_nonnegative_reference_rejected(self):
-        with pytest.raises(ValueError):
-            GalerkinConfig(l=0, reference_energy=Fraction(1, 2), basis_size=BASIS_SMALL)
-
-    def test_record_contract(self):
-        cfg = GalerkinConfig(l=1, basis_size=BASIS_SMALL)
-        assert repr(cfg) == "GalerkinConfig(l=1, Z=Fraction(1, 1), basis_size=40, reference_energy=None, target_n_r=0)"
-        with pytest.raises(AttributeError):
-            cfg.basis_size = 5
-        back = pickle.loads(pickle.dumps(cfg))
-        assert back == cfg and type(back) is GalerkinConfig
-        # _replace builds through the constructor, so no check is skipped
-        with pytest.raises(ValueError) as direct:
-            GalerkinConfig(l=1, basis_size=5)
-        with pytest.raises(ValueError) as replaced:
-            cfg._replace(basis_size=5)
-        assert str(replaced.value) == str(direct.value)
-        for changes in ({"Z": 0}, {"reference_energy": Fraction(1, 2)}, {"l": -1}, {"target_n_r": 30}):
-            with pytest.raises(ValueError):
-                cfg._replace(**changes)
-        assert cfg._replace(reference_energy="-1/2").reference_energy == Fraction(-1, 2)
+        for reference in (Fraction(1, 2), Fraction(0)):
+            with pytest.raises(ValueError, match="reference energy must be negative"):
+                _exact_pieces(0, Fraction(1), BASIS_SMALL, reference)
 
     def test_exact_bands_repr(self):
+        # (weighted_norm, h0, overlap, r2), each (diagonals, denominator) in plain tuples
         assert repr(_exact_pieces(0, Fraction(1), 2, Fraction(-2))) == (
-            "ExactBands(weighted_norm=ExactBand(diagonals=((1, 1),), denominator=1), "
-            "h0=ExactBand(diagonals=((-2, 2), (2,)), denominator=4), "
-            "overlap=ExactBand(diagonals=((1, 3), (-1,)), denominator=4), "
-            "r2=ExactBand(diagonals=((6, 78), (-18,), (), ()), denominator=64))"
+            "((((1, 1),), 1), "
+            "(((-2, 2), (2,)), 4), "
+            "(((1, 3), (-1,)), 4), "
+            "(((6, 78), (-18,), (), ()), 64))"
         )
 
 
@@ -157,13 +166,12 @@ class TestExactMatrices:
     def test_band_structure(self):
         # O is stored as two diagonals and R as four; brute force confirms
         # that every entry outside those bands vanishes
-        cfg = GalerkinConfig(l=0, basis_size=BASIS_SMALL)
-        bands = exact_pieces(cfg)
-        m = cfg.basis_size
-        assert [len(d) for d in bands.overlap.diagonals] == [m, m - 1]
-        assert [len(d) for d in bands.h0.diagonals] == [m, m - 1]
-        assert [len(d) for d in bands.r2.diagonals] == [m, m - 1, m - 2, m - 3]
-        assert [len(d) for d in bands.weighted_norm.diagonals] == [m]
+        m = BASIS_SMALL
+        bands = exact_pieces(0, Fraction(1), m, anchor(1, 0))
+        assert [len(d) for d in bands["overlap"][0]] == [m, m - 1]
+        assert [len(d) for d in bands["h0"][0]] == [m, m - 1]
+        assert [len(d) for d in bands["r2"][0]] == [m, m - 1, m - 2, m - 3]
+        assert [len(d) for d in bands["weighted_norm"][0]] == [m]
         for i in range(12):
             for j in range(i + 2, 12):
                 assert brute_force_integral(1, Laguerre(i, 0), Laguerre(j, 0)) == 0
@@ -173,15 +181,15 @@ class TestExactMatrices:
     def test_symmetry_exact(self):
         # the bands hold one triangle; the omitted one, computed with the
         # Laguerre indices swapped, is identical
-        cfg = GalerkinConfig(l=1, basis_size=BASIS_SMALL)
-        bands = exact_pieces(cfg)
-        inv_2k = 1 / (2 * rational_sqrt(-2 * cfg.resolved_reference))
-        for i in range(cfg.basis_size - 1):
+        reference = anchor(2, 1)
+        bands = exact_pieces(1, Fraction(1), BASIS_SMALL, reference)
+        inv_2k = 1 / (2 * rational_sqrt(-2 * reference))
+        for i in range(BASIS_SMALL - 1):
             swapped = cross_integral(3, Laguerre(i + 1, 2), Laguerre(i, 2))
-            assert entry(bands.overlap, 1, i) == inv_2k * swapped
+            assert entry(bands["overlap"], 1, i) == inv_2k * swapped
         for d in range(4):
-            for i in range(cfg.basis_size - d):
-                assert entry(bands.r2, d, i) == inv_2k**3 * moment3_band(i + d, i, 2)
+            for i in range(BASIS_SMALL - d):
+                assert entry(bands["r2"], d, i) == inv_2k**3 * moment3_band(i + d, i, 2)
 
     def test_entries_against_brute_force(self):
         # every entry rebuilt from scratch: in the unnormalized basis
@@ -190,14 +198,13 @@ class TestExactMatrices:
         #   W_j  = Z (j+2l)!/j!          (weighted norm, the mu-term metric)
         #   H_ij = (mu_i - 1) W_i delta_ij + E* O_ij + (b^2/8)(1/2k)^3 M3_ij
         l, Z, b = 1, Fraction(2), Fraction(1, 10)
-        cfg = GalerkinConfig(l=l, Z=Z, target_n_r=0, basis_size=25)
-        bands = exact_pieces(cfg)
-        e_star = cfg.resolved_reference
+        e_star = anchor(l + 1, l, Z)
+        bands = exact_pieces(l, Z, 25, e_star)
         k = rational_sqrt(-2 * e_star)
         two_l = 2 * l
         for i in range(12):
             w_i = Z * Fraction(math.factorial(i + two_l), math.factorial(i))
-            assert entry(bands.weighted_norm, 0, i) == w_i
+            assert entry(bands["weighted_norm"], 0, i) == w_i
             for j in range(12):
                 H_ij, O_ij = exact_entry(bands, b, i, j)
                 o_ij = Fraction(1, 2 * k) * brute_force_integral(
@@ -218,11 +225,11 @@ class TestExactMatrices:
     def test_overlap_closed_form_matches_cross_integral(self, l):
         # alpha = 2l <= 8, i < 40; E* = -1/2 makes 1/(2k) = 1/2
         alpha = 2 * l
-        bands = _exact_pieces(l, Fraction(1), 41, Fraction(-1, 2))
+        overlap = exact_pieces(l, Fraction(1), 41, Fraction(-1, 2))["overlap"]
         for i in range(40):
             spec = Laguerre(i, alpha)
-            assert 2 * entry(bands.overlap, 0, i) == cross_integral(alpha + 1, spec, spec)
-            assert 2 * entry(bands.overlap, 1, i) == cross_integral(alpha + 1, spec, Laguerre(i + 1, alpha))
+            assert 2 * entry(overlap, 0, i) == cross_integral(alpha + 1, spec, spec)
+            assert 2 * entry(overlap, 1, i) == cross_integral(alpha + 1, spec, Laguerre(i + 1, alpha))
 
     @pytest.mark.parametrize("m", [40, 240])
     @pytest.mark.parametrize("reference", [None, Fraction(-9, 32)])
@@ -230,43 +237,44 @@ class TestExactMatrices:
     @pytest.mark.parametrize("l", [0, 1, 3, 10])
     def test_rounding_matches_per_entry_fractions(self, l, Z, reference, m):
         # one correctly rounded integer division per entry gives the same
-        # double as float() of the entry's own Fraction, bit for bit
-        cfg = GalerkinConfig(l=l, Z=Z, basis_size=m, reference_energy=reference)
-        bands = _round_bands(cfg)
-        h0, r2, overlap = fraction_bands(cfg)
+        # double as float() of the entry's own Fraction, bit for bit; None
+        # is the default anchor, the b = 0 energy of (l + 1, l)
+        reference = anchor(l + 1, l, Z) if reference is None else reference
+        bands = _round_bands(l, Z, m, reference)
+        h0, r2, overlap = fraction_bands(l, Z, m, reference)
         assert np.array_equal(bands.h0, h0)
         assert np.array_equal(bands.r2, r2)
         assert np.array_equal(bands.overlap, overlap)
 
     def test_denominators_positive(self):
-        cfg = GalerkinConfig(l=2, Z=Fraction(3, 2), basis_size=BASIS_SMALL, reference_energy=Fraction(-9, 32))
-        bands = exact_pieces(cfg)
-        for band in (bands.weighted_norm, bands.h0, bands.overlap, bands.r2):
-            assert type(band.denominator) is int and band.denominator > 0
-            assert all(type(x) is int for diagonal in band.diagonals for x in diagonal)
+        bands = _exact_pieces(2, Fraction(3, 2), BASIS_SMALL, Fraction(-9, 32))
+        assert len(bands) == 4
+        for diagonals, denominator in bands:
+            assert type(denominator) is int and denominator > 0
+            assert all(type(x) is int for diagonal in diagonals for x in diagonal)
 
     def test_double_range_edge(self):
         # W_j and the band entries grow like (j+2l)!/j!; at basis size 120
         # l = 65 still rounds to finite doubles and l = 66 does not
-        finite = _round_bands(GalerkinConfig(l=65))
+        finite = _round_bands(65, Fraction(1), 120, anchor(66, 65))
         assert all(np.isfinite(a).all() for a in (finite.h0, finite.r2, finite.overlap))
         with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
-            _round_bands(GalerkinConfig(l=66))
+            _round_bands(66, Fraction(1), 120, anchor(67, 66))
         with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
             fit_field_series(QuantumState(67, 66, 66))
 
     def test_float_matrices_are_symmetric_and_normalized(self):
-        cfg = GalerkinConfig(l=0, basis_size=BASIS_SMALL)
-        bands = _round_bands(cfg)
+        reference = anchor(1, 0)
+        bands = _round_bands(0, Fraction(1), BASIS_SMALL, reference)
         H, O = dense(bands.hamiltonian(Fraction(1, 100))), dense(bands.overlap)
         assert np.array_equal(H, H.T)
         assert np.array_equal(O, O.T)
         # normalization is by the weighted norm W_j, under which the plain
         # overlap diagonal becomes (2(j+l)+1)/(2kZ) -- linear growth, which
         # keeps the overlap condition number O(basis_size)
-        k = float(rational_sqrt(-2 * cfg.resolved_reference))
-        j = np.arange(cfg.basis_size)
-        expected = (2 * (j + cfg.l) + 1) / (2 * k * float(cfg.Z))
+        k = float(rational_sqrt(-2 * reference))
+        j = np.arange(BASIS_SMALL)
+        expected = (2 * j + 1) / (2 * k)
         assert np.allclose(np.diag(O), expected, rtol=1e-14)
 
 
@@ -279,21 +287,20 @@ class TestSolveGeneralized:
         assert residual == 0
 
     def test_spectrum_head(self):
-        for n_r, n in enumerate(range(1, 4)):
-            cfg = GalerkinConfig(l=0, basis_size=120, target_n_r=n_r)
-            energy, _ = tracked(cfg)
+        for n in range(1, 4):
+            energy, _ = tracked(0, Fraction(1), 120, anchor(n, 0))
             assert energy == pytest.approx(float(energy0(QuantumState(n, 0, 0))), abs=1e-10)
 
     def test_eigenvalues_rise_with_field(self):
-        for n_r in range(5):
-            cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=n_r)
-            assert tracked(cfg, Fraction(1, 100))[0] > tracked(cfg)[0]
+        for n in range(1, 6):
+            level = (0, Fraction(1), 60, anchor(n, 0))
+            assert tracked(*level, Fraction(1, 100))[0] > tracked(*level)[0]
 
     def test_complex_shift_keeps_its_imaginary_part(self):
         # the factor-once solve of H - sigma O with a complex sigma matches
         # the dense solve, and so does its real part; a real band keeps
         # float64 storage
-        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
         h, o = bands.h0, bands.overlap
         # halfway between the two lowest levels, off the real axis
         sigma = float(energy0(QuantumState(1, 0, 0)) + energy0(QuantumState(2, 0, 0))) / 2 + 0.05j
@@ -352,7 +359,7 @@ class TestFactorOnce:
     def _many_solves(self):
         # a far seed and a shift 0.1 below the ground level: the iteration
         # contracts by about 1/20 per solve, so it takes a dozen solves
-        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
         return bands.h0, bands.overlap, -2.1, np.linspace(1.0, 2.0, BASIS_SMALL)
 
     def test_one_factorization_per_call(self, monkeypatch):
@@ -401,7 +408,7 @@ class TestFactorOnce:
     @pytest.mark.parametrize("routine", ["pbtrf", "pbtrs"])
     def test_illegal_argument_in_inertia_count_raises(self, monkeypatch, routine):
         # info < 0 is a call error, not a tail that fails to be positive definite
-        bands = _round_bands(GalerkinConfig(l=0, basis_size=BASIS_SMALL))
+        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
         _lapack_calls(monkeypatch, {routine: _with_info(-1)})
         with pytest.raises(ValueError, match=f"argument 1 of LAPACK {routine}"):
             oracle._levels_below(bands.h0, bands.overlap, -2.1, 1)
@@ -412,7 +419,7 @@ class TestLapackLoader:
     def test_routines_match_get_lapack_funcs(self, sigma):
         # the directly loaded extension hands out what scipy's own lookup
         # picks for the dtype: the factors and solves agree bit for bit
-        bands = _round_bands(GalerkinConfig(l=1, basis_size=BASIS_SMALL))
+        bands = _round_bands(1, Fraction(1), BASIS_SMALL, anchor(2, 1))
         band = bands.h0 - sigma * bands.overlap
         rhs = np.cos(np.arange(BASIS_SMALL)).astype(band.dtype)
         spd = bands.overlap.astype(band.dtype)
@@ -506,13 +513,10 @@ class TestDenseReference:
         # eigh on the default grid; default and off-anchor bases
         off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
         grid = default_field_grid(state, Z)
-        for reference in (None, off_anchor):
-            cfg = GalerkinConfig(
-                l=state.l, Z=Z, basis_size=120, reference_energy=reference, target_n_r=state.n_r
-            )
-            bands = _round_bands(cfg)
+        for reference in (anchor(state.n, state.l, Z), off_anchor):
+            bands = _round_bands(state.l, Z, 120, reference)
             O = dense(bands.overlap)
-            tracked = _track(bands, grid, state.n_r, float(cfg.unperturbed_energy))
+            tracked = _track(bands, grid, state.n_r, float(anchor(state.n, state.l, Z)))
             for b, (energy, _) in zip(grid, tracked):
                 w = scipy.linalg.eigh(
                     dense(bands.hamiltonian(b)), O, eigvals_only=True,
@@ -526,19 +530,18 @@ class TestGalerkinLevels:
     def test_zero_field_reproduces_spectrum(self, Z):
         for n in range(1, 5):
             for l in range(n):
-                cfg = GalerkinConfig(l=l, Z=Z, target_n_r=n - l - 1, basis_size=120)
-                energy, _ = tracked(cfg)
+                energy, _ = tracked(l, Z, 120, anchor(n, l, Z))
                 exact = float(energy0(QuantumState(n, l, l), Z))
                 assert abs(energy - exact) <= 1e-12
 
     def test_residual_diagnostic(self):
-        _, residual = tracked(GalerkinConfig(l=0, basis_size=60), Fraction(1, 100))
+        _, residual = tracked(0, Fraction(1), 60, anchor(1, 0), Fraction(1, 100))
         assert residual <= 1e-10
 
     def test_convergence_delta(self):
         # the leading 40 basis functions already hold the level to 1e-11
         b = Fraction(1, 100)
-        full, leading = (tracked(GalerkinConfig(l=0, basis_size=m), b)[0] for m in (60, 40))
+        full, leading = (tracked(0, Fraction(1), m, anchor(1, 0), b)[0] for m in (60, 40))
         assert abs(full - leading) < 1e-11
 
     def test_doubling_the_basis_is_converged(self):
@@ -546,8 +549,7 @@ class TestGalerkinLevels:
             b = default_field_grid(QuantumState(n, l, l))[4]
             vals = []
             for m in (120, 240):
-                cfg = GalerkinConfig(l=l, basis_size=m, target_n_r=n - l - 1)
-                vals.append(tracked(cfg, b)[0])
+                vals.append(tracked(l, Fraction(1), m, anchor(n, l), b)[0])
             assert abs(vals[1] - vals[0]) < 1e-11
 
     def test_variational_monotonicity(self):
@@ -555,8 +557,7 @@ class TestGalerkinLevels:
         # (allowing one rounding ulp of slack at this magnitude)
         prev = math.inf
         for m in (60, 80, 100, 120):
-            cfg = GalerkinConfig(l=0, basis_size=m, target_n_r=0)
-            val, _ = tracked(cfg, Fraction(1, 100))
+            val, _ = tracked(0, Fraction(1), m, anchor(1, 0), Fraction(1, 100))
             assert val <= prev + 5e-15
             prev = val
 
@@ -565,10 +566,9 @@ class TestTracking:
     def test_nearest_tracking_unambiguous(self):
         # every field of the walk passes the inertia certificate for its own
         # level and fails it for the neighbours
-        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=1)
-        bands = _round_bands(cfg)
+        bands = _round_bands(0, Fraction(1), 60, anchor(2, 0))
         grid = default_field_grid(QuantumState(2, 0, 0))
-        for b, (energy, _) in zip(grid, _track(bands, grid, 1, float(cfg.unperturbed_energy))):
+        for b, (energy, _) in zip(grid, _track(bands, grid, 1, float(anchor(2, 0)))):
             h = bands.hamiltonian(b)
             _certify(h, bands.overlap, energy, 1, float(b))
             for wrong in (0, 2):
@@ -578,9 +578,8 @@ class TestTracking:
     def test_crossing_guard(self):
         # asked for level 0 but seeded at level 1: the iteration converges to
         # level 1 and the inertia count catches it
-        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=2)
-        bands = _round_bands(cfg)
-        seed = float(energy0(QuantumState(2, 0, 0)))
+        bands = _round_bands(0, Fraction(1), 60, anchor(3, 0))
+        seed = float(anchor(2, 0))
         with pytest.raises(LevelCrossingError) as err:
             _track(bands, [Fraction(0), Fraction(1, 50)], 0, seed)
         assert err.value.expected == 0
@@ -592,10 +591,10 @@ class TestTracking:
         # b = 1/100 lies far outside the window of level 4; the step from
         # b = 0 is halved until each piece converges and certifies
         b = Fraction(1, 100)
-        cfg = GalerkinConfig(l=0, basis_size=60, target_n_r=4)
-        bands = _round_bands(cfg)
+        level = (0, Fraction(1), 60, anchor(5, 0))
+        bands = _round_bands(*level)
         w = scipy.linalg.eigh(dense(bands.hamiltonian(b)), dense(bands.overlap), eigvals_only=True)
-        assert abs(tracked(cfg, b)[0] - w[4]) <= 1e-11 * abs(w[4])
+        assert abs(tracked(*level, b)[0] - w[4]) <= 1e-11 * abs(w[4])
 
     def test_iteration_cap_is_typed_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 0)
@@ -606,7 +605,7 @@ class TestTracking:
 
     def test_non_finite_is_typed_error(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
-            tracked(GalerkinConfig(l=0, basis_size=BASIS_SMALL), Fraction(10**150))
+            tracked(0, Fraction(1), BASIS_SMALL, anchor(1, 0), Fraction(10**150))
 
 
 def _diag_dense(band):
@@ -671,8 +670,9 @@ class TestInertiaCount:
         # of eigvals_banded, on shifts through and beyond the lowest levels;
         # a head of 1 makes the off-anchor bases double it, and the shift
         # above every level doubles it to the whole matrix
-        cfg = GalerkinConfig(l=l, Z=Z, basis_size=m, reference_energy=reference)
-        bands = _round_bands(cfg)
+        # None is the default anchor, the b = 0 energy of (l + 1, l)
+        reference = anchor(l + 1, l, Z) if reference is None else reference
+        bands = _round_bands(l, Z, m, reference)
         O = dense(bands.overlap)
         for b in (Fraction(0), default_field_grid(QuantumState(l + 1, l, l))[-1], Fraction(1, 100)):
             h = bands.hamiltonian(b)
@@ -744,7 +744,7 @@ class TestFieldFit:
         edge = QuantumState(120, 0, 0)
         assert not assemble_energy(edge, b=default_field_grid(edge)[-1]).regime_warning
 
-        def forbidden(cfg):
+        def forbidden(*args):
             raise AssertionError("bands assembled for an out-of-window grid")
 
         monkeypatch.setattr(oracle, "_round_bands", forbidden)
@@ -823,8 +823,8 @@ class TestFieldFit:
         # the fit keeps |H x - lambda O x| of the certified eigenpair at each field
         state = QuantumState(2, 1, 1)
         fit = fit_field_series(state)
-        cfg = GalerkinConfig(l=1, basis_size=fit.basis_size)
-        tracked_pairs = _track(_round_bands(cfg), list(fit.fields), 0, float(cfg.unperturbed_energy))
+        bands = _round_bands(1, Fraction(1), fit.basis_size, anchor(2, 1))
+        tracked_pairs = _track(bands, list(fit.fields), 0, float(anchor(2, 1)))
         assert fit.residuals == tuple(residual for _, residual in tracked_pairs)
         assert all(0 <= residual <= 1e-13 for residual in fit.residuals)
         assert fit.as_dict()["residuals"] == list(fit.residuals)
