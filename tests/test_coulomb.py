@@ -11,7 +11,7 @@ from zeeman2d import coulomb
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.greenfn import GreenEvalConfig
-from zeeman2d.oracle import fit_field_series
+from zeeman2d.oracle import _round_bands, fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
     coefficient_set,
@@ -63,8 +63,11 @@ CHARGE_ENTRIES = {
     "GreenEvalConfig": lambda Z: GreenEvalConfig(l=0, level=1, Z=Z),
     "GreenEvalConfig.for_level": lambda Z: GreenEvalConfig.for_level(1, 0, Z),
 }
-# The integer count of the oracle's problem, as a call on the one bad input.
+# The integer count of the oracle's problem, as a call on the one bad input:
+# the basis size of the Galerkin configuration (l, Z, basis_size, reference)
+# that `_round_bands` assembles, and the one that `fit_field_series` takes.
 COUNT_ENTRIES = {
+    "GalerkinConfig.basis_size": lambda v: _round_bands(0, Fraction(1), v, Fraction(-1, 2)),
     "fit_field_series.basis_size": lambda v: fit_field_series(QuantumState(1, 0, 0), basis_size=v),
 }
 NOT_INTEGRAL = "'float' object cannot be interpreted as an integer"
