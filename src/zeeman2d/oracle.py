@@ -28,6 +28,15 @@ taken from its extension module `scipy.linalg._flapack`, which is loaded
 from its file without running the `scipy` or `scipy.linalg` package code.
 `_lapack_funcs` picks the routines of the band's dtype, so a complex shift
 takes the same path.
+The four band products of a step (H x, O x, |H| |x| and |O| |x|) are one
+einsum over the diagonals of the four bands aligned to their rows, against
+seven shifted copies of x and |x|, taken from one zero-padded buffer.  The
+seven terms of every element are added in a fixed order: the diagonal,
+then diagonal +d before -d for d = 1, 2, 3.  This is the order of the
+seven-slice accumulation that the tests keep as the reference, so every
+product has its bits (up to the sign of an exact zero).  A fit builds
+this workspace, `_Pencil`, once, with the rows of O, |O| and the padding;
+each field rewrites only the rows of H and |H|.
 Sylvester's law of inertia certifies the level index of every result:
 H - sigma O has exactly as many negative eigenvalues as the pencil has
 levels below sigma, and a radial channel has no crossings.  The count costs
@@ -211,18 +220,86 @@ def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> F
     return FloatBands(h0=upper(h0), r2=upper(r2), overlap=upper(overlap))
 
 
-def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for the symmetric A held in upper band storage.
+# The order in which every element of a band product adds its seven terms:
+# the diagonal, then diagonal +d before -d for d = 1, 2, 3.
+_OFFSETS = (0, 1, -1, 2, -2, 3, -3)
 
-    A stack of bands (k, u + 1, m) times a stack of vectors (k, m) gives
-    the k products at once, each element formed in the same order as alone.
+
+def _align(band: np.ndarray, out: np.ndarray) -> None:
+    """Write the diagonals of the symmetric A held in upper band storage, aligned to their rows.
+
+    ``out[j, i]`` becomes A[i, i + _OFFSETS[j]]; the entries outside A keep
+    the zeros of ``out``.
     """
-    u = band.shape[-2] - 1
-    y = band[..., u, :] * x
+    u, m = band.shape[0] - 1, band.shape[1]
+    out[0] = band[u]
     for d in range(1, u + 1):
-        y[..., :-d] += band[..., u - d, d:] * x[..., d:]
-        y[..., d:] += band[..., u - d, d:] * x[..., :-d]
-    return y
+        out[2 * d - 1, : max(m - d, 0)] = band[u - d, d:]
+        out[2 * d, d:] = band[u - d, d:]
+
+
+class _BandProducts:
+    """A workspace for the products A_k x_k of k symmetric bands and k vectors.
+
+    `_align` writes band k into ``diagonals[k]`` (k, 7, m), and the caller
+    writes x_k into ``vectors[k]``, the middle of a (k, m + 6) buffer padded
+    with HALF_BANDWIDTH zeros at each end.  A call copies two window views
+    of that buffer into the seven shifted copies of every x_k, x_k[i + s]
+    for s in _OFFSETS, and forms all k products by one einsum over the
+    diagonal axis.  einsum adds the seven terms of each element in the order
+    of _OFFSETS, the order in which the seven-slice accumulation y = A_0 x,
+    y[:-d] += A_+d x[d:], y[d:] += A_-d x[:-d] adds them, so both give the
+    same bits wherever their elementwise products agree (the sign of an
+    exactly zero element aside).
+    """
+
+    def __init__(self, k: int, m: int, dtype=np.float64):
+        u = HALF_BANDWIDTH
+        self.diagonals = np.zeros((k, len(_OFFSETS), m), dtype)
+        padded = np.zeros((k, m + 2 * u), dtype)
+        self.vectors = padded[:, u : u + m]
+        self._shifted = np.empty((k, len(_OFFSETS), m), dtype)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)  # shifts -3 .. 3
+        # shifts 0, -1, -2, -3 at the even rows and +1, +2, +3 at the odd ones
+        self._copies = (
+            (self._shifted[:, 0::2], windows[:, u::-1]),
+            (self._shifted[:, 1::2], windows[:, u + 1 :]),
+        )
+
+    def __call__(self) -> np.ndarray:
+        for shifted, window in self._copies:
+            np.copyto(shifted, window)
+        return np.einsum("kji,kji->ki", self.diagonals, self._shifted)
+
+
+class _Pencil:
+    """One fit's pencil (H, O) at its current field, with the workspace of its step products.
+
+    A fit creates one from O and moves it to each field with `at`, which
+    rewrites only the rows of H and |H|; the rows of O and |O| and the
+    padding are written once.
+    """
+
+    def __init__(self, overlap: np.ndarray):
+        self.overlap, self.h = overlap, None
+        self._products = _BandProducts(4, overlap.shape[1])
+        diagonals = self._products.diagonals
+        _align(overlap, diagonals[1])
+        np.abs(diagonals[1], out=diagonals[3])
+
+    def at(self, h: np.ndarray) -> _Pencil:
+        self.h = h
+        diagonals = self._products.diagonals
+        _align(h, diagonals[0])
+        np.abs(diagonals[0], out=diagonals[2])
+        return self
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """The rows H x, O x, |H| |x| and |O| |x|, formed together."""
+        vectors = self._products.vectors
+        vectors[:2] = x
+        np.abs(x, out=vectors[2:])
+        return self._products()
 
 
 def _load_flapack():
@@ -314,38 +391,39 @@ def _lu_solver(band: np.ndarray):
     return solve
 
 
-def _inverse_iteration(
-    h: np.ndarray, overlap: np.ndarray, sigma: float, x: np.ndarray, b: float
-) -> tuple[float, np.ndarray, float]:
+def _inverse_iteration(pencil: _Pencil, sigma: float, x: np.ndarray, b: float) -> tuple[float, np.ndarray, float]:
     """(lambda, unit x, residual) of H x = lambda O x nearest sigma, iterating from x.
 
     Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
     H - sigma O is factored at most once, at the first solve, and every
     step reuses the factors.  The four band products of a step (H x, O x,
-    |H| |x|, |O| |x|) are formed as one stacked product.
+    |H| |x|, |O| |x|) are one einsum over the diagonals of the fit's
+    per-field ``pencil``, aligned to their rows, each element adding its
+    seven terms in the fixed order of _OFFSETS (`_BandProducts`).  Every
+    norm is sqrt(v @ v), which is what np.linalg.norm computes for a real
+    vector.
     """
-    stacked = np.array((h, overlap, abs(h), abs(overlap)))
     solve = None
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(x @ x)
     for solves in range(MAX_ITERATIONS + 1):
-        abs_x = abs(x)
-        hx, ox, abs_hx, abs_ox = _band_matvec(stacked, np.array((x, x, abs_x, abs_x)))
+        hx, ox, abs_hx, abs_ox = pencil.products(x)
         value = float(x @ hx / (x @ ox))
-        residual = float(np.linalg.norm(hx - value * ox))
+        r = hx - value * ox
+        residual = math.sqrt(r @ r)
         if not (math.isfinite(value) and math.isfinite(residual)):
             raise ConvergenceError(b, solves, residual, "produced a non-finite value or vector")
-        size = np.linalg.norm(abs_hx) + abs(value) * np.linalg.norm(abs_ox)
+        size = math.sqrt(abs_hx @ abs_hx) + abs(value) * math.sqrt(abs_ox @ abs_ox)
         if residual <= RESIDUAL_TOL * size:
             return value, x, residual
         if solves == MAX_ITERATIONS:
             break
         try:
             if solve is None:
-                solve = _lu_solver(h - sigma * overlap)
+                solve = _lu_solver(pencil.h - sigma * pencil.overlap)
             y = solve(ox)
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
-        x = y / np.linalg.norm(y)
+        x = y / math.sqrt(y @ y)
     raise ConvergenceError(b, MAX_ITERATIONS, residual, "did not converge")
 
 
@@ -392,6 +470,8 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
         solved, info = pbtrs(tail, edge)
         _check_info("pbtrs", info)
         schur[-u:, -u:] -= edge.T @ solved
+        if head == 1:
+            return int(schur[0, 0] < 0)
         return int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0))
     return int(np.count_nonzero(np.linalg.eigvalsh(_dense(a)) < 0))
 
@@ -409,24 +489,27 @@ def _certify(h: np.ndarray, overlap: np.ndarray, value: float, target: int, b: f
         raise LevelCrossingError(target, below, above, b)
 
 
-def _continue(bands: FloatBands, start: Fraction, stop: Fraction, pair: tuple, target: int, depth: int = 0) -> tuple:
+def _continue(
+    bands: FloatBands, pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, target: int, depth: int = 0
+) -> tuple:
     """Certified (energy, vector, residual) of level ``target`` at field ``stop``.
 
     The iteration is seeded with ``pair``, the certified eigenpair at
-    ``start``.  A step that fails to converge or to certify is halved, up to
-    MAX_HALVINGS times; the failure of the shortest step is raised.
+    ``start``, and runs on the fit's ``pencil``, moved to ``stop``.  A step
+    that fails to converge or to certify is halved, up to MAX_HALVINGS
+    times; the failure of the shortest step is raised.
     """
     h = bands.hamiltonian(stop)
     try:
-        value, x, residual = _inverse_iteration(h, bands.overlap, pair[0], pair[1], float(stop))
+        value, x, residual = _inverse_iteration(pencil.at(h), pair[0], pair[1], float(stop))
         _certify(h, bands.overlap, value, target, float(stop))
         return value, x, residual
     except (ConvergenceError, LevelCrossingError):
         if depth == MAX_HALVINGS or start == stop:
             raise
     mid = (start + stop) / 2
-    pair = _continue(bands, start, mid, pair, target, depth + 1)
-    return _continue(bands, mid, stop, pair, target, depth + 1)
+    pair = _continue(bands, pencil, start, mid, pair, target, depth + 1)
+    return _continue(bands, pencil, mid, stop, pair, target, depth + 1)
 
 
 def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) -> list[tuple[float, float]]:
@@ -435,13 +518,15 @@ def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) 
     ``fields`` starts at b = 0, where the iteration starts from the Sturmian
     e_target (the exact eigenvector at the default anchor) with the shift
     ``seed``; every later field starts from the eigenpair of the one before.
+    The walk runs on one `_Pencil`, created here.
     """
+    pencil = _Pencil(bands.overlap)
     x = np.zeros(bands.overlap.shape[1])
     x[target] = 1.0
     pair, previous = (seed, x, 0.0), fields[0]
     tracked = []
     for b in fields:
-        pair, previous = _continue(bands, previous, b, pair, target), b
+        pair, previous = _continue(bands, pencil, previous, b, pair, target), b
         tracked.append((pair[0], pair[2]))
     return tracked
 

@@ -22,12 +22,14 @@ from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.oracle import (
     ConvergenceError,
     LevelCrossingError,
-    _band_matvec,
+    _align,
+    _BandProducts,
     _certify,
     _exact_pieces,
     _general_storage,
     _inverse_iteration,
     _lu_solver,
+    _Pencil,
     _round_bands,
     _track,
     default_field_grid,
@@ -75,6 +77,28 @@ def dense(band):
     for d in range(1, u + 1):
         out = out + np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
     return out
+
+
+def band_matvec(band, x):
+    """A @ x for the symmetric A held in upper band storage: the reference band product.
+
+    The seven-slice accumulation whose order (diagonal, then +d before -d
+    for d = 1, 2, 3) defines the summation order of the oracle's fused
+    product, `_BandProducts`.  A stack of bands (k, u + 1, m) times
+    a stack of vectors (k, m) gives the k products at once, each element
+    formed in the same order as alone.
+    """
+    u = band.shape[-2] - 1
+    y = band[..., u, :] * x
+    for d in range(1, u + 1):
+        y[..., :-d] += band[..., u - d, d:] * x[..., d:]
+        y[..., d:] += band[..., u - d, d:] * x[..., :-d]
+    return y
+
+
+def iterate(h, o, sigma, x, b):
+    """`_inverse_iteration` on the pencil (h, o)."""
+    return _inverse_iteration(_Pencil(o).at(h), sigma, x, b)
 
 
 def exact_entry(bands, b, i, j):
@@ -282,7 +306,7 @@ class TestSolveGeneralized:
     def test_one_by_one(self):
         h = np.array([[0.0], [0.0], [0.0], [3.5]])
         o = np.array([[0.0], [0.0], [0.0], [1.0]])
-        value, x, residual = _inverse_iteration(h, o, 3.0, np.array([1.0]), 0.0)
+        value, x, residual = iterate(h, o, 3.0, np.array([1.0]), 0.0)
         assert value == pytest.approx(3.5, abs=0)
         assert residual == 0
 
@@ -304,7 +328,7 @@ class TestSolveGeneralized:
         h, o = bands.h0, bands.overlap
         # halfway between the two lowest levels, off the real axis
         sigma = float(energy0(QuantumState(1, 0, 0)) + energy0(QuantumState(2, 0, 0))) / 2 + 0.05j
-        rhs = _band_matvec(o, np.linspace(1.0, 2.0, BASIS_SMALL))
+        rhs = band_matvec(o, np.linspace(1.0, 2.0, BASIS_SMALL))
         for shift in (sigma, sigma.real):
             band = h - shift * o
             assert _general_storage(band).dtype == band.dtype
@@ -323,7 +347,7 @@ class TestSolveGeneralized:
         o = np.zeros((4, 2))
         o[3] = 1.0
         with pytest.raises(ConvergenceError, match="singular"):
-            _inverse_iteration(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
+            iterate(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
 
 
 def _lapack_calls(monkeypatch, alter=None):
@@ -365,7 +389,7 @@ class TestFactorOnce:
     def test_one_factorization_per_call(self, monkeypatch):
         h, o, sigma, x = self._many_solves()
         calls = _lapack_calls(monkeypatch)
-        value, _, _ = _inverse_iteration(h, o, sigma, x, 0.0)
+        value, _, _ = iterate(h, o, sigma, x, 0.0)
         assert value == pytest.approx(-2.0, abs=1e-12)
         assert calls["gbtrf"] == 1
         assert calls["gbtrs"] >= 10
@@ -375,7 +399,7 @@ class TestFactorOnce:
         h = np.array([[0.0], [0.0], [0.0], [3.5]])
         o = np.array([[0.0], [0.0], [0.0], [1.0]])
         calls = _lapack_calls(monkeypatch)
-        _inverse_iteration(h, o, 3.0, np.array([1.0]), 0.0)
+        iterate(h, o, 3.0, np.array([1.0]), 0.0)
         assert calls["gbtrf"] == calls["gbtrs"] == 0
 
     def test_factor_once_matches_refactoring_solves(self):
@@ -403,7 +427,7 @@ class TestFactorOnce:
         h, o, sigma, x = self._many_solves()
         _lapack_calls(monkeypatch, {routine: _with_info(-4)})
         with pytest.raises(ValueError, match=f"argument 4 of LAPACK {routine}"):
-            _inverse_iteration(h, o, sigma, x, 0.0)
+            iterate(h, o, sigma, x, 0.0)
 
     @pytest.mark.parametrize("routine", ["pbtrf", "pbtrs"])
     def test_illegal_argument_in_inertia_count_raises(self, monkeypatch, routine):
@@ -440,6 +464,82 @@ class TestLapackLoader:
     def test_other_dtype_is_type_error(self, dtype):
         with pytest.raises(TypeError, match="float64 or complex128"):
             oracle._lapack_funcs(("gbtrf",), np.zeros((4, 3), dtype=dtype))
+
+
+def _fused_cases():
+    for m in (1, 2, 3, 4, 40, 240):
+        for dtype in (np.float64, np.complex128):
+            for k in (1, 4):
+                yield m, dtype, k
+
+
+def _fit_cases():
+    # every n <= 4 fit at Z = 1, 2, and the ground state and (4, 0) at m = 960
+    for Z in (Fraction(1), Fraction(2)):
+        for n in range(1, 5):
+            for l in range(n):
+                yield QuantumState(n, l, l), Z, oracle.DEFAULT_BASIS_SIZE
+    yield QuantumState(1, 0, 0), Fraction(1), 240
+    yield QuantumState(1, 0, 0), Fraction(1), 960
+    yield QuantumState(4, 0, 0), Fraction(1), 960
+
+
+class TestFusedProduct:
+    """The one-einsum band product of every step keeps the bits of the seven-slice reference."""
+
+    @pytest.mark.parametrize("m,dtype,k", list(_fused_cases()))
+    def test_matches_seven_slice_reference(self, m, dtype, k):
+        # one band (k = 1, against the reference on the unstacked band) and
+        # the stack of four, also where the band is narrower than the
+        # half-bandwidth (m <= 3).  numpy's complex multiply loop fuses
+        # multiply and add where the CPU has FMA, and einsum forms the
+        # textbook product, so the complex reference runs on Python complex
+        # numbers (object arrays), whose products are the textbook ones too:
+        # what is checked is the order of the sums
+        rng = np.random.default_rng(m)
+
+        def draw(*shape):
+            values = rng.standard_normal(shape)
+            return values + 1j * rng.standard_normal(shape) if dtype is np.complex128 else values
+
+        bands = draw(k, oracle.HALF_BANDWIDTH + 1, m)
+        products = _BandProducts(k, m, dtype)
+        for band, diagonals in zip(bands, products.diagonals):
+            _align(band, diagonals)
+        exact = bands.astype(object) if dtype is np.complex128 else bands
+        for _ in range(2):  # the second call reuses the workspace
+            x = draw(k, m)
+            products.vectors[...] = x
+            fused = products()
+            x = x.astype(exact.dtype)
+            reference = band_matvec(exact[0], x[0])[None] if k == 1 else band_matvec(exact, x)
+            reference = reference.astype(dtype)
+            assert (fused.shape, fused.dtype) == (reference.shape, reference.dtype)
+            assert fused.tobytes() == reference.tobytes()
+
+    def test_fits_match_reference_product(self, monkeypatch):
+        # the same energies, residuals and coefficients, bit for bit, and the
+        # same LAPACK calls as with the reference product patched in; so the
+        # saving is call overhead, not fewer or looser solves
+        def reference_products(pencil, x):
+            h, o = pencil.h, pencil.overlap
+            return band_matvec(np.array((h, o, abs(h), abs(o))), np.array((x, x, abs(x), abs(x))))
+
+        def run(state, Z, m):
+            with monkeypatch.context() as patch:
+                calls = _lapack_calls(patch)
+                fit = fit_field_series(state, Z, m)
+            counts = tuple(calls[name] for name in ("gbtrf", "gbtrs", "pbtrf", "pbtrs"))
+            return repr((fit.energies, fit.residuals, sorted(fit.coefficients.items()))), counts
+
+        fused = {case: run(*case) for case in _fit_cases()}
+        monkeypatch.setattr(_Pencil, "products", reference_products)
+        for case, outcome in fused.items():
+            assert outcome == run(*case), case
+        # gbtrf/gbtrs/pbtrf/pbtrs calls of three of these fits
+        assert fused[QuantumState(1, 0, 0), Fraction(1), 240][1] == (8, 16, 18, 18)
+        assert fused[QuantumState(3, 1, 1), Fraction(1), 120][1] == (8, 22, 18, 18)
+        assert fused[QuantumState(4, 0, 0), Fraction(1), 960][1] == (8, 23, 18, 18)
 
 
 def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
