@@ -29,8 +29,9 @@ from its file without running the `scipy` or `scipy.linalg` package code.
 `_lapack_funcs` picks the routines of the band's dtype, so a complex shift
 takes the same path.
 The four band products of a step (H x, O x, |H| |x| and |O| |x|) are one
-einsum over the diagonals of the four bands aligned to their rows, against
-seven shifted copies of x and |x|, taken from one zero-padded buffer.  The
+einsum over the diagonals of the four bands aligned to their rows, H and O
+paired with seven shifted copies of x, |H| and |O| with those of |x|, all
+taken from one zero-padded buffer that holds x and |x| once each.  The
 seven terms of every element are added in a fixed order: the diagonal,
 then diagonal +d before -d for d = 1, 2, 3.  This is the order of the
 seven-slice accumulation that the tests keep as the reference, so every
@@ -238,68 +239,52 @@ def _align(band: np.ndarray, out: np.ndarray) -> None:
         out[2 * d, d:] = band[u - d, d:]
 
 
-class _BandProducts:
-    """A workspace for the products A_k x_k of k symmetric bands and k vectors.
+class _Pencil:
+    """One fit's pencil (H, O) at its current field, with the workspace of its step products.
 
-    `_align` writes band k into ``diagonals[k]`` (k, 7, m), and the caller
-    writes x_k into ``vectors[k]``, the middle of a (k, m + 6) buffer padded
-    with HALF_BANDWIDTH zeros at each end.  A call copies two window views
-    of that buffer into the seven shifted copies of every x_k, x_k[i + s]
-    for s in _OFFSETS, and forms all k products by one einsum over the
-    diagonal axis.  einsum adds the seven terms of each element in the order
-    of _OFFSETS, the order in which the seven-slice accumulation y = A_0 x,
-    y[:-d] += A_+d x[d:], y[d:] += A_-d x[:-d] adds them, so both give the
-    same bits wherever their elementwise products agree (the sign of an
-    exactly zero element aside).
+    ``_diagonals`` (2, 2, 7, m), of O's dtype, pairs the rows of H and O,
+    aligned by `_align`, with x, and those of |H| and |O| with |x|.
+    `products` writes x and |x| once each into a (2, m + 6) buffer padded
+    with HALF_BANDWIDTH zeros at each end, copies two window views of it
+    into the shifted copies x[i + s], |x|[i + s] for s in _OFFSETS, and
+    forms the four products by one einsum over the diagonal axis.  einsum
+    adds the seven terms of each element in the order of _OFFSETS, the
+    order in which the seven-slice accumulation y = A_0 x, y[:-d] +=
+    A_+d x[d:], y[d:] += A_-d x[:-d] adds them, so both give the same bits
+    wherever their elementwise products agree (the sign of an exactly zero
+    element aside).  `at` moves the pencil to a field by rewriting only the
+    rows of H and |H|; those of O and |O| and the padding are written once.
     """
 
-    def __init__(self, k: int, m: int, dtype=np.float64):
-        u = HALF_BANDWIDTH
-        self.diagonals = np.zeros((k, len(_OFFSETS), m), dtype)
-        padded = np.zeros((k, m + 2 * u), dtype)
-        self.vectors = padded[:, u : u + m]
-        self._shifted = np.empty((k, len(_OFFSETS), m), dtype)
+    def __init__(self, overlap: np.ndarray):
+        u, m, dtype = HALF_BANDWIDTH, overlap.shape[1], overlap.dtype
+        self.overlap, self.h = overlap, None
+        self._diagonals = np.zeros((2, 2, len(_OFFSETS), m), dtype)
+        padded = np.zeros((2, m + 2 * u), dtype)
+        self._vectors = padded[:, u : u + m]
+        self._shifted = np.empty((2, len(_OFFSETS), m), dtype)
         windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)  # shifts -3 .. 3
         # shifts 0, -1, -2, -3 at the even rows and +1, +2, +3 at the odd ones
         self._copies = (
             (self._shifted[:, 0::2], windows[:, u::-1]),
             (self._shifted[:, 1::2], windows[:, u + 1 :]),
         )
-
-    def __call__(self) -> np.ndarray:
-        for shifted, window in self._copies:
-            np.copyto(shifted, window)
-        return np.einsum("kji,kji->ki", self.diagonals, self._shifted)
-
-
-class _Pencil:
-    """One fit's pencil (H, O) at its current field, with the workspace of its step products.
-
-    A fit creates one from O and moves it to each field with `at`, which
-    rewrites only the rows of H and |H|; the rows of O and |O| and the
-    padding are written once.
-    """
-
-    def __init__(self, overlap: np.ndarray):
-        self.overlap, self.h = overlap, None
-        self._products = _BandProducts(4, overlap.shape[1])
-        diagonals = self._products.diagonals
-        _align(overlap, diagonals[1])
-        np.abs(diagonals[1], out=diagonals[3])
+        _align(overlap, self._diagonals[0, 1])
+        np.abs(self._diagonals[0, 1], out=self._diagonals[1, 1])
 
     def at(self, h: np.ndarray) -> _Pencil:
         self.h = h
-        diagonals = self._products.diagonals
-        _align(h, diagonals[0])
-        np.abs(diagonals[0], out=diagonals[2])
+        _align(h, self._diagonals[0, 0])
+        np.abs(self._diagonals[0, 0], out=self._diagonals[1, 0])
         return self
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """The rows H x, O x, |H| |x| and |O| |x|, formed together."""
-        vectors = self._products.vectors
-        vectors[:2] = x
-        np.abs(x, out=vectors[2:])
-        return self._products()
+        self._vectors[0] = x
+        np.abs(x, out=self._vectors[1])
+        for shifted, window in self._copies:
+            np.copyto(shifted, window)
+        return np.einsum("akji,aji->aki", self._diagonals, self._shifted).reshape(4, -1)
 
 
 def _load_flapack():
@@ -397,11 +382,11 @@ def _inverse_iteration(pencil: _Pencil, sigma: float, x: np.ndarray, b: float) -
     Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
     H - sigma O is factored at most once, at the first solve, and every
     step reuses the factors.  The four band products of a step (H x, O x,
-    |H| |x|, |O| |x|) are one einsum over the diagonals of the fit's
-    per-field ``pencil``, aligned to their rows, each element adding its
-    seven terms in the fixed order of _OFFSETS (`_BandProducts`).  Every
-    norm is sqrt(v @ v), which is what np.linalg.norm computes for a real
-    vector.
+    |H| |x|, |O| |x|) are one einsum in the fit's ``pencil``, whose aligned
+    diagonals of H and O meet one copy of x and those of |H| and |O| one
+    copy of |x|, each element adding its seven terms in the fixed order of
+    _OFFSETS (`_Pencil`).  Every norm is sqrt(v @ v), which is what
+    np.linalg.norm computes for a real vector.
     """
     solve = None
     x = x / math.sqrt(x @ x)
@@ -605,6 +590,14 @@ def fit_field_series(
     fixed projection: `_PROJECTOR` maps E(b) - E(0) to the coefficients of
     (b/b_max)^p, and coefficient p is then divided by b_max^p.  c6 absorbs
     the first neglected order, so the window choice does not bias c4.
+
+    The basis size does not move the low orders.  At the anchor H0 - E* O
+    is the diagonal (mu_i - 1) W_i, zero only at n_r, O is tridiagonal and
+    R seven-banded, so the Rayleigh-Schrodinger vector x_k of order
+    (b^2/8)^k is supported on n_r +- 3k.  By Wigner's 2n+1 rule the energy
+    coefficient e_k needs only x_0 .. x_floor(k/2), so the truncated
+    pencil's e_k equals the complete basis's while n_r + 3 floor(k/2) <
+    basis_size: e_1 .. e_13, through b^26, at every allowed size.
     Raises ValueError, before any assembly, for Z <= 0, for a ``basis_size``
     below n_r + 20 (a float raises TypeError) and when b_max lies outside
     the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b,

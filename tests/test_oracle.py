@@ -22,8 +22,6 @@ from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.oracle import (
     ConvergenceError,
     LevelCrossingError,
-    _align,
-    _BandProducts,
     _certify,
     _exact_pieces,
     _general_storage,
@@ -84,7 +82,7 @@ def band_matvec(band, x):
 
     The seven-slice accumulation whose order (diagonal, then +d before -d
     for d = 1, 2, 3) defines the summation order of the oracle's fused
-    product, `_BandProducts`.  A stack of bands (k, u + 1, m) times
+    product, `_Pencil.products`.  A stack of bands (k, u + 1, m) times
     a stack of vectors (k, m) gives the k products at once, each element
     formed in the same order as alone.
     """
@@ -467,10 +465,11 @@ class TestLapackLoader:
 
 
 def _fused_cases():
-    for m in (1, 2, 3, 4, 40, 240):
+    # m = 960 is the largest oracle_large basis
+    for m in (1, 2, 3, 4, 40, 240, 960):
         for dtype in (np.float64, np.complex128):
-            for k in (1, 4):
-                yield m, dtype, k
+            for fields in (1, 4):
+                yield m, dtype, fields
 
 
 def _fit_cases():
@@ -487,35 +486,39 @@ def _fit_cases():
 class TestFusedProduct:
     """The one-einsum band product of every step keeps the bits of the seven-slice reference."""
 
-    @pytest.mark.parametrize("m,dtype,k", list(_fused_cases()))
-    def test_matches_seven_slice_reference(self, m, dtype, k):
-        # one band (k = 1, against the reference on the unstacked band) and
-        # the stack of four, also where the band is narrower than the
-        # half-bandwidth (m <= 3).  numpy's complex multiply loop fuses
-        # multiply and add where the CPU has FMA, and einsum forms the
-        # textbook product, so the complex reference runs on Python complex
-        # numbers (object arrays), whose products are the textbook ones too:
-        # what is checked is the order of the sums
+    @pytest.mark.parametrize("m,dtype,fields", list(_fused_cases()))
+    def test_matches_seven_slice_reference(self, m, dtype, fields):
+        # each of the four rows against the reference on its own band and
+        # vector, at one field and after the pencil moved through four, also
+        # where the band is narrower than the half-bandwidth (m <= 3).
+        # numpy's complex multiply loop fuses multiply and add where the CPU
+        # has FMA, and einsum forms the textbook product, so the complex
+        # reference runs on Python complex numbers (object arrays), whose
+        # products are the textbook ones too: what is checked is the order
+        # of the sums
         rng = np.random.default_rng(m)
 
         def draw(*shape):
             values = rng.standard_normal(shape)
             return values + 1j * rng.standard_normal(shape) if dtype is np.complex128 else values
 
-        bands = draw(k, oracle.HALF_BANDWIDTH + 1, m)
-        products = _BandProducts(k, m, dtype)
-        for band, diagonals in zip(bands, products.diagonals):
-            _align(band, diagonals)
-        exact = bands.astype(object) if dtype is np.complex128 else bands
-        for _ in range(2):  # the second call reuses the workspace
-            x = draw(k, m)
-            products.vectors[...] = x
-            fused = products()
-            x = x.astype(exact.dtype)
-            reference = band_matvec(exact[0], x[0])[None] if k == 1 else band_matvec(exact, x)
-            reference = reference.astype(dtype)
-            assert (fused.shape, fused.dtype) == (reference.shape, reference.dtype)
-            assert fused.tobytes() == reference.tobytes()
+        def exact(values):
+            values = np.asarray(values, dtype)
+            return values.astype(object) if dtype is np.complex128 else values
+
+        o = draw(oracle.HALF_BANDWIDTH + 1, m)
+        pencil = _Pencil(o)
+        for _ in range(fields):
+            h = draw(oracle.HALF_BANDWIDTH + 1, m)
+            assert pencil.at(h) is pencil
+            for _ in range(2):  # the second call reuses the workspace
+                x = draw(m)
+                fused = pencil.products(x)
+                assert (fused.shape, fused.dtype) == ((4, m), np.dtype(dtype))
+                pairs = ((h, x), (o, x), (abs(h), abs(x)), (abs(o), abs(x)))
+                for row, (band, vector) in zip(fused, pairs):
+                    reference = band_matvec(exact(band), exact(vector)).astype(dtype)
+                    assert row.tobytes() == reference.tobytes()
 
     def test_fits_match_reference_product(self, monkeypatch):
         # the same energies, residuals and coefficients, bit for bit, and the
