@@ -17,7 +17,11 @@ numerators and one denominator.  Floating point enters once per fit, when
 `_round_bands` rounds each entry by one correctly rounded integer division
 and divides basis function j by sqrt(W_j); that diagonal congruence keeps
 the overlap well conditioned and leaves the generalized eigenvalues
-unchanged.  H(b) = H0 + (b^2/8) R is then formed in float at each field.
+unchanged.  The float bands have one layout, their diagonals aligned to
+their rows: ``band[j, i] = A[i, i + _OFFSETS[j]]``, zero outside A, each
+rounded entry written to its +d row and its mirrored -d row.  LAPACK's
+band storages are row selections of it (`_UPPER`, `_GENERAL`).
+H(b) = H0 + (b^2/8) R is formed in float at each field, in those rows.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
@@ -179,24 +183,22 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     )
 
 
-class FloatBands(namedtuple("FloatBands", "h0 r2 overlap")):
-    """Normalized float H0, R and O (numpy arrays) in LAPACK upper band storage.
-
-    Row HALF_BANDWIDTH - d holds diagonal d: ``band[3 - d, j] = A[j - d, j]``.
-    Columns 0..m'-1 hold the leading m' x m' block, so slicing them is the
-    same problem in the first m' basis functions.
-    """
-
-    __slots__ = ()
-
-    def hamiltonian(self, b: Fraction) -> np.ndarray:
-        return self.h0 + float(b * b / 8) * self.r2
+# The order in which every element of a band product adds its seven terms:
+# the diagonal, then diagonal +d before -d for d = 1, 2, 3.  Row j of an
+# aligned band holds diagonal _OFFSETS[j]: ``band[j, i] = A[i, i + _OFFSETS[j]]``.
+_OFFSETS = (0, 1, -1, 2, -2, 3, -3)
+# LAPACK's band storages as rows of an aligned band.  Row u + k of the general
+# storage (kl = ku = u) and row k of the upper storage hold, at column j,
+# A[j + k - u, j] = A[j, j + k - u]: the aligned row of offset k - u.
+_GENERAL = [_OFFSETS.index(d) for d in range(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)]
+_UPPER = _GENERAL[: HALF_BANDWIDTH + 1]
 
 
-def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> FloatBands:
-    """Round the exact bands once, dividing basis function j by sqrt(W_j).
+def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> tuple:
+    """Round the exact bands once into aligned rows (H0, R, O), dividing basis function j by sqrt(W_j).
 
-    Each entry is one correctly rounded integer division num / den.  Raises
+    Each entry is one correctly rounded integer division num / den, scaled
+    once and written to the rows of both diagonals +d and -d.  Raises
     ValueError when an entry or W_j is too large for a double.
     """
     m = basis_size
@@ -212,79 +214,69 @@ def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> F
         ) from None
     scale = 1 / np.sqrt(weighted_norm)
 
-    def upper(diagonals: list[np.ndarray]) -> np.ndarray:
-        band = np.zeros((HALF_BANDWIDTH + 1, m))
+    def aligned(diagonals: list[np.ndarray]) -> np.ndarray:
+        band = np.zeros((len(_OFFSETS), m))
         for d, values in enumerate(diagonals):
-            band[HALF_BANDWIDTH - d, d:] = values * scale[: m - d] * scale[d:]
+            entries = values * scale[: m - d] * scale[d:]
+            band[_OFFSETS.index(d), : max(m - d, 0)] = band[_OFFSETS.index(-d), d:] = entries
         return band
 
-    return FloatBands(h0=upper(h0), r2=upper(r2), overlap=upper(overlap))
-
-
-# The order in which every element of a band product adds its seven terms:
-# the diagonal, then diagonal +d before -d for d = 1, 2, 3.
-_OFFSETS = (0, 1, -1, 2, -2, 3, -3)
-
-
-def _align(band: np.ndarray, out: np.ndarray) -> None:
-    """Write the diagonals of the symmetric A held in upper band storage, aligned to their rows.
-
-    ``out[j, i]`` becomes A[i, i + _OFFSETS[j]]; the entries outside A keep
-    the zeros of ``out``.
-    """
-    u, m = band.shape[0] - 1, band.shape[1]
-    out[0] = band[u]
-    for d in range(1, u + 1):
-        out[2 * d - 1, : max(m - d, 0)] = band[u - d, d:]
-        out[2 * d, d:] = band[u - d, d:]
+    return aligned(h0), aligned(r2), aligned(overlap)
 
 
 class _Pencil:
     """One fit's pencil (H, O) at its current field, with the workspace of its step products.
 
-    ``_diagonals`` (2, 2, 7, m), of O's dtype, pairs the rows of H and O,
-    aligned by `_align`, with x, and those of |H| and |O| with |x|.
-    `products` writes x and |x| once each into a (2, m + 6) buffer padded
-    with HALF_BANDWIDTH zeros at each end, copies two window views of it
-    into the shifted copies x[i + s], |x|[i + s] for s in _OFFSETS, and
-    forms the four products by one einsum over the diagonal axis.  einsum
-    adds the seven terms of each element in the order of _OFFSETS, the
-    order in which the seven-slice accumulation y = A_0 x, y[:-d] +=
-    A_+d x[d:], y[d:] += A_-d x[:-d] adds them, so both give the same bits
-    wherever their elementwise products agree (the sign of an exactly zero
-    element aside).  `at` moves the pencil to a field by rewriting only the
-    rows of H and |H|; those of O and |O| and the padding are written once.
+    It takes the aligned rows of H0, R and O from `_round_bands`.
+    ``_diagonals`` (2, 2, 7, m), of O's dtype, pairs the rows of H and O
+    (``h`` and ``overlap``) with x, and those of |H| and |O| with |x|.
+    `at` moves the pencil to field b: it forms H = H0 + (b^2/8) R and |H|
+    in their rows; those of O and |O| and the padding are written once.
+    `shifted` hands out the aligned rows of H - sigma O.  `products` writes
+    x and |x| once each into a (2, m + 6) buffer padded with HALF_BANDWIDTH
+    zeros at each end, copies two window views of it into the shifted
+    copies x[i + s], |x|[i + s] for s in _OFFSETS, and forms the four
+    products by one einsum over the diagonal axis.  einsum adds the seven
+    terms of each element in the order of _OFFSETS, the order in which the
+    seven-slice accumulation y = A_0 x, y[:-d] += A_+d x[d:], y[d:] +=
+    A_-d x[:-d] adds them, so both give the same bits wherever their
+    elementwise products agree (the sign of an exactly zero element aside).
     """
 
-    def __init__(self, overlap: np.ndarray):
+    def __init__(self, h0: np.ndarray, r2: np.ndarray, overlap: np.ndarray):
         u, m, dtype = HALF_BANDWIDTH, overlap.shape[1], overlap.dtype
-        self.overlap, self.h = overlap, None
+        self._h0, self._r2 = h0, r2
         self._diagonals = np.zeros((2, 2, len(_OFFSETS), m), dtype)
+        self.h, self.overlap = self._diagonals[0]
+        self.overlap[...] = overlap
+        np.abs(overlap, out=self._diagonals[1, 1])
         padded = np.zeros((2, m + 2 * u), dtype)
         self._vectors = padded[:, u : u + m]
-        self._shifted = np.empty((2, len(_OFFSETS), m), dtype)
+        self._copied = np.empty((2, len(_OFFSETS), m), dtype)
         windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)  # shifts -3 .. 3
         # shifts 0, -1, -2, -3 at the even rows and +1, +2, +3 at the odd ones
         self._copies = (
-            (self._shifted[:, 0::2], windows[:, u::-1]),
-            (self._shifted[:, 1::2], windows[:, u + 1 :]),
+            (self._copied[:, 0::2], windows[:, u::-1]),
+            (self._copied[:, 1::2], windows[:, u + 1 :]),
         )
-        _align(overlap, self._diagonals[0, 1])
-        np.abs(self._diagonals[0, 1], out=self._diagonals[1, 1])
 
-    def at(self, h: np.ndarray) -> _Pencil:
-        self.h = h
-        _align(h, self._diagonals[0, 0])
-        np.abs(self._diagonals[0, 0], out=self._diagonals[1, 0])
+    def at(self, b: Fraction) -> _Pencil:
+        np.multiply(self._r2, float(b * b / 8), out=self.h)
+        np.add(self._h0, self.h, out=self.h)
+        np.abs(self.h, out=self._diagonals[1, 0])
         return self
+
+    def shifted(self, sigma: complex) -> np.ndarray:
+        """The aligned rows of H - sigma O."""
+        return self.h - sigma * self.overlap
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """The rows H x, O x, |H| |x| and |O| |x|, formed together."""
         self._vectors[0] = x
         np.abs(x, out=self._vectors[1])
-        for shifted, window in self._copies:
-            np.copyto(shifted, window)
-        return np.einsum("akji,aji->aki", self._diagonals, self._shifted).reshape(4, -1)
+        for copied, window in self._copies:
+            np.copyto(copied, window)
+        return np.einsum("akji,aji->aki", self._diagonals, self._copied).reshape(4, -1)
 
 
 def _load_flapack():
@@ -334,36 +326,26 @@ def _check_info(routine: str, info: int) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
 
 
-def _general_storage(band: np.ndarray) -> np.ndarray:
-    """The general band storage that xGBTRF factors in place, from upper storage.
-
-    With kl = ku = u it has 3u + 1 rows: row 2u - d holds diagonal d, row
-    2u + d diagonal -d, and the first u rows start at zero and take the
-    fill-in of the row interchanges.  It is Fortran-ordered, so LAPACK
-    factors it without a copy, and keeps the band's dtype, so a complex
-    shift H - sigma O keeps its imaginary part.
-    """
-    u, m = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((3 * u + 1, m), dtype=band.dtype, order="F")
-    full[u : 2 * u + 1] = band
-    for d in range(1, u + 1):
-        full[2 * u + d, : max(m - d, 0)] = band[u - d, d:]
-    return full
-
-
 def _lu_solver(band: np.ndarray):
-    """Factor the symmetric A held in upper band storage once; return its solve b -> A^-1 b.
+    """Factor the symmetric A held in aligned rows once; return its solve b -> A^-1 b.
 
-    xGBTRF forms the pivoted LU factors and every solve is one xGBTRS on
-    them (`scipy.linalg.solve_banded` runs the two together, as xGBSV, and
-    so refactors at every call).  Both come from the directly loaded
-    extension `scipy.linalg._flapack`, through `_lapack_funcs`, which picks
-    the routines of the band's dtype, so a complex shift takes the same
-    path.  Raises `np.linalg.LinAlgError` when A is exactly singular.
+    xGBTRF factors A in place in general band storage, which with kl = ku =
+    u has 3u + 1 rows: the first u start at zero and take the fill-in of
+    the row interchanges, and rows u .. 3u are the rows `_GENERAL` of
+    ``band``.  That storage is Fortran-ordered, so LAPACK factors it without
+    a copy, and keeps the band's dtype, so a complex shift H - sigma O keeps
+    its imaginary part.  Every solve is one xGBTRS on the factors
+    (`scipy.linalg.solve_banded` runs the two together, as xGBSV, and so
+    refactors at every call).  Both come from the directly loaded extension
+    `scipy.linalg._flapack`, through `_lapack_funcs`, which picks the
+    routines of the band's dtype.  Raises `np.linalg.LinAlgError` when A is
+    exactly singular.
     """
-    u = band.shape[0] - 1
+    u = HALF_BANDWIDTH
     gbtrf, gbtrs = _lapack_funcs(("gbtrf", "gbtrs"), band)
-    lu, piv, info = gbtrf(_general_storage(band), u, u, overwrite_ab=True)
+    general = np.zeros((3 * u + 1, band.shape[1]), dtype=band.dtype, order="F")
+    general[u:] = band[_GENERAL]
+    lu, piv, info = gbtrf(general, u, u, overwrite_ab=True)
     _check_info("gbtrf", info)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -404,7 +386,7 @@ def _inverse_iteration(pencil: _Pencil, sigma: float, x: np.ndarray, b: float) -
             break
         try:
             if solve is None:
-                solve = _lu_solver(pencil.h - sigma * pencil.overlap)
+                solve = _lu_solver(pencil.shifted(sigma))
             y = solve(ox)
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
@@ -426,7 +408,7 @@ def _dense(band: np.ndarray) -> np.ndarray:
     return out
 
 
-def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -> int:
+def _levels_below(pencil: _Pencil, sigma: float, head: int) -> int:
     """Eigenvalues of the pencil below sigma: by Sylvester, the negative ones of A = H - sigma O.
 
     Haynsworth's additivity In(A) = In(A22) + In(S), with the Schur complement
@@ -436,9 +418,11 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
     differs from A11 only in its last HALF_BANDWIDTH rows and columns.  The head
     is doubled while A22 is not positive definite; at full size A is counted
     directly.  Since S^-1 is the leading block of A^-1, |eig(S)| >= min |eig(A)|:
-    the Schur count keeps the distance of sigma from the spectrum.
+    the Schur count keeps the distance of sigma from the spectrum.  xPBTRF and
+    `_dense` take A in upper band storage, the rows `_UPPER` of the pencil's
+    aligned H - sigma O, whose leading columns hold the leading blocks.
     """
-    a = h - sigma * overlap
+    a = pencil.shifted(sigma)[_UPPER]
     u, m = HALF_BANDWIDTH, a.shape[1]
     pbtrf, pbtrs = _lapack_funcs(("pbtrf", "pbtrs"), a)
     while head < m:
@@ -461,22 +445,20 @@ def _levels_below(h: np.ndarray, overlap: np.ndarray, sigma: float, head: int) -
     return int(np.count_nonzero(np.linalg.eigvalsh(_dense(a)) < 0))
 
 
-def _certify(h: np.ndarray, overlap: np.ndarray, value: float, target: int, b: float) -> None:
-    """Raise LevelCrossingError unless ``value`` is the level with index ``target``.
+def _certify(pencil: _Pencil, value: float, target: int, b: float) -> None:
+    """Raise LevelCrossingError unless ``value`` is the level of ``pencil`` with index ``target``.
 
     The levels below the target live mostly in the first basis functions, so
     the inertia counts start from a head of target + 1 functions.
     """
     width = CERTIFICATE_WIDTH * abs(value)
-    below = _levels_below(h, overlap, value - width, target + 1)
-    above = _levels_below(h, overlap, value + width, target + 1)
+    below = _levels_below(pencil, value - width, target + 1)
+    above = _levels_below(pencil, value + width, target + 1)
     if (below, above) != (target, target + 1):
         raise LevelCrossingError(target, below, above, b)
 
 
-def _continue(
-    bands: FloatBands, pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, target: int, depth: int = 0
-) -> tuple:
+def _continue(pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, target: int, depth: int = 0) -> tuple:
     """Certified (energy, vector, residual) of level ``target`` at field ``stop``.
 
     The iteration is seeded with ``pair``, the certified eigenpair at
@@ -484,34 +466,32 @@ def _continue(
     that fails to converge or to certify is halved, up to MAX_HALVINGS
     times; the failure of the shortest step is raised.
     """
-    h = bands.hamiltonian(stop)
     try:
-        value, x, residual = _inverse_iteration(pencil.at(h), pair[0], pair[1], float(stop))
-        _certify(h, bands.overlap, value, target, float(stop))
+        value, x, residual = _inverse_iteration(pencil.at(stop), pair[0], pair[1], float(stop))
+        _certify(pencil, value, target, float(stop))
         return value, x, residual
     except (ConvergenceError, LevelCrossingError):
         if depth == MAX_HALVINGS or start == stop:
             raise
     mid = (start + stop) / 2
-    pair = _continue(bands, pencil, start, mid, pair, target, depth + 1)
-    return _continue(bands, pencil, mid, stop, pair, target, depth + 1)
+    pair = _continue(pencil, start, mid, pair, target, depth + 1)
+    return _continue(pencil, mid, stop, pair, target, depth + 1)
 
 
-def _track(bands: FloatBands, fields: list[Fraction], target: int, seed: float) -> list[tuple[float, float]]:
+def _track(pencil: _Pencil, fields: list[Fraction], target: int, seed: float) -> list[tuple[float, float]]:
     """Certified (energy, residual) of level ``target`` at each field, in order.
 
     ``fields`` starts at b = 0, where the iteration starts from the Sturmian
     e_target (the exact eigenvector at the default anchor) with the shift
     ``seed``; every later field starts from the eigenpair of the one before.
-    The walk runs on one `_Pencil`, created here.
+    The walk moves the fit's one ``pencil`` from field to field.
     """
-    pencil = _Pencil(bands.overlap)
-    x = np.zeros(bands.overlap.shape[1])
+    x = np.zeros(pencil.overlap.shape[1])
     x[target] = 1.0
     pair, previous = (seed, x, 0.0), fields[0]
     tracked = []
     for b in fields:
-        pair, previous = _continue(bands, pencil, previous, b, pair, target), b
+        pair, previous = _continue(pencil, previous, b, pair, target), b
         tracked.append((pair[0], pair[2]))
     return tracked
 
@@ -613,7 +593,7 @@ def fit_field_series(
             f"b_max = {grid[-1]} of the n = {state.n} field grid lies outside the perturbative window"
         )
     anchor = energy0(state, Z)
-    tracked = _track(_round_bands(state.l, Z, basis_size, anchor), grid, state.n_r, float(anchor))
+    tracked = _track(_Pencil(*_round_bands(state.l, Z, basis_size, anchor)), grid, state.n_r, float(anchor))
     energies, residuals = zip(*tracked)
     shifts = np.array(energies) - energies[0]
     scaled = _PROJECTOR @ shifts

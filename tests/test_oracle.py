@@ -24,12 +24,13 @@ from zeeman2d.oracle import (
     LevelCrossingError,
     _certify,
     _exact_pieces,
-    _general_storage,
+    _GENERAL,
     _inverse_iteration,
     _lu_solver,
     _Pencil,
     _round_bands,
     _track,
+    _UPPER,
     default_field_grid,
     fit_field_series,
 )
@@ -54,7 +55,12 @@ def tracked(l, Z, m, reference, b=Fraction(0)):
     n_r = Z / rational_sqrt(-2 * reference) - l - Fraction(1, 2)
     assert n_r.denominator == 1 and n_r >= 0
     fields = [Fraction(0), Fraction(b)]
-    return _track(_round_bands(l, Z, m, reference), fields, int(n_r), float(reference))[-1]
+    return _track(rounded_pencil(l, Z, m, reference), fields, int(n_r), float(reference))[-1]
+
+
+def rounded_pencil(l, Z, m, reference):
+    """The `_Pencil` of the rounded bands of `_round_bands`, as a fit builds it."""
+    return _Pencil(*_round_bands(l, Z, m, reference))
 
 
 def exact_pieces(l, Z, m, reference):
@@ -68,35 +74,67 @@ def entry(band, d, i):
     return Fraction(diagonals[d][i], denominator)
 
 
-def dense(band):
-    """Symmetric dense matrix from upper band storage (row 3 - d holds diagonal d)."""
-    u = band.shape[0] - 1
+def _diag_dense(band):
+    """The symmetric dense matrix held in upper band storage (row 3 - d holds diagonal d), by np.diag.
+
+    The reference of `oracle._dense`, which replaced this construction.
+    """
+    u, m = band.shape[0] - 1, band.shape[1]
     out = np.diag(band[u])
-    for d in range(1, u + 1):
-        out = out + np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+    for d in range(1, min(u, m - 1) + 1):
+        out += np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
+    return out
+
+
+def aligned(matrix):
+    """The aligned rows of a banded matrix A, by their definition.
+
+    Row j holds diagonal d = (0, 1, -1, 2, -2, 3, -3)[j] aligned to the rows
+    of A: its entry i is A[i, i + d], and 0 where i + d lies outside A.
+    """
+    m = len(matrix)
+    out = np.zeros((7, m), matrix.dtype)
+    for j, d in enumerate((0, 1, -1, 2, -2, 3, -3)):
+        rows = np.arange(max(-d, 0), min(m, m - d))
+        out[j, rows] = matrix[rows, rows + d]
+    return out
+
+
+def lapack_storage(matrix, rows):
+    """The first ``rows`` rows of LAPACK band storage of A with u = 3, by LAPACK's rule ab[u + i - j, j] = A[i, j].
+
+    Four rows are the upper storage that xPBTRF takes, and seven the general
+    storage that ``scipy.linalg.solve_banded((3, 3), ...)`` takes.
+    """
+    m = len(matrix)
+    out = np.zeros((rows, m), matrix.dtype)
+    for i in range(m):
+        for j in range(m):
+            if 0 <= 3 + i - j < rows:
+                out[3 + i - j, j] = matrix[i, j]
     return out
 
 
 def band_matvec(band, x):
-    """A @ x for the symmetric A held in upper band storage: the reference band product.
+    """A @ x for the symmetric A held in aligned rows: the reference band product.
 
     The seven-slice accumulation whose order (diagonal, then +d before -d
     for d = 1, 2, 3) defines the summation order of the oracle's fused
-    product, `_Pencil.products`.  A stack of bands (k, u + 1, m) times
-    a stack of vectors (k, m) gives the k products at once, each element
-    formed in the same order as alone.
+    product, `_Pencil.products`; row 2d - 1 holds diagonal +d and row 2d
+    diagonal -d.  A stack of bands (k, 7, m) times a stack of vectors (k, m)
+    gives the k products at once, each element formed in the same order as
+    alone.
     """
-    u = band.shape[-2] - 1
-    y = band[..., u, :] * x
-    for d in range(1, u + 1):
-        y[..., :-d] += band[..., u - d, d:] * x[..., d:]
-        y[..., d:] += band[..., u - d, d:] * x[..., :-d]
+    y = band[..., 0, :] * x
+    for d in range(1, 4):
+        y[..., :-d] += band[..., 2 * d - 1, :-d] * x[..., d:]
+        y[..., d:] += band[..., 2 * d, d:] * x[..., :-d]
     return y
 
 
 def iterate(h, o, sigma, x, b):
-    """`_inverse_iteration` on the pencil (h, o)."""
-    return _inverse_iteration(_Pencil(o).at(h), sigma, x, b)
+    """`_inverse_iteration` on the pencil (h, o) of aligned rows, as H0 = h and R = 0 at b = 0."""
+    return _inverse_iteration(_Pencil(h, np.zeros_like(h), o).at(Fraction(0)), sigma, x, b)
 
 
 def exact_entry(bands, b, i, j):
@@ -109,10 +147,12 @@ def exact_entry(bands, b, i, j):
 
 
 def fraction_bands(l, Z, m, e_star):
-    """(H0, R, O) in upper band storage, assembled entry by entry as Fractions and rounded.
+    """(H0, R, O) in aligned rows, assembled entry by entry as Fractions and rounded.
 
     An independent transcription of the closed forms: each entry is built as
-    its own Fraction, converted with float(), and scaled by 1/sqrt(W_j).
+    its own Fraction, converted with float(), and scaled by 1/sqrt(W_j); the
+    entries of one triangle, in upper band storage, are mirrored into the
+    dense matrix, whose aligned rows are taken by their definition.
     """
     k, alpha = rational_sqrt(-2 * e_star), 2 * l
     inv_2k = 1 / (2 * k)
@@ -134,7 +174,7 @@ def fraction_bands(l, Z, m, e_star):
         band = np.zeros((4, m))
         for d, values in enumerate(diagonals):
             band[3 - d, d:] = np.array([float(x) for x in values]) * scale[: m - d] * scale[d:]
-        return band
+        return aligned(_diag_dense(band))
 
     return upper([h0_diag, [e_star * o for o in o_off]]), upper(r2), upper([o_diag, o_off])
 
@@ -262,11 +302,10 @@ class TestExactMatrices:
         # double as float() of the entry's own Fraction, bit for bit; None
         # is the default anchor, the b = 0 energy of (l + 1, l)
         reference = anchor(l + 1, l, Z) if reference is None else reference
-        bands = _round_bands(l, Z, m, reference)
-        h0, r2, overlap = fraction_bands(l, Z, m, reference)
-        assert np.array_equal(bands.h0, h0)
-        assert np.array_equal(bands.r2, r2)
-        assert np.array_equal(bands.overlap, overlap)
+        # all seven aligned rows, the mirrored -d rows and the zeros outside A included
+        for rounded, expected in zip(_round_bands(l, Z, m, reference), fraction_bands(l, Z, m, reference)):
+            assert rounded.shape == expected.shape == (7, m)
+            assert np.array_equal(rounded, expected)
 
     def test_denominators_positive(self):
         bands = _exact_pieces(2, Fraction(3, 2), BASIS_SMALL, Fraction(-9, 32))
@@ -279,7 +318,7 @@ class TestExactMatrices:
         # W_j and the band entries grow like (j+2l)!/j!; at basis size 120
         # l = 65 still rounds to finite doubles and l = 66 does not
         finite = _round_bands(65, Fraction(1), 120, anchor(66, 65))
-        assert all(np.isfinite(a).all() for a in (finite.h0, finite.r2, finite.overlap))
+        assert all(np.isfinite(a).all() for a in finite)
         with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
             _round_bands(66, Fraction(1), 120, anchor(67, 66))
         with pytest.raises(ValueError, match=r"l = 66, Z = 1, basis_size = 120"):
@@ -287,8 +326,14 @@ class TestExactMatrices:
 
     def test_float_matrices_are_symmetric_and_normalized(self):
         reference = anchor(1, 0)
-        bands = _round_bands(0, Fraction(1), BASIS_SMALL, reference)
-        H, O = dense(bands.hamiltonian(Fraction(1, 100))), dense(bands.overlap)
+        pencil = rounded_pencil(0, Fraction(1), BASIS_SMALL, reference).at(Fraction(1, 100))
+        # the matrices that the aligned rows hold, each row put on its own
+        # diagonal, so that symmetry needs row -d to mirror row +d
+        m = BASIS_SMALL
+        H, O = (
+            sum(np.diag(band[j, max(-d, 0) : m - max(d, 0)], d) for j, d in enumerate((0, 1, -1, 2, -2, 3, -3)))
+            for band in (pencil.h, pencil.overlap)
+        )
         assert np.array_equal(H, H.T)
         assert np.array_equal(O, O.T)
         # normalization is by the weighted norm W_j, under which the plain
@@ -300,10 +345,51 @@ class TestExactMatrices:
         assert np.allclose(np.diag(O), expected, rtol=1e-14)
 
 
+def _storage_cases():
+    for m in (1, 2, 3, 4, 40):
+        for dtype in (np.float64, np.complex128):
+            yield m, dtype
+
+
+class TestBandStorage:
+    """LAPACK's band storages are the row selections `_UPPER` and `_GENERAL` of the aligned rows."""
+
+    @staticmethod
+    def _matrix(m, dtype):
+        # symmetric, with half-bandwidth 3 and no zero inside the band
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        if dtype is np.complex128:
+            a = a + 1j * rng.standard_normal((m, m))
+        a = a + a.T
+        a[abs(np.subtract.outer(np.arange(m), np.arange(m))) > 3] = 0
+        return a
+
+    @pytest.mark.parametrize("m,dtype", list(_storage_cases()))
+    def test_selections_are_lapack_storage(self, m, dtype):
+        matrix = self._matrix(m, dtype)
+        band = aligned(matrix)
+        assert band[_UPPER].tobytes() == lapack_storage(matrix, 4).tobytes()
+        assert band[_GENERAL].tobytes() == lapack_storage(matrix, 7).tobytes()
+
+    @pytest.mark.parametrize("m,dtype", list(_storage_cases()))
+    def test_lu_solver_matches_solve_banded(self, m, dtype):
+        # solve_banded runs xGBSV, which is xGBTRF then xGBTRS, on the general
+        # storage: bit for bit the same solve.  A 1 x 1 matrix it solves by a
+        # division of its own, not by LAPACK
+        matrix = self._matrix(m, dtype)
+        rhs = np.cos(np.arange(m)).astype(dtype)
+        y = _lu_solver(aligned(matrix))(rhs)
+        assert y.dtype == np.dtype(dtype)
+        if m == 1:
+            assert y[0] == pytest.approx(rhs[0] / matrix[0, 0], rel=1e-15)
+        else:
+            assert y.tobytes() == scipy.linalg.solve_banded((3, 3), lapack_storage(matrix, 7), rhs).tobytes()
+
+
 class TestSolveGeneralized:
     def test_one_by_one(self):
-        h = np.array([[0.0], [0.0], [0.0], [3.5]])
-        o = np.array([[0.0], [0.0], [0.0], [1.0]])
+        h, o = aligned(np.array([[3.5]])), aligned(np.eye(1))
         value, x, residual = iterate(h, o, 3.0, np.array([1.0]), 0.0)
         assert value == pytest.approx(3.5, abs=0)
         assert residual == 0
@@ -320,30 +406,22 @@ class TestSolveGeneralized:
 
     def test_complex_shift_keeps_its_imaginary_part(self):
         # the factor-once solve of H - sigma O with a complex sigma matches
-        # the dense solve, and so does its real part; a real band keeps
-        # float64 storage
-        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
-        h, o = bands.h0, bands.overlap
+        # the dense solve, and so does its real part; a real band solves in
+        # float64 (the storage of either dtype: TestBandStorage)
+        h, _, o = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
         # halfway between the two lowest levels, off the real axis
         sigma = float(energy0(QuantumState(1, 0, 0)) + energy0(QuantumState(2, 0, 0))) / 2 + 0.05j
         rhs = band_matvec(o, np.linspace(1.0, 2.0, BASIS_SMALL))
-        for shift in (sigma, sigma.real):
+        for shift, dtype in ((sigma, np.complex128), (sigma.real, np.float64)):
             band = h - shift * o
-            assert _general_storage(band).dtype == band.dtype
             y = _lu_solver(band)(rhs)
-            assert y.dtype == band.dtype
-            expected = np.linalg.solve(dense(band), rhs)
+            assert y.dtype == band.dtype == dtype
+            expected = np.linalg.solve(_diag_dense(band[_UPPER]), rhs)
             assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-        real = h - sigma.real * o
-        assert _general_storage(real).dtype == np.float64
-        assert np.array_equal(_general_storage(real), _general_storage(real.astype(complex)).real)
 
     def test_singular_shift_is_typed_error(self):
         # sigma is exactly an eigenvalue and x is not its eigenvector
-        h = np.zeros((4, 2))
-        h[3] = [1.0, 2.0]
-        o = np.zeros((4, 2))
-        o[3] = 1.0
+        h, o = aligned(np.diag([1.0, 2.0])), aligned(np.eye(2))
         with pytest.raises(ConvergenceError, match="singular"):
             iterate(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
 
@@ -381,8 +459,8 @@ class TestFactorOnce:
     def _many_solves(self):
         # a far seed and a shift 0.1 below the ground level: the iteration
         # contracts by about 1/20 per solve, so it takes a dozen solves
-        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
-        return bands.h0, bands.overlap, -2.1, np.linspace(1.0, 2.0, BASIS_SMALL)
+        h0, _, o = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
+        return h0, o, -2.1, np.linspace(1.0, 2.0, BASIS_SMALL)
 
     def test_one_factorization_per_call(self, monkeypatch):
         h, o, sigma, x = self._many_solves()
@@ -394,8 +472,7 @@ class TestFactorOnce:
 
     def test_converged_seed_factors_nothing(self, monkeypatch):
         # the factorization waits for the first solve, after the convergence check
-        h = np.array([[0.0], [0.0], [0.0], [3.5]])
-        o = np.array([[0.0], [0.0], [0.0], [1.0]])
+        h, o = aligned(np.array([[3.5]])), aligned(np.eye(1))
         calls = _lapack_calls(monkeypatch)
         iterate(h, o, 3.0, np.array([1.0]), 0.0)
         assert calls["gbtrf"] == calls["gbtrs"] == 0
@@ -405,8 +482,9 @@ class TestFactorOnce:
         h, o, sigma, _ = self._many_solves()
         band = h - sigma * o
         solve = _lu_solver(band)
+        general = lapack_storage(_diag_dense(band[_UPPER]), 7)
         for rhs in (np.linspace(1.0, 2.0, BASIS_SMALL), np.cos(np.arange(BASIS_SMALL))):
-            reference = scipy.linalg.solve_banded((3, 3), _general_storage(band)[3:], rhs)
+            reference = scipy.linalg.solve_banded((3, 3), general, rhs)
             assert np.array_equal(solve(rhs), reference)
 
     def test_fit_path_avoids_scipy_wrappers(self, monkeypatch):
@@ -430,10 +508,10 @@ class TestFactorOnce:
     @pytest.mark.parametrize("routine", ["pbtrf", "pbtrs"])
     def test_illegal_argument_in_inertia_count_raises(self, monkeypatch, routine):
         # info < 0 is a call error, not a tail that fails to be positive definite
-        bands = _round_bands(0, Fraction(1), BASIS_SMALL, anchor(1, 0))
+        pencil = rounded_pencil(0, Fraction(1), BASIS_SMALL, anchor(1, 0)).at(Fraction(0))
         _lapack_calls(monkeypatch, {routine: _with_info(-1)})
         with pytest.raises(ValueError, match=f"argument 1 of LAPACK {routine}"):
-            oracle._levels_below(bands.h0, bands.overlap, -2.1, 1)
+            oracle._levels_below(pencil, -2.1, 1)
 
 
 class TestLapackLoader:
@@ -441,14 +519,16 @@ class TestLapackLoader:
     def test_routines_match_get_lapack_funcs(self, sigma):
         # the directly loaded extension hands out what scipy's own lookup
         # picks for the dtype: the factors and solves agree bit for bit
-        bands = _round_bands(1, Fraction(1), BASIS_SMALL, anchor(2, 1))
-        band = bands.h0 - sigma * bands.overlap
+        h0, _, o = _round_bands(1, Fraction(1), BASIS_SMALL, anchor(2, 1))
+        band = h0 - sigma * o
         rhs = np.cos(np.arange(BASIS_SMALL)).astype(band.dtype)
-        spd = bands.overlap.astype(band.dtype)
+        spd = o[_UPPER].astype(band.dtype)
+        # xGBTRF's storage: u = 3 zero rows for the fill-in above the general storage
+        general = np.vstack((np.zeros((3, BASIS_SMALL)), band[_GENERAL]))
         results = []
         for lookup in (oracle._lapack_funcs, lambda names, a: scipy.linalg.get_lapack_funcs(names, (a,))):
             gbtrf, gbtrs, pbtrf, pbtrs = lookup(("gbtrf", "gbtrs", "pbtrf", "pbtrs"), band)
-            lu, piv, info = gbtrf(_general_storage(band), 3, 3)
+            lu, piv, info = gbtrf(general, 3, 3)
             assert info == 0
             chol, info = pbtrf(spd)
             assert info == 0
@@ -490,7 +570,8 @@ class TestFusedProduct:
     def test_matches_seven_slice_reference(self, m, dtype, fields):
         # each of the four rows against the reference on its own band and
         # vector, at one field and after the pencil moved through four, also
-        # where the band is narrower than the half-bandwidth (m <= 3).
+        # where the band is narrower than the half-bandwidth (m <= 3); the
+        # bands are aligned rows of random symmetric matrices.
         # numpy's complex multiply loop fuses multiply and add where the CPU
         # has FMA, and einsum forms the textbook product, so the complex
         # reference runs on Python complex numbers (object arrays), whose
@@ -506,11 +587,13 @@ class TestFusedProduct:
             values = np.asarray(values, dtype)
             return values.astype(object) if dtype is np.complex128 else values
 
-        o = draw(oracle.HALF_BANDWIDTH + 1, m)
-        pencil = _Pencil(o)
-        for _ in range(fields):
-            h = draw(oracle.HALF_BANDWIDTH + 1, m)
-            assert pencil.at(h) is pencil
+        h0, r2, o = (aligned(_diag_dense(draw(oracle.HALF_BANDWIDTH + 1, m))) for _ in range(3))
+        pencil = _Pencil(h0, r2, o)
+        for k in range(fields):
+            b = Fraction(k + 1, 3)
+            assert pencil.at(b) is pencil
+            h = h0 + float(b * b / 8) * r2
+            assert np.array_equal(pencil.h, h)
             for _ in range(2):  # the second call reuses the workspace
                 x = draw(m)
                 fused = pencil.products(x)
@@ -617,12 +700,12 @@ class TestDenseReference:
         off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
         grid = default_field_grid(state, Z)
         for reference in (anchor(state.n, state.l, Z), off_anchor):
-            bands = _round_bands(state.l, Z, 120, reference)
-            O = dense(bands.overlap)
-            tracked = _track(bands, grid, state.n_r, float(anchor(state.n, state.l, Z)))
+            pencil = rounded_pencil(state.l, Z, 120, reference)
+            O = _diag_dense(pencil.overlap[_UPPER])
+            tracked = _track(pencil, grid, state.n_r, float(anchor(state.n, state.l, Z)))
             for b, (energy, _) in zip(grid, tracked):
                 w = scipy.linalg.eigh(
-                    dense(bands.hamiltonian(b)), O, eigvals_only=True,
+                    _diag_dense(pencil.at(b).h[_UPPER]), O, eigvals_only=True,
                     subset_by_index=[state.n_r, state.n_r],
                 )[0]
                 assert abs(energy - w) <= 1e-11 * abs(w), (reference, b)
@@ -669,22 +752,22 @@ class TestTracking:
     def test_nearest_tracking_unambiguous(self):
         # every field of the walk passes the inertia certificate for its own
         # level and fails it for the neighbours
-        bands = _round_bands(0, Fraction(1), 60, anchor(2, 0))
+        pencil = rounded_pencil(0, Fraction(1), 60, anchor(2, 0))
         grid = default_field_grid(QuantumState(2, 0, 0))
-        for b, (energy, _) in zip(grid, _track(bands, grid, 1, float(anchor(2, 0)))):
-            h = bands.hamiltonian(b)
-            _certify(h, bands.overlap, energy, 1, float(b))
+        for b, (energy, _) in zip(grid, _track(pencil, grid, 1, float(anchor(2, 0)))):
+            pencil.at(b)
+            _certify(pencil, energy, 1, float(b))
             for wrong in (0, 2):
                 with pytest.raises(LevelCrossingError):
-                    _certify(h, bands.overlap, energy, wrong, float(b))
+                    _certify(pencil, energy, wrong, float(b))
 
     def test_crossing_guard(self):
         # asked for level 0 but seeded at level 1: the iteration converges to
         # level 1 and the inertia count catches it
-        bands = _round_bands(0, Fraction(1), 60, anchor(3, 0))
+        pencil = rounded_pencil(0, Fraction(1), 60, anchor(3, 0))
         seed = float(anchor(2, 0))
         with pytest.raises(LevelCrossingError) as err:
-            _track(bands, [Fraction(0), Fraction(1, 50)], 0, seed)
+            _track(pencil, [Fraction(0), Fraction(1, 50)], 0, seed)
         assert err.value.expected == 0
         assert err.value.counts == (1, 2)
         assert err.value.b == 0.0
@@ -695,8 +778,8 @@ class TestTracking:
         # b = 0 is halved until each piece converges and certifies
         b = Fraction(1, 100)
         level = (0, Fraction(1), 60, anchor(5, 0))
-        bands = _round_bands(*level)
-        w = scipy.linalg.eigh(dense(bands.hamiltonian(b)), dense(bands.overlap), eigvals_only=True)
+        pencil = rounded_pencil(*level).at(b)
+        w = scipy.linalg.eigh(_diag_dense(pencil.h[_UPPER]), _diag_dense(pencil.overlap[_UPPER]), eigvals_only=True)
         assert abs(tracked(*level, b)[0] - w[4]) <= 1e-11 * abs(w[4])
 
     def test_iteration_cap_is_typed_error(self, monkeypatch):
@@ -709,15 +792,6 @@ class TestTracking:
     def test_non_finite_is_typed_error(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
             tracked(0, Fraction(1), BASIS_SMALL, anchor(1, 0), Fraction(10**150))
-
-
-def _diag_dense(band):
-    """The np.diag construction that `oracle._dense` replaced, kept as its reference."""
-    u, m = band.shape[0] - 1, band.shape[1]
-    out = np.diag(band[u])
-    for d in range(1, min(u, m - 1) + 1):
-        out += np.diag(band[u - d, d:], d) + np.diag(band[u - d, d:], -d)
-    return out
 
 
 class TestDense:
@@ -775,19 +849,21 @@ class TestInertiaCount:
         # above every level doubles it to the whole matrix
         # None is the default anchor, the b = 0 energy of (l + 1, l)
         reference = anchor(l + 1, l, Z) if reference is None else reference
-        bands = _round_bands(l, Z, m, reference)
-        O = dense(bands.overlap)
+        pencil = rounded_pencil(l, Z, m, reference)
+        O = _diag_dense(pencil.overlap[_UPPER])
         for b in (Fraction(0), default_field_grid(QuantumState(l + 1, l, l))[-1], Fraction(1, 100)):
-            h = bands.hamiltonian(b)
-            w = scipy.linalg.eigh(dense(h), O, eigvals_only=True)
+            h = pencil.at(b).h
+            w = scipy.linalg.eigh(_diag_dense(h[_UPPER]), O, eigvals_only=True)
             shifts = [*np.linspace(w[0] - 0.1, (w[12] + w[13]) / 2, 25), *(w[:12] + w[1:13]) / 2, w[-1] + 1.0]
             for sigma in shifts:
                 expected = len(
-                    scipy.linalg.eigvals_banded(h - sigma * bands.overlap, select="v", select_range=(-np.inf, 0.0))
+                    scipy.linalg.eigvals_banded(
+                        (h - sigma * pencil.overlap)[_UPPER], select="v", select_range=(-np.inf, 0.0)
+                    )
                 )
                 for head in (1, 4):
-                    assert oracle._levels_below(h, bands.overlap, sigma, head) == expected, (b, sigma, head)
-            assert oracle._levels_below(h, bands.overlap, w[-1] + 1.0, 1) == m
+                    assert oracle._levels_below(pencil, sigma, head) == expected, (b, sigma, head)
+            assert oracle._levels_below(pencil, w[-1] + 1.0, 1) == m
 
     def test_fit_path_avoids_tridiagonal_reduction(self, monkeypatch):
         # the certificates of a fit never fall back on the O(m^2) reduction
@@ -926,8 +1002,8 @@ class TestFieldFit:
         # the fit keeps |H x - lambda O x| of the certified eigenpair at each field
         state = QuantumState(2, 1, 1)
         fit = fit_field_series(state)
-        bands = _round_bands(1, Fraction(1), fit.basis_size, anchor(2, 1))
-        tracked_pairs = _track(bands, list(fit.fields), 0, float(anchor(2, 1)))
+        pencil = rounded_pencil(1, Fraction(1), fit.basis_size, anchor(2, 1))
+        tracked_pairs = _track(pencil, list(fit.fields), 0, float(anchor(2, 1)))
         assert fit.residuals == tuple(residual for _, residual in tracked_pairs)
         assert all(0 <= residual <= 1e-13 for residual in fit.residuals)
         assert fit.as_dict()["residuals"] == list(fit.residuals)
