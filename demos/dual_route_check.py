@@ -16,21 +16,34 @@ Agreement is exact (integer-for-integer), not approximate.
 Run:  python demos/dual_route_check.py
 """
 
+import math
 import time
 from fractions import Fraction
 
-from zeeman2d.coulomb import QuantumState, _window_terms
+from zeeman2d.coulomb import QuantumState
+from zeeman2d.laguerre import _moment3_factor
 from zeeman2d.perturb import eps2_closed, eps2_integral, eps4_closed, eps4_sturmian
+
+
+def window_term(n_r: int, alpha: int, j: int) -> Fraction:
+    """T_j = c^2 rise(lo, d) / rise(lo + alpha, d), d = |j - n_r|, lo = min(j, n_r); 0 for d > 3.
+
+    rise(x, d) = (x+1)...(x+d) = perm(x + d, d).
+    """
+    d, lo = abs(j - n_r), min(j, n_r)
+    if d > 3:
+        return Fraction(0)
+    c = _moment3_factor(lo, d, alpha)
+    return Fraction(c * c * math.perm(lo + d, d), math.perm(lo + alpha + d, d))
+
 
 print("Window structure feeding the quartic sum for the ground state:")
 st = QuantumState(1, 0, 0)
 # the squared coupling to the Sturmian n_r' is N^4 T / 64 (Z = 1), with T
-# the window term: numerators over one denominator, for n_r' = n_r - 3 .. n_r + 3;
-# outside the window there is no term and the coupling is 0
-terms, den = _window_terms(st.n_r, 2 * st.l)
+# the window term of `perturb`; outside the window n_r' = n_r - 3 .. n_r + 3
+# there is no term and the coupling is 0
 for npr in range(0, 6):
-    offset = npr - st.n_r + 3
-    sq = st.effective_n**4 / 64 * Fraction(terms[offset] if 0 <= offset < 7 else 0, den)
+    sq = st.effective_n**4 / 64 * window_term(st.n_r, 2 * st.l, npr)
     tag = "resonant index" if npr == st.n_r else ("coupled" if sq else "outside the window")
     print(f"  n_r' = {npr}:  |<r^2>|^2 = {str(sq):>12}   ({tag})")
 print()

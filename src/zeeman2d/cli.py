@@ -15,8 +15,9 @@ LAPACK extension) is imported only when a fit runs: ``coeff``, ``energy``,
 the oracle sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 unless
 either is already set (`zeeman2d._single_threaded_blas`).
 
-Exit codes: 0 success, 1 validation failure or a reader that closed stdout
-early (as ``| head`` does), 2 usage error.  All rationals
+Exit codes: 0 success, 1 validation failure, a reader that closed stdout
+early (as ``| head`` does) or a ``--json`` report that could not be written,
+2 usage error.  All rationals
 are printed as ``p/q`` strings that re-parse exactly; decimals are rendered
 from the exact rationals at print time.
 """
@@ -250,7 +251,13 @@ def cmd_validate(args) -> int:
             "oracle_fits": oracle_payload,
             "disputed_value": report.as_dict(),
         }
-        args.json.write(_render_json(payload) + "\n")
+        try:
+            with args.json:
+                args.json.write(_render_json(payload) + "\n")
+        except OSError as exc:  # a full disk may only show when the buffer is flushed at close
+            print(f"{args.parser.prog}: error: cannot write the --json report {args.json.name}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     return 0 if all_passed else 1
 
 

@@ -1,18 +1,9 @@
-"""Zeroth-order planar Coulomb levels and the exact r^2 couplings of the window sum.
+"""Zeroth-order planar Coulomb levels, the state labels and the shared input checks.
 
 Canonical units throughout: hbar = m_e = e = 1/(4 pi eps0) = 1, so lengths
 are Bohr radii, energies are Hartree, and the magnetic field unit B0 is 1.
 
-At the level energy the Sturmian of level n is the bound state rescaled by
-N/Z (N = n - 1/2), which is what makes the window sums exact.  Only squared
-r^2 couplings are formed, in which the normalization roots cancel, so they
-stay in the integers.  `_window_terms` is the one home of the window term:
-it builds every term from `laguerre._moment3_factor` and ratios of a few
-consecutive integers, and forms no factorial.  The squared coupling of the
-bound state to the Sturmian n_r' is N^4 T_(n_r') / (64 Z^6), with T the
-window term.
-
-The module is also the one home of the input checks that every entry point
+The module is the one home of the input checks that every entry point
 of the package shares (level labels, spin projection, charge) and of the
 zeroth-order coefficient -2/q^2 (q = 2n - 1), which `energy0` scales by Z^2.
 Its core `_eps0` keeps a bounded memo per n (`functools.lru_cache`, 256
@@ -33,8 +24,6 @@ import functools
 import operator
 from collections import namedtuple
 from fractions import Fraction
-
-from .laguerre import _moment3_factor
 
 __all__ = [
     "QuantumState",
@@ -125,59 +114,3 @@ def energy0(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
     Z = _check_charge(Z)
     return eps0(state.n) * Z * Z
 
-
-def _window_terms(n_r: int, alpha: int) -> tuple[tuple[int, ...], int]:
-    """The window terms T_j = B_j^2 / (P_{n_r} P_j), j = n_r - 3 .. n_r + 3, over one denominator.
-
-    Here P_i = perm(i+alpha, alpha), and B_j, the third moment M(n_r, j) of
-    `laguerre`, is c_j P_lo with c_j = `_moment3_factor`(lo, |j - n_r|, alpha)
-    and lo = min(j, n_r).  Above the level, j = n_r + d,
-
-        T_j = c_j^2 V'_d / V_d,  V'_d = prod(n_r+1..j),  V_d = prod(n_r+alpha+1..j+alpha).
-
-    Below it, j = n_r - d, B_j = s_j P_{n_r} with s_j = c_j U_d / L_d,
-    U_d = prod(j+1..n_r) and L_d = prod(j+alpha+1..n_r+alpha), an exact
-    integer whose remainder is checked, not assumed; then T_j = s_j^2 L_d / U_d.
-    The denominators of each side nest, V_1 | V_2 | V_3 and U_1 | U_2 | U_3,
-    so with m = min(n_r, 3) every term is an integer over D = V_3 U_m.
-    Returns ((T_{n_r-3} D, ..., T_{n_r+3} D), D), not reduced, with 0 for
-    j < 0.  Each ratio grows by one integer a step, so no factorial is formed.
-    """
-    # below the level; U grows by j + 1 at each step, and the terms already
-    # formed over the smaller U grow with it
-    t1 = t2 = t3 = 0
-    u = low = 1
-    for d in range(1, min(n_r, 3) + 1):
-        j = n_r - d
-        u *= j + 1
-        low *= j + alpha + 1
-        s, rest = divmod(_moment3_factor(j, d, alpha) * u, low)
-        if rest:
-            raise ArithmeticError(
-                f"the third moment M({n_r}, {j}) at alpha = {alpha} is not a multiple of perm({n_r + alpha}, {alpha})"
-            )
-        t = s * s * low
-        if d == 1:
-            t1 = t
-        elif d == 2:
-            t1, t2 = t1 * (j + 1), t
-        else:
-            t1, t2, t3 = t1 * (j + 1), t2 * (j + 1), t
-    # above the level, over V_3: T_(n_r+d) V_3 = c^2 prod(n_r+1..n_r+d) prod(n_r+alpha+d+1..n_r+alpha+3)
-    top = n_r + alpha
-    w3 = top + 3
-    w2 = (top + 2) * w3
-    v = (top + 1) * w2
-    u1 = n_r + 1
-    u2 = u1 * (n_r + 2)
-    c0, c1 = _moment3_factor(n_r, 0, alpha), _moment3_factor(n_r, 1, alpha)
-    c2, c3 = _moment3_factor(n_r, 2, alpha), _moment3_factor(n_r, 3, alpha)
-    return (
-        t3 * v,
-        t2 * v,
-        t1 * v,
-        c0 * c0 * v * u,
-        c1 * c1 * u1 * w2 * u,
-        c2 * c2 * u2 * w3 * u,
-        c3 * c3 * u2 * (n_r + 3) * u,
-    ), v * u

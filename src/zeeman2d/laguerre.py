@@ -10,7 +10,7 @@ perm(k + alpha, alpha) = (k+alpha)!/k!, and the integrand is symmetric in
 factorial ratio is the only large part, so no route builds it per entry:
 the oracle's `_exact_pieces` multiplies `_moment3_factor` by it as a
 running ratio, in the same pass that builds its other bands, and the exact
-routes (`coulomb._window_terms`, `perturb.eps2_integral`) cancel it against
+routes (`perturb.eps2_integral`, `perturb.eps4_sturmian`) cancel it against
 the level's own and keep `_moment3_factor` times ratios of a few
 consecutive integers.  The tests hold M itself as the reference for
 `_moment3_factor`.

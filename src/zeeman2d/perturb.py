@@ -38,28 +38,31 @@ cancels exactly and
 
     eps2 = N c / 64 = (2n - 1) c / 128.
 
-The window sum is taken in reduced form: each B_j is an exact integer
-multiple s_j P_{n_r}, so
-
-    eps4 = -(N^4/4096) * [ N * sum_{j != n_r} T_j/(j - n_r) - 5/2 T_{n_r} ]
-    T_j  = B_j^2 / (P_{n_r} P_j) = s_j^2 P_{n_r}/P_j,
-
-where s_j is a `_moment3_factor` times a ratio of at most three consecutive
-integers, and P_{n_r}/P_j is such a ratio too.  With q = 2n - 1 = 2N this is
+The window sum is taken in reduced form.  At the level energy the
+Sturmian of level n is the bound state rescaled by N/Z, and with
+T_j = B_j^2 / (P_{n_r} P_j) and q = 2n - 1 = 2N
 
     eps4 = -(q^4 / 2^17) * [ q * sum_{j != n_r} T_j/(j - n_r) - 5 T_{n_r} ].
 
-`coulomb._window_terms`, the one home of the R_j^2 formula, gives the
-window's T_j (seven of them once n_r >= 3) as integer numerators t_j over
-one integer denominator D: the denominators of each side of n_r nest.
-Since 6/(j - n_r) is an integer for |j - n_r| <= 3, `eps4_sturmian` sums
+At j = n_r +- d (d = 0..3, j >= 0) put lo = min(j, n_r) and
+hi = max(j, n_r).  Then B_j = c P_lo with c = `laguerre._moment3_factor`(lo,
+d, alpha), so T_j = c^2 P_lo/P_hi, and one symmetric formula gives every
+term:
+
+    T_j = c^2 rise(lo, d) / rise(lo + alpha, d),   rise(x, d) = (x+1)...(x+d).
+
+Above the level lo = n_r, and each denominator divides
+top = rise(n_r + alpha, 3); below it lo = n_r - d, and each divides
+bottom = rise(n_r + alpha - m, m) with m = min(n_r, 3).  So every T_j is
+an integer t_j over D = top * bottom, and since 6/(j - n_r) is an integer
+for |j - n_r| <= 3, `eps4_sturmian` sums
 
     eps4 = -q^4 [ q * sum_{j != n_r} (6/(j - n_r)) t_j - 30 t_{n_r} ] / (6 * 2^17 D)
 
-in integers and builds a single `Fraction` at the end.  Every coefficient,
-closed forms included, is one `Fraction` built from integers, with no
-rational arithmetic on N: the closed forms are powers of q times a
-polynomial body over a power of 2.
+in integers, forms no factorial and builds a single `Fraction` at the end.
+Every coefficient, closed forms included, is one `Fraction` built from
+integers, with no rational arithmetic on N: the closed forms are powers of
+q times a polynomial body over a power of 2.
 
 The records `CoefficientSet`, `EnergyResult` and `DisputedValueReport` are
 immutable named tuples, like `coulomb.QuantumState`: they index, iterate and
@@ -79,7 +82,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import reference
-from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _eps0, _window_terms, eps0
+from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _eps0, eps0
 from .exactmath import render_decimal
 from .laguerre import _moment3_factor
 
@@ -154,11 +157,26 @@ def _eps4_closed(n: int, l: int) -> Fraction:
 
 
 def _eps4_sturmian(n: int, l: int) -> Fraction:
-    # t_j = T_j D for j = n_r - 3 .. n_r + 3, each shifted one taken 6/(j - n_r) times
-    t, den = _window_terms(n - l - 1, 2 * l)
-    shifted = 6 * (t[4] - t[2]) + 3 * (t[5] - t[1]) + 2 * (t[6] - t[0])
+    # T_j = c^2 rise(lo, d) / rise(lo + alpha, d) at j = n_r +- d, lo = min(j, n_r); below
+    # the level lo = n_r - d, so its rising products are the falling ones from n_r and a
+    n_r, alpha = n - l - 1, 2 * l
+    a = n_r + alpha
+    up = (1, n_r + 1, (n_r + 1) * (n_r + 2), (n_r + 1) * (n_r + 2) * (n_r + 3))
+    up_a = (1, a + 1, (a + 1) * (a + 2), (a + 1) * (a + 2) * (a + 3))
+    down = (1, n_r, n_r * (n_r - 1), n_r * (n_r - 1) * (n_r - 2))
+    down_a = (1, a, a * (a - 1), a * (a - 1) * (a - 2))
+    den = up_a[3] * down_a[min(n_r, 3)]  # top * bottom: each side's denominators nest
+    shifted = 0  # sum over j != n_r of (6/(j - n_r)) T_j den
+    for d in (1, 2, 3):
+        c = _moment3_factor(n_r, d, alpha)
+        t = c * c * up[d] * (den // up_a[d])
+        if d <= n_r:
+            c = _moment3_factor(n_r - d, d, alpha)
+            t -= c * c * down[d] * (den // down_a[d])
+        shifted += 6 // d * t
+    c = _moment3_factor(n_r, 0, alpha)
     q = 2 * n - 1
-    return Fraction(-(q**4) * (q * shifted - 30 * t[3]), 3 * 2**18 * den)
+    return Fraction(-(q**4) * (q * shifted - 30 * c * c * den), 3 * 2**18 * den)
 
 
 class CoefficientSet(namedtuple("CoefficientSet", "n l eps0 eps2 eps4 provenance")):

@@ -9,7 +9,8 @@ form is in doubt, expands both polynomials with integral x^m e^{-x} dx = m!.
 integral x^(alpha+3) e^{-x} L_k^{(alpha)} L_{k'}^{(alpha)} dx built from
 `laguerre._moment3_factor` and one `math.perm`, the reference for that
 factor, and `r2_element_squared` the squared r^2 coupling of a bound state
-to a Sturmian, built from `coulomb._window_terms`.
+to a Sturmian, built by its definition from `moment3_band` and two
+`math.perm`, with none of the library's window code.
 `bound_radial` and `sturmian` build normalized radial functions in the form
 
     f(r) = sqrt(norm_squared) * x^(l+1/2) * exp(-x/2) * poly(x),   x = 2*scale*r,
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from zeeman2d.coulomb import QuantumState, _window_terms
+from zeeman2d.coulomb import QuantumState
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.laguerre import _moment3_factor
 
@@ -313,13 +314,12 @@ def r2_element_squared(state: QuantumState, n_r_prime: int, Z: Fraction = Fracti
 
     This squared form is the only one the fourth-order window sum needs, and
     it is always rational (the normalization roots cancel against each
-    other): N^4 B^2 / (64 Z^6 perm(n_r+2l, 2l) perm(n_r'+2l, 2l)).  Zero
-    whenever |n_r' - n_r| > 3.
+    other): N^4 B^2 / (64 Z^6 perm(n_r+2l, 2l) perm(n_r'+2l, 2l)), with
+    B = `moment3_band`(n_r, n_r', 2l).  Zero whenever |n_r' - n_r| > 3.
     """
     if n_r_prime < 0:
         raise ValueError("n_r_prime must be non-negative")
-    if abs(n_r_prime - state.n_r) > 3:
-        return Fraction(0)
-    terms, den = _window_terms(state.n_r, 2 * state.l)
-    term = Fraction(terms[n_r_prime - state.n_r + 3], den)
-    return state.effective_n**4 / (64 * Fraction(Z) ** 6) * term
+    alpha = 2 * state.l
+    band = moment3_band(state.n_r, n_r_prime, alpha)
+    perms = math.perm(state.n_r + alpha, alpha) * math.perm(n_r_prime + alpha, alpha)
+    return state.effective_n**4 * band * band / (64 * Fraction(Z) ** 6 * perms)

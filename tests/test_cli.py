@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from zeeman2d import oracle, reference
+from zeeman2d import cli, oracle, reference
 from zeeman2d.cli import build_parser, main
 from zeeman2d.coulomb import QuantumState
 from zeeman2d.exactmath import parse_rational
@@ -257,6 +258,30 @@ class TestValidate:
         assert exc.value.code == 2
         assert out.out == ""
         assert "--json" in out.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_full_disk_report_is_one_error_line(self, capsys, tmp_path):
+        # /dev/full opens but fails the write, here when the buffer is flushed at close
+        code, written, _ = run_cli(capsys, ["validate", "--max-n", "0", "--json", str(tmp_path / "r.json")])
+        assert code == 0
+        code, out, err = run_cli(capsys, ["validate", "--max-n", "0", "--json", "/dev/full"])
+        assert code == 1
+        assert out == written
+        assert err == f"zeeman2d validate: error: cannot write the --json report /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_failed_report_write_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # a write that fails at once, as one larger than the buffer does on a full disk
+        class FullFile(io.StringIO):
+            name = "full.json"
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullFile(), raising=False)
+        code, out, err = run_cli(capsys, ["validate", "--max-n", "0", "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert out.endswith("validate: all checks passed\n")
+        assert err == f"zeeman2d validate: error: cannot write the --json report full.json: {os.strerror(errno.ENOSPC)}\n"
 
     def test_fit_entry_keys_are_pinned(self, capsys, tmp_path):
         # the oracle's fit fields plus the CLI's tolerances and verdicts

@@ -339,8 +339,9 @@ class TestR2Element:
         assert r2_moment / 8 == Fraction(3, 64)
 
     def test_squared_route_everywhere(self):
-        # the reduced integer route equals the element built from the
-        # normalized radial functions, across and beyond the window
+        # the element by its definition, over two perm ratios, equals the
+        # one built from the normalized radial functions, across and beyond
+        # the window
         for Z in (Fraction(1), Fraction(2), Fraction(3, 2)):
             for n in range(1, 9):
                 for l in range(n):
@@ -357,37 +358,6 @@ class TestR2Element:
         sq = r2_element_squared(QuantumState(2, 1, 1), 1)
         assert sq == Fraction(54675, 64)
         assert rational_sqrt(sq) is None
-
-    def test_band_not_multiple_of_perm_raises(self, monkeypatch):
-        # below the level (j < n_r) the window term divides the moment factor
-        # times prod(j+1..n_r) by prod(j+2l+1..n_r+2l), which is B_j over
-        # perm(n_r+2l, 2l), and checks the remainder instead of assuming it
-        # vanishes, on both of its paths: the single element and the integer
-        # window sum of eps4.  At (3, 1), j = 0 the true factor is -180 and
-        # the divisor 3, so the perturbed -179 leaves a remainder.
-        true_factor = coulomb._moment3_factor
-        monkeypatch.setattr(coulomb, "_moment3_factor", lambda lo, d, a: true_factor(lo, d, a) + 1)
-        with pytest.raises(ArithmeticError, match="multiple"):
-            r2_element_squared(QuantumState(3, 1, 1), 0)
-        with pytest.raises(ArithmeticError, match="multiple"):
-            eps4_sturmian(3, 1)
-
-    def test_farthest_lower_term_is_checked(self, monkeypatch):
-        # perturbing only the d = 3 factor leaves every other window term
-        # exact, so only the check of j = n_r - 3 can fire.  At (5, 1),
-        # n_r = 3 and alpha = 2, so j = 0: the true factor is -60, the
-        # multiplier prod(1..3) = 6 and the divisor prod(3..5) = 60, and the
-        # perturbed -59 leaves a remainder.  The d = 3 term above the level
-        # takes no division and has no check
-        true_factor = coulomb._moment3_factor
-        monkeypatch.setattr(coulomb, "_moment3_factor", lambda lo, d, a: true_factor(lo, d, a) + (d == 3))
-        with pytest.raises(ArithmeticError, match=r"M\(3, 0\) at alpha = 2"):
-            eps4_sturmian(5, 1)
-        with pytest.raises(ArithmeticError, match=r"M\(3, 0\) at alpha = 2"):
-            r2_element_squared(QuantumState(5, 1, 1), 0)
-        # a level with n_r < 3 has no j = n_r - 3 term, so the same perturbation
-        # only shifts the d = 3 term above it and raises nothing
-        assert eps4_sturmian(4, 1) != eps4_closed(4, 1)
 
     def test_z_dependence(self):
         # each element scales as 1/Z^3... squared as 1/Z^6

@@ -998,6 +998,14 @@ class TestFieldFit:
         assert "tolerances" not in payload and "verdicts" not in payload
         assert len(payload["grid"]) == len(payload["energies"]) == len(payload["residuals"]) == 9
 
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 1), (4, 0)])
+    def test_basis_size_does_not_move_the_fit(self, n, l):
+        # the docstring's Wigner bound: every allowed size has the exact e_1 .. e_13,
+        # so only float rounding and the grid's tail bias remain, and they do not move
+        state = QuantumState(n, l, l)
+        fits = [fit_field_series(state, basis_size=m) for m in (state.n_r + 20, 120, 240, 480, 960)]
+        assert len({repr((fit.energies, fit.coefficients, fit.noise_floor)) for fit in fits}) == 1
+
     def test_residuals_are_the_tracked_ones(self):
         # the fit keeps |H x - lambda O x| of the certified eigenpair at each field
         state = QuantumState(2, 1, 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeeman2d import reference
+from zeeman2d import perturb, reference
 from zeeman2d.coulomb import QuantumState
 from zeeman2d.perturb import (
     CoefficientSet,
@@ -89,11 +89,37 @@ class TestFourthOrder:
         assert eps4_sturmian(3, 0) == Fraction(-124078125, 65536)
 
     def test_dual_route_exact_agreement(self):
-        # every state the exact_sweep benchmark renders
-        states = [(n, l) for n in range(1, 81) for l in range(n)]
-        assert len(states) == 3240
+        # every state the `coeff --all-up-to 160` pin renders, and on to n = 200
+        states = [(n, l) for n in range(1, 201) for l in range(n)]
+        assert len(states) == 20100
         for n, l in states:
             assert eps4_sturmian(n, l) == eps4_closed(n, l), (n, l)
+
+    def test_window_sum_of_reference_couplings(self):
+        # the module docstring's sum -(Z^6/64)[N sum_{j != n_r} R_j^2/(j - n_r) - (5/2) R_{n_r}^2]
+        # over the couplings R_j^2 that radial_reference builds by their definition
+        for Z in (Fraction(1), Fraction(2), Fraction(3, 2)):
+            for n in range(1, 9):
+                for l in range(n):
+                    state = QuantumState(n, l, l)
+                    n_r, N = state.n_r, state.effective_n
+                    r2 = [r2_element_squared(state, j, Z) for j in range(n_r + 5)]
+                    shifted = sum(r2[j] / (j - n_r) for j in range(n_r + 5) if j != n_r)
+                    summed = -(Z**6) / 64 * (N * shifted - Fraction(5, 2) * r2[n_r])
+                    assert summed == eps4_sturmian(n, l), (Z, n, l)
+
+    @pytest.mark.parametrize(
+        "d,side", [(0, 0), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1)],
+        ids=["d0", "d1-above", "d1-below", "d2-above", "d2-below", "d3-above", "d3-below"],
+    )
+    def test_one_wrong_moment_factor_breaks_the_agreement(self, monkeypatch, d, side):
+        # one unit more on the factor c of the term j = n_r + side d moves its
+        # c^2 by 2c + 1, never 0; (5, 1) has n_r = 3, so all seven terms exist
+        n, l = 5, 1
+        lo = min(n - l - 1, n - l - 1 + side * d)  # the term's factor is c(lo, d)
+        true_factor = perturb._moment3_factor
+        monkeypatch.setattr(perturb, "_moment3_factor", lambda k, e, a: true_factor(k, e, a) + ((k, e) == (lo, d)))
+        assert eps4_sturmian(n, l) != eps4_closed(n, l)
 
     def test_circular_specialization(self):
         assert eps4_closed(1, 0) == Fraction(-159, 65536)
@@ -105,7 +131,7 @@ class TestNoFactorials:
     def test_routes_form_no_factorial(self, monkeypatch):
         # both exact routes cancel perm(n_r+2l, 2l) analytically, so even at
         # (80, 79), where it has about 1000 bits, neither forms it: with
-        # math.perm and math.factorial raising for every module, coulomb and
+        # math.perm and math.factorial raising for every module, laguerre and
         # perturb included, both routes still run
         def forbidden(*args):
             raise AssertionError("a factorial was formed")
@@ -114,8 +140,6 @@ class TestNoFactorials:
         monkeypatch.setattr(math, "factorial", forbidden)
         assert eps2_integral(80, 79) == eps2_closed(80, 79)
         assert eps4_sturmian(80, 79) == eps4_closed(80, 79)
-        state = QuantumState(80, 79, 79)
-        assert all(r2_element_squared(state, j) > 0 for j in range(4))
 
 
 class TestSigns:
