@@ -8,11 +8,12 @@ perm(k + alpha, alpha) = (k+alpha)!/k!, and the integrand is symmetric in
 (k, k'); the diagonal is
 (2k+alpha+1)(10k^2+10k+10 alpha k+alpha^2+5 alpha+6) (k+alpha)!/k!.  The
 factorial ratio is the only large part, so no route builds it per entry:
-the oracle's `_exact_pieces` multiplies `_moment3_factor` by it as a
-running ratio, in the same pass that builds its other bands, and the exact
-routes (`perturb.eps2_integral`, `perturb.eps4_sturmian`) cancel it against
-the level's own and keep `_moment3_factor` times ratios of a few
-consecutive integers.  The tests hold M itself as the reference for
+the oracle's `_exact_pieces` carries it as a running ratio and multiplies
+it by `_moment3_factor`, a cubic in k that it steps by forward differences
+from the factor's values at k = 0 .. 3, and the exact routes
+(`perturb.eps2_integral`, `perturb.eps4_sturmian`) cancel it against the
+level's own and keep `_moment3_factor` times ratios of a few consecutive
+integers.  The tests hold M itself as the reference for
 `_moment3_factor`.
 """
 

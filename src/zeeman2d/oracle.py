@@ -11,25 +11,31 @@ matrix element becomes an exact rational:
 
 in the unnormalized basis, where W_j is the (diagonal, rational) weighted
 norm, O is the tridiagonal plain overlap and R the seven-banded r^2 moment.
-`_exact_pieces` assembles all four bands (W, H0, O, R) in closed form in one
-pass over the basis, O(m) entries in all, each band a plain pair of integer
-numerators and one denominator.  Floating point enters once per fit, when
-`_round_bands` rounds each entry by one correctly rounded integer division
-and divides basis function j by sqrt(W_j); that diagonal congruence keeps
-the overlap well conditioned and leaves the generalized eigenvalues
-unchanged.  The float bands have one layout, their diagonals aligned to
-their rows: ``band[j, i] = A[i, i + _OFFSETS[j]]``, zero outside A, each
-rounded entry written to its +d row and its mirrored -d row.  LAPACK's
-band storages are row selections of it (`_UPPER`, `_GENERAL`).
+`_exact_pieces` assembles all four bands (W, H0, O, R) in closed form, in
+one pass over the basis that carries (i+2l)!/i! as a running ratio, O(m)
+entries in all, each band a plain pair of integer numerators and one
+denominator.  Floating point enters once per fit, when `_round_bands`
+rounds each entry by one correctly rounded integer division and divides
+basis function j by sqrt(W_j); that diagonal congruence keeps the overlap
+well conditioned and leaves the generalized eigenvalues unchanged.  The
+float bands have one layout, their diagonals aligned to their rows:
+``band[j, i] = A[i, i + _OFFSETS[j]]``, zero outside A, each rounded entry
+written to its +d row and its mirrored -d row.  LAPACK's band storages
+are row selections of it (`_UPPER`, `_GENERAL`).
 H(b) = H0 + (b^2/8) R is formed in float at each field, in those rows.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
-Loan, Matrix Computations, sec. 8.2), seeded with the eigenpair of the
-previous field.  H - sigma O is factored once per field by LAPACK's banded
-LU, xGBTRF, and every step is one xGBTRS on those factors (Anderson et al.,
-LAPACK Users' Guide, SIAM 1999).  The routines are scipy's f2py wrappers,
-taken from its extension module `scipy.linalg._flapack`, which is loaded
-from its file without running the `scipy` or `scipy.linalg` package code.
+Loan, Matrix Computations, sec. 8.2), seeded with the eigenvector of the
+previous field.  The shift sigma is that vector's Rayleigh quotient at the
+new field, which is the new eigenvalue up to O(db^2) in the field step db,
+so one step usually converges; only at b = 0 is the shift the level's known
+energy, since the start vector there, the Sturmian e_target, is far from
+the level on a basis held at another E*.  H - sigma O is factored once per
+field by LAPACK's banded LU, xGBTRF, and every step is one xGBTRS on those
+factors (Anderson et al., LAPACK Users' Guide, SIAM 1999).  The routines
+are scipy's f2py wrappers, taken from its extension module
+`scipy.linalg._flapack`, which is loaded from its file without running the
+`scipy` or `scipy.linalg` package code.
 `_lapack_funcs` picks the routines of the band's dtype, so a complex shift
 takes the same path.
 The four band products of a step (H x, O x, |H| |x| and |O| |x|) are one
@@ -67,6 +73,7 @@ eigenpair at each field.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import operator
 import os
@@ -134,7 +141,7 @@ class LevelCrossingError(RuntimeError):
 
 
 def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> tuple:
-    """Field-independent exact bands in closed form, on integers, in one pass.
+    """Field-independent exact bands in closed form, on integers.
 
     Returns (weighted_norm, h0, overlap, r2), each a pair (diagonals,
     denominator) in which ``diagonals[d][i]`` is the entry (i, i+d) times
@@ -146,8 +153,12 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     H0_ii = (mu_i - 1) W_i + E* O_ii = q_i (a_i p zeta - 4 s z)/(4 s zeta) with
     mu_i = a_i k/(2Z), H0_i,i+1 = E* O_i,i+1 = p (i+alpha+1) q_i/(4s), and
     R_i,i+d = s^3 q_i c/(8 p^3), with c = `laguerre._moment3_factor`(i, d, alpha)
-    the third moment over q_i.  Raises ValueError for E* >= 0 and for an
-    irrational sqrt(-2 E*), at which exact assembly is impossible.
+    the third moment over q_i.  That factor is a cubic in i, so each of R's
+    diagonals takes it from a difference table (`_cubic_run`) seeded with
+    its values at i = 0 .. 3, whatever the basis size: the formula keeps its
+    one home in `laguerre`, and each row adds integers instead of calling it.
+    Raises ValueError for E* >= 0 and for an irrational sqrt(-2 E*), at
+    which exact assembly is impossible.
     """
     if reference >= 0:
         raise ValueError("reference energy must be negative")
@@ -159,8 +170,7 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
     alpha = 2 * l
     p_zeta, four_s_z, s3 = p * zeta, 4 * s * z, s**3
     q = math.factorial(alpha)
-    weighted_norm, h0_diag, h0_off, o_diag, o_off = [], [], [], [], []
-    r0, r1, r2, r3 = [], [], [], []
+    weighted_norm, h0_diag, h0_off, o_diag, o_off, s3_q = [], [], [], [], [], []
     for i in range(basis_size):
         a = 2 * i + alpha + 1
         up = (i + alpha + 1) * q
@@ -169,18 +179,32 @@ def _exact_pieces(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> 
         h0_off.append(p_zeta * up)
         o_diag.append(a * q * s)
         o_off.append(-up * s)
-        sq = s3 * q
-        r0.append(sq * _moment3_factor(i, 0, alpha))
-        r1.append(sq * _moment3_factor(i, 1, alpha))
-        r2.append(sq * _moment3_factor(i, 2, alpha))
-        r3.append(sq * _moment3_factor(i, 3, alpha))
+        s3_q.append(s3 * q)
         q = up // (i + 1)
+    r2 = []
+    for d in range(HALF_BANDWIDTH + 1):
+        factors = _cubic_run([_moment3_factor(i, d, alpha) for i in range(4)])
+        r2.append(tuple(map(operator.mul, s3_q[: max(basis_size - d, 0)], factors)))
     return (
         ((tuple(weighted_norm),), zeta),
         ((tuple(h0_diag), tuple(h0_off[:-1])), 4 * s * zeta),
         ((tuple(o_diag), tuple(o_off[:-1])), 2 * p),
-        ((tuple(r0), tuple(r1[:-1]), tuple(r2[:-2]), tuple(r3[:-3])), 8 * p**3),
+        (tuple(r2), 8 * p**3),
     )
+
+
+def _cubic_run(values: list[int]):
+    """The values at i = 0, 1, 2, ... of the cubic in i that takes ``values`` at i = 0 .. 3.
+
+    An endless iterator, by forward differences: the third difference is
+    constant, and each lower one is the running sum of the one above it,
+    started at its value at i = 0.
+    """
+    f0, f1, f2, f3 = values
+    run = itertools.repeat(f3 - 3 * f2 + 3 * f1 - f0)
+    for start in (f2 - 2 * f1 + f0, f1 - f0, f0):
+        run = itertools.accumulate(run, initial=start)
+    return run
 
 
 # The order in which every element of a band product adds its seven terms:
@@ -358,16 +382,22 @@ def _lu_solver(band: np.ndarray):
     return solve
 
 
-def _inverse_iteration(pencil: _Pencil, sigma: float, x: np.ndarray, b: float) -> tuple[float, np.ndarray, float]:
-    """(lambda, unit x, residual) of H x = lambda O x nearest sigma, iterating from x.
+def _inverse_iteration(
+    pencil: _Pencil, sigma: float | None, x: np.ndarray, b: float
+) -> tuple[float, np.ndarray, float]:
+    """(lambda, unit x, residual) of H x = lambda O x nearest the shift, iterating from x.
 
     Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
     H - sigma O is factored at most once, at the first solve, and every
-    step reuses the factors.  The four band products of a step (H x, O x,
-    |H| |x|, |O| |x|) are one einsum in the fit's ``pencil``, whose aligned
-    diagonals of H and O meet one copy of x and those of |H| and |O| one
-    copy of |x|, each element adding its seven terms in the fixed order of
-    _OFFSETS (`_Pencil`).  Every norm is sqrt(v @ v), which is what
+    step reuses the factors.  A ``sigma`` of None shifts at the Rayleigh
+    quotient of the start vector, which the first step's products already
+    give: for the eigenvector of a nearby field it is the new eigenvalue to
+    second order in the field step.  A shift exactly at an eigenvalue, with
+    x not its eigenvector, is a typed ConvergenceError.  The four band
+    products of a step (H x, O x, |H| |x|, |O| |x|) are one einsum in the
+    fit's ``pencil``, whose aligned diagonals of H and O meet one copy of x
+    and those of |H| and |O| one copy of |x|, each element adding its seven
+    terms in the fixed order of _OFFSETS (`_Pencil`).  Every norm is sqrt(v @ v), which is what
     np.linalg.norm computes for a real vector.
     """
     solve = None
@@ -386,7 +416,7 @@ def _inverse_iteration(pencil: _Pencil, sigma: float, x: np.ndarray, b: float) -
             break
         try:
             if solve is None:
-                solve = _lu_solver(pencil.shifted(sigma))
+                solve = _lu_solver(pencil.shifted(value if sigma is None else sigma))
             y = solve(ox)
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
@@ -463,11 +493,14 @@ def _continue(pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, tar
 
     The iteration is seeded with ``pair``, the certified eigenpair at
     ``start``, and runs on the fit's ``pencil``, moved to ``stop``.  A step
-    that fails to converge or to certify is halved, up to MAX_HALVINGS
-    times; the failure of the shortest step is raised.
+    (start < stop) shifts at the Rayleigh quotient of the seed's vector at
+    ``stop``; only the call at b = 0 (start == stop) shifts at the seed's
+    energy.  A step that fails to converge or to certify is halved, up to
+    MAX_HALVINGS times; the failure of the shortest step is raised.
     """
     try:
-        value, x, residual = _inverse_iteration(pencil.at(stop), pair[0], pair[1], float(stop))
+        shift = pair[0] if start == stop else None
+        value, x, residual = _inverse_iteration(pencil.at(stop), shift, pair[1], float(stop))
         _certify(pencil, value, target, float(stop))
         return value, x, residual
     except (ConvergenceError, LevelCrossingError):
@@ -483,8 +516,10 @@ def _track(pencil: _Pencil, fields: list[Fraction], target: int, seed: float) ->
 
     ``fields`` starts at b = 0, where the iteration starts from the Sturmian
     e_target (the exact eigenvector at the default anchor) with the shift
-    ``seed``; every later field starts from the eigenpair of the one before.
-    The walk moves the fit's one ``pencil`` from field to field.
+    ``seed``, the level's known energy; every later field starts from the
+    eigenvector of the one before, shifted at its Rayleigh quotient there
+    (`_continue`), and usually converges in one solve.  The walk moves the
+    fit's one ``pencil`` from field to field.
     """
     x = np.zeros(pencil.overlap.shape[1])
     x[target] = 1.0
@@ -578,6 +613,13 @@ def fit_field_series(
     coefficient e_k needs only x_0 .. x_floor(k/2), so the truncated
     pencil's e_k equals the complete basis's while n_r + 3 floor(k/2) <
     basis_size: e_1 .. e_13, through b^26, at every allowed size.
+
+    What limits c2 is the grid's truncated tail, whose share grows like n^2.
+    At m = 120 the circular states (n, n - 1) fit c2 within 1e-6 of eps2
+    (the CLI's SECOND_ORDER_REL_TOL) up to (12, 11), which reads -7.7e-7
+    relative, and miss it from (13, 12) on: -1.18e-6 there and -1.76e-6 at
+    (14, 13).  The reported `coefficient_uncertainty(2)` is about 5x smaller
+    than that error, so it does not flag the miss.
     Raises ValueError, before any assembly, for Z <= 0, for a ``basis_size``
     below n_r + 20 (a float raises TypeError) and when b_max lies outside
     the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b,

@@ -17,8 +17,10 @@ import scipy.linalg
 
 import zeeman2d
 from zeeman2d import oracle
+from zeeman2d.cli import SECOND_ORDER_REL_TOL
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
+from zeeman2d.laguerre import _moment3_factor
 from zeeman2d.oracle import (
     ConvergenceError,
     LevelCrossingError,
@@ -307,6 +309,25 @@ class TestExactMatrices:
             assert rounded.shape == expected.shape == (7, m)
             assert np.array_equal(rounded, expected)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 40, 960])
+    @pytest.mark.parametrize("off_anchor", [False, True])
+    @pytest.mark.parametrize("Z", [Fraction(1), Fraction(3, 2)])
+    @pytest.mark.parametrize("l", [0, 3, 20])
+    def test_r2_matches_moment_factor_per_entry(self, l, Z, off_anchor, m):
+        # the difference tables give R's integers exactly: s^3 q_i times
+        # _moment3_factor(i, d, 2l), called per entry, with q_i = (i+2l)!/i!;
+        # m < 4 checks the tables where the basis is shorter than their seed,
+        # the values at i = 0 .. 3
+        reference = anchor(l + 3 if off_anchor else l + 1, l, Z)
+        k = rational_sqrt(-2 * reference)
+        p, s = k.numerator, k.denominator
+        alpha = 2 * l
+        expected = tuple(
+            tuple(s**3 * math.perm(i + alpha, alpha) * _moment3_factor(i, d, alpha) for i in range(m - d))
+            for d in range(4)
+        )
+        assert exact_pieces(l, Z, m, reference)["r2"] == (expected, 8 * p**3)
+
     def test_denominators_positive(self):
         bands = _exact_pieces(2, Fraction(3, 2), BASIS_SMALL, Fraction(-9, 32))
         assert len(bands) == 4
@@ -424,6 +445,14 @@ class TestSolveGeneralized:
         h, o = aligned(np.diag([1.0, 2.0])), aligned(np.eye(2))
         with pytest.raises(ConvergenceError, match="singular"):
             iterate(h, o, 1.0, np.array([1.0, 1.0]), 0.5)
+
+    def test_singular_rayleigh_shift_is_typed_error(self):
+        # no sigma given: the shift is the start vector's Rayleigh quotient,
+        # (1 + 3) / 2 = 2, exactly the middle eigenvalue, whose eigenvector
+        # x is not
+        h, o = aligned(np.diag([1.0, 2.0, 3.0])), aligned(np.eye(3))
+        with pytest.raises(ConvergenceError, match="singular"):
+            iterate(h, o, None, np.array([1.0, 0.0, 1.0]), 0.5)
 
 
 def _lapack_calls(monkeypatch, alter=None):
@@ -623,9 +652,15 @@ class TestFusedProduct:
         for case, outcome in fused.items():
             assert outcome == run(*case), case
         # gbtrf/gbtrs/pbtrf/pbtrs calls of three of these fits
-        assert fused[QuantumState(1, 0, 0), Fraction(1), 240][1] == (8, 16, 18, 18)
-        assert fused[QuantumState(3, 1, 1), Fraction(1), 120][1] == (8, 22, 18, 18)
-        assert fused[QuantumState(4, 0, 0), Fraction(1), 960][1] == (8, 23, 18, 18)
+        assert fused[QuantumState(1, 0, 0), Fraction(1), 240][1] == (8, 8, 18, 18)
+        assert fused[QuantumState(3, 1, 1), Fraction(1), 120][1] == (8, 13, 18, 18)
+        assert fused[QuantumState(4, 0, 0), Fraction(1), 960][1] == (8, 15, 18, 18)
+        # shifted at the Rayleigh quotient of the previous field's vector, the
+        # ground state converges in one solve at every field after b = 0, where
+        # the Sturmian start vector is already the exact eigenvector
+        for m in (240, 960):
+            gbtrf, gbtrs, _, _ = fused[QuantumState(1, 0, 0), Fraction(1), m][1]
+            assert gbtrf == gbtrs == len(default_field_grid(QuantumState(1, 0, 0))) - 1, m
 
 
 def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
@@ -906,6 +941,19 @@ class TestFieldFit:
         c2, c4 = float(eps2_closed(n, l)), float(eps4_closed(n, l))
         assert abs(fit.coefficients[2] - c2) <= 1e-6 * abs(c2)
         assert abs(fit.coefficients[4] - c4) <= 1e-4 * abs(c4)
+
+    def test_circular_c2_accuracy_edge(self):
+        # the fit_field_series docstring's edge at m = 120: c2 of (12, 11) is
+        # within SECOND_ORDER_REL_TOL, that of (13, 12) is not, and the
+        # reported uncertainty of the miss is about 5x below its error
+        errors = {}
+        for n in (12, 13):
+            fit = fit_field_series(QuantumState(n, n - 1, n - 1))
+            c2 = float(eps2_closed(n, n - 1))
+            errors[n] = (fit.coefficients[2] - c2) / abs(c2), fit.coefficient_uncertainty(2) / abs(c2)
+        assert -SECOND_ORDER_REL_TOL < errors[12][0] < 0
+        assert errors[13][0] < -SECOND_ORDER_REL_TOL
+        assert 4 * errors[13][1] < abs(errors[13][0]) < 6 * errors[13][1]
 
     @pytest.mark.parametrize("Z", [Fraction(2), Fraction(3), Fraction(1, 2)])
     @pytest.mark.parametrize("n,l", [(1, 0), (3, 1)])
