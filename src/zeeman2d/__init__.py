@@ -10,14 +10,13 @@ floating-point variational eigensolver.
 import os
 import sys
 
-from .coulomb import QuantumState, energy0
+from .coulomb import QuantumState, energy0, eps0
 from .perturb import (
     CoefficientSet,
     EnergyResult,
     assemble_energy,
     coefficient_set,
     disputed_value_report,
-    eps0,
     eps1,
     eps2_closed,
     eps2_integral,

@@ -78,13 +78,17 @@ def _emit_table(args, headers: list[str], rows: list[list[str]], json_payload) -
         print(_render_json(json_payload))
 
 
-def _coeff_row(n: int, l: int, digits: int) -> tuple[list[str], dict]:
+def _coeff_row(n: int, l: int, names: tuple[str, ...], digits: int | None = None) -> tuple[list[str], dict]:
+    """The row and JSON entry of (n, l) that ``coeff``, ``table`` and validate's table check print:
+    each named coefficient exact, factorized and, when ``digits`` is given, decimal."""
     cs = coefficient_set(n, l)
     row: list[str] = [str(n), str(l)]
     payload = {"n": n, "l": l}
-    for name, value in (("eps0", cs.eps0), ("eps2", cs.eps2), ("eps4", cs.eps4)):
-        forms = {"exact": str(value), "factorized": format_factorized(value),
-                 "decimal": render_decimal(value, digits)}
+    for name in names:
+        value = getattr(cs, name)
+        forms = {"exact": str(value), "factorized": format_factorized(value)}
+        if digits is not None:
+            forms["decimal"] = render_decimal(value, digits)
         row += forms.values()
         payload[name] = forms
     return row, payload
@@ -103,7 +107,7 @@ def cmd_coeff(args) -> int:
     ]
     rows, payload = [], []
     for n, l in states:
-        row, entry = _coeff_row(n, l, args.digits)
+        row, entry = _coeff_row(n, l, ("eps0", "eps2", "eps4"), args.digits)
         rows.append(row)
         payload.append(entry)
     _emit_table(args, headers, rows, payload)
@@ -148,12 +152,7 @@ def cmd_table(args) -> int:
     headers = ["n", "l", "eps2", "eps2 factorized", "eps4", "eps4 factorized"]
     rows, payload = [], []
     for n, l in sorted(reference.TABLE_EPS2):
-        cs = coefficient_set(n, l)
-        row, entry = [str(n), str(l)], {"n": n, "l": l}
-        for name, value in (("eps2", cs.eps2), ("eps4", cs.eps4)):
-            forms = {"exact": str(value), "factorized": format_factorized(value)}
-            row += forms.values()
-            entry[name] = forms
+        row, entry = _coeff_row(n, l, ("eps2", "eps4"))
         rows.append(row)
         payload.append(entry)
     _emit_table(args, headers, rows, payload)
@@ -181,18 +180,18 @@ def cmd_validate(args) -> int:
         + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
 
+    published = {"eps2": (reference.TABLE_EPS2, reference.TABLE_EPS2_FACTORED),
+                 "eps4": (reference.TABLE_EPS4, reference.TABLE_EPS4_FACTORED)}
     table_bad = []
-    for (n, l), expected in reference.TABLE_EPS2.items():
-        cs = coefficient_set(n, l)
-        if cs.eps2 != expected or format_factorized(cs.eps2) != reference.TABLE_EPS2_FACTORED[(n, l)]:
-            table_bad.append((n, l, "eps2"))
-        if cs.eps4 != reference.TABLE_EPS4[(n, l)] or format_factorized(cs.eps4) != reference.TABLE_EPS4_FACTORED[(n, l)]:
-            table_bad.append((n, l, "eps4"))
+    for n, l in reference.TABLE_EPS2:  # the forms `table` prints, against the published ones
+        _, entry = _coeff_row(n, l, tuple(published))
+        table_bad += [(n, l, name) for name, (exact, factored) in published.items()
+                      if entry[name] != {"exact": str(exact[n, l]), "factorized": factored[n, l]}]
     record(
         "published coefficient table",
         not table_bad,
-        "10 states with n <= 4, exact and factorized forms"
-        + (f"; mismatches: {table_bad}" if table_bad else ""),
+        f"{len(reference.TABLE_EPS2)} states with n <= {max(n for n, _ in reference.TABLE_EPS2)}, "
+        "exact and factorized forms" + (f"; mismatches: {table_bad}" if table_bad else ""),
     )
 
     oracle_payload: list[dict] = []

@@ -227,10 +227,10 @@ def format_factorized(x: Fraction) -> str:
     Each side is `factorize_integer` of it, joined by ``×``: every printed
     factor is proven prime, except a part of 3.3e24 or more left after trial
     division up to `TRIAL_DIVISION_LIMIT`, which is printed whole.  Exponent
-    1 is omitted; a unit numerator or denominator prints as the bare
-    factorization of the other side; zero prints as ``0``.  Each side's text
-    is memoized per integer (`_factor_text`, LRU, 1024 entries), so a
-    repeated side costs one lookup.
+    1 is omitted, a denominator of 1 is left out and zero prints as ``0``;
+    each side's text is memoized (`_factor_text`).  Rho splits a part below
+    3.3e24 with no prime factor below 2^16 in about sqrt(p) steps, p its
+    least prime: two primes near 1e12 take about 1 s, one near 1e6 a few ms.
     """
     num, den = x.numerator, x.denominator
     if num == 0:
@@ -275,7 +275,7 @@ def _render_context(digits: int) -> Context:
     )
 
 
-def render_decimal(x: Fraction, digits: int = 12) -> str:
+def render_decimal(x: Fraction, digits: int) -> str:
     """Correctly rounded decimal string with ``digits`` significant digits.
 
     Computed from the exact rational at print time (round-half-even); no

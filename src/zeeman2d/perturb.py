@@ -4,11 +4,10 @@ The dimensionless coefficients eps^(k) are defined by
 
     E = sum_k eps^(k) Z^(2-2k) b^k   (Hartree, b = B/B0),
 
-with eps^(0) the unperturbed level (`coulomb.eps0`, re-exported here),
-eps^(1) = m_l/2 the orientational term (plus 2 m_s with spin), and only
-even k >= 2 thereafter: the diamagnetic perturbation is proportional to
-b^2 r^2, so no odd-order channel exists in this formulation and
-`assemble_energy` has none.
+with eps^(0) the unperturbed level (`coulomb.eps0`), eps^(1) = m_l/2 the
+orientational term (plus 2 m_s with spin), and only even k >= 2 thereafter:
+the diamagnetic perturbation is proportional to b^2 r^2, so no odd-order
+channel exists in this formulation and `assemble_energy` has none.
 
 Second and fourth order are each computed along two independent exact
 routes that the validation suite requires to agree digit for digit:
@@ -82,7 +81,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import reference
-from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _eps0, eps0
+from .coulomb import QuantumState, _check_charge, _check_level, _check_spin, _eps0
 from .exactmath import render_decimal
 from .laguerre import _moment3_factor
 
@@ -90,7 +89,6 @@ __all__ = [
     "CoefficientSet",
     "EnergyResult",
     "DisputedValueReport",
-    "eps0",
     "eps1",
     "eps2_closed",
     "eps2_integral",

@@ -72,7 +72,7 @@ GROUND_EPS4_LITERATURE = Fraction(-153, 65536)
 # Half the gap between the competing ground-state quartic values: an
 # independent estimate within this distance of one candidate is strictly
 # closer to it than to the other.
-GROUND_EPS4_HALF_GAP = Fraction(3, 65536)
+GROUND_EPS4_HALF_GAP = abs(TABLE_EPS4[(1, 0)] - GROUND_EPS4_LITERATURE) / 2
 
 # Atomic unit of magnetic induction, in tesla (display conversions only).
 B0_TESLA = 2.35e5

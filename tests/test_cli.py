@@ -332,6 +332,27 @@ class TestValidate:
         assert "[FAIL] published coefficient table" in out
         assert "FAILURES detected" in out
 
+    def test_table_check_reads_what_table_prints(self, capsys, monkeypatch):
+        # one renderer serves `table` and the check: a factorized form that
+        # renderer gets wrong must change the table and fail the check
+        _, printed, _ = run_cli(capsys, ["table"])
+        render = cli._coeff_row
+
+        def wrong_for_3_1(n, l, names, digits=None):
+            row, entry = render(n, l, names, digits)
+            if (n, l) == (3, 1):
+                entry["eps4"]["factorized"] = row[row.index("-3×5^6×17×71/2^15")] = "-3×5^6×1207/2^15"
+            return row, entry
+
+        monkeypatch.setattr(cli, "_coeff_row", wrong_for_3_1)
+        code, out, _ = run_cli(capsys, ["validate", "--max-n", "0"])
+        assert code == 1
+        assert "[FAIL] published coefficient table" in out
+        assert "mismatches: [(3, 1, 'eps4')]" in out
+        _, altered, _ = run_cli(capsys, ["table"])
+        assert altered != printed
+        assert "| 3 | 1 | 375/32 | 3×5^3/2^5 | -56578125/32768 | -3×5^6×1207/2^15 |" in altered
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 

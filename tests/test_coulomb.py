@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from zeeman2d import coulomb
-from zeeman2d.coulomb import QuantumState, energy0
+from zeeman2d.coulomb import QuantumState, energy0, eps0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.greenfn import GreenEvalConfig
 from zeeman2d.oracle import _round_bands, fit_field_series
 from zeeman2d.perturb import (
     assemble_energy,
     coefficient_set,
-    eps0,
     eps1,
     eps2_closed,
     eps2_integral,

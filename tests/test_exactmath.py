@@ -469,6 +469,8 @@ class TestFormatting:
     def test_render_decimal_requires_digits(self):
         with pytest.raises(ValueError):
             render_decimal(Fraction(1), 0)
+        with pytest.raises(TypeError):  # no default digit count
+            render_decimal(Fraction(1))
 
 
 class TestRationalPolynomial:

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from zeeman2d import perturb, reference
-from zeeman2d.coulomb import QuantumState
+import zeeman2d
+from zeeman2d import coulomb, perturb, reference
+from zeeman2d.coulomb import QuantumState, eps0
 from zeeman2d.perturb import (
     CoefficientSet,
     assemble_energy,
     coefficient_set,
     disputed_value_report,
-    eps0,
     eps1,
     eps2_closed,
     eps2_integral,
@@ -25,6 +25,11 @@ from radial_reference import r2_element_squared
 
 
 class TestZerothOrder:
+    def test_one_home(self):
+        # eps0 lives in coulomb; the package root exports it, perturb does not
+        assert zeeman2d.eps0 is coulomb.eps0
+        assert not hasattr(perturb, "eps0") and "eps0" not in perturb.__all__
+
     def test_fixed_values(self):
         assert eps0(1) == -2
         assert eps0(2) == Fraction(-2, 9)
@@ -294,6 +299,18 @@ class TestDisputedValueReport:
         rep = disputed_value_report(oracle_estimate=float(Fraction(-153, 65536)))
         assert rep.literature_rejected is False
         assert "NOT REJECTED" in rep.summary_line()
+
+    def test_half_gap_boundary_is_strict(self):
+        # the half-gap is derived from the two candidates, and at their
+        # midpoint -156/65536 the estimate is no closer to either; the
+        # distances to both candidates are exact in floats (Sterbenz)
+        assert reference.GROUND_EPS4_HALF_GAP == Fraction(3, 65536)
+        mid = float(Fraction(-156, 65536))
+        assert disputed_value_report(oracle_estimate=mid).literature_rejected is False
+        toward_exact = math.nextafter(mid, -math.inf)  # -159 lies below -156
+        assert disputed_value_report(oracle_estimate=toward_exact).literature_rejected is True
+        toward_literature = math.nextafter(mid, math.inf)
+        assert disputed_value_report(oracle_estimate=toward_literature).literature_rejected is False
 
     def test_separation_is_resolvable(self):
         # the two candidate values differ by about 3.8 percent
