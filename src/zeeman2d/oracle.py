@@ -7,7 +7,7 @@ Coulomb equation at E*, the kinetic + centrifugal action reduces to
 (mu_j Z/r + E*) S_j, and with the weighted orthonormality of the basis every
 matrix element becomes an exact rational:
 
-    H_ij = (mu_j - 1) W_j delta_ij + E* O_ij + (b^2/8) R_ij
+    H_ij = (mu_j - 1) W_j delta_ij + E* O_ij + (beta/8) R_ij,   beta = b^2
 
 in the unnormalized basis, where W_j is the (diagonal, rational) weighted
 norm, O is the tridiagonal plain overlap and R the seven-banded r^2 moment.
@@ -22,7 +22,7 @@ float bands have one layout, their diagonals aligned to their rows:
 ``band[j, i] = A[i, i + _OFFSETS[j]]``, zero outside A, each rounded entry
 written to its +d row and its mirrored -d row.  LAPACK's band storages
 are row selections of it (`_UPPER`, `_GENERAL`).
-H(b) = H0 + (b^2/8) R is formed in float at each field, in those rows.
+H(beta) = H0 + (beta/8) R is formed at each beta in those rows, in their dtype.
 
 Each field is solved by banded shift-invert inverse iteration (Golub & Van
 Loan, Matrix Computations, sec. 8.2), seeded with the eigenvector of the
@@ -36,8 +36,8 @@ factors (Anderson et al., LAPACK Users' Guide, SIAM 1999).  The routines
 are scipy's f2py wrappers, taken from its extension module
 `scipy.linalg._flapack`, which is loaded from its file without running the
 `scipy` or `scipy.linalg` package code.
-`_lapack_funcs` picks the routines of the band's dtype, so a complex shift
-takes the same path.
+`_lapack_funcs` picks the routines of the band's dtype, so one iteration
+serves a real beta on float rows and a complex beta or shift on complex ones.
 The four band products of a step (H x, O x, |H| |x| and |O| |x|) are one
 einsum over the diagonals of the four bands aligned to their rows, H and O
 paired with seven shifted copies of x, |H| and |O| with those of |x|, all
@@ -48,7 +48,7 @@ seven-slice accumulation that the tests keep as the reference, so every
 product has its bits (up to the sign of an exact zero).  A fit builds
 this workspace, `_Pencil`, once, with the rows of O, |O| and the padding;
 each field rewrites only the rows of H and |H|.
-Sylvester's law of inertia certifies the level index of every result:
+On a real pencil, Sylvester's law of inertia certifies every level index:
 H - sigma O has exactly as many negative eigenvalues as the pencil has
 levels below sigma, and a radial channel has no crossings.  The count costs
 O(m) (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem, ch. 3):
@@ -72,6 +72,7 @@ eigenpair at each field.
 
 from __future__ import annotations
 
+import cmath
 import importlib.util
 import itertools
 import math
@@ -254,8 +255,8 @@ class _Pencil:
     It takes the aligned rows of H0, R and O from `_round_bands`.
     ``_diagonals`` (2, 2, 7, m), of O's dtype, pairs the rows of H and O
     (``h`` and ``overlap``) with x, and those of |H| and |O| with |x|.
-    `at` moves the pencil to field b: it forms H = H0 + (b^2/8) R and |H|
-    in their rows; those of O and |O| and the padding are written once.
+    `at` moves the pencil to beta = b^2: H = H0 + (beta/8) R in the rows' own
+    scalar type, and |H|; those of O and |O| and the padding are written once.
     `shifted` hands out the aligned rows of H - sigma O.  `products` writes
     x and |x| once each into a (2, m + 6) buffer padded with HALF_BANDWIDTH
     zeros at each end, copies two window views of it into the shifted
@@ -284,8 +285,8 @@ class _Pencil:
             (self._copied[:, 1::2], windows[:, u + 1 :]),
         )
 
-    def at(self, b: Fraction) -> _Pencil:
-        np.multiply(self._r2, float(b * b / 8), out=self.h)
+    def at(self, beta: Fraction | complex) -> _Pencil:
+        np.multiply(self._r2, self.h.dtype.type(beta / 8), out=self.h)
         np.add(self._h0, self.h, out=self.h)
         np.abs(self.h, out=self._diagonals[1, 0])
         return self
@@ -383,8 +384,8 @@ def _lu_solver(band: np.ndarray):
 
 
 def _inverse_iteration(
-    pencil: _Pencil, sigma: float | None, x: np.ndarray, b: float
-) -> tuple[float, np.ndarray, float]:
+    pencil: _Pencil, sigma: complex | None, x: np.ndarray, b: float
+) -> tuple[complex, np.ndarray, float]:
     """(lambda, unit x, residual) of H x = lambda O x nearest the shift, iterating from x.
 
     Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
@@ -397,19 +398,21 @@ def _inverse_iteration(
     products of a step (H x, O x, |H| |x|, |O| |x|) are one einsum in the
     fit's ``pencil``, whose aligned diagonals of H and O meet one copy of x
     and those of |H| and |O| one copy of |x|, each element adding its seven
-    terms in the fixed order of _OFFSETS (`_Pencil`).  Every norm is sqrt(v @ v), which is what
-    np.linalg.norm computes for a real vector.
+    terms in the fixed order of _OFFSETS (`_Pencil`).  Real and complex rows
+    share it: lambda is a float or a complex, x is scaled by the unconjugated
+    sqrt(x @ x), and the residual and the size are the norms sqrt(v^H v); for
+    a real vector each is sqrt(v @ v), which is what np.linalg.norm computes.
     """
     solve = None
-    x = x / math.sqrt(x @ x)
+    x = x / np.sqrt(x @ x)
     for solves in range(MAX_ITERATIONS + 1):
         hx, ox, abs_hx, abs_ox = pencil.products(x)
-        value = float(x @ hx / (x @ ox))
+        value = (x @ hx / (x @ ox)).item()
         r = hx - value * ox
-        residual = math.sqrt(r @ r)
-        if not (math.isfinite(value) and math.isfinite(residual)):
+        residual = math.sqrt(np.vdot(r, r).real)
+        if not (cmath.isfinite(value) and math.isfinite(residual)):
             raise ConvergenceError(b, solves, residual, "produced a non-finite value or vector")
-        size = math.sqrt(abs_hx @ abs_hx) + abs(value) * math.sqrt(abs_ox @ abs_ox)
+        size = math.sqrt(np.vdot(abs_hx, abs_hx).real) + abs(value) * math.sqrt(np.vdot(abs_ox, abs_ox).real)
         if residual <= RESIDUAL_TOL * size:
             return value, x, residual
         if solves == MAX_ITERATIONS:
@@ -420,7 +423,7 @@ def _inverse_iteration(
             y = solve(ox)
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
-        x = y / math.sqrt(y @ y)
+        x = y / np.sqrt(y @ y)
     raise ConvergenceError(b, MAX_ITERATIONS, residual, "did not converge")
 
 
@@ -453,6 +456,8 @@ def _levels_below(pencil: _Pencil, sigma: float, head: int) -> int:
     aligned H - sigma O, whose leading columns hold the leading blocks.
     """
     a = pencil.shifted(sigma)[_UPPER]
+    if a.dtype != np.float64:
+        raise TypeError(f"Sylvester's inertia count needs a real H - sigma O, not {a.dtype}")
     u, m = HALF_BANDWIDTH, a.shape[1]
     pbtrf, pbtrs = _lapack_funcs(("pbtrf", "pbtrs"), a)
     while head < m:
@@ -500,7 +505,7 @@ def _continue(pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, tar
     """
     try:
         shift = pair[0] if start == stop else None
-        value, x, residual = _inverse_iteration(pencil.at(stop), shift, pair[1], float(stop))
+        value, x, residual = _inverse_iteration(pencil.at(stop * stop), shift, pair[1], float(stop))
         _certify(pencil, value, target, float(stop))
         return value, x, residual
     except (ConvergenceError, LevelCrossingError):

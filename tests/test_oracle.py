@@ -1,5 +1,6 @@
 """Tests for the variational Galerkin oracle and the field-series fit."""
 
+import cmath
 import collections
 import importlib
 import json
@@ -347,7 +348,7 @@ class TestExactMatrices:
 
     def test_float_matrices_are_symmetric_and_normalized(self):
         reference = anchor(1, 0)
-        pencil = rounded_pencil(0, Fraction(1), BASIS_SMALL, reference).at(Fraction(1, 100))
+        pencil = rounded_pencil(0, Fraction(1), BASIS_SMALL, reference).at(Fraction(1, 100) ** 2)
         # the matrices that the aligned rows hold, each row put on its own
         # diagonal, so that symmetry needs row -d to mirror row +d
         m = BASIS_SMALL
@@ -620,7 +621,7 @@ class TestFusedProduct:
         pencil = _Pencil(h0, r2, o)
         for k in range(fields):
             b = Fraction(k + 1, 3)
-            assert pencil.at(b) is pencil
+            assert pencil.at(b * b) is pencil
             h = h0 + float(b * b / 8) * r2
             assert np.array_equal(pencil.h, h)
             for _ in range(2):  # the second call reuses the workspace
@@ -740,7 +741,7 @@ class TestDenseReference:
             tracked = _track(pencil, grid, state.n_r, float(anchor(state.n, state.l, Z)))
             for b, (energy, _) in zip(grid, tracked):
                 w = scipy.linalg.eigh(
-                    _diag_dense(pencil.at(b).h[_UPPER]), O, eigvals_only=True,
+                    _diag_dense(pencil.at(b * b).h[_UPPER]), O, eigvals_only=True,
                     subset_by_index=[state.n_r, state.n_r],
                 )[0]
                 assert abs(energy - w) <= 1e-11 * abs(w), (reference, b)
@@ -790,7 +791,7 @@ class TestTracking:
         pencil = rounded_pencil(0, Fraction(1), 60, anchor(2, 0))
         grid = default_field_grid(QuantumState(2, 0, 0))
         for b, (energy, _) in zip(grid, _track(pencil, grid, 1, float(anchor(2, 0)))):
-            pencil.at(b)
+            pencil.at(b * b)
             _certify(pencil, energy, 1, float(b))
             for wrong in (0, 2):
                 with pytest.raises(LevelCrossingError):
@@ -813,7 +814,7 @@ class TestTracking:
         # b = 0 is halved until each piece converges and certifies
         b = Fraction(1, 100)
         level = (0, Fraction(1), 60, anchor(5, 0))
-        pencil = rounded_pencil(*level).at(b)
+        pencil = rounded_pencil(*level).at(b * b)
         w = scipy.linalg.eigh(_diag_dense(pencil.h[_UPPER]), _diag_dense(pencil.overlap[_UPPER]), eigvals_only=True)
         assert abs(tracked(*level, b)[0] - w[4]) <= 1e-11 * abs(w[4])
 
@@ -887,7 +888,7 @@ class TestInertiaCount:
         pencil = rounded_pencil(l, Z, m, reference)
         O = _diag_dense(pencil.overlap[_UPPER])
         for b in (Fraction(0), default_field_grid(QuantumState(l + 1, l, l))[-1], Fraction(1, 100)):
-            h = pencil.at(b).h
+            h = pencil.at(b * b).h
             w = scipy.linalg.eigh(_diag_dense(h[_UPPER]), O, eigvals_only=True)
             shifts = [*np.linspace(w[0] - 0.1, (w[12] + w[13]) / 2, 25), *(w[:12] + w[1:13]) / 2, w[-1] + 1.0]
             for sigma in shifts:
@@ -908,6 +909,78 @@ class TestInertiaCount:
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", forbidden)
         fit = fit_field_series(QuantumState(1, 0, 0))
         assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-8)
+
+
+def _complex_field_cases():
+    for state in (QuantumState(1, 0, 0), QuantumState(3, 1, 1)):
+        for theta in (0.5, 1.5, 3.0):
+            yield state, theta
+
+
+class TestComplexField:
+    """One inverse iteration serves a real and a complex beta = b^2, on real and complex rows.
+
+    Each case seeds the iteration with the certified real eigenvector at
+    beta = b_max^2 and moves the complex pencil to b_max^2 e^(i theta).  The
+    suite's error::RuntimeWarning filter also catches numpy's ComplexWarning,
+    so no norm of the iteration may drop an imaginary part.
+    """
+
+    @staticmethod
+    def _pencils(state):
+        """The real and the complex pencil of ``state`` at m = BASIS_SMALL, and the real eigenpair at b_max."""
+        bands = _round_bands(state.l, Fraction(1), BASIS_SMALL, anchor(state.n, state.l))
+        real, complex_rows = _Pencil(*bands), _Pencil(*(band.astype(complex) for band in bands))
+        x = np.zeros(BASIS_SMALL)
+        x[state.n_r] = 1.0
+        grid = default_field_grid(state)
+        pair, previous = (float(anchor(state.n, state.l)), x, 0.0), grid[0]
+        for b in grid:  # certified at every field, as a fit walks it
+            pair, previous = oracle._continue(real, previous, b, pair, state.n_r), b
+        return real, complex_rows, grid[-1], pair
+
+    @pytest.mark.parametrize("state,theta", list(_complex_field_cases()))
+    def test_matches_dense_complex_pencil(self, state, theta):
+        _, pencil, b_max, (_, x, _) = self._pencils(state)
+        beta = float(b_max**2) * cmath.exp(1j * theta)
+        value, _, _ = _inverse_iteration(pencil.at(beta), None, x, float(b_max))
+        w = scipy.linalg.eigvals(_diag_dense(pencil.h[_UPPER]), _diag_dense(pencil.overlap[_UPPER]))
+        nearest = w[np.argmin(abs(w - value))]
+        assert abs(value - nearest) <= 1e-13 * abs(nearest)
+        # H0, R and O are real, so H(conj beta) = conj H(beta) and E(conj beta) = conj E(beta)
+        mirrored, _, _ = _inverse_iteration(pencil.at(beta.conjugate()), None, x, float(b_max))
+        assert abs(mirrored - value.conjugate()) <= 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("state", [QuantumState(1, 0, 0), QuantumState(3, 1, 1)])
+    def test_real_beta_on_complex_rows(self, state):
+        real, complex_rows, b_max, (_, x, _) = self._pencils(state)
+        on_real, _, _ = _inverse_iteration(real.at(b_max**2), None, x, float(b_max))
+        on_complex, _, _ = _inverse_iteration(complex_rows.at(b_max**2), None, x, float(b_max))
+        assert (type(on_real), type(on_complex)) == (float, complex)
+        assert abs(on_complex - on_real) <= 2.2e-16 * abs(on_real)
+        with pytest.raises(TypeError):
+            real.at(1j)
+
+    def test_real_forms_keep_their_bits(self):
+        # each dtype-generic form of the iteration gives, on real vectors, the
+        # bits of the real-only form it replaced
+        rng = np.random.default_rng(7)
+        for m in (1, 7, 40, 960):
+            v, w = rng.standard_normal((2, m))
+            assert math.sqrt(np.vdot(v, v).real) == math.sqrt(v @ v)
+            assert np.sqrt(v @ v) == math.sqrt(v @ v)
+            assert type((v @ w / (v @ v)).item()) is float
+            assert (v @ w / (v @ v)).item() == float(v @ w / (v @ v))
+        for beta in (Fraction(1, 400) ** 2, Fraction(1, 3), Fraction(10**40, 7)):
+            assert np.float64(beta / 8) == float(beta / 8)
+
+    def test_certificate_refuses_complex_rows(self):
+        # a complex-symmetric H - sigma O has no inertia: xPBTRF would read it
+        # as Hermitian and count the levels of another matrix
+        _, pencil, b_max, (_, x, _) = self._pencils(QuantumState(2, 0, 0))
+        value, _, _ = _inverse_iteration(pencil.at(float(b_max**2) * cmath.exp(1j)), None, x, float(b_max))
+        with pytest.raises(TypeError, match="real H - sigma O"):
+            _certify(pencil, value, 1, float(b_max))
 
 
 class TestDefaultFieldGrid:
