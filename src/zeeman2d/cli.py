@@ -8,7 +8,7 @@ Subcommands:
 * ``validate`` the full cross-validation suite with a process exit code.
 
 ``validate`` fits every state up to ``--max-n`` through the oracle's one
-entry point, ``fit_field_series``, on its one field grid, so the CLI and the
+entry point, ``fit_field_series``, on its one contour, so the CLI and the
 library check the same numbers.  The oracle (and with it numpy and scipy's
 LAPACK extension) is imported only when a fit runs: ``coeff``, ``energy``,
 ``table`` and ``validate --max-n 0`` stay on the exact layers.  Importing

@@ -61,13 +61,12 @@ certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
 
 `fit_field_series` is the one way in.  It holds the Sturmians at the
 tracked level's own energy, E* = `energy0(state, Z)`; `_exact_pieces` and
-`_round_bands` also take any other E* with a rational sqrt(-2 E*).  It walks
-the one field grid, `default_field_grid` (nine fields from 0 to
-b_max = Z^2 / (20 (2n-1)^2)), this way and fits an even polynomial in b to
-recover the quadratic and quartic coefficients by one fixed projection of
-the tracked energies, formed once at import, whose conditioning is the
-constant GRID_CONDITIONING; the result keeps the residual of the certified
-eigenpair at each field.
+`_round_bands` also take any other E* with a rational sqrt(-2 E*).  It
+certifies the level at b = 0 and at the one field `contour_field` gives,
+b_rho, then solves it at twelve points on the circle |beta| = b_rho^2, and
+reads the coefficients off them by the trapezoidal rule for the Cauchy
+integral, as explicit sums; the result keeps the residual of the certified
+eigenpair at both fields.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ from . import _single_threaded_blas
 from .coulomb import QuantumState, _check_charge, energy0
 from .exactmath import rational_sqrt
 from .laguerre import _moment3_factor
-from .perturb import assemble_energy
+from .perturb import coefficient_set
 
 _single_threaded_blas()  # before numpy loads, which is when OpenBLAS sizes its pool
 
@@ -98,7 +97,7 @@ __all__ = [
     "LevelCrossingError",
     "DEFAULT_BASIS_SIZE",
     "fit_field_series",
-    "default_field_grid",
+    "contour_field",
 ]
 
 DEFAULT_BASIS_SIZE = 120
@@ -137,7 +136,7 @@ class LevelCrossingError(RuntimeError):
         super().__init__(
             f"eigenvalue tracking lost level {expected} at b = {b}: the pencil has "
             f"{below} levels just below the converged value and {above} just above it, "
-            f"not {expected} and {expected + 1}; refine the field grid"
+            f"not {expected} and {expected + 1}"
         )
 
 
@@ -516,73 +515,45 @@ def _continue(pencil: _Pencil, start: Fraction, stop: Fraction, pair: tuple, tar
     return _continue(pencil, mid, stop, pair, target, depth + 1)
 
 
-def _track(pencil: _Pencil, fields: list[Fraction], target: int, seed: float) -> list[tuple[float, float]]:
-    """Certified (energy, residual) of level ``target`` at each field, in order.
+CONTOUR_POINTS = 12  # N: the contour's points beta_j = rho e^(2 pi i j / N)
+WINDOW_FRACTION = Fraction(1, 100)  # the most |eps4 b^4| / |eps2 b^2| may reach at b_rho
+FIT_POWERS = (0, 2, 4, 6)  # the powers of b whose coefficients a fit reports
+_ROOTS = tuple(cmath.exp(2j * math.pi * j / CONTOUR_POINTS) for j in range(CONTOUR_POINTS))
 
-    ``fields`` starts at b = 0, where the iteration starts from the Sturmian
-    e_target (the exact eigenvector at the default anchor) with the shift
-    ``seed``, the level's known energy; every later field starts from the
-    eigenvector of the one before, shifted at its Rayleigh quotient there
-    (`_continue`), and usually converges in one solve.  The walk moves the
-    fit's one ``pencil`` from field to field.
+
+def contour_field(state: QuantumState, Z: Fraction = Fraction(1)) -> Fraction:
+    """The contour's field b_rho = b_max / 2^j, with b_max = Z^2 / (20 (2n-1)^2).
+
+    j >= 0 is the smallest with |eps4| b^2 <= WINDOW_FRACTION |eps2| Z^4: the
+    quartic term at most 1/100 of the quadratic one, decided in exact
+    rationals.  E(Z, b) = Z^2 E(1, b / Z^2), so every charge sees the same
+    reduced field.  The ratio at b_max grows like n^2 from 1.3e-4 at n = 1:
+    j = 0 for every n <= 12, and j = 1, 2, 3, 4 at (20, 19), (40, 39),
+    (80, 0) and (121, 0).
     """
-    x = np.zeros(pencil.overlap.shape[1])
-    x[target] = 1.0
-    pair, previous = (seed, x, 0.0), fields[0]
-    tracked = []
-    for b in fields:
-        pair, previous = _continue(pencil, previous, b, pair, target), b
-        tracked.append((pair[0], pair[2]))
-    return tracked
-
-
-_FIELD_STEPS = tuple(Fraction(i, 8) for i in range(9))  # b / b_max on every grid
-FIT_POWERS = (0, 2, 4, 6)
-# Column p scaled by b_max^p is (i/8)^p on every grid: one full-rank design, whose
-# pseudo-inverse is formed once (Golub & Van Loan, Matrix Computations, sec. 5.5).
-_DESIGN = np.array([[float(step**p) for p in FIT_POWERS] for step in _FIELD_STEPS])
-_PROJECTOR = np.linalg.pinv(_DESIGN)
-GRID_CONDITIONING = float(np.linalg.cond(_DESIGN))
-
-
-def default_field_grid(state: QuantumState, Z: Fraction = Fraction(1)) -> list[Fraction]:
-    """Nine evenly spaced fields 0 .. b_max with b_max = Z^2 / (20 (2n-1)^2).
-
-    E(Z, b) = Z^2 E(1, b / Z^2), so scaling b_max by Z^2 puts every charge
-    on the same grid in reduced units.  At this extent eps2 b^2 / |eps0 Z^4|
-    does not depend on n, so the quadratic signal stands equally far above
-    the eigensolver noise for every level, and the quartic term is resolved
-    too.  The grid stays well inside the perturbative window
-    |eps4 b^4| < |eps2 b^2|: at b_max the ratio is 1.3e-4 for n = 1 and
-    grows like n^2, to below 1e-2 at n = 12.
-    """
-    b_max = Fraction(Z) ** 2 / (20 * (2 * state.n - 1) ** 2)
-    return [b_max * step for step in _FIELD_STEPS]
+    Z = _check_charge(Z)
+    coefficients = coefficient_set(state.n, state.l)
+    b = Z**2 / (20 * (2 * state.n - 1) ** 2)
+    while abs(coefficients.eps4) * b * b > WINDOW_FRACTION * abs(coefficients.eps2) * Z**4:
+        b /= 2
+    return b
 
 
 class FieldFitResult(
-    namedtuple("FieldFitResult", "state Z basis_size fields energies residuals coefficients noise_floor")
+    namedtuple("FieldFitResult", "state Z basis_size fields energies residuals coefficients uncertainties")
 ):
-    """Even-power fit of the tracked level's field dependence.
+    """The tracked level's coefficients in b, read off one contour in beta = b^2.
 
-    ``fields``, ``energies`` and ``residuals`` are tuples, and
-    ``coefficients`` maps each of `FIT_POWERS` to a float.  ``residuals``
-    holds |H x - lambda O x| of the converged eigenpair at each field, in
-    the order of ``fields``.  Every fit has the conditioning GRID_CONDITIONING.
+    ``fields`` are b = 0 and b_rho; ``energies`` and ``residuals`` hold the
+    certified eigenvalue and |H x - lambda O x| at each.  ``coefficients``
+    and ``uncertainties`` map each of `FIT_POWERS` to a float.
     """
 
     __slots__ = ()
 
     def coefficient_uncertainty(self, power: int) -> float:
-        """Crude one-sigma noise propagation: the projector row's norm over b_max^power.
-
-        Only the rms residual is propagated, not the bias that the truncated
-        b^8 tail leaves in the fitted coefficients.  For n >= 2 on the
-        default grid this understates the c4 error about 10x: at (4, 0) the
-        c4 error is 2.3e-5 of |c4| and the reported uncertainty 2.2e-6.
-        """
-        row = _PROJECTOR[FIT_POWERS.index(power)]
-        return float(np.linalg.norm(row)) / float(self.fields[-1]) ** power * self.noise_floor
+        """The bound on the error of coefficient ``power`` (`fit_field_series`)."""
+        return self.uncertainties[power]
 
     def as_dict(self) -> dict:
         return {
@@ -593,8 +564,7 @@ class FieldFitResult(
             "energies": list(self.energies),
             "residuals": list(self.residuals),
             "coefficients": {str(p): self.coefficients[p] for p in FIT_POWERS},
-            "uncertainties": {str(p): self.coefficient_uncertainty(p) for p in FIT_POWERS},
-            "conditioning": GRID_CONDITIONING,
+            "uncertainties": {str(p): self.uncertainties[p] for p in FIT_POWERS},
         }
 
 
@@ -603,13 +573,25 @@ def fit_field_series(
     Z: Fraction = Fraction(1),
     basis_size: int = DEFAULT_BASIS_SIZE,
 ) -> FieldFitResult:
-    """Fit E(b) = c0 + c2 b^2 + c4 b^4 + c6 b^6 on ``default_field_grid(state, Z)``.
+    """c0, c2, c4 and c6 of E(b) = sum c_p b^p, by the Cauchy integral in beta = b^2.
 
     The level is tracked outward from b = 0 on Sturmians held at its own
-    energy E* = ``energy0(state, Z)``, where it is exact.  The fit is one
-    fixed projection: `_PROJECTOR` maps E(b) - E(0) to the coefficients of
-    (b/b_max)^p, and coefficient p is then divided by b_max^p.  c6 absorbs
-    the first neglected order, so the window choice does not bias c4.
+    energy E* = ``energy0(state, Z)``, where it is exact, and certified at
+    b = 0 and at b_rho = `contour_field(state, Z)`.  It is analytic in beta
+    near 0, so c_2k is the Cauchy integral of E / beta^(k+1) on |beta| = rho
+    = b_rho^2, which the trapezoidal rule on the N = CONTOUR_POINTS points
+    beta_j = rho e^(2 pi i j / N) takes to within c_2(k+N) rho^N (Lyness &
+    Moler, SIAM J. Numer. Anal. 4 (1967) 202; Trefethen & Weideman, SIAM
+    Rev. 56 (2014) 385).  The bands are real, so E(conj beta) = conj E(beta):
+
+        c_2k = [E_0 + (-1)^k E_(N/2) + 2 sum_(j=1..N/2-1) Re(E_j e^(-2 pi i jk/N))] / (N rho^k)
+
+    with E_j = E(beta_j).  E_0 is the certified E(rho); E_(N/2) = E(-rho) is
+    solved on the real pencil from the b = 0 vector, and E_1 .. E_(N/2-1) on
+    one complex pencil, each from the vector of the point before, shifted
+    at its Rayleigh quotient.  c0 is E(0).  The uncertainty of c_2k is the
+    difference from the same sum over the N/2 even points, which aliases
+    c_2(k+N/2) rho^(N/2), plus the rounding 2^-52 |E(0)|, both over rho^k.
 
     The basis size does not move the low orders.  At the anchor H0 - E* O
     is the diagonal (mu_i - 1) W_i, zero only at n_r, O is tridiagonal and
@@ -619,42 +601,52 @@ def fit_field_series(
     pencil's e_k equals the complete basis's while n_r + 3 floor(k/2) <
     basis_size: e_1 .. e_13, through b^26, at every allowed size.
 
-    What limits c2 is the grid's truncated tail, whose share grows like n^2.
-    At m = 120 the circular states (n, n - 1) fit c2 within 1e-6 of eps2
-    (the CLI's SECOND_ORDER_REL_TOL) up to (12, 11), which reads -7.7e-7
-    relative, and miss it from (13, 12) on: -1.18e-6 there and -1.76e-6 at
-    (14, 13).  The reported `coefficient_uncertainty(2)` is about 5x smaller
-    than that error, so it does not flag the miss.
-    Raises ValueError, before any assembly, for Z <= 0, for a ``basis_size``
-    below n_r + 20 (a float raises TypeError) and when b_max lies outside
-    the perturbative window |eps4 b^4| < |eps2 b^2|; the ratio grows with b,
-    so the other fields then lie inside it too.
+    At m = 120 the circular states (n, n - 1) fit c2 within 1e-11 of eps2
+    up to (66, 65); from l = 66 on `_round_bands` raises ValueError, as a
+    band entry overflows a double.  Raises ValueError, before any assembly,
+    for Z <= 0 and for a ``basis_size`` below n_r + 20 (a float raises
+    TypeError).
     """
     Z = _check_charge(Z)
     basis_size = operator.index(basis_size)
     if basis_size < state.n_r + 20:
         raise ValueError(f"basis_size must be at least n_r + 20 = {state.n_r + 20}")
-    grid = default_field_grid(state, Z)
-    if assemble_energy(state, Z, grid[-1]).regime_warning:
-        raise ValueError(
-            f"b_max = {grid[-1]} of the n = {state.n} field grid lies outside the perturbative window"
-        )
+    b_rho = contour_field(state, Z)
+    rho, half, b = b_rho * b_rho, CONTOUR_POINTS // 2, float(b_rho)
     anchor = energy0(state, Z)
-    tracked = _track(_Pencil(*_round_bands(state.l, Z, basis_size, anchor)), grid, state.n_r, float(anchor))
-    energies, residuals = zip(*tracked)
-    shifts = np.array(energies) - energies[0]
-    scaled = _PROJECTOR @ shifts
-    b_max = float(grid[-1])
-    coefficients = {p: float(c) / b_max**p for p, c in zip(FIT_POWERS, scaled)}
-    coefficients[0] += energies[0]
-    rms = math.sqrt(float(np.mean((_DESIGN @ scaled - shifts) ** 2)))
+    bands = _round_bands(state.l, Z, basis_size, anchor)
+    real, start = _Pencil(*bands), np.zeros(basis_size)
+    start[state.n_r] = 1.0  # the Sturmian e_(n_r): the exact eigenvector at b = 0
+    zero = _continue(real, Fraction(0), Fraction(0), (float(anchor), start, 0.0), state.n_r)
+    top = _continue(real, Fraction(0), b_rho, zero, state.n_r)
+    values, x = [top[0]], top[1]
+    complex_rows = _Pencil(*(band.astype(complex) for band in bands))
+    for j in range(1, half):
+        value, x, _ = _inverse_iteration(complex_rows.at(float(rho) * _ROOTS[j]), None, x, b)
+        values.append(value)
+    values.append(_inverse_iteration(real.at(-rho), None, zero[1], b)[0])
+
+    def sums(stride: int) -> list[float]:  # rho^k c_2k from the points j = 0, stride, 2 stride, ...
+        return [
+            (values[0] + (-1) ** k * values[half]
+             + 2 * sum((values[j] * _ROOTS[-j * k % CONTOUR_POINTS]).real for j in range(stride, half, stride)))
+            * stride / CONTOUR_POINTS
+            for k in range(len(FIT_POWERS))
+        ]
+
+    coefficients, uncertainties = {}, {}
+    for k, (p, full, even) in enumerate(zip(FIT_POWERS, sums(1), sums(2))):
+        scale = float(rho**k)
+        coefficients[p] = full / scale
+        uncertainties[p] = (abs(full - even) + 2**-52 * abs(zero[0])) / scale
+    coefficients[0] = zero[0]
     return FieldFitResult(
         state=state,
         Z=Z,
         basis_size=basis_size,
-        fields=tuple(grid),
-        energies=energies,
-        residuals=residuals,
+        fields=(Fraction(0), b_rho),
+        energies=(zero[0], top[0]),
+        residuals=(zero[2], top[2]),
         coefficients=coefficients,
-        noise_floor=max(1e-15 * max(map(abs, energies)), rms),
+        uncertainties=uncertainties,
     )

@@ -291,9 +291,8 @@ class TestValidate:
         (entry,) = json.loads(report.read_text())["oracle_fits"]
         assert set(entry) == {
             "state", "Z", "basis_size", "grid", "energies", "residuals", "coefficients",
-            "uncertainties", "conditioning", "tolerances", "verdicts",
+            "uncertainties", "tolerances", "verdicts",
         }
-        assert entry["conditioning"] == oracle.GRID_CONDITIONING
         assert entry["tolerances"] == {"c2_rel": 1e-6}
         assert set(entry["verdicts"]) == {"c2_rel_err", "c2_ok"}
 

@@ -18,7 +18,6 @@ import scipy.linalg
 
 import zeeman2d
 from zeeman2d import oracle
-from zeeman2d.cli import SECOND_ORDER_REL_TOL
 from zeeman2d.coulomb import QuantumState, energy0
 from zeeman2d.exactmath import rational_sqrt
 from zeeman2d.laguerre import _moment3_factor
@@ -32,12 +31,11 @@ from zeeman2d.oracle import (
     _lu_solver,
     _Pencil,
     _round_bands,
-    _track,
     _UPPER,
-    default_field_grid,
+    contour_field,
     fit_field_series,
 )
-from zeeman2d.perturb import assemble_energy, eps2_closed, eps4_closed
+from zeeman2d.perturb import coefficient_set, eps2_closed, eps4_closed
 
 from radial_reference import Laguerre, brute_force_integral, cross_integral, moment3_band
 
@@ -49,6 +47,29 @@ def anchor(n, l, Z=Fraction(1)):
     return energy0(QuantumState(n, l, l), Z)
 
 
+def field_grid(state, Z=Fraction(1)):
+    """Nine evenly spaced fields from 0 to b_max = Z^2 / (20 (2n-1)^2): a walk through the perturbative window."""
+    b_max = Z**2 / (20 * (2 * state.n - 1) ** 2)
+    return [b_max * Fraction(i, 8) for i in range(9)]
+
+
+def _track(pencil, fields, target, seed):
+    """Certified (energy, vector, residual) of level ``target`` at each field, in order.
+
+    The walk a fit takes to b_rho, through any fields: ``fields`` starts at
+    b = 0, where the iteration starts from the Sturmian e_target with the
+    shift ``seed``, and each later field continues from the one before
+    (`oracle._continue`).
+    """
+    x = np.zeros(pencil.overlap.shape[1])
+    x[target] = 1.0
+    pair, previous, tracked = (seed, x, 0.0), fields[0], []
+    for b in fields:
+        pair, previous = oracle._continue(pencil, previous, b, pair, target), b
+        tracked.append(pair)
+    return tracked
+
+
 def tracked(l, Z, m, reference, b=Fraction(0)):
     """(energy, residual) at field b of the level anchored at ``reference``, tracked from b = 0.
 
@@ -58,7 +79,8 @@ def tracked(l, Z, m, reference, b=Fraction(0)):
     n_r = Z / rational_sqrt(-2 * reference) - l - Fraction(1, 2)
     assert n_r.denominator == 1 and n_r >= 0
     fields = [Fraction(0), Fraction(b)]
-    return _track(rounded_pencil(l, Z, m, reference), fields, int(n_r), float(reference))[-1]
+    energy, _, residual = _track(rounded_pencil(l, Z, m, reference), fields, int(n_r), float(reference))[-1]
+    return energy, residual
 
 
 def rounded_pencil(l, Z, m, reference):
@@ -636,10 +658,15 @@ class TestFusedProduct:
     def test_fits_match_reference_product(self, monkeypatch):
         # the same energies, residuals and coefficients, bit for bit, and the
         # same LAPACK calls as with the reference product patched in; so the
-        # saving is call overhead, not fewer or looser solves
+        # saving is call overhead, not fewer or looser solves.  The complex
+        # points of the contour take the reference on Python complex numbers,
+        # as test_matches_seven_slice_reference does
         def reference_products(pencil, x):
             h, o = pencil.h, pencil.overlap
-            return band_matvec(np.array((h, o, abs(h), abs(o))), np.array((x, x, abs(x), abs(x))))
+            bands, vectors = np.array((h, o, abs(h), abs(o))), np.array((x, x, abs(x), abs(x)))
+            if bands.dtype == complex:
+                return band_matvec(bands.astype(object), vectors.astype(object)).astype(complex)
+            return band_matvec(bands, vectors)
 
         def run(state, Z, m):
             with monkeypatch.context() as patch:
@@ -652,16 +679,19 @@ class TestFusedProduct:
         monkeypatch.setattr(_Pencil, "products", reference_products)
         for case, outcome in fused.items():
             assert outcome == run(*case), case
-        # gbtrf/gbtrs/pbtrf/pbtrs calls of three of these fits
-        assert fused[QuantumState(1, 0, 0), Fraction(1), 240][1] == (8, 8, 18, 18)
-        assert fused[QuantumState(3, 1, 1), Fraction(1), 120][1] == (8, 13, 18, 18)
-        assert fused[QuantumState(4, 0, 0), Fraction(1), 960][1] == (8, 15, 18, 18)
-        # shifted at the Rayleigh quotient of the previous field's vector, the
-        # ground state converges in one solve at every field after b = 0, where
-        # the Sturmian start vector is already the exact eigenvector
+        # gbtrf/gbtrs/pbtrf/pbtrs calls of three of these fits: one factorization
+        # at b_rho, at -b_rho^2 and at each of the five complex points, and two
+        # inertia counts at each of the two certified fields
+        assert fused[QuantumState(1, 0, 0), Fraction(1), 240][1] == (7, 9, 4, 4)
+        assert fused[QuantumState(3, 1, 1), Fraction(1), 120][1] == (7, 14, 4, 4)
+        assert fused[QuantumState(4, 0, 0), Fraction(1), 960][1] == (7, 14, 4, 4)
+        # shifted at the Rayleigh quotient of the vector before, the ground
+        # state converges in one solve at b_rho and at each complex point; at
+        # b = 0 the Sturmian start vector is already the exact eigenvector,
+        # and the step from it to -b_rho^2 takes three
         for m in (240, 960):
             gbtrf, gbtrs, _, _ = fused[QuantumState(1, 0, 0), Fraction(1), m][1]
-            assert gbtrf == gbtrs == len(default_field_grid(QuantumState(1, 0, 0))) - 1, m
+            assert (gbtrf, gbtrs) == (oracle.CONTOUR_POINTS // 2 + 1, oracle.CONTOUR_POINTS // 2 + 3), m
 
 
 def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
@@ -676,27 +706,32 @@ def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
 
 
 # imports the oracle, runs the ground-state fit and prints the scipy modules
-# loaded, the BLAS thread variables and the number of threads in the process
-# (-1 where /proc is absent)
+# loaded, the BLAS thread variables, the number of threads in the process
+# (-1 where /proc is absent) and the modules the fit loaded after the import
 PROBE = (
     "import json, os, sys\n"
     "from zeeman2d import oracle\n"
     "from zeeman2d.coulomb import QuantumState\n"
+    "imported = set(sys.modules)\n"
     "oracle.fit_field_series(QuantumState(1, 0, 0))\n"
     "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
     "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
-    "    os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), tasks]))\n"
+    "    os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), tasks,\n"
+    "    sorted(set(sys.modules) - imported)]))\n"
 )
 
 
 class TestLayering:
     def test_fit_loads_only_the_lapack_extension(self):
         # neither the scipy nor the scipy.linalg package code runs: the
-        # extension alone is loaded, and registers itself under its own name
-        assert json.loads(_run_isolated(PROBE))[0] == ["scipy.linalg._flapack"]
+        # extension alone is loaded, and registers itself under its own name;
+        # the fit then loads no module of its own, numpy.fft among them
+        scipy_modules, *_, loaded_by_fit = json.loads(_run_isolated(PROBE))
+        assert scipy_modules == ["scipy.linalg._flapack"]
+        assert loaded_by_fit == []
 
     def test_import_pins_blas_before_numpy(self):
-        _, openblas, omp, tasks = json.loads(_run_isolated(PROBE))
+        _, openblas, omp, tasks, _ = json.loads(_run_isolated(PROBE))
         assert (openblas, omp) == ("1", "1")
         if tasks != -1:
             assert tasks == 1
@@ -734,12 +769,12 @@ class TestDenseReference:
         # the float bands expanded to dense matrices and handed to dense
         # eigh on the default grid; default and off-anchor bases
         off_anchor = energy0(QuantumState(state.n + 1, state.l, state.l), Z)
-        grid = default_field_grid(state, Z)
+        grid = field_grid(state, Z)
         for reference in (anchor(state.n, state.l, Z), off_anchor):
             pencil = rounded_pencil(state.l, Z, 120, reference)
             O = _diag_dense(pencil.overlap[_UPPER])
             tracked = _track(pencil, grid, state.n_r, float(anchor(state.n, state.l, Z)))
-            for b, (energy, _) in zip(grid, tracked):
+            for b, (energy, _, _) in zip(grid, tracked):
                 w = scipy.linalg.eigh(
                     _diag_dense(pencil.at(b * b).h[_UPPER]), O, eigvals_only=True,
                     subset_by_index=[state.n_r, state.n_r],
@@ -768,7 +803,7 @@ class TestGalerkinLevels:
 
     def test_doubling_the_basis_is_converged(self):
         for n, l in [(1, 0), (3, 0), (3, 2)]:
-            b = default_field_grid(QuantumState(n, l, l))[4]
+            b = contour_field(QuantumState(n, l, l)) / 2
             vals = []
             for m in (120, 240):
                 vals.append(tracked(l, Fraction(1), m, anchor(n, l), b)[0])
@@ -789,8 +824,8 @@ class TestTracking:
         # every field of the walk passes the inertia certificate for its own
         # level and fails it for the neighbours
         pencil = rounded_pencil(0, Fraction(1), 60, anchor(2, 0))
-        grid = default_field_grid(QuantumState(2, 0, 0))
-        for b, (energy, _) in zip(grid, _track(pencil, grid, 1, float(anchor(2, 0)))):
+        grid = field_grid(QuantumState(2, 0, 0))
+        for b, (energy, _, _) in zip(grid, _track(pencil, grid, 1, float(anchor(2, 0)))):
             pencil.at(b * b)
             _certify(pencil, energy, 1, float(b))
             for wrong in (0, 2):
@@ -887,7 +922,7 @@ class TestInertiaCount:
         reference = anchor(l + 1, l, Z) if reference is None else reference
         pencil = rounded_pencil(l, Z, m, reference)
         O = _diag_dense(pencil.overlap[_UPPER])
-        for b in (Fraction(0), default_field_grid(QuantumState(l + 1, l, l))[-1], Fraction(1, 100)):
+        for b in (Fraction(0), contour_field(QuantumState(l + 1, l, l)), Fraction(1, 100)):
             h = pencil.at(b * b).h
             w = scipy.linalg.eigh(_diag_dense(h[_UPPER]), O, eigvals_only=True)
             shifts = [*np.linspace(w[0] - 0.1, (w[12] + w[13]) / 2, 25), *(w[:12] + w[1:13]) / 2, w[-1] + 1.0]
@@ -921,41 +956,41 @@ class TestComplexField:
     """One inverse iteration serves a real and a complex beta = b^2, on real and complex rows.
 
     Each case seeds the iteration with the certified real eigenvector at
-    beta = b_max^2 and moves the complex pencil to b_max^2 e^(i theta).  The
+    beta = b_rho^2 and moves the complex pencil to b_rho^2 e^(i theta).  The
     suite's error::RuntimeWarning filter also catches numpy's ComplexWarning,
     so no norm of the iteration may drop an imaginary part.
     """
 
     @staticmethod
     def _pencils(state):
-        """The real and the complex pencil of ``state`` at m = BASIS_SMALL, and the real eigenpair at b_max."""
+        """The real and the complex pencil of ``state`` at m = BASIS_SMALL, and the real eigenpair at b_rho."""
         bands = _round_bands(state.l, Fraction(1), BASIS_SMALL, anchor(state.n, state.l))
         real, complex_rows = _Pencil(*bands), _Pencil(*(band.astype(complex) for band in bands))
         x = np.zeros(BASIS_SMALL)
         x[state.n_r] = 1.0
-        grid = default_field_grid(state)
+        grid = (Fraction(0), contour_field(state))
         pair, previous = (float(anchor(state.n, state.l)), x, 0.0), grid[0]
-        for b in grid:  # certified at every field, as a fit walks it
+        for b in grid:  # certified at both fields, as a fit walks them
             pair, previous = oracle._continue(real, previous, b, pair, state.n_r), b
         return real, complex_rows, grid[-1], pair
 
     @pytest.mark.parametrize("state,theta", list(_complex_field_cases()))
     def test_matches_dense_complex_pencil(self, state, theta):
-        _, pencil, b_max, (_, x, _) = self._pencils(state)
-        beta = float(b_max**2) * cmath.exp(1j * theta)
-        value, _, _ = _inverse_iteration(pencil.at(beta), None, x, float(b_max))
+        _, pencil, b_rho, (_, x, _) = self._pencils(state)
+        beta = float(b_rho**2) * cmath.exp(1j * theta)
+        value, _, _ = _inverse_iteration(pencil.at(beta), None, x, float(b_rho))
         w = scipy.linalg.eigvals(_diag_dense(pencil.h[_UPPER]), _diag_dense(pencil.overlap[_UPPER]))
         nearest = w[np.argmin(abs(w - value))]
         assert abs(value - nearest) <= 1e-13 * abs(nearest)
         # H0, R and O are real, so H(conj beta) = conj H(beta) and E(conj beta) = conj E(beta)
-        mirrored, _, _ = _inverse_iteration(pencil.at(beta.conjugate()), None, x, float(b_max))
+        mirrored, _, _ = _inverse_iteration(pencil.at(beta.conjugate()), None, x, float(b_rho))
         assert abs(mirrored - value.conjugate()) <= 1e-15 * abs(value)
 
     @pytest.mark.parametrize("state", [QuantumState(1, 0, 0), QuantumState(3, 1, 1)])
     def test_real_beta_on_complex_rows(self, state):
-        real, complex_rows, b_max, (_, x, _) = self._pencils(state)
-        on_real, _, _ = _inverse_iteration(real.at(b_max**2), None, x, float(b_max))
-        on_complex, _, _ = _inverse_iteration(complex_rows.at(b_max**2), None, x, float(b_max))
+        real, complex_rows, b_rho, (_, x, _) = self._pencils(state)
+        on_real, _, _ = _inverse_iteration(real.at(b_rho**2), None, x, float(b_rho))
+        on_complex, _, _ = _inverse_iteration(complex_rows.at(b_rho**2), None, x, float(b_rho))
         assert (type(on_real), type(on_complex)) == (float, complex)
         assert abs(on_complex - on_real) <= 2.2e-16 * abs(on_real)
         with pytest.raises(TypeError):
@@ -977,163 +1012,208 @@ class TestComplexField:
     def test_certificate_refuses_complex_rows(self):
         # a complex-symmetric H - sigma O has no inertia: xPBTRF would read it
         # as Hermitian and count the levels of another matrix
-        _, pencil, b_max, (_, x, _) = self._pencils(QuantumState(2, 0, 0))
-        value, _, _ = _inverse_iteration(pencil.at(float(b_max**2) * cmath.exp(1j)), None, x, float(b_max))
+        _, pencil, b_rho, (_, x, _) = self._pencils(QuantumState(2, 0, 0))
+        value, _, _ = _inverse_iteration(pencil.at(float(b_rho**2) * cmath.exp(1j)), None, x, float(b_rho))
         with pytest.raises(TypeError, match="real H - sigma O"):
-            _certify(pencil, value, 1, float(b_max))
+            _certify(pencil, value, 1, float(b_rho))
 
 
-class TestDefaultFieldGrid:
+def eps6(n, l):
+    """The sixth-order coefficient of E(b), the b^6 term at Z = 1, in closed form.
+
+    eps6 = q^10 P(n, l^2) / 2^25 with q = 2n - 1, from the hypervirial
+    recursion in beta = b^2 (ROADMAP, direction A1); eps6(1, 0) = 17967/2^25.
+    """
+    q = 2 * n - 1
+    body = (
+        6120 * n**6 - 18360 * n**5 + 68835 * n**4 - 107070 * n**3 + 115970 * n**2 - 65495 * n + 17967
+        - l * l * (5220 * n**4 - 10440 * n**3 + 35130 * n**2 - 29910 * n + 18066) + 231 * l**4 - 132 * l**6
+    )
+    return Fraction(q**10 * body, 2**25)
+
+
+def coefficients(n, l):
+    """The exact c2, c4 and c6 of E(b) at Z = 1, by the power of b."""
+    return {2: eps2_closed(n, l), 4: eps4_closed(n, l), 6: eps6(n, l)}
+
+
+class TestContourField:
     def test_shape_and_scaling(self):
-        grid = default_field_grid(QuantumState(1, 0, 0))
-        assert grid[0] == 0
-        assert grid[-1] == Fraction(1, 20)
-        assert len(grid) == 9
-        # quadratic shrinkage in 2n - 1, the same rule for every level
-        grid3 = default_field_grid(QuantumState(3, 0, 0))
-        assert grid3[-1] == Fraction(1, 500)
-        assert len(grid3) == 9
-        # scaled by Z^2, so every charge sees the same reduced fields b / Z^2
-        assert default_field_grid(QuantumState(3, 0, 0), Fraction(3)) == [9 * b for b in grid3]
-        assert default_field_grid(QuantumState(3, 0, 0), Fraction(1, 2)) == [b / 4 for b in grid3]
+        # b_max = Z^2 / (20 (2n - 1)^2), taken whole while the window holds
+        assert contour_field(QuantumState(1, 0, 0)) == Fraction(1, 20)
+        assert contour_field(QuantumState(3, 0, 0)) == Fraction(1, 500)
+        # scaled by Z^2, so every charge sees the same reduced field b / Z^2
+        assert contour_field(QuantumState(3, 0, 0), Fraction(3)) == Fraction(9, 500)
+        assert contour_field(QuantumState(3, 0, 0), Fraction(1, 2)) == Fraction(1, 2000)
+        with pytest.raises(ValueError):
+            contour_field(QuantumState(1, 0, 0), Fraction(0))
+
+    def test_window_rule(self):
+        # b_rho halves b_max until |eps4| b^2 <= |eps2| Z^4 / 100: never for
+        # n <= 12, and 1, 2, 3 and 4 times at these levels
+        def ratio(state, b, Z=Fraction(1)):
+            coefficients = coefficient_set(state.n, state.l)
+            return abs(coefficients.eps4) * b * b / (abs(coefficients.eps2) * Z**4)
+
+        halvings = {(20, 19): 1, (40, 39): 2, (80, 0): 3, (121, 0): 4}
+        states = [(n, l) for n in range(1, 13) for l in range(n)] + list(halvings)
+        for n, l in states:
+            state = QuantumState(n, l, l)
+            for Z in (Fraction(1), Fraction(2)):
+                b_max = Z**2 / (20 * (2 * n - 1) ** 2)
+                b = contour_field(state, Z)
+                j = halvings.get((n, l), 0)
+                assert b == b_max / 2**j, (n, l, Z)
+                assert ratio(state, b, Z) <= oracle.WINDOW_FRACTION
+                if j:
+                    assert ratio(state, 2 * b, Z) > oracle.WINDOW_FRACTION
+        # four halvings put (121, 0) back inside the window: its c2 fits to 1e-12
+        fit = fit_field_series(QuantumState(121, 0, 0), basis_size=140)
+        c2 = float(eps2_closed(121, 0))
+        assert fit.fields == (0, Fraction(1, 20 * 241**2 * 16))
+        assert abs(fit.coefficients[2] - c2) <= 1e-12 * c2
 
 
 class TestFieldFit:
     def test_ground_state_quadratic_and_quartic(self):
         fit = fit_field_series(QuantumState(1, 0, 0))
         c2, c4 = float(eps2_closed(1, 0)), float(eps4_closed(1, 0))
-        assert fit.coefficients[2] == pytest.approx(c2, rel=1e-8)
-        assert fit.coefficients[4] == pytest.approx(c4, rel=1e-2)
+        assert fit.coefficients[2] == pytest.approx(c2, rel=1e-11)
+        assert fit.coefficients[4] == pytest.approx(c4, rel=1e-8)
         assert fit.coefficients[0] == pytest.approx(-2.0, abs=1e-12)
-        assert fit.as_dict()["conditioning"] == oracle.GRID_CONDITIONING < 1e4
+        assert fit.fields == (0, Fraction(1, 20))
 
     @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
     def test_default_grid_resolves_table_state(self, n, l):
-        # the one grid rule resolves both coefficients of every table state
+        # the one contour resolves all three coefficients of every table state
         fit = fit_field_series(QuantumState(n, l, l))
-        c2, c4 = float(eps2_closed(n, l)), float(eps4_closed(n, l))
-        assert abs(fit.coefficients[2] - c2) <= 1e-6 * abs(c2)
-        assert abs(fit.coefficients[4] - c4) <= 1e-4 * abs(c4)
+        for (p, exact), tolerance in zip(coefficients(n, l).items(), (1e-11, 1e-8, 1e-4)):
+            assert abs(fit.coefficients[p] - float(exact)) <= tolerance * abs(float(exact))
+
+    def test_uncertainty_covers_every_error(self):
+        # every n <= 12 state at m = 120: c2, c4 and c6 each lie within their
+        # reported uncertainty of the exact value, and c2 and c4 within 1e-11
+        # and 1e-8 of it
+        for n in range(1, 13):
+            for l in range(n):
+                fit = fit_field_series(QuantumState(n, l, l))
+                errors = {p: abs(fit.coefficients[p] - float(exact)) for p, exact in coefficients(n, l).items()}
+                for p, error in errors.items():
+                    assert error <= fit.coefficient_uncertainty(p), (n, l, p)
+                assert errors[2] <= 1e-11 * float(eps2_closed(n, l)), (n, l)
+                assert errors[4] <= 1e-8 * abs(float(eps4_closed(n, l))), (n, l)
+
+    @pytest.mark.parametrize("point", range(1, oracle.CONTOUR_POINTS // 2))
+    def test_injected_error_is_seen(self, monkeypatch, point):
+        # one complex point of the ground-state contour scaled by 1 + 1e-9:
+        # c4 moves by more than three of its unperturbed uncertainties, and
+        # the perturbed fit's own uncertainty still covers its error
+        state, c4 = QuantumState(1, 0, 0), float(eps4_closed(1, 0))
+        clean = fit_field_series(state)
+        iterate_once, complex_points = oracle._inverse_iteration, []
+
+        def perturbed(pencil, sigma, x, b):
+            value, x, residual = iterate_once(pencil, sigma, x, b)
+            if pencil.h.dtype == complex:
+                complex_points.append(value)
+                if len(complex_points) == point:
+                    value *= 1 + 1e-9
+            return value, x, residual
+
+        monkeypatch.setattr(oracle, "_inverse_iteration", perturbed)
+        fit = fit_field_series(state)
+        assert len(complex_points) == oracle.CONTOUR_POINTS // 2 - 1
+        assert abs(fit.coefficients[4] - clean.coefficients[4]) > 3 * clean.coefficient_uncertainty(4)
+        assert abs(fit.coefficients[4] - c4) <= fit.coefficient_uncertainty(4)
+        assert abs(clean.coefficients[4] - c4) <= clean.coefficient_uncertainty(4)
 
     def test_circular_c2_accuracy_edge(self):
-        # the fit_field_series docstring's edge at m = 120: c2 of (12, 11) is
-        # within SECOND_ORDER_REL_TOL, that of (13, 12) is not, and the
-        # reported uncertainty of the miss is about 5x below its error
-        errors = {}
-        for n in (12, 13):
+        # the fit_field_series docstring's edge at m = 120: every circular
+        # state (n, n - 1) fits c2 within 1e-11 of eps2, and inside its
+        # uncertainty, until its bands overflow a double at l = 66
+        for n in range(1, 67):
             fit = fit_field_series(QuantumState(n, n - 1, n - 1))
-            c2 = float(eps2_closed(n, n - 1))
-            errors[n] = (fit.coefficients[2] - c2) / abs(c2), fit.coefficient_uncertainty(2) / abs(c2)
-        assert -SECOND_ORDER_REL_TOL < errors[12][0] < 0
-        assert errors[13][0] < -SECOND_ORDER_REL_TOL
-        assert 4 * errors[13][1] < abs(errors[13][0]) < 6 * errors[13][1]
+            error = abs(fit.coefficients[2] - float(eps2_closed(n, n - 1)))
+            assert error <= 1e-11 * float(eps2_closed(n, n - 1)), n
+            assert error <= fit.coefficient_uncertainty(2), n
+        with pytest.raises(ValueError, match="l = 66, Z = 1, basis_size = 120 have entries too large for a double"):
+            fit_field_series(QuantumState(67, 66, 66))
 
     @pytest.mark.parametrize("Z", [Fraction(2), Fraction(3), Fraction(1, 2)])
     @pytest.mark.parametrize("n,l", [(1, 0), (3, 1)])
     def test_grid_scales_with_charge(self, n, l, Z):
-        # E(Z, b) = Z^2 E(1, b/Z^2): with b_max scaled by Z^2 every charge
-        # resolves c2 Z^2 = eps2 and c4 Z^6 = eps4 as Z = 1 does
+        # E(Z, b) = Z^2 E(1, b/Z^2): with b_rho scaled by Z^2 every charge
+        # resolves c2 Z^2 = eps2, c4 Z^6 = eps4 and c6 Z^10 = eps6 as Z = 1 does
         fit = fit_field_series(QuantumState(n, l, l), Z)
-        c2, c4 = float(eps2_closed(n, l)), float(eps4_closed(n, l))
-        assert abs(fit.coefficients[2] * Z**2 - c2) <= 1e-6 * abs(c2)
-        assert abs(fit.coefficients[4] * Z**6 - c4) <= 1e-4 * abs(c4)
-
-    def test_out_of_regime_grid_rejected(self, monkeypatch):
-        # the window check runs once, at b_max: n = 120 is the last level
-        # inside it, and n = 121 is refused before any assembly
-        edge = QuantumState(120, 0, 0)
-        assert not assemble_energy(edge, b=default_field_grid(edge)[-1]).regime_warning
-
-        def forbidden(*args):
-            raise AssertionError("bands assembled for an out-of-window grid")
-
-        monkeypatch.setattr(oracle, "_round_bands", forbidden)
-        with pytest.raises(ValueError, match="perturbative window"):
-            fit_field_series(QuantumState(121, 0, 0), basis_size=140)
-
-    def test_conditioning_is_fixed_by_the_grid(self):
-        # the column-scaled design is (i/8)^p for every state and charge
-        assert oracle.GRID_CONDITIONING == pytest.approx(90.004, abs=1e-3)
-        for Z in (Fraction(1), Fraction(2)):
-            for n in range(1, 5):
-                fields = np.array([float(b) for b in default_field_grid(QuantumState(n, 0, 0), Z)])
-                design = np.column_stack([fields**p for p in oracle.FIT_POWERS])
-                scaled = design / design[-1]
-                assert np.allclose(scaled, oracle._DESIGN, rtol=1e-14, atol=0)
-                assert abs(np.linalg.cond(scaled) - oracle.GRID_CONDITIONING) <= 1e-12 * oracle.GRID_CONDITIONING
-
-    def test_projector_is_the_exact_pseudo_inverse(self):
-        # (V^T V)^-1 V^T of the full-rank design V = (i/8)^p, in exact rationals
-        design = [[Fraction(i, 8) ** p for p in oracle.FIT_POWERS] for i in range(9)]
-        columns = list(zip(*design))
-        gram = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
-        k = len(gram)
-        inverse = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-        for i in range(k):  # Gauss-Jordan; the Gram matrix is positive definite, so no pivoting
-            pivot = gram[i][i]
-            gram[i] = [x / pivot for x in gram[i]]
-            inverse[i] = [x / pivot for x in inverse[i]]
-            for r in range(k):
-                if r != i and gram[r][i]:
-                    f = gram[r][i]
-                    gram[r] = [x - f * y for x, y in zip(gram[r], gram[i])]
-                    inverse[r] = [x - f * y for x, y in zip(inverse[r], inverse[i])]
-        exact = [[sum(inverse[r][c] * columns[c][j] for c in range(k)) for j in range(9)] for r in range(k)]
-        assert oracle._PROJECTOR.shape == (k, 9)
-        gaps = [abs(Fraction(x) - e) for row, erow in zip(oracle._PROJECTOR.tolist(), exact) for x, e in zip(row, erow)]
-        assert max(gaps) <= 1e-13
+        for (p, exact), tolerance in zip(coefficients(n, l).items(), (1e-11, 1e-8, 1e-4)):
+            assert abs(fit.coefficients[p] * Z ** (2 * p - 2) - float(exact)) <= tolerance * abs(float(exact))
 
     @pytest.mark.parametrize("n,l,Z", [(n, l, 1) for n in range(1, 5) for l in range(n)] + [(3, 1, 2)])
-    def test_coefficients_match_least_squares(self, n, l, Z):
-        # the fixed projection is the least-squares fit of the tracked energies
+    def test_coefficients_match_least_squares(self, monkeypatch, n, l, Z):
+        # on the N roots of unity the powers below N are orthogonal, so the
+        # contour's sums are the least-squares cubic in beta through its N
+        # points: the fit's coefficients against numpy's lstsq on the points
+        # it solved, completed by E(conj beta) = conj E(beta); the reference
+        # fits the shifts E - E(0), which lstsq resolves far below the rounding
+        # of E itself that the sums carry and the uncertainty allows for
+        iterate_once, values = oracle._inverse_iteration, []
+
+        def recording(*args):
+            out = iterate_once(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(oracle, "_inverse_iteration", recording)
         fit = fit_field_series(QuantumState(n, l, l), Fraction(Z))
-        fields = np.array([float(b) for b in fit.fields])
-        design = np.column_stack([fields**p for p in oracle.FIT_POWERS])
-        scales = design[-1]
-        shifts = np.array(fit.energies) - fit.energies[0]
-        reference = np.linalg.lstsq(design / scales, shifts, rcond=None)[0] / scales
-        reference[0] += fit.energies[0]
-        for p, c in zip(oracle.FIT_POWERS, reference):
-            assert abs(fit.coefficients[p] - c) <= 1e-3 * fit.coefficient_uncertainty(p)
+        N, half = oracle.CONTOUR_POINTS, oracle.CONTOUR_POINTS // 2
+        upper = [fit.energies[1], *values[-half:]]  # E_0 .. E_N/2
+        points = np.array(upper + [np.conj(e) for e in upper[-2:0:-1]]) - fit.energies[0]
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        cubic = np.linalg.lstsq(np.vander(roots, 4, increasing=True), points, rcond=None)[0]
+        rho = float(fit.fields[1]) ** 2
+        for k, p in enumerate(oracle.FIT_POWERS[1:], start=1):
+            assert abs(fit.coefficients[p] - cubic[k].real / rho**k) <= fit.coefficient_uncertainty(p)
 
     def test_fit_runs_no_least_squares_solver(self, monkeypatch):
-        # the projector is formed at import; a fit only multiplies by it
+        # the coefficients are explicit sums over the contour's points
         def forbidden(*args, **kwargs):
             raise AssertionError("a least-squares solver ran on the fit path")
 
         for name in ("lstsq", "pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         fit = fit_field_series(QuantumState(1, 0, 0))
-        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-8)
+        assert fit.coefficients[2] == pytest.approx(float(eps2_closed(1, 0)), rel=1e-11)
 
     def test_uncertainty_and_serialization(self):
         fit = fit_field_series(QuantumState(1, 0, 0))
-        # the quartic estimate must sit within a few reported sigma
+        # the quartic estimate must sit within its reported uncertainty
         err4 = abs(fit.coefficients[4] - float(eps4_closed(1, 0)))
-        assert err4 < 10 * fit.coefficient_uncertainty(4)
+        assert err4 <= fit.coefficient_uncertainty(4)
         payload = fit.as_dict()
         assert payload["state"] == {"n": 1, "l": 0, "m_l": 0}
         assert payload["coefficients"]["2"] == fit.coefficients[2]
-        assert payload["uncertainties"]["4"] == fit.coefficient_uncertainty(4)
+        assert payload["uncertainties"] == {str(p): fit.coefficient_uncertainty(p) for p in oracle.FIT_POWERS}
+        assert all(type(value) is float for value in (*fit.energies, *fit.coefficients.values(), *fit.uncertainties.values()))
         # tolerances and verdicts are the CLI's, merged into its report (test_cli)
         assert "tolerances" not in payload and "verdicts" not in payload
-        assert len(payload["grid"]) == len(payload["energies"]) == len(payload["residuals"]) == 9
+        assert payload["grid"] == ["0", "1/20"]
+        assert len(payload["energies"]) == len(payload["residuals"]) == 2
 
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 1), (4, 0)])
     def test_basis_size_does_not_move_the_fit(self, n, l):
         # the docstring's Wigner bound: every allowed size has the exact e_1 .. e_13,
-        # so only float rounding and the grid's tail bias remain, and they do not move
+        # so only float rounding and the contour's aliasing remain, and they do not move
         state = QuantumState(n, l, l)
         fits = [fit_field_series(state, basis_size=m) for m in (state.n_r + 20, 120, 240, 480, 960)]
-        assert len({repr((fit.energies, fit.coefficients, fit.noise_floor)) for fit in fits}) == 1
+        assert len({repr((fit.energies, fit.coefficients, fit.uncertainties)) for fit in fits}) == 1
 
     def test_residuals_are_the_tracked_ones(self):
-        # the fit keeps |H x - lambda O x| of the certified eigenpair at each field
+        # the fit keeps |H x - lambda O x| of the certified eigenpair at both fields
         state = QuantumState(2, 1, 1)
         fit = fit_field_series(state)
         pencil = rounded_pencil(1, Fraction(1), fit.basis_size, anchor(2, 1))
         tracked_pairs = _track(pencil, list(fit.fields), 0, float(anchor(2, 1)))
-        assert fit.residuals == tuple(residual for _, residual in tracked_pairs)
+        assert fit.residuals == tuple(residual for _, _, residual in tracked_pairs)
         assert all(0 <= residual <= 1e-13 for residual in fit.residuals)
         assert fit.as_dict()["residuals"] == list(fit.residuals)
 
