@@ -30,34 +30,40 @@ previous field.  The shift sigma is that vector's Rayleigh quotient at the
 new field, which is the new eigenvalue up to O(db^2) in the field step db,
 so one step usually converges; only at b = 0 is the shift the level's known
 energy, since the start vector there, the Sturmian e_target, is far from
-the level on a basis held at another E*.  H - sigma O is factored once per
-field by LAPACK's banded LU, xGBTRF, and every step is one xGBTRS on those
-factors (Anderson et al., LAPACK Users' Guide, SIAM 1999).  The routines
-are scipy's f2py wrappers, taken from its extension module
-`scipy.linalg._flapack`, which is loaded from its file without running the
-`scipy` or `scipy.linalg` package code.
+the level on a basis held at another E*.  The Sturmian basis keeps the
+level local, so each field works on the leading k = min(m, n_r +
+BLOCK_MARGIN) basis functions: LAPACK's banded LU, xGBTRF, factors the
+k x k leading block of H - sigma O once per field, and every step is one
+xGBTRS on those factors (Anderson et al., LAPACK Users' Guide, SIAM 1999).
+The iterate is zero past row k, so H x, O x, |H| |x| and |O| |x| are zero
+past row k + 3, and a step's values over the first min(m, k + 3) rows are
+the whole-basis ones: every pair passes the whole-basis residual test or
+is a ConvergenceError.  The routines are scipy's f2py wrappers, taken from
+its extension module `scipy.linalg._flapack`, which is loaded from its
+file without running the `scipy` or `scipy.linalg` package code.
 `_lapack_funcs` picks the routines of the band's dtype, so one iteration
 serves a real beta on float rows and a complex beta or shift on complex ones.
 The four band products of a step (H x, O x, |H| |x| and |O| |x|) are one
-einsum over the diagonals of the four bands aligned to their rows, H and O
-paired with seven shifted copies of x, |H| and |O| with those of |x|, all
-taken from one zero-padded buffer that holds x and |x| once each.  The
-seven terms of every element are added in a fixed order: the diagonal,
-then diagonal +d before -d for d = 1, 2, 3.  This is the order of the
-seven-slice accumulation that the tests keep as the reference, so every
-product has its bits (up to the sign of an exact zero).  A fit builds
+einsum on those rows, over the diagonals of the four bands aligned to their
+rows, H and O paired with seven shifted copies of x, |H| and |O| with those
+of |x|, all taken from one zero-padded buffer that holds x and |x| once
+each.  The seven terms of every element are added in a fixed order: the
+diagonal, then diagonal +d before -d for d = 1, 2, 3.  This is the order of
+the seven-slice accumulation that the tests keep as the reference, so
+every product has its bits (up to the sign of an exact zero).  A fit builds
 this workspace, `_Pencil`, once, with the rows of O, |O| and the padding;
 each field rewrites only the rows of H and |H|.
-On a real pencil, Sylvester's law of inertia certifies every level index:
-H - sigma O has exactly as many negative eigenvalues as the pencil has
-levels below sigma, and a radial channel has no crossings.  The count costs
-O(m) (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem, ch. 3):
-a banded Cholesky factorization, xPBTRF, shows a trailing block positive
-definite, and by Haynsworth's inertia additivity the count is then that of
-a small dense Schur complement on the leading block.  The inverse
-of that complement is the leading block of (H - sigma O)^-1, so its
-eigenvalues lie no closer to zero than the spectrum of H - sigma O: the
-certificate keeps its margin of CERTIFICATE_WIDTH |lambda| around sigma.
+On a real pencil, Sylvester's law of inertia certifies every level index on
+the whole basis: the m-row H - sigma O has exactly as many negative
+eigenvalues as the pencil has levels below sigma, and a radial channel has
+no crossings.  The count costs O(m) (spectrum slicing, Parlett, The
+Symmetric Eigenvalue Problem, ch. 3): a banded Cholesky factorization,
+xPBTRF, shows a trailing block positive definite, and by Haynsworth's
+inertia additivity the count is then that of a small dense Schur
+complement on the leading block.  The inverse of that complement is the
+leading block of (H - sigma O)^-1, so its eigenvalues lie no closer to zero
+than the spectrum of H - sigma O: the certificate keeps its margin of
+CERTIFICATE_WIDTH |lambda| around sigma.
 
 `fit_field_series` is the one way in.  It holds the Sturmians at the
 tracked level's own energy, E* = `energy0(state, Z)`; `_exact_pieces` and
@@ -111,6 +117,12 @@ RESIDUAL_TOL = 1e-13
 # far inside the level spacing, yet wide enough that rounding in H - sigma O
 # cannot flip a count.
 CERTIFICATE_WIDTH = 1e-6
+# A fit iterates on the leading n_r + BLOCK_MARGIN basis functions.  At b_rho
+# every component of the tracked eigenvector above 2^-60 lies within n_r + 22
+# rows, for every n <= 12 state and for (20, .), (30, .), (40, .), (60, 59)
+# and (80, 0) at Z = 1, 3/2.  From a margin of 30 on, the n <= 8 fits keep the
+# bits of the whole-basis iteration; at 4 or 8 the residual test refuses them.
+BLOCK_MARGIN = 40
 
 
 class ConvergenceError(RuntimeError):
@@ -215,7 +227,7 @@ _OFFSETS = (0, 1, -1, 2, -2, 3, -3)
 # storage (kl = ku = u) and row k of the upper storage hold, at column j,
 # A[j + k - u, j] = A[j, j + k - u]: the aligned row of offset k - u.
 _GENERAL = [_OFFSETS.index(d) for d in range(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)]
-_UPPER = _GENERAL[: HALF_BANDWIDTH + 1]
+_UPPER = slice(2 * HALF_BANDWIDTH, None, -2)  # the rows _GENERAL[: HALF_BANDWIDTH + 1], as a view
 
 
 def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> tuple:
@@ -251,15 +263,19 @@ def _round_bands(l: int, Z: Fraction, basis_size: int, reference: Fraction) -> t
 class _Pencil:
     """One fit's pencil (H, O) at its current field, with the workspace of its step products.
 
-    It takes the aligned rows of H0, R and O from `_round_bands`.
-    ``_diagonals`` (2, 2, 7, m), of O's dtype, pairs the rows of H and O
-    (``h`` and ``overlap``) with x, and those of |H| and |O| with |x|.
-    `at` moves the pencil to beta = b^2: H = H0 + (beta/8) R in the rows' own
-    scalar type, and |H|; those of O and |O| and the padding are written once.
-    `shifted` hands out the aligned rows of H - sigma O.  `products` writes
-    x and |x| once each into a (2, m + 6) buffer padded with HALF_BANDWIDTH
-    zeros at each end, copies two window views of it into the shifted
-    copies x[i + s], |x|[i + s] for s in _OFFSETS, and forms the four
+    It takes the aligned rows of H0, R and O from `_round_bands`, over m
+    basis functions, and the size k of the leading block that the iteration
+    works on, ``block`` (all m when None).  One (2, 2, 7, m) array, of O's
+    dtype, pairs the rows of H and O (``h`` and ``overlap``) with x, and
+    those of |H| and |O| with |x|; ``_leading`` is its first w = min(m,
+    k + 3) columns.  `at` moves the pencil to beta = b^2: H = H0 + (beta/8) R
+    in the rows' own scalar type, and |H| on the first w columns; those of O
+    and |O| and the padding are written once.  `shifted` hands out the
+    aligned rows of H - sigma O on the block's columns.  `products` takes x
+    on the block, zero past it, and gives the first w rows of the products,
+    which are zero past them.  It writes x and |x| once each into a
+    (2, w + 6) zero-padded buffer, copies two window views of it into the
+    shifted copies x[i + s], |x|[i + s] for s in _OFFSETS, and forms the four
     products by one einsum over the diagonal axis.  einsum adds the seven
     terms of each element in the order of _OFFSETS, the order in which the
     seven-slice accumulation y = A_0 x, y[:-d] += A_+d x[d:], y[d:] +=
@@ -267,17 +283,20 @@ class _Pencil:
     elementwise products agree (the sign of an exactly zero element aside).
     """
 
-    def __init__(self, h0: np.ndarray, r2: np.ndarray, overlap: np.ndarray):
+    def __init__(self, h0: np.ndarray, r2: np.ndarray, overlap: np.ndarray, block: int | None = None):
         u, m, dtype = HALF_BANDWIDTH, overlap.shape[1], overlap.dtype
+        self.block = m if block is None else min(block, m)
+        width = min(m, self.block + u)
         self._h0, self._r2 = h0, r2
-        self._diagonals = np.zeros((2, 2, len(_OFFSETS), m), dtype)
-        self.h, self.overlap = self._diagonals[0]
+        diagonals = np.zeros((2, 2, len(_OFFSETS), m), dtype)
+        self.h, self.overlap = diagonals[0]
         self.overlap[...] = overlap
-        np.abs(overlap, out=self._diagonals[1, 1])
-        padded = np.zeros((2, m + 2 * u), dtype)
-        self._vectors = padded[:, u : u + m]
-        self._copied = np.empty((2, len(_OFFSETS), m), dtype)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)  # shifts -3 .. 3
+        self._leading = diagonals[..., :width]
+        np.abs(self._leading[0, 1], out=self._leading[1, 1])
+        padded = np.zeros((2, width + 2 * u), dtype)
+        self._vectors = padded[:, u : u + self.block]
+        self._copied = np.empty((2, len(_OFFSETS), width), dtype)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)  # shifts -3 .. 3
         # shifts 0, -1, -2, -3 at the even rows and +1, +2, +3 at the odd ones
         self._copies = (
             (self._copied[:, 0::2], windows[:, u::-1]),
@@ -287,20 +306,21 @@ class _Pencil:
     def at(self, beta: Fraction | complex) -> _Pencil:
         np.multiply(self._r2, self.h.dtype.type(beta / 8), out=self.h)
         np.add(self._h0, self.h, out=self.h)
-        np.abs(self.h, out=self._diagonals[1, 0])
+        np.abs(self._leading[0, 0], out=self._leading[1, 0])
         return self
 
     def shifted(self, sigma: complex) -> np.ndarray:
-        """The aligned rows of H - sigma O."""
-        return self.h - sigma * self.overlap
+        """The aligned rows of H - sigma O on the leading block's columns."""
+        k = self.block
+        return self.h[:, :k] - sigma * self.overlap[:, :k]
 
     def products(self, x: np.ndarray) -> np.ndarray:
-        """The rows H x, O x, |H| |x| and |O| |x|, formed together."""
+        """The rows H x, O x, |H| |x| and |O| |x| on the first w columns, formed together."""
         self._vectors[0] = x
         np.abs(x, out=self._vectors[1])
         for copied, window in self._copies:
             np.copyto(copied, window)
-        return np.einsum("akji,aji->aki", self._diagonals, self._copied).reshape(4, -1)
+        return np.einsum("akji,aji->aki", self._leading, self._copied).reshape(4, -1)
 
 
 def _load_flapack():
@@ -353,17 +373,21 @@ def _check_info(routine: str, info: int) -> None:
 def _lu_solver(band: np.ndarray):
     """Factor the symmetric A held in aligned rows once; return its solve b -> A^-1 b.
 
-    xGBTRF factors A in place in general band storage, which with kl = ku =
-    u has 3u + 1 rows: the first u start at zero and take the fill-in of
-    the row interchanges, and rows u .. 3u are the rows `_GENERAL` of
-    ``band``.  That storage is Fortran-ordered, so LAPACK factors it without
-    a copy, and keeps the band's dtype, so a complex shift H - sigma O keeps
-    its imaginary part.  Every solve is one xGBTRS on the factors
-    (`scipy.linalg.solve_banded` runs the two together, as xGBSV, and so
-    refactors at every call).  Both come from the directly loaded extension
-    `scipy.linalg._flapack`, through `_lapack_funcs`, which picks the
-    routines of the band's dtype.  Raises `np.linalg.LinAlgError` when A is
-    exactly singular.
+    A is the matrix of the n columns of ``band``.  xGBTRF factors A in place
+    in general band storage, which with kl = ku = u has 3u + 1 rows: the
+    first u start at zero and take the fill-in of the row interchanges, and
+    rows u .. 3u are the rows `_GENERAL` of ``band``.  Past the last row of
+    A these hold the entries of ``band`` past its last column: zero for a
+    whole basis, a leading block's coupling to the columns after it, and
+    never read (LAPACK's dgbtrf, Further Details: such elements "are not
+    used by the routine").  That storage is Fortran-ordered, so LAPACK
+    factors it without a copy, and keeps the band's dtype, so a complex
+    shift H - sigma O keeps its imaginary part.  Every solve is one xGBTRS
+    on the factors (`scipy.linalg.solve_banded` runs the two together, as
+    xGBSV, and so refactors at every call).  Both come from the directly
+    loaded extension `scipy.linalg._flapack`, through `_lapack_funcs`, which
+    picks the routines of the band's dtype.  Raises `np.linalg.LinAlgError`
+    when A is exactly singular.
     """
     u = HALF_BANDWIDTH
     gbtrf, gbtrs = _lapack_funcs(("gbtrf", "gbtrs"), band)
@@ -387,26 +411,30 @@ def _inverse_iteration(
 ) -> tuple[complex, np.ndarray, float]:
     """(lambda, unit x, residual) of H x = lambda O x nearest the shift, iterating from x.
 
-    Each step solves (H - sigma O) y = O x; lambda is the Rayleigh quotient.
-    H - sigma O is factored at most once, at the first solve, and every
-    step reuses the factors.  A ``sigma`` of None shifts at the Rayleigh
-    quotient of the start vector, which the first step's products already
-    give: for the eigenvector of a nearby field it is the new eigenvalue to
-    second order in the field step.  A shift exactly at an eigenvalue, with
-    x not its eigenvector, is a typed ConvergenceError.  The four band
-    products of a step (H x, O x, |H| |x|, |O| |x|) are one einsum in the
-    fit's ``pencil``, whose aligned diagonals of H and O meet one copy of x
-    and those of |H| and |O| one copy of |x|, each element adding its seven
-    terms in the fixed order of _OFFSETS (`_Pencil`).  Real and complex rows
-    share it: lambda is a float or a complex, x is scaled by the unconjugated
-    sqrt(x @ x), and the residual and the size are the norms sqrt(v^H v); for
-    a real vector each is sqrt(v @ v), which is what np.linalg.norm computes.
+    x lives on the pencil's leading block of k basis functions, and is zero
+    past it.  Each step solves the k x k leading block of (H - sigma O) y =
+    O x; lambda is the Rayleigh quotient.  The products, lambda, the
+    residual and the size are the whole-basis values (module docstring).
+    The block of H - sigma O is factored at most once, at the first solve,
+    and every step reuses the factors.  A ``sigma`` of None shifts at the
+    Rayleigh quotient of the start vector, which the first step's products
+    already give: for the eigenvector of a nearby field it is the new
+    eigenvalue to second order in the field step.  A shift exactly at an
+    eigenvalue, with x not its eigenvector, is a typed ConvergenceError.
+    The four band products of a step (H x, O x, |H| |x|, |O| |x|) are one
+    einsum in the fit's ``pencil``, whose aligned diagonals of H and O meet
+    one copy of x and those of |H| and |O| one copy of |x|, each element
+    adding its seven terms in the fixed order of _OFFSETS (`_Pencil`).  Real
+    and complex rows share it: lambda is a float or a complex, x is scaled
+    by the unconjugated sqrt(x @ x), and the residual and the size are the
+    norms sqrt(v^H v); for a real vector each is sqrt(v @ v), which is what
+    np.linalg.norm computes.
     """
-    solve = None
+    solve, k = None, pencil.block
     x = x / np.sqrt(x @ x)
     for solves in range(MAX_ITERATIONS + 1):
         hx, ox, abs_hx, abs_ox = pencil.products(x)
-        value = (x @ hx / (x @ ox)).item()
+        value = (x @ hx[:k] / (x @ ox[:k])).item()
         r = hx - value * ox
         residual = math.sqrt(np.vdot(r, r).real)
         if not (cmath.isfinite(value) and math.isfinite(residual)):
@@ -419,7 +447,7 @@ def _inverse_iteration(
         try:
             if solve is None:
                 solve = _lu_solver(pencil.shifted(value if sigma is None else sigma))
-            y = solve(ox)
+            y = solve(ox[:k])
         except np.linalg.LinAlgError:
             raise ConvergenceError(b, solves, residual, "hit an exactly singular H - sigma O") from None
         x = y / np.sqrt(y @ y)
@@ -451,10 +479,11 @@ def _levels_below(pencil: _Pencil, sigma: float, head: int) -> int:
     is doubled while A22 is not positive definite; at full size A is counted
     directly.  Since S^-1 is the leading block of A^-1, |eig(S)| >= min |eig(A)|:
     the Schur count keeps the distance of sigma from the spectrum.  xPBTRF and
-    `_dense` take A in upper band storage, the rows `_UPPER` of the pencil's
-    aligned H - sigma O, whose leading columns hold the leading blocks.
+    `_dense` take A in upper band storage, formed from the views `_UPPER` of
+    the pencil's whole-basis rows of H and O, whose leading columns hold the
+    leading blocks.
     """
-    a = pencil.shifted(sigma)[_UPPER]
+    a = pencil.h[_UPPER] - sigma * pencil.overlap[_UPPER]
     if a.dtype != np.float64:
         raise TypeError(f"Sylvester's inertia count needs a real H - sigma O, not {a.dtype}")
     u, m = HALF_BANDWIDTH, a.shape[1]
@@ -599,7 +628,10 @@ def fit_field_series(
     (b^2/8)^k is supported on n_r +- 3k.  By Wigner's 2n+1 rule the energy
     coefficient e_k needs only x_0 .. x_floor(k/2), so the truncated
     pencil's e_k equals the complete basis's while n_r + 3 floor(k/2) <
-    basis_size: e_1 .. e_13, through b^26, at every allowed size.
+    basis_size: e_1 .. e_13, through b^26, at every allowed size.  Each
+    field iterates on the leading n_r + BLOCK_MARGIN basis functions and is
+    accepted and certified on all of them, so every basis_size >= n_r + 43
+    iterates on the same block.
 
     At m = 120 the circular states (n, n - 1) fit c2 within 1e-11 of eps2
     up to (66, 65); from l = 66 on `_round_bands` raises ValueError, as a
@@ -615,12 +647,13 @@ def fit_field_series(
     rho, half, b = b_rho * b_rho, CONTOUR_POINTS // 2, float(b_rho)
     anchor = energy0(state, Z)
     bands = _round_bands(state.l, Z, basis_size, anchor)
-    real, start = _Pencil(*bands), np.zeros(basis_size)
+    block = min(basis_size, state.n_r + BLOCK_MARGIN)
+    real, start = _Pencil(*bands, block), np.zeros(block)
     start[state.n_r] = 1.0  # the Sturmian e_(n_r): the exact eigenvector at b = 0
     zero = _continue(real, Fraction(0), Fraction(0), (float(anchor), start, 0.0), state.n_r)
     top = _continue(real, Fraction(0), b_rho, zero, state.n_r)
     values, x = [top[0]], top[1]
-    complex_rows = _Pencil(*(band.astype(complex) for band in bands))
+    complex_rows = _Pencil(*(band[:, : block + HALF_BANDWIDTH].astype(complex) for band in bands), block)
     for j in range(1, half):
         value, x, _ = _inverse_iteration(complex_rows.at(float(rho) * _ROOTS[j]), None, x, b)
         values.append(value)

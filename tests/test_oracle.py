@@ -29,6 +29,7 @@ from zeeman2d.oracle import (
     _GENERAL,
     _inverse_iteration,
     _lu_solver,
+    _OFFSETS,
     _Pencil,
     _round_bands,
     _UPPER,
@@ -430,6 +431,27 @@ class TestBandStorage:
         else:
             assert y.tobytes() == scipy.linalg.solve_banded((3, 3), lapack_storage(matrix, 7), rhs).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 40])
+    def test_block_lu_reads_only_the_block(self, k, dtype):
+        # the first k columns of the aligned rows of a larger matrix hold, in
+        # the rows of diagonals +1 .. +3, the entries that couple the leading
+        # k x k block to the columns after it.  They land where the general
+        # storage of the block has no entry of it, which xGBTRF and xGBTRS
+        # do not read: NaN there leaves the solve solve_banded's on the
+        # block, bit for bit
+        matrix = self._matrix(k + 8, dtype)
+        band = aligned(matrix)[:, :k]
+        for d in range(1, 4):
+            band[_OFFSETS.index(d), max(k - d, 0) :] = np.nan
+        rhs = np.cos(np.arange(k)).astype(dtype)
+        y = _lu_solver(band)(rhs)
+        block = matrix[:k, :k]
+        if k == 1:
+            assert y[0] == pytest.approx(rhs[0] / block[0, 0], rel=1e-15)
+        else:
+            assert y.tobytes() == scipy.linalg.solve_banded((3, 3), lapack_storage(block, 7), rhs).tobytes()
+
 
 class TestSolveGeneralized:
     def test_one_by_one(self):
@@ -478,18 +500,29 @@ class TestSolveGeneralized:
             iterate(h, o, None, np.array([1.0, 0.0, 1.0]), 0.5)
 
 
-def _lapack_calls(monkeypatch, alter=None):
-    """Count the calls of every routine `oracle._lapack_funcs` hands out, by name.
+class _Calls(collections.Counter):
+    """The calls of each LAPACK routine, by name; ``orders[name]`` lists the matrix order of each call."""
 
+    def __init__(self):
+        super().__init__()
+        self.orders = collections.defaultdict(list)
+
+
+def _lapack_calls(monkeypatch, alter=None):
+    """Count the calls of every routine `oracle._lapack_funcs` hands out, by name, and record their orders.
+
+    The order of a call is the number of columns of the band storage it
+    takes first, which is n for xGBTRF, xGBTRS, xPBTRF and xPBTRS alike.
     ``alter`` maps a routine name to a function of its return value, which
     replaces what the routine returns.
     """
-    calls, alter = collections.Counter(), alter or {}
+    calls, alter = _Calls(), alter or {}
     original = oracle._lapack_funcs
 
     def counted(name, routine):
         def call(*args, **kwargs):
             calls[name] += 1
+            calls.orders[name].append(args[0].shape[1])
             out = routine(*args, **kwargs)
             return alter[name](out) if name in alter else out
 
@@ -660,13 +693,22 @@ class TestFusedProduct:
         # same LAPACK calls as with the reference product patched in; so the
         # saving is call overhead, not fewer or looser solves.  The complex
         # points of the contour take the reference on Python complex numbers,
-        # as test_matches_seven_slice_reference does
+        # as test_matches_seven_slice_reference does.  The reference runs on
+        # all m columns, with x zero past the pencil's block of k rows, and
+        # hands out the first min(m, k + 3) rows, past which it is zero
         def reference_products(pencil, x):
             h, o = pencil.h, pencil.overlap
+            m, k = o.shape[1], pencil.block
+            assert len(x) == k
+            x = np.concatenate((x, np.zeros(m - k, x.dtype)))
             bands, vectors = np.array((h, o, abs(h), abs(o))), np.array((x, x, abs(x), abs(x)))
             if bands.dtype == complex:
-                return band_matvec(bands.astype(object), vectors.astype(object)).astype(complex)
-            return band_matvec(bands, vectors)
+                products = band_matvec(bands.astype(object), vectors.astype(object)).astype(complex)
+            else:
+                products = band_matvec(bands, vectors)
+            width = min(m, k + oracle.HALF_BANDWIDTH)
+            assert not products[:, width:].any()
+            return products[:, :width]
 
         def run(state, Z, m):
             with monkeypatch.context() as patch:
@@ -692,6 +734,55 @@ class TestFusedProduct:
         for m in (240, 960):
             gbtrf, gbtrs, _, _ = fused[QuantumState(1, 0, 0), Fraction(1), m][1]
             assert (gbtrf, gbtrs) == (oracle.CONTOUR_POINTS // 2 + 1, oracle.CONTOUR_POINTS // 2 + 3), m
+
+    def test_lu_takes_the_block_and_inertia_counts_the_whole_basis(self, monkeypatch):
+        # where the saving is: at m = 960 the ground state's every LU and
+        # solve has the order of its leading block, n_r + BLOCK_MARGIN = 40,
+        # while each inertia count factors the tail of the whole basis behind
+        # its head of target + 1 = 1 basis function
+        calls = _lapack_calls(monkeypatch)
+        fit_field_series(QuantumState(1, 0, 0), Fraction(1), 960)
+        assert calls.orders["gbtrf"] == [oracle.BLOCK_MARGIN] * 7
+        assert calls.orders["gbtrs"] == [oracle.BLOCK_MARGIN] * 9
+        assert calls.orders["pbtrf"] == calls.orders["pbtrs"] == [959] * 4
+
+
+def _block_cases():
+    # every n <= 12 state at m = 120, and three at m = 960, for Z = 1, 2
+    for Z in (Fraction(1), Fraction(2)):
+        for n in range(1, 13):
+            for l in range(n):
+                yield QuantumState(n, l, l), Z, oracle.DEFAULT_BASIS_SIZE
+        for n, l in ((1, 0), (4, 0), (12, 11)):
+            yield QuantumState(n, l, l), Z, 960
+
+
+class TestLeadingBlock:
+    """A fit iterates on its leading n_r + BLOCK_MARGIN basis functions and accepts on the whole basis."""
+
+    @staticmethod
+    def _outcome(state, Z, m):
+        fit = fit_field_series(state, Z, m)
+        return repr((fit.energies, fit.residuals, sorted(fit.coefficients.items()), sorted(fit.uncertainties.items())))
+
+    def test_block_gives_the_whole_basis_fit(self, monkeypatch):
+        # a margin of at least m makes the block the whole basis, which every
+        # LU then factors; the block's fits keep those bits
+        blocked = {case: self._outcome(*case) for case in _block_cases()}
+        monkeypatch.setattr(oracle, "BLOCK_MARGIN", 960)
+        for case, outcome in blocked.items():
+            with monkeypatch.context() as patch:
+                calls = _lapack_calls(patch)
+                assert outcome == self._outcome(*case), case
+            assert set(calls.orders["gbtrf"]) == {case[2]}, case
+
+    @pytest.mark.parametrize("n,l", [(1, 0), (3, 1)])
+    def test_leaking_block_is_an_error(self, monkeypatch, n, l):
+        # a block of n_r + 4 functions cuts the level off: its pairs fail the
+        # whole-basis residual test, and the fit returns no number
+        monkeypatch.setattr(oracle, "BLOCK_MARGIN", 4)
+        with pytest.raises(ConvergenceError):
+            fit_field_series(QuantumState(n, l, l))
 
 
 def _run_isolated(script: str, *sys_path: Path, **preset: str) -> str:
